@@ -42,6 +42,17 @@ class EstimationError(ValueError):
     """The sample cannot support the requested estimate."""
 
 
+def _jump_error(previous_time: float, previous_state: int, t: float, s: int) -> str | None:
+    """Why a jump to ``s`` at ``t`` cannot follow the previous one, or None if it can."""
+    if not t > previous_time:  # also rejects NaN
+        return "jump times must be strictly increasing and positive"
+    if s == previous_state:
+        return "consecutive states must differ"
+    if s < 0:
+        return "states are numbered from 0"
+    return None
+
+
 @dataclass(frozen=True)
 class EventHistory:
     """One subject's observed path: initial state at time 0 plus jumps.
@@ -61,12 +72,9 @@ class EventHistory:
         previous_time = 0.0
         previous_state = self.initial_state
         for t, s in jumps:
-            if t <= previous_time:
-                raise ValueError("jump times must be strictly increasing and positive")
-            if s == previous_state:
-                raise ValueError("consecutive states must differ")
-            if s < 0:
-                raise ValueError("states are numbered from 0")
+            error = _jump_error(previous_time, previous_state, t, s)
+            if error is not None:
+                raise ValueError(error)
             previous_time, previous_state = t, s
         object.__setattr__(self, "jumps", jumps)
 
@@ -90,7 +98,7 @@ class EventHistory:
 
     @property
     def max_state(self) -> int:
-        return max((s for _, s in self.jumps), default=self.initial_state)
+        return max(self.initial_state, max((s for _, s in self.jumps), default=0))
 
 
 def infer_dim(sample: Sequence[EventHistory]) -> int:
@@ -197,48 +205,51 @@ def nelson_aalen(
     (subjects observed in j just before u).  The denominator is at least
     one whenever the numerator is positive, because a subject observed to
     transition out of j at u is itself observed in j just before u.
+
+    One sweep over the sorted jump times: the risk sets start from the
+    time-0 states, each time's increment uses the risk sets held before
+    that time's jumps, and then every jump -- counted or not, including
+    moves into and out of state 0 -- moves one subject between risk sets.
     """
     if not sample:
         raise EstimationError("empty sample")
     d = dim if dim is not None else infer_dim(sample)
+    at_risk = [0] * (d + 1)  # index 0 tallies the unobserved
+    moves: dict[float, list[tuple[int, int]]] = {}
     for eh in sample:
         if eh.max_state > d:
             raise EstimationError(
                 f"subject {eh.subject} visits state {eh.max_state} beyond dimension {d}"
             )
-
-    observed_times = set()
-    for eh in sample:
         state = eh.initial_state
+        at_risk[state] += 1
         for t, to in eh.jumps:
-            if state >= 1 and to >= 1 and (upto is None or t <= upto):
-                observed_times.add(t)
+            moves.setdefault(t, []).append((state, to))
             state = to
-    event_times = sorted(observed_times)
 
     steps = []
     kept_times = []
-    for u in event_times:
-        counts = np.zeros((d, d))
-        at_risk = np.zeros(d)
-        for eh in sample:
-            before = eh.state_before(u)
-            if before >= 1:
-                at_risk[before - 1] += 1
-            after = eh.state_at(u)
-            if before >= 1 and after >= 1 and after != before:
-                counts[before - 1, after - 1] += 1
-        if not counts.any():
-            continue
-        step = np.zeros((d, d))
-        for j in range(d):
-            if not counts[j].any():
-                continue
-            assert at_risk[j] >= 1, "transition observed out of an empty risk set"
-            step[j] = counts[j] / at_risk[j]
-            step[j, j] = -step[j].sum()
-        steps.append(step)
-        kept_times.append(u)
+    for u in sorted(moves):
+        at_u = moves[u]
+        if upto is None or u <= upto:
+            counts = np.zeros((d, d))
+            for j, k in at_u:
+                if j >= 1 and k >= 1:
+                    counts[j - 1, k - 1] += 1
+            if counts.any():
+                step = np.zeros((d, d))
+                for j in range(d):
+                    if not counts[j].any():
+                        continue
+                    if at_risk[j + 1] < 1:
+                        raise EstimationError("transition observed out of an empty risk set")
+                    step[j] = counts[j] / at_risk[j + 1]
+                    step[j, j] = -step[j].sum()
+                steps.append(step)
+                kept_times.append(u)
+        for j, k in at_u:
+            at_risk[j] -= 1
+            at_risk[k] += 1
     return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
 
 
@@ -247,7 +258,7 @@ def aalen_johansen(grid: EstimateGrid) -> EstimateGrid:
 
     Each factor is row-stochastic because the off-diagonal increment row
     mass never exceeds one; the products therefore have nonnegative entries
-    and unit row sums, which is asserted.
+    and unit row sums, which is checked.
     """
     eye = np.eye(grid.dim)
     running = eye
@@ -255,11 +266,15 @@ def aalen_johansen(grid: EstimateGrid) -> EstimateGrid:
     for u, step in zip(grid.times, grid.hazard_steps):
         off = step.copy()
         np.fill_diagonal(off, 0.0)
-        assert (off >= 0.0).all(), f"negative hazard increment at {u}"
-        assert (off.sum(axis=1) <= 1.0 + 1e-12).all(), f"exit mass above one at {u}"
+        if not (off >= 0.0).all():
+            raise EstimationError(f"negative hazard increment at {u}")
+        if not (off.sum(axis=1) <= 1.0 + 1e-12).all():
+            raise EstimationError(f"exit mass above one at {u}")
         running = running @ (eye + step)
-        assert (running >= -1e-12).all(), f"negative transition estimate at {u}"
-        assert np.abs(running.sum(axis=1) - 1.0).max() <= 1e-12, f"row sums drift at {u}"
+        if not (running >= -1e-12).all():
+            raise EstimationError(f"negative transition estimate at {u}")
+        if not np.abs(running.sum(axis=1) - 1.0).max() <= 1e-12:
+            raise EstimationError(f"row sums drift at {u}")
         transition.append(running)
     return replace(grid, transition=tuple(transition))
 
@@ -278,8 +293,9 @@ def occupation_estimate(sample: Sequence[EventHistory], grid: EstimateGrid) -> E
         raise EstimationError("no subject observed at time 0")
     p0 = counts0 / total
     occupation = tuple(p0 @ mat for mat in grid.transition)
-    for row in occupation:
-        assert (row >= -1e-12).all() and row.sum() <= 1.0 + 1e-12
+    for u, row in zip(grid.times, occupation):
+        if not ((row >= -1e-12).all() and row.sum() <= 1.0 + 1e-12):
+            raise EstimationError(f"occupation estimate out of range at {u}")
     return replace(grid, p0=p0, occupation=occupation)
 
 
@@ -334,12 +350,13 @@ def read_event_histories(path, max_state: int | None = None) -> list[EventHistor
         if first_time != 0.0:
             raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
         jumps = []
+        previous_time, previous_state = 0.0, initial
         for lineno, time, state in rows[1:]:
-            try:
-                EventHistory(subject, initial, tuple(jumps) + ((time, state),))
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
+            error = _jump_error(previous_time, previous_state, time, state)
+            if error is not None:
+                raise FormatError(f"line {lineno}: {error}")
             jumps.append((time, state))
+            previous_time, previous_state = time, state
         histories.append(EventHistory(subject, initial, tuple(jumps)))
     if not histories:
         raise FormatError("no subject rows found")

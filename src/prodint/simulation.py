@@ -72,7 +72,7 @@ class ScenarioConfig:
         for earlier, later in zip(grid, grid[1:]):
             if not earlier < later:
                 raise ConfigError("grid times must be strictly increasing")
-        if grid and (grid[0] <= 0.0 or grid[-1] > self.tau):
+        if grid and not (0.0 < grid[0] and grid[-1] <= self.tau):  # also rejects NaN
             raise ConfigError("grid times must lie in (0, tau]")
         initial = tuple(float(p) for p in self.initial)
         if len(initial) != self.dim:
@@ -105,6 +105,11 @@ class ScenarioConfig:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", tuple(self.transitions))
+        # (time, from_state) -> {when: probs}, so a lookup never scans the rules
+        index: dict[tuple[float, int], dict[float | None, tuple[tuple[int, float], ...]]] = {}
+        for rule in self.transitions:
+            index.setdefault((rule.time, rule.from_state), {})[rule.when] = rule.probs
+        object.__setattr__(self, "_rules", index)
 
     def feature(self, t: float, entered_at: float) -> float | None:
         if self.rule == "markov":
@@ -115,16 +120,13 @@ class ScenarioConfig:
 
     def outgoing(self, t: float, state: int, entered_at: float) -> tuple[tuple[int, float], ...]:
         """Effective outgoing probabilities, preferring an exact feature match."""
+        rules = self._rules.get((t, state))
+        if rules is None:
+            return ()
         feature = self.feature(t, entered_at)
-        fallback: tuple[tuple[int, float], ...] = ()
-        for rule in self.transitions:
-            if rule.time != t or rule.from_state != state:
-                continue
-            if rule.when == feature and rule.when is not None:
-                return rule.probs
-            if rule.when is None:
-                fallback = rule.probs
-        return fallback
+        if feature is not None and feature in rules:
+            return rules[feature]
+        return rules.get(None, ())
 
     def to_json_dict(self) -> dict:
         rules = []
@@ -269,7 +271,9 @@ def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> StatePath
     """Draw one trajectory by walking the grid and the scenario's rule."""
     start = _draw(rng, enumerate(scenario.initial))
     if start is None:
-        raise ConfigError("initial distribution has mass below 1")
+        # the validator accepts a float sum just below 1 (0.7 + 0.2 + 0.1 is
+        # 0.9999999999999999); that residual belongs to the last state with mass
+        start = max(i for i, p in enumerate(scenario.initial) if p > 0.0)
     initial = start + 1
     state = initial
     entered_at = 0.0
@@ -356,26 +360,29 @@ def apply_censoring(
         jumps.append((cut, 0))
         return EventHistory(subject, path.initial_state, tuple(jumps))
 
-    # filtering: per-span observation indicators
-    spans = _observation_spans(scenario.grid, scenario.tau)
-    observed = []
-    for i, _ in enumerate(spans):
-        p_obs = censoring.q
-        if censoring.kind == "violating" and i >= 1:
-            grid_time = scenario.grid[i - 1]
-            if path.jump_at(grid_time) is not None:
-                p_obs = censoring.q * (1.0 - censoring.delta)
-        observed.append(rng.random() < p_obs)
-
+    # filtering: one observation draw per span, in span order, while a
+    # single cursor walks the path's jumps alongside the spans
+    path_jumps = path.jumps
+    jump_times = {t for t, _ in path_jumps} if censoring.kind == "violating" else set()
+    state = path.initial_state
+    cursor = 0
     changes: list[tuple[float, int]] = []
-    for (start, end), on in zip(spans, observed):
-        changes.append((start, path.state_at(start) if on else 0))
-        if on:
+    for i, (start, end) in enumerate(_observation_spans(scenario.grid, scenario.tau)):
+        p_obs = censoring.q
+        if i >= 1 and scenario.grid[i - 1] in jump_times:
+            p_obs = censoring.q * (1.0 - censoring.delta)
+        while cursor < len(path_jumps) and path_jumps[cursor][0] <= start:
+            state = path_jumps[cursor][1]
+            cursor += 1
+        if rng.random() < p_obs:
+            changes.append((start, state))
             # the underlying path may jump inside the span (at its grid time)
-            for t, s in path.jumps:
-                if start < t < end:
-                    changes.append((t, s))
-    changes.sort()
+            while cursor < len(path_jumps) and path_jumps[cursor][0] < end:
+                state = path_jumps[cursor][1]
+                changes.append(path_jumps[cursor])
+                cursor += 1
+        else:
+            changes.append((start, 0))
     initial = changes[0][1]
     jumps = []
     current = initial

@@ -6,6 +6,7 @@ from prodint import (
     CensoringConfig,
     EventHistory,
     FormatError,
+    EstimateGrid,
     EstimationError,
     aalen_johansen,
     empirical_counts,
@@ -18,6 +19,8 @@ from prodint import (
     simulate_sample,
     write_event_histories,
 )
+from prodint import estimators
+from prodint.cli import main
 from prodint.estimators import write_occupation_csv
 
 
@@ -106,6 +109,32 @@ class TestAalenJohansen:
         for mat in grid.transition:
             assert (mat >= -1e-12).all()
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestInvariantChecks:
+    """The estimator invariants are explicit checks, kept under ``python -O``."""
+
+    def bad_grid(self):
+        step = np.array([[0.5, -0.5], [0.0, 0.0]])  # negative off-diagonal increment
+        return EstimateGrid(2, 1, (1.0,), (step,))
+
+    def test_negative_increment_raises(self):
+        with pytest.raises(EstimationError, match="negative hazard increment at 1.0"):
+            aalen_johansen(self.bad_grid())
+
+    def test_negative_increment_is_usage_exit_under_cli(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("subject,time,state\n0,0.0,1\n0,1.0,2\n")
+        monkeypatch.setattr(estimators, "nelson_aalen", lambda *args, **kwargs: self.bad_grid())
+        assert main(["estimate", "--input", str(path)]) == 2
+        assert "negative hazard increment" in capsys.readouterr().err
+
+    def test_initial_state_counts_toward_dimension(self):
+        # state 3 is only ever seen at time 0
+        sample = [subject(0, 3, (1.0, 1)), subject(1, 1, (1.0, 2))]
+        assert estimate(sample).dim == 3
+        with pytest.raises(EstimationError, match="subject 0 visits state 3"):
+            nelson_aalen(sample, dim=2)
 
 
 class TestOccupationEstimate:
@@ -220,7 +249,19 @@ class TestCsvRoundTrip:
     def test_non_increasing_times_name_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("subject,time,state\n0,0.0,1\n0,2.0,2\n0,1.0,1\n")
-        with pytest.raises(FormatError, match="line 4"):
+        with pytest.raises(FormatError, match="line 4: jump times must be strictly increasing"):
+            read_event_histories(path)
+
+    def test_repeated_state_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("subject,time,state\n0,0.0,1\n1,0.0,2\n0,1.0,2\n0,2.0,2\n")
+        with pytest.raises(FormatError, match="line 5: consecutive states must differ"):
+            read_event_histories(path)
+
+    def test_nan_time_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("subject,time,state\n0,0.0,1\n0,nan,2\n")
+        with pytest.raises(FormatError, match="line 3: jump times must be strictly increasing"):
             read_event_histories(path)
 
     def test_occupation_csv(self, tmp_path):

@@ -1,0 +1,30 @@
+"""Pinned digests of the fixed-seed `simulate` CSV and `estimate` grid.
+
+Speed work on the sampler, the censoring walk, the CSV reader and the
+estimators must leave these outputs byte-identical.  The grid digest also
+depends on the platform's float64 matrix products.
+"""
+
+import hashlib
+
+from prodint.cli import main
+
+CORPUS = "src/prodint/corpus"
+SAMPLE_SHA256 = "cfd35a3dc4a140fabd2679e48a0c9e1abd380fb31d3f6d095809af1a529d202f"
+GRID_SHA256 = "d9f1644d3649917648be629c4bafedabf1a21c483bb4c58e3835879f060f6a3d"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_idn_conforming_sample_and_grid_are_pinned(tmp_path):
+    sample = tmp_path / "sample.csv"
+    grid = tmp_path / "grid.json"
+    assert main([
+        "simulate", "--scenario", f"{CORPUS}/idn.json", "--censoring", f"{CORPUS}/conforming.json",
+        "--n", "1000", "--seed", "7", "--out", str(sample),
+    ]) == 0
+    assert sha256(sample) == SAMPLE_SHA256
+    assert main(["estimate", "--input", str(sample), "--out-json", str(grid)]) == 0
+    assert sha256(grid) == GRID_SHA256

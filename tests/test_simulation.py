@@ -65,6 +65,10 @@ class TestScenarioValidation:
                 (TransitionRule(1.5, 1, ((2, 0.5),)),),
             )
 
+    def test_rejects_nan_grid_time(self):
+        with pytest.raises(ConfigError, match="grid times"):
+            ScenarioConfig(2, 2.0, (float("nan"),), "markov", (1.0, 0.0), ())
+
     def test_rejects_unnormalized_initial(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(2, 2.0, (1.0,), "markov", (0.5, 0.0), ())
@@ -112,6 +116,15 @@ class TestSamplePath:
         )
         for _ in range(10):
             assert sample_path(rng, scenario).jumps == ((1.0, 2), (2.0, 1))
+
+    def test_initial_float_residual_goes_to_last_state_with_mass(self):
+        class TopOfUnitInterval:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        # 0.7 + 0.2 + 0.1 rounds to 1 - 2**-53, the largest value random() returns
+        scenario = ScenarioConfig(4, 2.0, (1.0,), "markov", (0.7, 0.2, 0.1, 0.0), ())
+        assert sample_path(TopOfUnitInterval(), scenario) == StatePath(3)
 
     def test_marginals_match_enumeration(self, rng):
         records = sampler_agreement_checks(rng, illness_death_scenario(), draws=10**5)
