@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -55,7 +55,18 @@ class RunReport:
             "command": self.command,
             "config_digest": self.config_digest,
             "seed": self.seed,
-            "records": [asdict(r) for r in self.records],
+            "records": [
+                {
+                    "name": r.name,
+                    "lhs": r.lhs,
+                    "rhs": r.rhs,
+                    "tol": r.tol,
+                    "passed": r.passed,
+                    "detail": r.detail,
+                    "kind": r.kind,
+                }
+                for r in self.records
+            ],
             "table": self.table,
             "elapsed_s": self.elapsed_s,
         }
@@ -73,17 +84,31 @@ def _write_report(report: RunReport, path) -> None:
             handle.write("\n")
 
 
+def _slack(record) -> float:
+    """Distance of a bound record from its bound, negative when it failed."""
+    distance = abs(record.lhs - record.rhs)
+    return distance if record.passed else -distance
+
+
 def _summarize(records) -> int:
-    """Print one line per check name; return 1 if anything failed."""
+    """Print one line per check name; return 1 if anything failed.
+
+    Equality checks show their worst gap |lhs - rhs| next to its tolerance,
+    bound checks the smallest slack to their bound.
+    """
     by_name: dict[str, list] = {}
     for record in records:
         by_name.setdefault(record.name, []).append(record)
     failed = False
     for name, group in by_name.items():
         bad = [r for r in group if not r.passed]
-        worst = max(abs(r.lhs - r.rhs) for r in group)
         status = "PASS" if not bad else "FAIL"
-        print(f"check {name}: {status} ({len(group) - len(bad)}/{len(group)}, worst gap {worst:.3e})")
+        if group[0].kind == "bound":
+            margin = f"min slack {min(_slack(r) for r in group):.3e}"
+        else:
+            worst = max(group, key=lambda r: abs(r.lhs - r.rhs))
+            margin = f"worst gap {abs(worst.lhs - worst.rhs):.3e}, tol {worst.tol:.0e}"
+        print(f"check {name}: {status} ({len(group) - len(bad)}/{len(group)}, {margin})")
         for r in bad[:5]:
             print(f"  FAIL {r.detail}: lhs={r.lhs!r} rhs={r.rhs!r} tol={r.tol!r}")
         failed = failed or bool(bad)

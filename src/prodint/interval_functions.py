@@ -158,7 +158,6 @@ class GeneralIF:
     dim: int
     evaluator: Callable[[Interval], np.ndarray]
     support: tuple[float, ...] = ()
-    variation_hint: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(sorted(self.support)))

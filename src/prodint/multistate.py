@@ -13,8 +13,10 @@ calculus and the empirical estimators are checked.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -80,15 +82,6 @@ class StatePath:
             state = to
         return None
 
-    def count_transitions(self, j: int, k: int, a: Interval) -> int:
-        state = self.initial_state
-        count = 0
-        for time, to in self.jumps:
-            if state == j and to == k and a.contains(time):
-                count += 1
-            state = to
-        return count
-
     @property
     def max_state(self) -> int:
         return max((s for _, s in self.jumps), default=self.initial_state)
@@ -122,9 +115,25 @@ class ExtinctionReport:
         return all(b.ok for b in self.boundaries)
 
 
+class _JointTable(NamedTuple):
+    """Weighted law of the states read at one pair of ticks (read-only)."""
+
+    joint: np.ndarray  # d x d: mass with state j at the left tick and k at the right
+    conditioning: np.ndarray  # d: mass with state j at the left tick
+    transition: np.ndarray  # joint / conditioning by row; identity row where it is 0
+
+
 @dataclass(frozen=True)
 class PathSpace:
-    """Finite weighted set of trajectories; weights sum to one."""
+    """Finite weighted set of trajectories; weights sum to one.
+
+    Every jump lies on ``grid``, so a path is fully described by its states
+    at the ticks ``(0,) + grid``.  The constructor stores them as an integer
+    matrix (path x tick) next to the weight vector; a query reads the one or
+    two tick columns its time points select, and the weighted joint table of
+    each column pair is built once (one ``np.bincount``, which adds the
+    weights in path order) and memoized.
+    """
 
     dim: int
     tau: float
@@ -137,32 +146,54 @@ class PathSpace:
         paths = tuple((p, float(w)) for p, w in self.paths)
         if not paths:
             raise ValueError("a path space needs at least one path")
-        total = 0.0
         for path, weight in paths:
             if weight <= 0:
                 raise ValueError("path weights must be positive")
-            total += weight
             if path.max_state > self.dim or path.initial_state > self.dim:
                 raise ValueError("path visits a state beyond the dimension")
             if path.jumps and path.jumps[-1][0] > self.tau:
                 raise ValueError("jump times must not exceed the horizon")
+        # compensated, so that rounding in many small weights cannot reject a law
+        total = math.fsum(w for _, w in paths)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"path weights sum to {total!r}, not 1")
+        events = self.event_times_of(paths)
         grid = tuple(sorted(float(t) for t in self.grid))
         if not grid:
-            grid = self.event_times_of(paths)
+            grid = events
         else:
             for earlier, later in zip(grid, grid[1:]):
                 if not earlier < later:
                     raise ValueError("grid times must be strictly increasing")
             if grid and (grid[0] <= 0 or grid[-1] > self.tau):
                 raise ValueError("grid times must lie in (0, tau]")
-            declared = set(grid)
-            realized = set(self.event_times_of(paths))
-            if not realized <= declared:
+            if not set(events) <= set(grid):
                 raise ValueError("every jump time must lie on the declared grid")
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_event_times", events)
+
+        ticks = (0.0,) + grid
+        rows = []
+        for path, _ in paths:
+            jumps = path.jumps
+            state = path.initial_state - 1
+            cursor = 0
+            row = []
+            for tick in ticks:
+                if cursor < len(jumps) and jumps[cursor][0] == tick:
+                    state = jumps[cursor][1] - 1
+                    cursor += 1
+                row.append(state)
+            rows.append(row)
+        states = np.array(rows, dtype=np.min_scalar_type(self.dim - 1))
+        weights = np.array([w for _, w in paths])
+        states.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "_ticks", ticks)
+        object.__setattr__(self, "_states", states)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_tables", {})
 
     @staticmethod
     def event_times_of(paths) -> tuple[float, ...]:
@@ -171,26 +202,63 @@ class PathSpace:
     @property
     def event_times(self) -> tuple[float, ...]:
         """Times at which some path actually jumps."""
-        return self.event_times_of(self.paths)
+        return self._event_times
+
+    # -- tick columns and their joint tables --------------------------------
+
+    def _column_at(self, t: float) -> int:
+        """Tick column holding every path's state at ``t``."""
+        return max(bisect_right(self._ticks, t) - 1, 0)
+
+    def _column_before(self, t: float) -> int:
+        """Tick column holding every path's state just before ``t``."""
+        return max(bisect_left(self._ticks, t) - 1, 0)
+
+    def _occupation_column(self, t: float, side: Side) -> np.ndarray:
+        column = self._column_at(t) if side == "right" else self._column_before(t)
+        return self._table(column, column).conditioning
+
+    def _columns(self, a: Interval) -> tuple[int, int]:
+        """The (left, right) status columns of ``a`` under its endpoint shape."""
+        left = self._column_before(a.lo) if a.lo_closed else self._column_at(a.lo)
+        right = self._column_at(a.hi) if a.hi_closed else self._column_before(a.hi)
+        return left, right
+
+    def _table(self, left: int, right: int) -> _JointTable:
+        table = self._tables.get((left, right))
+        if table is None:
+            d = self.dim
+            lo = self._states[:, left].astype(np.intp)
+            joint = np.bincount(
+                lo * d + self._states[:, right], weights=self._weights, minlength=d * d
+            ).reshape(d, d)
+            conditioning = np.bincount(lo, weights=self._weights, minlength=d)
+            transition = np.eye(d)
+            np.divide(joint, conditioning[:, None], out=transition, where=conditioning[:, None] != 0.0)
+            for array in (joint, conditioning, transition):
+                array.setflags(write=False)
+            table = self._tables[(left, right)] = _JointTable(joint, conditioning, transition)
+        return table
+
+    def _off_diagonal(self, left: int, right: int) -> np.ndarray:
+        out = self._table(left, right).joint.copy()
+        np.fill_diagonal(out, 0.0)
+        return out
+
+    def _check_states(self, *states: int) -> None:
+        for s in states:
+            if not 1 <= s <= self.dim:
+                raise ValueError(f"state {s} outside 1..{self.dim}")
 
     # -- occupation and transition probabilities --------------------------
 
     def occupation(self, j: int, t: float, side: Side = "right") -> float:
         """P(state = j) at time t (right value) or just before t (left)."""
-        total = 0.0
-        for path, weight in self.paths:
-            state = path.state_at(t) if side == "right" else path.state_before(t)
-            if state == j:
-                total += weight
-        return total
+        self._check_states(j)
+        return float(self._occupation_column(t, side)[j - 1])
 
     def occupation_vector(self, t: float, side: Side = "right") -> np.ndarray:
-        return np.array([self.occupation(j, t, side) for j in range(1, self.dim + 1)])
-
-    def _statuses(self, path: StatePath, a: Interval) -> tuple[int, int]:
-        left = path.state_before(a.lo) if a.lo_closed else path.state_at(a.lo)
-        right = path.state_at(a.hi) if a.hi_closed else path.state_before(a.hi)
-        return left, right
+        return self._occupation_column(t, side).copy()
 
     def transition(self, j: int, k: int, a: Interval) -> float:
         """Conditional transition probability of ``a`` under its endpoint shape.
@@ -200,24 +268,11 @@ class PathSpace:
         the state at a.hi, an open one the state just before.  When the
         conditioning probability is zero the value is 1 if j == k else 0.
         """
-        conditioning = 0.0
-        joint = 0.0
-        for path, weight in self.paths:
-            left, right = self._statuses(path, a)
-            if left == j:
-                conditioning += weight
-                if right == k:
-                    joint += weight
-        if conditioning == 0.0:
-            return 1.0 if j == k else 0.0
-        return joint / conditioning
+        self._check_states(j, k)
+        return float(self._table(*self._columns(a)).transition[j - 1, k - 1])
 
     def transition_matrix(self, a: Interval) -> np.ndarray:
-        out = np.empty((self.dim, self.dim))
-        for j in range(1, self.dim + 1):
-            for k in range(1, self.dim + 1):
-                out[j - 1, k - 1] = self.transition(j, k, a)
-        return out
+        return self._table(*self._columns(a)).transition.copy()
 
     def transition_if(self) -> GeneralIF:
         """The transition matrix as an interval function."""
@@ -236,7 +291,14 @@ class PathSpace:
         """Expected number of direct j -> k transitions in ``a``."""
         if k == j:
             raise ValueError("counting means are defined for k != j")
-        return sum(w * path.count_transitions(j, k, a) for path, w in self.paths)
+        self._check_states(j, k)
+        counts = np.zeros(len(self.paths), dtype=np.intp)
+        states = self._states
+        for i in range(1, len(self._ticks)):
+            if a.contains(self._ticks[i]):
+                counts += (states[:, i - 1] == j - 1) & (states[:, i] == k - 1)
+        # the builtin sum, in path order, as for any per-path total
+        return sum((self._weights * counts).tolist())
 
     def counting_mean_if(self, j: int, k: int) -> AdditiveIF:
         """The expected-count measure of j -> k as a scalar additive function."""
@@ -244,11 +306,7 @@ class PathSpace:
             raise ValueError("counting means are defined for k != j")
         atoms = []
         for u in self.event_times:
-            mass = 0.0
-            for path, w in self.paths:
-                jump = path.jump_at(u)
-                if jump == (j, k):
-                    mass += w
+            mass = self.jump_mass(u)[j - 1, k - 1]
             if mass != 0.0:
                 atoms.append((u, [[mass]]))
         return AdditiveIF(1, tuple(atoms))
@@ -262,12 +320,12 @@ class PathSpace:
         """
         if k == j:
             raise ValueError("indicator means are defined for k != j")
-        total = 0.0
-        for path, weight in self.paths:
-            left, right = self._statuses(path, a)
-            if left == j and right == k:
-                total += weight
-        return total
+        self._check_states(j, k)
+        return float(self._table(*self._columns(a)).joint[j - 1, k - 1])
+
+    def indicator_matrix(self, a: Interval) -> np.ndarray:
+        """Every ``indicator_mean(j, k, a)`` at once, with a zero diagonal."""
+        return self._off_diagonal(*self._columns(a))
 
     def indicator_mean_if(self, j: int, k: int) -> GeneralIF:
         if k == j:
@@ -279,12 +337,12 @@ class PathSpace:
     # -- hazards -----------------------------------------------------------
 
     def jump_mass(self, u: float) -> np.ndarray:
-        mass = np.zeros((self.dim, self.dim))
-        for path, w in self.paths:
-            jump = path.jump_at(u)
-            if jump is not None:
-                mass[jump[0] - 1, jump[1] - 1] += w
-        return mass
+        """Expected j -> k jump mass exactly at ``u``: the (j, k) entry is the
+        weight of the paths jumping from j to k there."""
+        i = bisect_left(self._ticks, u)
+        if 0 < i < len(self._ticks) and self._ticks[i] == u:
+            return self._off_diagonal(i - 1, i)
+        return np.zeros((self.dim, self.dim))
 
     def hazard_matrix(self) -> "HazardMatrixIF":
         """Cumulative transition hazard: atom mass / occupation just before.

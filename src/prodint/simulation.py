@@ -110,6 +110,8 @@ class ScenarioConfig:
         for rule in self.transitions:
             index.setdefault((rule.time, rule.from_state), {})[rule.when] = rule.probs
         object.__setattr__(self, "_rules", index)
+        # observation spans of the filtering censoring kinds, shared by every subject
+        object.__setattr__(self, "_spans", tuple(_observation_spans(grid, self.tau)))
 
     def feature(self, t: float, entered_at: float) -> float | None:
         if self.rule == "markov":
@@ -367,7 +369,7 @@ def apply_censoring(
     state = path.initial_state
     cursor = 0
     changes: list[tuple[float, int]] = []
-    for i, (start, end) in enumerate(_observation_spans(scenario.grid, scenario.tau)):
+    for i, (start, end) in enumerate(scenario._spans):
         p_obs = censoring.q
         if i >= 1 and scenario.grid[i - 1] in jump_times:
             p_obs = censoring.q * (1.0 - censoring.delta)

@@ -1,15 +1,17 @@
 """Rescanning reference versions of the sampler's rule lookup, the filtering
-censoring mechanisms and the Nelson-Aalen estimator.
+censoring mechanisms, the Nelson-Aalen estimator, the path-space queries
+and the count-mean defect suite.
 
 These are the straightforward scans the library replaced with an indexed
-lookup, a one-cursor walk and a sweep line.  They stay here, outside the
-package, so that tests can require the fast versions to agree with them
-exactly.
+lookup, a one-cursor walk, a sweep line, memoized tick-pair tables and a
+one-pass defect sum.  They stay here, outside the package, so that tests
+can require the fast versions to agree with them exactly.
 """
 
 import numpy as np
 
-from prodint import EstimateGrid, EventHistory
+from prodint import AdditiveIF, EstimateGrid, EventHistory, GeneralIF, Interval, defect_profile
+from prodint.checks import CheckRecord
 from prodint.estimators import infer_dim
 from prodint.simulation import _observation_spans
 
@@ -91,3 +93,102 @@ def nelson_aalen_rescan(sample, upto=None, dim=None):
         steps.append(step)
         kept_times.append(u)
     return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
+
+
+# -- path-space queries, one loop over every path per call ----------------------
+
+
+def statuses(path, a):
+    left = path.state_before(a.lo) if a.lo_closed else path.state_at(a.lo)
+    right = path.state_at(a.hi) if a.hi_closed else path.state_before(a.hi)
+    return left, right
+
+
+def occupation(ps, j, t, side="right"):
+    total = 0.0
+    for path, weight in ps.paths:
+        state = path.state_at(t) if side == "right" else path.state_before(t)
+        if state == j:
+            total += weight
+    return total
+
+
+def transition(ps, j, k, a):
+    conditioning = 0.0
+    joint = 0.0
+    for path, weight in ps.paths:
+        left, right = statuses(path, a)
+        if left == j:
+            conditioning += weight
+            if right == k:
+                joint += weight
+    if conditioning == 0.0:
+        return 1.0 if j == k else 0.0
+    return joint / conditioning
+
+
+def indicator_mean(ps, j, k, a):
+    total = 0.0
+    for path, weight in ps.paths:
+        left, right = statuses(path, a)
+        if left == j and right == k:
+            total += weight
+    return total
+
+
+def jump_mass(ps, u):
+    mass = np.zeros((ps.dim, ps.dim))
+    for path, w in ps.paths:
+        jump = path.jump_at(u)
+        if jump is not None:
+            mass[jump[0] - 1, jump[1] - 1] += w
+    return mass
+
+
+def count_transitions(path, j, k, a):
+    state = path.initial_state
+    count = 0
+    for time, to in path.jumps:
+        if state == j and to == k and a.contains(time):
+            count += 1
+        state = to
+    return count
+
+
+def counting_mean(ps, j, k, a):
+    return sum(w * count_transitions(path, j, k, a) for path, w in ps.paths)
+
+
+def counting_mean_if(ps, j, k):
+    atoms = []
+    for u in ps.event_times:
+        mass = 0.0
+        for path, w in ps.paths:
+            if path.jump_at(u) == (j, k):
+                mass += w
+        if mass != 0.0:
+            atoms.append((u, [[mass]]))
+    return AdditiveIF(1, tuple(atoms))
+
+
+def count_mean_defect_checks(ps, depths=6, label=""):
+    """One full defect profile per (j, k) pair, keeping its deepest value."""
+    window = Interval.open_closed(0.0, ps.tau)
+    records = []
+    for j in range(1, ps.dim + 1):
+        for k in range(1, ps.dim + 1):
+            if k == j:
+                continue
+            indicator = GeneralIF(
+                1, lambda a, j=j, k=k: np.array([[indicator_mean(ps, j, k, a)]]),
+                support=ps.event_times,
+            )
+            profile = defect_profile(indicator, counting_mean_if(ps, j, k), window, depths)
+            final = profile[-1][1]
+            records.append(
+                CheckRecord(
+                    "count-mean-defect", final, 0.0, 1e-10, passed=final < 1e-10,
+                    detail=f"{label} pair ({j},{k})",
+                )
+            )
+    return records

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from prodint import empirical_occupancy, read_event_histories
-from prodint.cli import main
+from prodint.checks import CheckRecord
+from prodint.cli import RunReport, _summarize, main
 
 CORPUS = "src/prodint/corpus"
 
@@ -91,6 +93,14 @@ class TestVerify:
         assert payload["command"] == "verify" and payload["seed"] == 7
         assert all(r["passed"] for r in payload["records"])
 
+    def test_bound_checks_print_slack(self, capsys):
+        assert run("verify", "--count", 2, "--seed", 7) == 0
+        lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+        for name in ("transform-bound", "integral-bound", "occupation-lower-bound"):
+            assert "min slack" in lines[f"check {name}"] and "worst gap" not in lines[f"check {name}"]
+        assert "worst gap" in lines["check occupation-identity"]
+        assert "tol 1e-10" in lines["check occupation-identity"]
+
     def test_defect_table_shown_for_single_suite(self, capsys):
         code = run(
             "verify", "--only", "hazard-defect",
@@ -121,6 +131,34 @@ class TestVerify:
         code = run("verify", "--corpus", corpus, "--count", 2)
         assert code == 3
         assert "surv.json" in capsys.readouterr().err
+
+
+class TestSummary:
+    def test_equality_shows_worst_gap_and_tol(self, capsys):
+        records = [CheckRecord("eq", 1.0, 1.0 + 2**-40, 1e-10, True), CheckRecord("eq", 0.5, 0.5, 1e-10, True)]
+        assert _summarize(records) == 0
+        assert capsys.readouterr().out == "check eq: PASS (2/2, worst gap 9.095e-13, tol 1e-10)\n"
+
+    def test_bound_shows_min_slack(self, capsys):
+        records = [
+            CheckRecord("floor", 3.0, 2.0, 1e-12, True, kind="bound"),
+            CheckRecord("floor", 2.5, 2.25, 1e-12, True, kind="bound"),
+        ]
+        assert _summarize(records) == 0
+        assert capsys.readouterr().out == "check floor: PASS (2/2, min slack 2.500e-01)\n"
+
+    def test_failed_bound_has_negative_slack(self, capsys):
+        records = [
+            CheckRecord("floor", 3.0, 2.0, 1e-12, True, kind="bound"),
+            CheckRecord("floor", 1.5, 2.0, 1e-12, False, "x", kind="bound"),
+        ]
+        assert _summarize(records) == 1
+        assert capsys.readouterr().out.startswith("check floor: FAIL (1/2, min slack -5.000e-01)\n")
+
+    def test_report_records_hold_every_field_in_order(self):
+        records = [CheckRecord("eq", 1.0, 2.0, 0.0, False, "d"), CheckRecord("b", 1, 2, 0, True, kind="bound")]
+        dumped = RunReport("verify", "digest", 7, records).to_json_dict()["records"]
+        assert [list(r.items()) for r in dumped] == [list(dataclasses.asdict(r).items()) for r in records]
 
 
 class TestConvergence:

@@ -1,17 +1,22 @@
-"""Pinned digests of the fixed-seed `simulate` CSV and `estimate` grid.
+"""Pinned digests of the fixed-seed `simulate` CSV, `estimate` grid and
+`verify` records.
 
-Speed work on the sampler, the censoring walk, the CSV reader and the
-estimators must leave these outputs byte-identical.  The grid digest also
-depends on the platform's float64 matrix products.
+Speed work on the sampler, the censoring walk, the CSV reader, the
+estimators, the path-space oracle and the check suites must leave these
+outputs byte-identical.  The digests also depend on the platform's float64
+matrix products.
 """
 
 import hashlib
+import json
 
 from prodint.cli import main
 
 CORPUS = "src/prodint/corpus"
 SAMPLE_SHA256 = "cfd35a3dc4a140fabd2679e48a0c9e1abd380fb31d3f6d095809af1a529d202f"
 GRID_SHA256 = "d9f1644d3649917648be629c4bafedabf1a21c483bb4c58e3835879f060f6a3d"
+# (name, lhs, rhs, tol, passed, detail) of every `verify --count 10 --seed 7` record
+VERIFY_RECORDS_SHA256 = "1459d0c7ef681e087defe4e7ddedf3fdc672b09a22fa5e001e29ef0c3a30b204"
 
 
 def sha256(path):
@@ -28,3 +33,12 @@ def test_idn_conforming_sample_and_grid_are_pinned(tmp_path):
     assert sha256(sample) == SAMPLE_SHA256
     assert main(["estimate", "--input", str(sample), "--out-json", str(grid)]) == 0
     assert sha256(grid) == GRID_SHA256
+
+
+def test_verify_records_are_pinned(tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--count", "10", "--seed", "7", "--report", str(report)]) == 0
+    records = json.loads(report.read_text())["records"]
+    rows = [[r["name"], r["lhs"], r["rhs"], r["tol"], r["passed"], r["detail"]] for r in records]
+    assert len(rows) == 1939
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == VERIFY_RECORDS_SHA256

@@ -65,6 +65,21 @@ class TestPathSpaceValidation:
         ps = PathSpace(2, 2.0, ((StatePath(1, ((1.0, 2),)), 1.0),))
         assert ps.grid == (1.0,)
 
+    def test_weights_are_summed_without_rounding_drift(self):
+        paths = ((StatePath(1), 1e-5),) * 100_000
+        # a running float sum misses 1 by about 1.9e-12, beyond the 1e-12 tolerance
+        total = 0.0
+        for _, w in paths:
+            total += w
+        assert abs(total - 1.0) > 1e-12
+        assert len(PathSpace(1, 1.0, paths).paths) == 100_000
+
+    def test_rejects_state_outside_range(self, idn_space):
+        with pytest.raises(ValueError):
+            idn_space.occupation(0, 1.0)
+        with pytest.raises(ValueError):
+            idn_space.transition(1, 4, OC(0, 1))
+
 
 class TestOccupation:
     def test_idn_values(self, idn_space):
