@@ -16,7 +16,6 @@ import numpy as np
 from .estimators import empirical_occupancy, estimate
 from .interval_functions import (
     AdditiveIF,
-    GeneralIF,
     StepFunction,
     check_product_variation_bound,
     defect_profile,
@@ -26,7 +25,6 @@ from .interval_functions import (
     plus_identity,
     product_integral,
     refinement_partitions,
-    variation_norm,
 )
 from .intervals import Interval
 from .multistate import PathSpace
@@ -35,12 +33,8 @@ from .simulation import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
-    forced_exit_scenario,
     illness_death_scenario,
-    sample_path,
     simulate_sample,
-    subject_rng,
-    two_state_scenario,
 )
 
 
@@ -215,18 +209,6 @@ def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
     return Interval(lo_t, hi_t, lo_closed, hi_closed)
 
 
-def default_corpus() -> dict[str, PathSpace]:
-    return {
-        "illness-death": exact_pathspace(illness_death_scenario()),
-        "two-state": exact_pathspace(two_state_scenario()),
-        "forced-exit": exact_pathspace(forced_exit_scenario()),
-    }
-
-
-def random_corpus(rng: np.random.Generator, count: int, **kwargs) -> list[PathSpace]:
-    return [exact_pathspace(random_scenario(rng, **kwargs)) for _ in range(count)]
-
-
 # -- suites -------------------------------------------------------------------
 
 
@@ -251,11 +233,23 @@ def occupation_identity_checks(ps: PathSpace, label: str = "") -> list[CheckReco
     return records
 
 
+def hazard_defect_table(ps: PathSpace, depths: int = 6) -> list[tuple[str, float]]:
+    """Defect profile of (transition - identity) against the hazard on
+    (0, tau]: the trivial partition, then the refinement schedule.
+
+    A cell's term depends only on its tick columns (``PathSpace.columns``),
+    which fix its transition matrix and the hazard atoms it contains, so
+    each column pair is evaluated once.
+    """
+    window = Interval.open_closed(0.0, ps.tau)
+    return defect_profile(
+        ps.transition_deviation_if(), ps.hazard_matrix(), window, depths, key=ps.columns
+    )
+
+
 def hazard_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> list[CheckRecord]:
     """Defect of (transition - identity) against the hazard along the schedule."""
-    window = Interval.open_closed(0.0, ps.tau)
-    profile = defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
-    values = [v for _, v in profile]
+    values = [v for _, v in hazard_defect_table(ps, depths)]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     return [
         CheckRecord(
@@ -267,11 +261,6 @@ def hazard_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> lis
             detail=f"{label} profile " + " ".join(f"{v:.3g}" for v in values),
         )
     ]
-
-
-def hazard_defect_table(ps: PathSpace, depths: int = 6) -> list[tuple[str, float]]:
-    window = Interval.open_closed(0.0, ps.tau)
-    return defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
 
 
 def chapman_kolmogorov_checks(ps: PathSpace | None = None) -> list[CheckRecord]:
@@ -311,14 +300,21 @@ def count_mean_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") ->
 
     One pass over the cells of the deepest partition of the schedule
     accumulates every pair's sum at once; each entry adds its cells in the
-    same order as a per-pair ``strict_transform_defect`` would.
+    same order as a per-pair ``strict_transform_defect`` would.  A cell's
+    term depends only on its tick columns, so each column pair is
+    evaluated once.
     """
     window = Interval.open_closed(0.0, ps.tau)
     *_, deepest = refinement_partitions(ps.event_times, window, depths)
     counts = AdditiveIF(ps.dim, tuple((u, ps.jump_mass(u)) for u in ps.event_times))
+    terms = {}
     defect = np.zeros((ps.dim, ps.dim))
     for cell in deepest.cells:
-        defect += np.abs(ps.indicator_matrix(cell) - counts(cell))
+        columns = ps.columns(cell)
+        term = terms.get(columns)
+        if term is None:
+            term = terms[columns] = np.abs(ps.indicator_matrix(cell) - counts(cell))
+        defect += term
     records = []
     for j in range(1, ps.dim + 1):
         for k in range(1, ps.dim + 1):
@@ -657,24 +653,3 @@ def convergence_study(
         )
     return records, table
 
-
-def sampler_agreement_checks(
-    rng: np.random.Generator, scenario: ScenarioConfig, draws: int = 10**5, tol: float = 0.01
-) -> list[CheckRecord]:
-    """Empirical occupation frequencies of the sampler against enumeration."""
-    ps = exact_pathspace(scenario)
-    counts = np.zeros(scenario.dim)
-    for _ in range(draws):
-        path = sample_path(rng, scenario)
-        counts[path.state_at(scenario.tau) - 1] += 1
-    freq = counts / draws
-    truth = ps.occupation_vector(scenario.tau)
-    return [
-        close_record(
-            "sampler-agreement",
-            float(np.abs(freq - truth).max()),
-            0.0,
-            tol,
-            detail=f"{draws} draws at t={scenario.tau:g}",
-        )
-    ]

@@ -1,8 +1,9 @@
 """Command-line front end: simulate, estimate, verify, convergence.
 
-Exit codes: 0 all good, 1 a check failed, 2 usage or configuration error,
-3 I/O error.  Every run is reproducible from the config digest and the
-seed printed in its report.
+Exit codes: 0 all good, 1 a check failed, 2 usage or configuration error
+(or a transform whose refinement schedule did not settle), 3 I/O error.
+Every run is reproducible from the config digest and the seed printed in
+its report.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .estimators import (
     write_grid_json,
     write_occupation_csv,
 )
+from .interval_functions import ConvergenceError
 from .simulation import (
     CensoringConfig,
     ConfigError,
@@ -157,6 +159,8 @@ def _corpus_scenarios(corpus_dir) -> dict[str, ScenarioConfig]:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    if args.count < 0:
+        raise ConfigError(f"--count must be at least 0, got {args.count}")
     corpus_dir = args.corpus or os.environ.get(CORPUS_ENV)
     if args.scenario:
         scenarios = {os.path.basename(args.scenario): load_scenario(args.scenario)}
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--corpus", help=f"corpus directory (default: packaged, or ${CORPUS_ENV})")
     ver.add_argument("--scenario", help="verify a single scenario JSON instead of the corpus")
     ver.add_argument("--only", help="run a single named check suite")
-    ver.add_argument("--count", type=int, default=100, help="randomized instances per suite")
+    ver.add_argument("--count", type=int, default=100, help="randomized instances per suite (>= 0)")
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--report", help="write a JSON run report here")
     ver.set_defaults(func=cmd_verify)
@@ -311,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, ConvergenceError, FormatError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -218,8 +218,14 @@ class PathSpace:
         column = self._column_at(t) if side == "right" else self._column_before(t)
         return self._table(column, column).conditioning
 
-    def _columns(self, a: Interval) -> tuple[int, int]:
-        """The (left, right) status columns of ``a`` under its endpoint shape."""
+    def columns(self, a: Interval) -> tuple[int, int]:
+        """The (left, right) tick columns ``a`` reads under its endpoint shape.
+
+        Every query on ``a`` reads only these two columns, and the grid
+        times inside ``a`` are exactly ``grid[left:right]``.  Since every
+        jump lies on the grid, intervals with the same pair have equal
+        transition and indicator values and contain the same jump times.
+        """
         left = self._column_before(a.lo) if a.lo_closed else self._column_at(a.lo)
         right = self._column_at(a.hi) if a.hi_closed else self._column_before(a.hi)
         return left, right
@@ -269,10 +275,10 @@ class PathSpace:
         conditioning probability is zero the value is 1 if j == k else 0.
         """
         self._check_states(j, k)
-        return float(self._table(*self._columns(a)).transition[j - 1, k - 1])
+        return float(self._table(*self.columns(a)).transition[j - 1, k - 1])
 
     def transition_matrix(self, a: Interval) -> np.ndarray:
-        return self._table(*self._columns(a)).transition.copy()
+        return self._table(*self.columns(a)).transition.copy()
 
     def transition_if(self) -> GeneralIF:
         """The transition matrix as an interval function."""
@@ -321,11 +327,11 @@ class PathSpace:
         if k == j:
             raise ValueError("indicator means are defined for k != j")
         self._check_states(j, k)
-        return float(self._table(*self._columns(a)).joint[j - 1, k - 1])
+        return float(self._table(*self.columns(a)).joint[j - 1, k - 1])
 
     def indicator_matrix(self, a: Interval) -> np.ndarray:
         """Every ``indicator_mean(j, k, a)`` at once, with a zero diagonal."""
-        return self._off_diagonal(*self._columns(a))
+        return self._off_diagonal(*self.columns(a))
 
     def indicator_mean_if(self, j: int, k: int) -> GeneralIF:
         if k == j:

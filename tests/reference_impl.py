@@ -1,16 +1,30 @@
 """Rescanning reference versions of the sampler's rule lookup, the filtering
-censoring mechanisms, the Nelson-Aalen estimator, the path-space queries
-and the count-mean defect suite.
+censoring mechanisms, the Nelson-Aalen estimator, the path-space queries,
+the count-mean defect suite and the product-variation bound.
 
 These are the straightforward scans the library replaced with an indexed
-lookup, a one-cursor walk, a sweep line, memoized tick-pair tables and a
-one-pass defect sum.  They stay here, outside the package, so that tests
-can require the fast versions to agree with them exactly.
+lookup, a one-cursor walk, a sweep line, memoized tick-pair tables, a
+one-pass defect sum and per-class cell terms.  They stay here, outside the
+package, so that tests can require the fast versions to agree with them
+exactly.
 """
+
+import math
 
 import numpy as np
 
-from prodint import AdditiveIF, EstimateGrid, EventHistory, GeneralIF, Interval, defect_profile
+from prodint import (
+    AdditiveIF,
+    BoundCheck,
+    EstimateGrid,
+    EventHistory,
+    GeneralIF,
+    Interval,
+    defect_profile,
+    matrix_norm,
+    product_integral,
+    refinement_partitions,
+)
 from prodint.checks import CheckRecord
 from prodint.estimators import infer_dim
 from prodint.simulation import _observation_spans
@@ -192,3 +206,15 @@ def count_mean_defect_checks(ps, depths=6, label=""):
                 )
             )
     return records
+
+
+def check_product_variation_bound(mu, a, depths=4):
+    """The product-variation bound with one product integral per cell."""
+    v = mu.variation(a)
+    rhs = math.exp(v) * v
+    eye = np.eye(mu.dim)
+    lhs = 0.0
+    for part in refinement_partitions(mu.support, a, depths):
+        total = sum(matrix_norm(product_integral(mu, cell) - eye) for cell in part.cells)
+        lhs = max(lhs, total)
+    return BoundCheck(lhs, rhs, lhs <= rhs + 1e-12)

@@ -22,18 +22,18 @@ from prodint.checks import (
     chapman_kolmogorov_checks,
     convergence_study,
     count_mean_defect_checks,
-    default_corpus,
     extinction_checks,
     hazard_defect_table,
     hazard_integral_checks,
     markov_product_checks,
     occupation_bound_checks,
     occupation_identity_checks,
-    random_corpus,
     transform_duality_checks,
     uncensored_identity_checks,
     worst_gap,
 )
+
+from corpora import default_corpus, random_corpus
 
 OC = Interval.open_closed
 

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from prodint import empirical_occupancy, read_event_histories
+from prodint import checks, empirical_occupancy, multiplicative_transform, read_event_histories
 from prodint.checks import CheckRecord
 from prodint.cli import RunReport, _summarize, main
 
@@ -113,6 +114,24 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         assert run("verify", "--only", "bogus", "--count", 2) == 2
         assert "unknown check" in capsys.readouterr().err
+
+    def test_negative_count_is_usage_error(self, capsys):
+        assert run("verify", "--count", -4) == 2
+        assert "--count" in capsys.readouterr().err
+
+    def test_zero_count_runs_the_corpus_only(self, capsys):
+        assert run("verify", "--count", 0, "--only", "extinction-exit") == 0
+        assert "check extinction-exit: PASS" in capsys.readouterr().out
+
+    def test_unsettled_transform_is_usage_error(self, monkeypatch, capsys):
+        # a schedule cut at depth 0 cannot settle, so the suite raises
+        monkeypatch.setattr(
+            checks, "multiplicative_transform", functools.partial(multiplicative_transform, max_depth=0)
+        )
+        assert run("verify", "--only", "chapman-kolmogorov", "--count", 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplicative transform over (1, 3]")
+        assert "Traceback" not in err
 
     def test_corrupted_corpus_reports_parse_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

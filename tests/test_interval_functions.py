@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodint import (
     AdditiveIF,
@@ -18,12 +19,14 @@ from prodint import (
     multiplicative_transform,
     plus_identity,
     product_integral,
+    refinement_partitions,
     strict_transform_defect,
     variation_norm,
     young_partition,
 )
 
 import oracle_enum
+import reference_impl
 
 OC = Interval.open_closed
 OO = Interval.open_open
@@ -318,6 +321,53 @@ class TestProductVariationBound:
         lam = idn_space.hazard_matrix()
         lhs, rhs, ok = check_product_variation_bound(lam, OC(0, 3))
         assert ok and lhs <= rhs
+
+    @staticmethod
+    def random_measure(rng, with_density):
+        """A jump function as `verify` draws it, optionally with two density pieces."""
+        from prodint.checks import random_jump_function
+
+        mu = random_jump_function(rng)
+        if not with_density:
+            return mu
+        rates = rng.uniform(-0.5, 0.5, size=(2, mu.dim, mu.dim))
+        return AdditiveIF(mu.dim, mu.atoms, ((0.3, 1.75, rates[0]), (2.5, 4.0, rates[1])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 4))
+    def test_matches_per_cell_reference(self, seed, with_density, depths):
+        from prodint.checks import random_subinterval
+
+        rng = np.random.default_rng(seed)
+        mu = self.random_measure(rng, with_density)
+        for a in (OC(0.0, 4.0), random_subinterval(rng), random_subinterval(rng)):
+            expected = reference_impl.check_product_variation_bound(mu, a, depths)
+            assert check_product_variation_bound(mu, a, depths) == expected
+
+    @pytest.mark.parametrize("with_density", [False, True])
+    def test_pure_jump_evaluates_each_atom_range_once(self, monkeypatch, with_density):
+        import prodint.interval_functions as module
+
+        mu = self.random_measure(np.random.default_rng(5), with_density)
+        times = [t for t, _ in mu.atoms]
+        cells = []
+
+        def recording(lam, a):
+            cells.append(a)
+            return product_integral(lam, a)
+
+        monkeypatch.setattr(module, "product_integral", recording)
+        check_product_variation_bound(mu, OC(0.0, 4.0))
+        schedule = sum(len(p) for p in refinement_partitions(mu.support, OC(0.0, 4.0), 4))
+        if with_density:
+            assert len(cells) == schedule
+            return
+        # (atoms below the cell, atoms below or inside it)
+        ranges = []
+        for a in cells:
+            below = sum(t < a.lo or (t == a.lo and not a.lo_closed) for t in times)
+            ranges.append((below, below + sum(map(a.contains, times))))
+        assert len(set(ranges)) == len(ranges) < schedule
 
 
 class TestTransformDuality:

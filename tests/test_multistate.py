@@ -263,7 +263,8 @@ class TestTransformAgreesWithProductIntegral:
         self.probe(idn_space, rng, draws=30)
 
     def test_on_random_laws(self, rng):
-        from prodint.checks import hazard_defect_checks, random_corpus
+        from corpora import random_corpus
+        from prodint.checks import hazard_defect_checks
 
         for ps in random_corpus(rng, 20):
             self.probe(ps, rng, draws=5)

@@ -1,20 +1,31 @@
-"""The tick-indexed path-space queries and the one-pass count-mean defect
-suite agree exactly with the per-path references."""
+"""The tick-indexed path-space queries and the defect suites, which evaluate
+one term per tick-column pair, agree exactly with the per-path and per-cell
+references."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from prodint import (
     Interval,
+    Partition,
     PathSpace,
     StatePath,
+    defect_profile,
     exact_pathspace,
     forced_exit_scenario,
     illness_death_scenario,
+    refinement_partitions,
 )
-from prodint.checks import count_mean_defect_checks, random_scenario, random_subinterval
+from prodint.checks import (
+    count_mean_defect_checks,
+    hazard_defect_checks,
+    hazard_defect_table,
+    random_scenario,
+    random_subinterval,
+)
 from prodint.simulation import RULE_KINDS
 
+from corpora import random_corpus
 import reference_impl
 
 # ticks of the generator's grid, points between them (dyadic and not), 0 and tau
@@ -38,15 +49,17 @@ def random_spaces(draw):
 @st.composite
 def weighted_spaces(draw):
     """Hand-drawn paths with non-dyadic weights, where the order in which
-    weights are added shows in the last bits of every sum."""
+    weights are added shows in the last bits of every sum.  Sometimes no
+    path jumps at one of the grid ticks."""
     dim = draw(st.integers(2, 4))
     grid = tuple(sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0]), min_size=1))))
+    quiet = draw(st.none() | st.sampled_from(grid))
     paths = []
     for _ in range(draw(st.integers(1, 12))):
         state = draw(st.integers(1, dim))
         initial, jumps = state, []
         for t in grid:
-            if draw(st.booleans()):
+            if t != quiet and draw(st.booleans()):
                 state = draw(st.sampled_from([s for s in range(1, dim + 1) if s != state]))
                 jumps.append((t, state))
         paths.append(StatePath(initial, tuple(jumps)))
@@ -111,10 +124,73 @@ def test_count_mean_defect_matches_per_pair_profiles(ps, depths):
     assert fast == reference_impl.count_mean_defect_checks(ps, depths=depths, label="x")
 
 
+def per_cell_hazard_profile(ps, depths):
+    window = Interval.open_closed(0.0, ps.tau)
+    return defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_spaces() | weighted_spaces(), st.integers(0, 3))
+def test_hazard_profile_matches_per_cell_profile(ps, depths):
+    assert hazard_defect_table(ps, depths) == per_cell_hazard_profile(ps, depths)
+
+
 def test_count_mean_defect_at_default_depth():
     for scenario in (illness_death_scenario(), forced_exit_scenario()):
         ps = exact_pathspace(scenario)
         assert count_mean_defect_checks(ps) == reference_impl.count_mean_defect_checks(ps)
+
+
+def test_hazard_profile_at_default_depth():
+    for scenario in (illness_death_scenario(), forced_exit_scenario()):
+        ps = exact_pathspace(scenario)
+        assert hazard_defect_table(ps) == per_cell_hazard_profile(ps, 6)
+
+
+def test_quiet_tick_gives_distinct_pairs_with_equal_terms():
+    # no path jumps at t = 2, so these cells read different column pairs
+    # although their transition matrices and hazard atoms agree
+    paths = (
+        (StatePath(1, ((1.0, 2), (3.0, 3))), 0.3),
+        (StatePath(1, ((3.0, 2),)), 0.2),
+        (StatePath(2, ((1.0, 1),)), 0.5),
+    )
+    ps = PathSpace(3, 4.0, paths, grid=(1.0, 2.0, 3.0))
+    a, b = Interval.open_closed(1.0, 1.5), Interval.open_closed(1.0, 2.5)
+    assert ps.columns(a) != ps.columns(b)
+    f, hazard = ps.transition_deviation_if(), ps.hazard_matrix()
+    assert np.array_equal(f(a) - hazard(a), f(b) - hazard(b))
+    for depths in range(7):
+        assert hazard_defect_table(ps, depths) == per_cell_hazard_profile(ps, depths)
+        assert count_mean_defect_checks(ps, depths) == reference_impl.count_mean_defect_checks(
+            ps, depths
+        )
+
+
+def test_defect_suites_evaluate_each_column_pair_once(monkeypatch):
+    spaces = [exact_pathspace(illness_death_scenario()), exact_pathspace(forced_exit_scenario())]
+    spaces += random_corpus(np.random.default_rng(3), 6)
+    seen = []
+
+    def recording(query):
+        def wrapper(self, a):
+            seen.append(self.columns(a))
+            return query(self, a)
+
+        return wrapper
+
+    monkeypatch.setattr(PathSpace, "transition_matrix", recording(PathSpace.transition_matrix))
+    monkeypatch.setattr(PathSpace, "indicator_matrix", recording(PathSpace.indicator_matrix))
+    for ps in spaces:
+        window = Interval.open_closed(0.0, ps.tau)
+        schedule = [Partition((window,))] + list(refinement_partitions(ps.event_times, window, 6))
+        # the hazard profile reads every partition, the count-mean suite the deepest
+        suites = ((hazard_defect_checks, schedule), (count_mean_defect_checks, schedule[-1:]))
+        for suite, partitions in suites:
+            seen.clear()
+            suite(ps)
+            pairs_in_schedule = {ps.columns(cell) for p in partitions for cell in p.cells}
+            assert len(seen) == len(set(seen)) and set(seen) == pairs_in_schedule
 
 
 def test_zero_conditioning_gives_identity_row():

@@ -19,11 +19,31 @@ from prodint import (
     subject_rng,
     two_state_scenario,
 )
-from prodint.checks import sampler_agreement_checks
+from prodint.checks import close_record
 
 import oracle_enum
 
 CORPUS = "src/prodint/corpus"
+
+
+def sampler_agreement_checks(rng, scenario, draws=10**5, tol=0.01):
+    """Empirical occupation frequencies of the sampler against enumeration."""
+    ps = exact_pathspace(scenario)
+    counts = np.zeros(scenario.dim)
+    for _ in range(draws):
+        path = sample_path(rng, scenario)
+        counts[path.state_at(scenario.tau) - 1] += 1
+    freq = counts / draws
+    truth = ps.occupation_vector(scenario.tau)
+    return [
+        close_record(
+            "sampler-agreement",
+            float(np.abs(freq - truth).max()),
+            0.0,
+            tol,
+            detail=f"{draws} draws at t={scenario.tau:g}",
+        )
+    ]
 
 
 class TestScenarioValidation:
