@@ -65,13 +65,11 @@ from .simulation import (
     ConfigError,
     ScenarioConfig,
     TransitionRule,
-    apply_censoring,
     exact_pathspace,
     forced_exit_scenario,
     illness_death_scenario,
     load_censoring,
     load_scenario,
-    sample_path,
     simulate_sample,
     subject_rng,
     two_state_scenario,
@@ -101,7 +99,6 @@ __all__ = [
     "TransitionRule",
     "aalen_johansen",
     "additive_transform",
-    "apply_censoring",
     "check_product_variation_bound",
     "defect_profile",
     "empirical_counts",
@@ -126,7 +123,6 @@ __all__ = [
     "refine",
     "refinement_partitions",
     "refines",
-    "sample_path",
     "save_pathspace",
     "simulate_sample",
     "strict_transform_defect",

@@ -24,7 +24,6 @@ from .interval_functions import (
     multiplicative_transform,
     plus_identity,
     product_integral,
-    refinement_partitions,
 )
 from .intervals import Interval
 from .multistate import PathSpace
@@ -239,11 +238,17 @@ def hazard_defect_table(ps: PathSpace, depths: int = 6) -> list[tuple[str, float
 
     A cell's term depends only on its tick columns (``PathSpace.columns``),
     which fix its transition matrix and the hazard atoms it contains, so
-    each column pair is evaluated once.
+    each column pair is evaluated once.  The schedule is the space's
+    memoized one, shared with ``count_mean_defect_checks``.
     """
     window = Interval.open_closed(0.0, ps.tau)
     return defect_profile(
-        ps.transition_deviation_if(), ps.hazard_matrix(), window, depths, key=ps.columns
+        ps.transition_deviation_if(),
+        ps.hazard_matrix(),
+        window,
+        depths,
+        key=ps.columns,
+        schedule=ps.refinement_schedule(depths),
     )
 
 
@@ -302,10 +307,10 @@ def count_mean_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") ->
     accumulates every pair's sum at once; each entry adds its cells in the
     same order as a per-pair ``strict_transform_defect`` would.  A cell's
     term depends only on its tick columns, so each column pair is
-    evaluated once.
+    evaluated once.  The schedule is the space's memoized one, shared with
+    ``hazard_defect_checks``.
     """
-    window = Interval.open_closed(0.0, ps.tau)
-    *_, deepest = refinement_partitions(ps.event_times, window, depths)
+    deepest = ps.refinement_schedule(depths)[-1]
     counts = AdditiveIF(ps.dim, tuple((u, ps.jump_mass(u)) for u in ps.event_times))
     terms = {}
     defect = np.zeros((ps.dim, ps.dim))

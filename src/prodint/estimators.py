@@ -316,32 +316,37 @@ CSV_HEADER = ("subject", "time", "state")
 def read_event_histories(path, max_state: int | None = None) -> list[EventHistory]:
     """Read `subject,time,state` rows; the time-0 row gives the initial state.
 
-    Raises FormatError naming the line of the first malformed row.
+    Raises FormatError naming the line of the first malformed row.  Each
+    subject's jumps are validated once, by ``EventHistory``; only when that
+    fails are its rows walked again to find the line.
     """
     rows_by_subject: dict[int, list[tuple[int, float, int]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise FormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) != 3:
-                raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                subject = int(row[0])
-                time = float(row[1])
-                state = int(row[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            if state < 0:
-                raise FormatError(f"line {lineno}: negative state {state}")
-            if max_state is not None and state > max_state:
-                raise FormatError(f"line {lineno}: state {state} exceeds dimension {max_state}")
-            if time < 0:
-                raise FormatError(f"line {lineno}: negative time {time}")
-            rows_by_subject.setdefault(subject, []).append((lineno, time, state))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise FormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not field.strip() for field in row):
+                    continue
+                if len(row) != 3:
+                    raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    subject = int(row[0])
+                    time = float(row[1])
+                    state = int(row[2])
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+                if state < 0:
+                    raise FormatError(f"line {lineno}: negative state {state}")
+                if max_state is not None and state > max_state:
+                    raise FormatError(f"line {lineno}: state {state} exceeds dimension {max_state}")
+                if time < 0:
+                    raise FormatError(f"line {lineno}: negative time {time}")
+                rows_by_subject.setdefault(subject, []).append((lineno, time, state))
+        except csv.Error as exc:  # e.g. a field above the csv module's size limit
+            raise FormatError(f"line {reader.line_num}: {exc}") from None
 
     histories = []
     for subject in sorted(rows_by_subject):
@@ -349,18 +354,26 @@ def read_event_histories(path, max_state: int | None = None) -> list[EventHistor
         first_line, first_time, initial = rows[0]
         if first_time != 0.0:
             raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
-        jumps = []
-        previous_time, previous_state = 0.0, initial
-        for lineno, time, state in rows[1:]:
-            error = _jump_error(previous_time, previous_state, time, state)
-            if error is not None:
-                raise FormatError(f"line {lineno}: {error}")
-            jumps.append((time, state))
-            previous_time, previous_state = time, state
-        histories.append(EventHistory(subject, initial, tuple(jumps)))
+        jumps = tuple((time, state) for _, time, state in rows[1:])
+        try:
+            histories.append(EventHistory(subject, initial, jumps))
+        except ValueError:
+            _raise_first_bad_row(rows)
+            raise
     if not histories:
         raise FormatError("no subject rows found")
     return histories
+
+
+def _raise_first_bad_row(rows: list[tuple[int, float, int]]) -> None:
+    """Raise FormatError naming the first of one subject's rows that cannot
+    follow the row before it."""
+    _, previous_time, previous_state = rows[0]
+    for lineno, time, state in rows[1:]:
+        error = _jump_error(previous_time, previous_state, time, state)
+        if error is not None:
+            raise FormatError(f"line {lineno}: {error}") from None
+        previous_time, previous_state = time, state
 
 
 def write_event_histories(path, sample: Sequence[EventHistory]) -> int:

@@ -267,15 +267,21 @@ def _memoized(term, key):
     return lookup
 
 
-def defect_profile(f, target, a: Interval, depths: int = 6, key=None) -> list[tuple[str, float]]:
+def defect_profile(
+    f, target, a: Interval, depths: int = 6, key=None, schedule=None
+) -> list[tuple[str, float]]:
     """Defect against ``target`` on the trivial partition and the schedule.
 
     ``key``, when given, maps a cell to a hashable class such that cells of
     one class have equal ``f`` and equal ``target`` values.  Each class is
     then evaluated once per call, and every row still adds its cells'
     terms in partition order, so the rows equal the unkeyed ones exactly.
+    ``schedule``, when given, is the refinement schedule of ``a`` at
+    ``f.support`` to ``depths`` halvings, already built by the caller.
     """
-    partitions = [Partition((a,))] + list(refinement_partitions(f.support, a, depths))
+    if schedule is None:
+        schedule = refinement_partitions(f.support, a, depths)
+    partitions = [Partition((a,))] + list(schedule)
     if key is None:
         defects = [strict_transform_defect(f, target, p) for p in partitions]
     else:

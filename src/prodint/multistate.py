@@ -20,8 +20,14 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .interval_functions import AdditiveIF, BoundCheck, GeneralIF, product_integral
-from .intervals import Interval
+from .interval_functions import (
+    AdditiveIF,
+    BoundCheck,
+    GeneralIF,
+    product_integral,
+    refinement_partitions,
+)
+from .intervals import Interval, Partition
 
 Side = Literal["right", "left"]
 
@@ -194,6 +200,7 @@ class PathSpace:
         object.__setattr__(self, "_states", states)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_schedules", {})
 
     @staticmethod
     def event_times_of(paths) -> tuple[float, ...]:
@@ -229,6 +236,16 @@ class PathSpace:
         left = self._column_before(a.lo) if a.lo_closed else self._column_at(a.lo)
         right = self._column_at(a.hi) if a.hi_closed else self._column_before(a.hi)
         return left, right
+
+    def refinement_schedule(self, depths: int) -> tuple[Partition, ...]:
+        """The refinement schedule of (0, tau] at the event times, from the
+        Young partition through ``depths`` halvings; built once per depth."""
+        schedule = self._schedules.get(depths)
+        if schedule is None:
+            window = Interval.open_closed(0.0, self.tau)
+            schedule = tuple(refinement_partitions(self.event_times, window, depths))
+            self._schedules[depths] = schedule
+        return schedule
 
     def _table(self, left: int, right: int) -> _JointTable:
         table = self._tables.get((left, right))

@@ -23,7 +23,9 @@ and worker count.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +35,22 @@ from .multistate import PathSpace, StatePath
 
 RULE_KINDS = ("markov", "entry_time_dependent", "duration_dependent")
 CENSORING_KINDS = ("none", "independent_right", "state_filtering_conforming", "violating")
+# Subjects sampled together by simulate_sample.  A block's arrays stay a few
+# hundred KB even on long grids: the C allocator keeps freed blocks of the
+# size of the largest array it has returned, so larger blocks raise the
+# peak resident memory of a process that samples repeatedly.
+_BLOCK = 256
 
 
 class ConfigError(ValueError):
     """Malformed scenario or censoring configuration."""
+
+
+def _select(rules: dict, feature: float | None) -> tuple[tuple[int, float], ...]:
+    """The row of ``rules`` for a history feature: its exact match, else the default."""
+    if feature is not None and feature in rules:
+        return rules[feature]
+    return rules.get(None, ())
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,8 @@ class ScenarioConfig:
         initial = tuple(float(p) for p in self.initial)
         if len(initial) != self.dim:
             raise ConfigError("initial distribution length must equal the dimension")
-        if min(initial, default=0.0) < 0.0 or abs(sum(initial) - 1.0) > 1e-12:
+        # written so that NaN fails every comparison
+        if not all(p >= 0.0 for p in initial) or not abs(sum(initial) - 1.0) <= 1e-12:
             raise ConfigError("initial distribution must be nonnegative and sum to 1")
         seen = set()
         for rule in self.transitions:
@@ -95,7 +110,7 @@ class ScenarioConfig:
             for to, p in rule.probs:
                 if not 1 <= to <= self.dim or to == rule.from_state:
                     raise ConfigError(f"rule target {to} invalid for state {rule.from_state}")
-                if p < 0.0:
+                if not p >= 0.0:
                     raise ConfigError("transition probabilities must be nonnegative")
                 total += p
             if total > 1.0 + 1e-12:
@@ -110,7 +125,7 @@ class ScenarioConfig:
         for rule in self.transitions:
             index.setdefault((rule.time, rule.from_state), {})[rule.when] = rule.probs
         object.__setattr__(self, "_rules", index)
-        # observation spans of the filtering censoring kinds, shared by every subject
+        # observation spans of the censoring kinds, shared by every subject
         object.__setattr__(self, "_spans", tuple(_observation_spans(grid, self.tau)))
 
     def feature(self, t: float, entered_at: float) -> float | None:
@@ -125,10 +140,7 @@ class ScenarioConfig:
         rules = self._rules.get((t, state))
         if rules is None:
             return ()
-        feature = self.feature(t, entered_at)
-        if feature is not None and feature in rules:
-            return rules[feature]
-        return rules.get(None, ())
+        return _select(rules, self.feature(t, entered_at))
 
     def to_json_dict(self) -> dict:
         rules = []
@@ -172,7 +184,7 @@ class ScenarioConfig:
                 initial=tuple(float(p) for p in data["initial"]),
                 transitions=rules,
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"malformed scenario document: {exc!r}") from None
 
 
@@ -207,10 +219,13 @@ class CensoringConfig:
             raise ConfigError("violation contrast delta must be in (0, 1)")
         after = tuple((float(t), float(p)) for t, p in self.after)
         if self.kind == "independent_right":
+            # written so that NaN fails every comparison
+            if not all(t >= 0.0 for t, _ in after):
+                raise ConfigError("censoring times must be nonnegative")
             total = sum(p for _, p in after) + self.never
-            if min((p for _, p in after), default=0.0) < 0.0 or self.never < 0.0:
+            if not all(p >= 0.0 for _, p in after) or not self.never >= 0.0:
                 raise ConfigError("censoring probabilities must be nonnegative")
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise ConfigError("censoring probabilities must sum to 1")
         object.__setattr__(self, "after", after)
 
@@ -239,54 +254,29 @@ class CensoringConfig:
                 after=after,
                 never=float(data.get("never", 1.0)),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"malformed censoring document: {exc!r}") from None
 
 
-def load_scenario(path) -> ScenarioConfig:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return ScenarioConfig.from_json_dict(json.load(handle))
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
+
+
+def load_scenario(path) -> ScenarioConfig:
+    return ScenarioConfig.from_json_dict(_load_json(path))
 
 
 def load_censoring(path) -> CensoringConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return CensoringConfig.from_json_dict(json.load(handle))
+    return CensoringConfig.from_json_dict(_load_json(path))
 
 
 def subject_rng(seed: int, subject: int, arm: int = 0) -> np.random.Generator:
     """Independent substream for one subject, stable under parallel fan-out."""
     return np.random.default_rng(np.random.SeedSequence((seed, arm, subject)))
-
-
-def _draw(rng: np.random.Generator, outcomes) -> int | None:
-    """Inverse-CDF draw over (value, prob) pairs; None for the residual mass."""
-    u = rng.random()
-    acc = 0.0
-    for value, p in outcomes:
-        acc += p
-        if u < acc:
-            return value
-    return None
-
-
-def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> StatePath:
-    """Draw one trajectory by walking the grid and the scenario's rule."""
-    start = _draw(rng, enumerate(scenario.initial))
-    if start is None:
-        # the validator accepts a float sum just below 1 (0.7 + 0.2 + 0.1 is
-        # 0.9999999999999999); that residual belongs to the last state with mass
-        start = max(i for i, p in enumerate(scenario.initial) if p > 0.0)
-    initial = start + 1
-    state = initial
-    entered_at = 0.0
-    jumps = []
-    for t in scenario.grid:
-        to = _draw(rng, scenario.outgoing(t, state, entered_at))
-        if to is not None:
-            jumps.append((t, to))
-            state = to
-            entered_at = t
-    return StatePath(initial, tuple(jumps))
 
 
 def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
@@ -335,64 +325,142 @@ def _observation_spans(grid: Sequence[float], tau: float) -> list[tuple[float, f
     return list(zip(edges, edges[1:]))
 
 
-def apply_censoring(
-    rng: np.random.Generator,
-    path: StatePath,
+def _inverse_cdf(probs: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform, the index of the first cumulative
+    probability above it, or len(probs) for the residual mass.  The
+    cumulative sums add left to right, like a scalar walk over the pairs."""
+    return np.fromiter(accumulate(probs), float).searchsorted(u, side="right")
+
+
+def _feature_classes(scenario, rules, t, members, entered):
+    """Split the subjects ``members``, all in one state at grid time ``t``,
+    into classes sharing one outgoing row; yields (row, class members)."""
+    if scenario.rule == "markov":
+        yield rules.get(None, ()), members
+        return
+    ticks = (0.0,) + scenario.grid
+    entries = entered[members]
+    label_of: dict[tuple, int] = {}
+    labels = np.empty(len(ticks), dtype=np.intp)  # class of each entry column
+    for column in np.unique(entries).tolist():
+        row = _select(rules, scenario.feature(t, ticks[column]))
+        labels[column] = label_of.setdefault(row, len(label_of))
+    if len(label_of) == 1:
+        yield next(iter(label_of)), members
+        return
+    member_labels = labels[entries]
+    for row, label in label_of.items():
+        yield row, members[member_labels == label]
+
+
+def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
+    """Every subject's state at the ticks (0,) + grid, drawn from its uniforms.
+
+    Row i of ``u`` holds subject i's draws: column 0 picks the initial state,
+    column c >= 1 the move at grid[c - 1].  The ticks are walked in order;
+    at each one, every subject of a (state, history feature) class is moved
+    by one inverse-CDF lookup.  States use the narrowest dtype holding 0..d.
+    """
+    n, m = len(u), len(scenario.grid)
+    states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
+    drawn = _inverse_cdf(scenario.initial, u[:, 0])
+    # the validator accepts a float sum just below 1 (0.7 + 0.2 + 0.1 is
+    # 0.9999999999999999); that residual belongs to the last state with mass
+    last = max(i for i, p in enumerate(scenario.initial) if p > 0.0)
+    states[:, 0] = np.minimum(drawn, last) + 1
+    entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
+    for column, t in enumerate(scenario.grid, start=1):
+        before = states[:, column - 1]
+        after = states[:, column]
+        after[:] = before
+        for state in range(1, scenario.dim + 1):
+            rules = scenario._rules.get((t, state))
+            if rules is None:
+                continue
+            members = (before == state).nonzero()[0]
+            if not members.size:
+                continue
+            for row, movers in _feature_classes(scenario, rules, t, members, entered):
+                if not row:
+                    continue
+                pick = _inverse_cdf([p for _, p in row], u[movers, column])
+                jumped = pick < len(row)
+                movers = movers[jumped]
+                after[movers] = np.array([to for to, _ in row])[pick[jumped]]
+                entered[movers] = column
+    return states
+
+
+def _censoring_draws(censoring: CensoringConfig, m: int) -> int:
+    """Uniforms one subject spends on censoring over an m-tick grid."""
+    return {"none": 0, "independent_right": 1}.get(censoring.kind, m + 1)
+
+
+def _observed_histories(
     scenario: ScenarioConfig,
     censoring: CensoringConfig,
-    subject: int = 0,
-) -> EventHistory:
-    """Observed event history of one sampled path under the mechanism.
+    states: np.ndarray,
+    u: np.ndarray,
+    first_subject: int = 0,
+) -> list[EventHistory]:
+    """Observed event histories of subjects with tick states ``states``.
 
-    The observed state is the path's state while observed and 0 otherwise;
-    it never reports a state the path is not in.
+    Row i of ``u`` holds subject i's censoring draws (``_censoring_draws``
+    of them).  Observation can only change at a span start, and the path
+    only at a grid tick, so the observed state is read at the slots
+    0, start_1, g_1, start_2, g_2, ..., start_m, g_m: the path's state there
+    where its span is observed, 0 where it is not.  A history keeps a slot
+    only where the observed state differs from the previous slot's.  The
+    observed state is the path's or 0; it never reports a state the path is
+    not in.
     """
-    if censoring.kind == "none":
-        return EventHistory(subject, path.initial_state, path.jumps)
-
-    if censoring.kind == "independent_right":
-        cut_after = _draw(rng, censoring.after)
-        if cut_after is None:
-            return EventHistory(subject, path.initial_state, path.jumps)
-        later = [t for t in scenario.grid if t > cut_after]
-        if not later:
-            return EventHistory(subject, path.initial_state, path.jumps)
-        cut = 0.5 * (cut_after + later[0])
-        jumps = [(t, s) for t, s in path.jumps if t < cut]
-        jumps.append((cut, 0))
-        return EventHistory(subject, path.initial_state, tuple(jumps))
-
-    # filtering: one observation draw per span, in span order, while a
-    # single cursor walks the path's jumps alongside the spans
-    path_jumps = path.jumps
-    jump_times = {t for t, _ in path_jumps} if censoring.kind == "violating" else set()
-    state = path.initial_state
-    cursor = 0
-    changes: list[tuple[float, int]] = []
-    for i, (start, end) in enumerate(scenario._spans):
-        p_obs = censoring.q
-        if i >= 1 and scenario.grid[i - 1] in jump_times:
-            p_obs = censoring.q * (1.0 - censoring.delta)
-        while cursor < len(path_jumps) and path_jumps[cursor][0] <= start:
-            state = path_jumps[cursor][1]
-            cursor += 1
-        if rng.random() < p_obs:
-            changes.append((start, state))
-            # the underlying path may jump inside the span (at its grid time)
-            while cursor < len(path_jumps) and path_jumps[cursor][0] < end:
-                state = path_jumps[cursor][1]
-                changes.append(path_jumps[cursor])
-                cursor += 1
-        else:
-            changes.append((start, 0))
-    initial = changes[0][1]
-    jumps = []
-    current = initial
-    for t, s in changes[1:]:
-        if s != current:
-            jumps.append((t, s))
-            current = s
-    return EventHistory(subject, initial, tuple(jumps))
+    n, width = states.shape
+    m = width - 1
+    doubled = np.repeat(np.arange(m + 1), 2)
+    slot_span = doubled[1:]  # 0, 1, 1, 2, 2, ..., m, m
+    values = states[:, doubled[:-1]]  # tick columns 0, 0, 1, 1, ..., m - 1, m - 1, m
+    # the scenario's own float objects, so that every history shares them
+    slot_times = [0.0]
+    for (start, _), t in zip(scenario._spans[1:], scenario.grid):
+        slot_times += (start, t)
+    cut_index = None
+    if censoring.kind in ("state_filtering_conforming", "violating"):
+        seen = u < censoring.q
+        if censoring.kind == "violating":
+            # a span holding a transition of the subject is observed less often
+            jumped = states[:, 1:] != states[:, :-1]
+            seen[:, 1:][jumped] = u[:, 1:][jumped] < censoring.q * (1.0 - censoring.delta)
+        values[~seen[:, slot_span]] = 0
+    elif censoring.kind == "independent_right":
+        # category c observes through after[c]'s time, then is cut at the
+        # midpoint before the next grid time; the residual one is never cut
+        cut_slot = [2 * m + 1] * (len(censoring.after) + 1)
+        cut_index = [0] * len(cut_slot)  # where in ``slot_times`` each cut time sits
+        for c, (cut_after, _) in enumerate(censoring.after):
+            j = bisect_right(scenario.grid, cut_after)
+            if j < m:
+                cut_slot[c], cut_index[c] = 2 * j + 1, len(slot_times)
+                slot_times.append(0.5 * (cut_after + scenario.grid[j]))
+        category = _inverse_cdf([p for _, p in censoring.after], u[:, 0])
+        hide_from = np.array(cut_slot)[category]
+        values[np.arange(2 * m + 1) >= hide_from[:, None]] = 0
+    subjects, slots = np.nonzero(values[:, 1:] != values[:, :-1])
+    slots += 1
+    observed = values[subjects, slots].tolist()
+    if cut_index is not None:
+        # a cut subject's first hidden slot is read at its cut time
+        at_cut = slots == hide_from[subjects]
+        slots[at_cut] = np.array(cut_index)[category[subjects[at_cut]]]
+    times = list(map(slot_times.__getitem__, slots.tolist()))
+    initial = values[:, 0].tolist()
+    ends = np.cumsum(np.bincount(subjects, minlength=n)).tolist()
+    histories = []
+    begin = 0
+    for i, end in enumerate(ends):
+        jumps = tuple(zip(times[begin:end], observed[begin:end]))
+        histories.append(EventHistory(first_subject + i, initial[i], jumps))
+        begin = end
+    return histories
 
 
 def simulate_sample(
@@ -402,14 +470,25 @@ def simulate_sample(
     seed: int,
     arm: int = 0,
 ) -> list[EventHistory]:
-    """Draw n subjects, each from its own (seed, arm, subject) substream."""
+    """Draw n subjects, each from its own (seed, arm, subject) substream.
+
+    Each subject takes all its uniforms in one block draw: one for the
+    initial state, one per grid time, then its censoring draws.  That is the
+    same stream as one scalar draw at a time, so a sample does not depend
+    on how the subjects are batched.  Subjects are sampled ``_BLOCK`` at a
+    time, which bounds the size of the draw matrix.
+    """
     if n < 1:
         raise ConfigError("need at least one subject")
+    m = len(scenario.grid)
+    k = 1 + m + _censoring_draws(censoring, m)
     sample = []
-    for subject in range(n):
-        rng = subject_rng(seed, subject, arm)
-        path = sample_path(rng, scenario)
-        sample.append(apply_censoring(rng, path, scenario, censoring, subject))
+    for first in range(0, n, _BLOCK):
+        draws = np.empty((min(_BLOCK, n - first), k))
+        for offset, row in enumerate(draws):
+            subject_rng(seed, first + offset, arm).random(out=row)
+        states = _tick_states(scenario, draws[:, : 1 + m])
+        sample.extend(_observed_histories(scenario, censoring, states, draws[:, 1 + m :], first))
     return sample
 
 

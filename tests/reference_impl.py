@@ -1,12 +1,12 @@
-"""Rescanning reference versions of the sampler's rule lookup, the filtering
+"""Rescanning and per-subject reference versions of the sampler, the
 censoring mechanisms, the Nelson-Aalen estimator, the path-space queries,
 the count-mean defect suite and the product-variation bound.
 
-These are the straightforward scans the library replaced with an indexed
-lookup, a one-cursor walk, a sweep line, memoized tick-pair tables, a
-one-pass defect sum and per-class cell terms.  They stay here, outside the
-package, so that tests can require the fast versions to agree with them
-exactly.
+These are the straightforward scans and scalar walks the library replaced
+with an indexed lookup, an array walk over all subjects at once, a sweep
+line, memoized tick-pair tables, a one-pass defect sum and per-class cell
+terms.  They stay here, outside the package, so that tests can require the
+fast versions to agree with them exactly.
 """
 
 import math
@@ -16,18 +16,126 @@ import numpy as np
 from prodint import (
     AdditiveIF,
     BoundCheck,
+    CensoringConfig,
     EstimateGrid,
     EventHistory,
     GeneralIF,
     Interval,
+    ScenarioConfig,
+    StatePath,
     defect_profile,
     matrix_norm,
     product_integral,
     refinement_partitions,
+    subject_rng,
 )
 from prodint.checks import CheckRecord
 from prodint.estimators import infer_dim
 from prodint.simulation import _observation_spans
+
+
+# -- the per-subject sampler: scalar draws from each subject's stream ----------
+
+
+def _draw(rng: np.random.Generator, outcomes) -> int | None:
+    """Inverse-CDF draw over (value, prob) pairs; None for the residual mass."""
+    u = rng.random()
+    acc = 0.0
+    for value, p in outcomes:
+        acc += p
+        if u < acc:
+            return value
+    return None
+
+
+def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> StatePath:
+    """Draw one trajectory by walking the grid and the scenario's rule."""
+    start = _draw(rng, enumerate(scenario.initial))
+    if start is None:
+        # the validator accepts a float sum just below 1 (0.7 + 0.2 + 0.1 is
+        # 0.9999999999999999); that residual belongs to the last state with mass
+        start = max(i for i, p in enumerate(scenario.initial) if p > 0.0)
+    initial = start + 1
+    state = initial
+    entered_at = 0.0
+    jumps = []
+    for t in scenario.grid:
+        to = _draw(rng, scenario.outgoing(t, state, entered_at))
+        if to is not None:
+            jumps.append((t, to))
+            state = to
+            entered_at = t
+    return StatePath(initial, tuple(jumps))
+
+
+def apply_censoring(
+    rng: np.random.Generator,
+    path: StatePath,
+    scenario: ScenarioConfig,
+    censoring: CensoringConfig,
+    subject: int = 0,
+) -> EventHistory:
+    """Observed event history of one sampled path under the mechanism.
+
+    The observed state is the path's state while observed and 0 otherwise;
+    it never reports a state the path is not in.
+    """
+    if censoring.kind == "none":
+        return EventHistory(subject, path.initial_state, path.jumps)
+
+    if censoring.kind == "independent_right":
+        cut_after = _draw(rng, censoring.after)
+        if cut_after is None:
+            return EventHistory(subject, path.initial_state, path.jumps)
+        later = [t for t in scenario.grid if t > cut_after]
+        if not later:
+            return EventHistory(subject, path.initial_state, path.jumps)
+        cut = 0.5 * (cut_after + later[0])
+        jumps = [(t, s) for t, s in path.jumps if t < cut]
+        jumps.append((cut, 0))
+        return EventHistory(subject, path.initial_state, tuple(jumps))
+
+    # filtering: one observation draw per span, in span order, while a
+    # single cursor walks the path's jumps alongside the spans
+    path_jumps = path.jumps
+    jump_times = {t for t, _ in path_jumps} if censoring.kind == "violating" else set()
+    state = path.initial_state
+    cursor = 0
+    changes: list[tuple[float, int]] = []
+    for i, (start, end) in enumerate(scenario._spans):
+        p_obs = censoring.q
+        if i >= 1 and scenario.grid[i - 1] in jump_times:
+            p_obs = censoring.q * (1.0 - censoring.delta)
+        while cursor < len(path_jumps) and path_jumps[cursor][0] <= start:
+            state = path_jumps[cursor][1]
+            cursor += 1
+        if rng.random() < p_obs:
+            changes.append((start, state))
+            # the underlying path may jump inside the span (at its grid time)
+            while cursor < len(path_jumps) and path_jumps[cursor][0] < end:
+                state = path_jumps[cursor][1]
+                changes.append(path_jumps[cursor])
+                cursor += 1
+        else:
+            changes.append((start, 0))
+    initial = changes[0][1]
+    jumps = []
+    current = initial
+    for t, s in changes[1:]:
+        if s != current:
+            jumps.append((t, s))
+            current = s
+    return EventHistory(subject, initial, tuple(jumps))
+
+
+def simulate_sample_per_subject(scenario, censoring, n, seed, arm=0):
+    """simulate_sample one subject at a time, one scalar draw at a time."""
+    sample = []
+    for subject in range(n):
+        rng = subject_rng(seed, subject, arm)
+        path = sample_path(rng, scenario)
+        sample.append(apply_censoring(rng, path, scenario, censoring, subject))
+    return sample
 
 
 def outgoing_scan(scenario, t, state, entered_at):

@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prodint import checks, empirical_occupancy, multiplicative_transform, read_event_histories
 from prodint.checks import CheckRecord
@@ -217,3 +218,159 @@ class TestConvergence:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+# -- no exception escapes main ----------------------------------------------------
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([1e400, -1e400, 0.5, 1.5, 2**64])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def node_paths(doc, prefix=()):
+    """Every key or index path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from node_paths(value, prefix + (key,))
+
+
+@st.composite
+def malformed_documents(draw, base):
+    """A valid document with up to three nodes replaced or deleted, or raw text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=20))
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(node_paths(doc))
+        if not paths:
+            break
+        *parents, last = draw(st.sampled_from(paths))
+        holder = functools.reduce(lambda node, key: node[key], parents, doc)
+        if draw(st.booleans()):
+            del holder[last]
+        else:
+            holder[last] = draw(json_values)
+    return json.dumps(doc)
+
+
+def corpus_document(name):
+    with open(f"{CORPUS}/{name}", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+CENSORING_BASES = [
+    corpus_document("conforming.json"),
+    corpus_document("violating.json"),
+    {"kind": "independent_right", "after": {"1.0": 0.25, "2.0": 0.25}, "never": 0.5},
+    {"kind": "none"},
+]
+CSV_TOKENS = ["0", "1", "2", "3", "-1", "0.0", "0.5", "1.0", "2", "nan", "inf", "1e400", "x", "", '"', " ",
+              "subject", "time", "state", "9" * 5000, "1" * 140_000, "\x00"]
+
+fuzz_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def main_exit_code(*argv):
+    code = run(*argv)
+    assert code in (0, 1, 2, 3)
+    return code
+
+
+@fuzz_settings
+@given(
+    malformed_documents(corpus_document("idn.json")),
+    st.sampled_from(CENSORING_BASES).flatmap(malformed_documents),
+)
+def test_malformed_configs_never_escape_main(tmp_path, scenario, censoring):
+    (tmp_path / "scenario.json").write_text(scenario)
+    (tmp_path / "censoring.json").write_text(censoring)
+    main_exit_code(
+        "simulate", "--scenario", tmp_path / "scenario.json", "--censoring", tmp_path / "censoring.json",
+        "--n", 5, "--seed", 1, "--out", tmp_path / "sample.csv",
+    )
+    main_exit_code(
+        "convergence", "--scenario", tmp_path / "scenario.json", "--censoring", tmp_path / "censoring.json",
+        "--violating", tmp_path / "censoring.json", "--n", "4,8", "--seed", 1,
+    )
+
+
+@fuzz_settings
+@given(
+    st.lists(st.lists(st.sampled_from(CSV_TOKENS), max_size=4), max_size=6),
+    st.booleans(),
+    st.sampled_from([[], ["--dim", 3], ["--upto", 1.0]]),
+)
+def test_malformed_csv_never_escapes_main(tmp_path, rows, with_header, options):
+    lines = ["subject,time,state"] if with_header else []
+    lines += [",".join(row) for row in rows]
+    (tmp_path / "sample.csv").write_text("\n".join(lines) + "\n")
+    main_exit_code("estimate", "--input", tmp_path / "sample.csv", *options)
+
+
+class TestEscapesFound:
+    """Inputs that once escaped main as a traceback, or were accepted."""
+
+    def write_idn(self, tmp_path, **changes):
+        doc = corpus_document("idn.json")
+        doc.update(changes)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def simulate(self, tmp_path, scenario, censoring=f"{CORPUS}/conforming.json"):
+        return run(
+            "simulate", "--scenario", scenario, "--censoring", censoring,
+            "--n", 5, "--seed", 1, "--out", tmp_path / "sample.csv",
+        )
+
+    def test_infinite_dimension_is_config_error(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, self.write_idn(tmp_path, d=float("inf"))) == 2
+        assert "malformed scenario document: OverflowError" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[" * 100_000)
+        assert self.simulate(tmp_path, path) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_oversized_csv_field_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "sample.csv"
+        path.write_text("subject,time,state\n0,0.0,1\n0," + "1" * 200_000 + ",2\n")
+        assert run("estimate", "--input", path) == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
+    def test_nan_initial_probability_is_rejected(self, tmp_path, capsys):
+        path = self.write_idn(tmp_path, initial=[float("nan"), 1.0, 0.0])
+        assert self.simulate(tmp_path, path) == 2
+        assert "initial distribution" in capsys.readouterr().err
+
+    def test_nan_transition_probability_is_rejected(self, tmp_path, capsys):
+        transitions = corpus_document("idn.json")["transitions"]
+        transitions[0]["probs"] = {"2": float("nan")}
+        path = self.write_idn(tmp_path, transitions=transitions)
+        assert self.simulate(tmp_path, path) == 2
+        assert "transition probabilities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"kind": "independent_right", "after": {"1.0": float("nan")}, "never": 1.0}, "probabilities"),
+            ({"kind": "independent_right", "after": {"1.0": 0.5}, "never": float("nan")}, "probabilities"),
+            ({"kind": "independent_right", "after": {"-3.0": 1.0}, "never": 0.0}, "censoring times"),
+        ],
+    )
+    def test_bad_right_censoring_is_rejected(self, tmp_path, capsys, document, message):
+        path = tmp_path / "censoring.json"
+        path.write_text(json.dumps(document))
+        assert self.simulate(tmp_path, f"{CORPUS}/idn.json", path) == 2
+        assert message in capsys.readouterr().err

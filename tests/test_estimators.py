@@ -264,6 +264,23 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="line 3: jump times must be strictly increasing"):
             read_event_histories(path)
 
+    def test_each_jump_row_is_validated_once(self, tmp_path, monkeypatch):
+        sample = simulate_sample(
+            illness_death_scenario(), CensoringConfig("state_filtering_conforming", q=0.7), 200, seed=5
+        )
+        path = tmp_path / "sample.csv"
+        rows = write_event_histories(path, sample)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = estimators._jump_error
+        monkeypatch.setattr(estimators, "_jump_error", counted)
+        assert read_event_histories(path) == sample
+        assert len(calls) == rows - len(sample)
+
     def test_occupation_csv(self, tmp_path):
         sample = [subject(0, 1, (1.0, 2)), subject(1, 1)]
         grid = estimate(sample, dim=2)

@@ -23,6 +23,7 @@ from prodint.checks import (
     random_scenario,
     random_subinterval,
 )
+from prodint import interval_functions, multistate
 from prodint.simulation import RULE_KINDS
 
 from corpora import random_corpus
@@ -191,6 +192,26 @@ def test_defect_suites_evaluate_each_column_pair_once(monkeypatch):
             suite(ps)
             pairs_in_schedule = {ps.columns(cell) for p in partitions for cell in p.cells}
             assert len(seen) == len(set(seen)) and set(seen) == pairs_in_schedule
+
+
+def test_defect_suites_build_one_schedule_per_space(monkeypatch):
+    spaces = [exact_pathspace(illness_death_scenario()), exact_pathspace(forced_exit_scenario())]
+    spaces += random_corpus(np.random.default_rng(4), 6)
+    built = []
+
+    def counting(support, a, depths):
+        built.append(depths)
+        return refinement_partitions(support, a, depths)
+
+    monkeypatch.setattr(multistate, "refinement_partitions", counting)
+    monkeypatch.setattr(interval_functions, "refinement_partitions", counting)
+    for ps in spaces:
+        hazard_defect_checks(ps)
+        count_mean_defect_checks(ps)
+        hazard_defect_table(ps)
+        window = Interval.open_closed(0.0, ps.tau)
+        assert ps.refinement_schedule(6) == tuple(refinement_partitions(ps.event_times, window, 6))
+    assert built == [6] * len(spaces)
 
 
 def test_zero_conditioning_gives_identity_row():

@@ -1,7 +1,9 @@
-"""The indexed rule lookup, the one-cursor censoring walk and the sweep-line
-Nelson-Aalen estimator agree exactly with the rescanning references."""
+"""The array sampler, the indexed rule lookup and the sweep-line
+Nelson-Aalen estimator agree exactly with the per-subject and rescanning
+references, and the per-subject censoring walk with its rescan."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from prodint import (
@@ -10,11 +12,15 @@ from prodint import (
     ScenarioConfig,
     StatePath,
     TransitionRule,
-    apply_censoring,
     nelson_aalen,
+    simulate_sample,
 )
+from prodint import simulation
+from prodint.checks import random_scenario
+from prodint.simulation import _observed_histories, _tick_states
 
 import reference_impl
+from reference_impl import apply_censoring, sample_path
 
 # a small pool of times, so that subjects often jump at the same time
 pooled_time = st.integers(1, 8).map(lambda k: k / 2.0)
@@ -127,3 +133,143 @@ def test_filtering_censoring_matches_rescan(path, censoring, seed):
     assert fast == slow
     # the same number of draws, so later subjects' streams are unaffected
     assert fast_rng.random() == slow_rng.random()
+
+
+# -- the array sampler against the per-subject reference ----------------------
+
+
+@st.composite
+def generated_scenarios(draw):
+    """The verify generator's scenarios: plain, progressive and forced-exit,
+    each of any of the three rule kinds."""
+    flavour = draw(st.sampled_from([{}, {"progressive": True}, {"forced_exit": True}]))
+    return random_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), **flavour)
+
+
+# censoring times on a grid (the generator's grids are dyadic, GRID is whole
+# numbers), off every grid, at 0.0 and past the last grid time
+CUT_TIMES = (0.0, 0.3, 0.5, 1.0, 1.75, 2.0, 2.7, 3.0, 3.5, 4.0, 5.0)
+
+
+@st.composite
+def censorings(draw):
+    kind = draw(st.sampled_from(["none", "independent_right", "state_filtering_conforming", "violating"]))
+    if kind == "none":
+        return CensoringConfig(kind)
+    if kind == "independent_right":
+        times = draw(st.lists(st.sampled_from(CUT_TIMES), unique=True, max_size=4))
+        weights = draw(st.lists(st.integers(0, 4), min_size=len(times) + 1, max_size=len(times) + 1))
+        if sum(weights) == 0:
+            weights[-1] = 1
+        total = sum(weights)
+        after = tuple((t, w / total) for t, w in zip(times, weights))
+        return CensoringConfig(kind, after=after, never=weights[-1] / total)
+    q = draw(st.sampled_from([0.25, 0.7, 1.0]))
+    if kind == "violating":
+        return CensoringConfig(kind, q=q, delta=draw(st.sampled_from([0.1, 0.5, 0.9])))
+    return CensoringConfig(kind, q=q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(generated_scenarios(), history_scenarios()),
+    censorings(),
+    st.integers(1, 25),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 1),
+)
+def test_simulate_sample_matches_per_subject_reference(scenario, censoring, n, seed, arm):
+    fast = simulate_sample(scenario, censoring, n, seed, arm)
+    slow = reference_impl.simulate_sample_per_subject(scenario, censoring, n, seed, arm)
+    assert fast == slow
+
+
+def test_sample_does_not_depend_on_the_block_size(monkeypatch):
+    scenario = random_scenario(np.random.default_rng(5), forced_exit=True)
+    censoring = CensoringConfig("violating", q=0.7, delta=0.5)
+    whole = simulate_sample(scenario, censoring, 10, seed=3, arm=1)
+    monkeypatch.setattr(simulation, "_BLOCK", 3)
+    assert simulate_sample(scenario, censoring, 10, seed=3, arm=1) == whole
+
+
+class ChosenUniforms:
+    """A stand-in generator that returns the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+TOP = 1.0 - 2.0**-53  # the largest value random() returns
+
+
+def assert_core_matches_reference(scenario, rows):
+    states = _tick_states(scenario, np.array(rows, dtype=float))
+    ticks = (0.0,) + scenario.grid
+    for row, got in zip(rows, states.tolist()):
+        path = sample_path(ChosenUniforms(row), scenario)
+        assert got == [path.state_at(t) for t in ticks]
+    return states
+
+
+def test_core_gives_the_initial_float_residual_to_the_last_state_with_mass():
+    # 0.7 + 0.2 + 0.1 rounds to 1 - 2**-53, so the top uniform lies past the sum
+    scenario = ScenarioConfig(4, 2.0, (1.0,), "markov", (0.7, 0.2, 0.1, 0.0), ())
+    states = assert_core_matches_reference(scenario, [[TOP, 0.5], [0.0, 0.5], [0.7, 0.5], [0.9, TOP]])
+    assert states.tolist() == [[3, 3], [1, 1], [2, 2], [3, 3]]
+    assert states.dtype == np.uint8  # the narrowest dtype holding 0..d
+
+
+def test_core_forces_the_duration_rule_exit():
+    scenario = ScenarioConfig(
+        2, 2.0, (1.0, 2.0), "duration_dependent", (1.0, 0.0),
+        (
+            TransitionRule(1.0, 1, ((2, 1.0),), when=1.0),
+            TransitionRule(2.0, 2, ((1, 1.0),), when=1.0),
+        ),
+    )
+    states = assert_core_matches_reference(scenario, [[0.0, 0.0, 0.0], [TOP, TOP, TOP], [0.5, 0.3, 0.9]])
+    assert states.tolist() == [[1, 2, 1]] * 3
+
+
+@pytest.mark.parametrize("rule", ["markov", "entry_time_dependent", "duration_dependent"])
+def test_core_draws_at_the_cumulative_boundaries(rule):
+    # a uniform equal to a cumulative probability falls to the next outcome
+    when = None if rule == "markov" else 0.0 if rule == "entry_time_dependent" else 1.0
+    scenario = ScenarioConfig(
+        3, 2.0, (1.0, 2.0), rule, (0.25, 0.75, 0.0),
+        (
+            TransitionRule(1.0, 1, ((2, 0.0), (3, 0.5))),
+            TransitionRule(1.0, 2, ((1, 0.25), (3, 0.5)), when=when),
+            TransitionRule(2.0, 3, ((1, 0.125),)),
+        ),
+    )
+    uniforms = (0.0, 0.125, 0.25, 0.5, 0.75, TOP)
+    rows = [[a, b, c] for a in uniforms for b in uniforms for c in uniforms]
+    assert_core_matches_reference(scenario, rows)
+
+
+@pytest.mark.parametrize(
+    "censoring",
+    [
+        CensoringConfig("state_filtering_conforming", q=0.5),
+        CensoringConfig("violating", q=0.5, delta=0.5),
+        CensoringConfig("independent_right", after=((0.0, 0.25), (1.5, 0.25)), never=0.5),
+    ],
+)
+def test_censoring_core_at_the_observation_boundaries(censoring):
+    # uniforms equal to q, q * (1 - delta) or a cumulative censoring
+    # probability fall on the unobserved side, as the scalar walk has it
+    scenario = ScenarioConfig(3, 3.0, (1.0, 2.0, 3.0), "markov", (1.0, 0.0, 0.0), ())
+    paths = [StatePath(1), StatePath(1, ((1.0, 2), (3.0, 3))), StatePath(2, ((2.0, 1),))]
+    states = np.array([[p.state_at(t) for t in (0.0,) + scenario.grid] for p in paths])
+    uniforms = (0.0, 0.25, 0.5, TOP)
+    rows = [[uniforms[(i + j * r) % 4] for j in range(4)] for r in range(4) for i in range(4)]
+    width = 1 if censoring.kind == "independent_right" else 4
+    for path, path_states in zip(paths, states):
+        for row in rows:
+            row = row[:width]
+            [got] = _observed_histories(scenario, censoring, path_states[None, :], np.array([row]), 9)
+            assert got == apply_censoring(ChosenUniforms(row), path, scenario, censoring, 9)

@@ -8,32 +8,34 @@ from prodint import (
     ScenarioConfig,
     StatePath,
     TransitionRule,
-    apply_censoring,
     exact_pathspace,
     forced_exit_scenario,
     illness_death_scenario,
     load_censoring,
     load_scenario,
-    sample_path,
     simulate_sample,
     subject_rng,
     two_state_scenario,
 )
 from prodint.checks import close_record
+from prodint.simulation import _tick_states
 
 import oracle_enum
+from reference_impl import apply_censoring, sample_path
 
 CORPUS = "src/prodint/corpus"
 
 
 def sampler_agreement_checks(rng, scenario, draws=10**5, tol=0.01):
-    """Empirical occupation frequencies of the sampler against enumeration."""
+    """Empirical occupation frequencies of the sampler against enumeration.
+
+    The array core gets one uniform matrix: a row per draw, a column for the
+    initial state and one per grid time.
+    """
     ps = exact_pathspace(scenario)
-    counts = np.zeros(scenario.dim)
-    for _ in range(draws):
-        path = sample_path(rng, scenario)
-        counts[path.state_at(scenario.tau) - 1] += 1
-    freq = counts / draws
+    states = _tick_states(scenario, rng.random((draws, 1 + len(scenario.grid))))
+    # every grid time is at most tau, so the last tick column is the state at tau
+    freq = np.bincount(states[:, -1], minlength=scenario.dim + 1)[1:] / draws
     truth = ps.occupation_vector(scenario.tau)
     return [
         close_record(
