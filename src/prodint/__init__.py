@@ -50,9 +50,9 @@ from .estimators import (
     EstimateGrid,
     EstimationError,
     EventHistory,
+    EventSample,
     FormatError,
     aalen_johansen,
-    empirical_counts,
     empirical_occupancy,
     estimate,
     nelson_aalen,
@@ -86,6 +86,7 @@ __all__ = [
     "EstimateGrid",
     "EstimationError",
     "EventHistory",
+    "EventSample",
     "ExtinctionReport",
     "FormatError",
     "GeneralIF",
@@ -101,7 +102,6 @@ __all__ = [
     "additive_transform",
     "check_product_variation_bound",
     "defect_profile",
-    "empirical_counts",
     "empirical_occupancy",
     "estimate",
     "exact_pathspace",

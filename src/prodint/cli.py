@@ -22,7 +22,9 @@ import numpy as np
 from . import checks
 from .estimators import (
     FormatError,
+    GridBudgetError,
     estimate,
+    line_of_state,
     read_event_histories,
     write_event_histories,
     write_grid_json,
@@ -122,14 +124,19 @@ def cmd_simulate(args) -> int:
     censoring = load_censoring(args.censoring) if args.censoring else CensoringConfig("none")
     sample = simulate_sample(scenario, censoring, args.n, args.seed)
     rows = write_event_histories(args.out, sample)
-    observed_jumps = sum(len(eh.jumps) for eh in sample)
-    print(f"wrote {len(sample)} subjects ({rows} rows, {observed_jumps} jumps) to {args.out}")
+    print(f"wrote {len(sample)} subjects ({rows} rows, {len(sample.times)} jumps) to {args.out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
     sample = read_event_histories(args.input, max_state=args.dim)
-    grid = estimate(sample, upto=args.upto, dim=args.dim)
+    try:
+        grid = estimate(sample, upto=args.upto, dim=args.dim)
+    except GridBudgetError as exc:
+        if args.dim is not None:
+            raise ConfigError(f"--dim {args.dim}: {exc}") from None
+        line = line_of_state(args.input, sample.max_state)
+        raise FormatError(f"line {line}: state {sample.max_state}: {exc}") from None
     if args.out_csv:
         write_occupation_csv(args.out_csv, grid)
         print(f"wrote occupation curve to {args.out_csv}")
@@ -229,6 +236,9 @@ def cmd_verify(args) -> int:
 def cmd_convergence(args) -> int:
     started = time.perf_counter()
     scenario = load_scenario(args.scenario)
+    if not scenario.grid:
+        # the study compares the estimated and exact curves at the grid times
+        raise ConfigError(f"{args.scenario}: scenario grid is empty, so there is no time to compare at")
     conforming = load_censoring(args.censoring)
     violating = load_censoring(args.violating) if args.violating else None
     ns = [int(x) for x in args.n.split(",") if x]

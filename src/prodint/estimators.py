@@ -2,12 +2,14 @@
 
 An event history is one subject's observed trajectory over [0, tau], with
 state 0 marking spans where the underlying process is unobserved (the
-subject may re-enter observation later).  The estimators are the classical
+subject may re-enter observation later).  A sample of them is held in
+columns (``EventSample``); the estimators are the classical
 counting-process ones:
 
-* empirical transition counts  F_jk(t) = n^-1 sum_i #{observed j->k in (0,t]}
 * empirical occupancies        p_j(t)  = n^-1 sum_i 1{X_i(t) = j}
-* Nelson-Aalen increments      dL_jk(u) = dF_jk(u) / p_j(u-)
+* Nelson-Aalen increments      dL_jk(u) = dN_jk(u) / Y_j(u-), with N_jk
+  counting observed direct j->k transitions and Y_j(u-) the subjects
+  observed in j just before u
 * Aalen-Johansen matrix        P(0,t) = prod_{u <= t} (I + dL(u))
 * derived occupation curve     p(t) = p(0) @ P(0,t), with p(0) the
   renormalized observed initial distribution.
@@ -16,22 +18,32 @@ Transitions into or out of state 0 are never counted, and an unobserved
 subject counts toward no state's risk set.  Tied event times across
 subjects are pooled into one grid time.  Estimates are step functions,
 evaluated by right continuity and extended as constants past the last
-event time.  All accumulation runs in subject order, so results do not
-depend on scheduling; the product over event times is inherently
-sequential.
+event time.  Counts and risk sets are integers, so the estimates do not
+depend on the order of the subjects; the product over event times is
+inherently sequential.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 Side = Literal["right", "left"]
+
+# Largest number of float64 entries, (event times + 1) * d * d, that an
+# estimate may hold in each of its hazard and transition parts: 2**24
+# entries are 128 MiB per part.  The dimension d is the largest state of a
+# sample unless given, so one stray state number could otherwise ask for
+# more memory than the machine has.
+MAX_GRID_ENTRIES = 2**24
 
 
 class FormatError(ValueError):
@@ -40,6 +52,10 @@ class FormatError(ValueError):
 
 class EstimationError(ValueError):
     """The sample cannot support the requested estimate."""
+
+
+class GridBudgetError(EstimationError):
+    """The estimate would hold more than ``MAX_GRID_ENTRIES`` entries per part."""
 
 
 def _jump_error(previous_time: float, previous_state: int, t: float, s: int) -> str | None:
@@ -101,43 +117,165 @@ class EventHistory:
         return max(self.initial_state, max((s for _, s in self.jumps), default=0))
 
 
-def infer_dim(sample: Sequence[EventHistory]) -> int:
+def _checked_history(subject: int, initial_state: int, jumps: tuple) -> EventHistory:
+    """An ``EventHistory`` of values an ``EventSample`` has already validated."""
+    history = object.__new__(EventHistory)
+    object.__setattr__(history, "subject", subject)
+    object.__setattr__(history, "initial_state", initial_state)
+    object.__setattr__(history, "jumps", jumps)
+    return history
+
+
+def _column(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    if column.ndim != 1:
+        raise ValueError("sample columns must be one-dimensional")
+    column.setflags(write=False)
+    return column
+
+
+class EventSample(Sequence):
+    """A sample of event histories held in columns.
+
+    Subject ``subjects[i]`` (strictly increasing) starts in ``initial[i]`` at
+    time 0 and makes the jumps ``offsets[i]:offsets[i + 1]`` of ``times`` and
+    ``states``.  Within a subject, jump times are positive and strictly
+    increasing and consecutive states differ; states are numbered from 0,
+    which marks an unobserved span.  The columns are validated once, when
+    the sample is made, and are read-only.  ``sources[k]`` is the state
+    jump k leaves and ``max_state`` the largest state of the sample (0 when
+    it has none).  Indexing and iteration yield each subject's
+    ``EventHistory``.
+    """
+
+    def __init__(self, subjects, initial, offsets, times, states) -> None:
+        self.subjects = _column(subjects, np.int64)
+        self.initial = _column(initial, np.int64)
+        self.offsets = _column(offsets, np.int64)
+        self.times = _column(times, np.float64)
+        self.states = _column(states, np.int64)
+        n, size = len(self.subjects), len(self.times)
+        if len(self.initial) != n or len(self.offsets) != n + 1 or len(self.states) != size:
+            raise ValueError("sample columns have inconsistent lengths")
+        counts = np.diff(self.offsets)
+        if self.offsets[0] != 0 or self.offsets[-1] != size or (counts < 0).any():
+            raise ValueError("jump offsets must rise from 0 to the number of jumps")
+        if (np.diff(self.subjects) <= 0).any():
+            raise ValueError("subject ids must be strictly increasing")
+        if (self.initial < 0).any() or (self.states < 0).any():
+            raise ValueError("states are numbered from 0")
+        bad = ~(self.times > self._previous(self.times, np.zeros(n)))  # also rejects NaN
+        if bad.any():
+            subject = self._subject_of_jump(bad.argmax())
+            raise ValueError(f"subject {subject}: jump times must be strictly increasing and positive")
+        self.sources = self._previous(self.states, self.initial)
+        self.sources.setflags(write=False)
+        repeated = self.states == self.sources
+        if repeated.any():
+            subject = self._subject_of_jump(repeated.argmax())
+            raise ValueError(f"subject {subject}: consecutive states must differ")
+        self.max_state = int(max(self.initial.max(initial=0), self.states.max(initial=0)))
+
+    def _subject_of_jump(self, k: int) -> int:
+        return int(self.subjects[np.searchsorted(self.offsets, k, side="right") - 1])
+
+    def _previous(self, values: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        """``values`` shifted one jump later within each subject; a subject's
+        first jump gets its entry of ``heads``."""
+        previous = np.empty_like(values)
+        previous[1:] = values[:-1]
+        has_jumps = self.offsets[1:] > self.offsets[:-1]
+        previous[self.offsets[:-1][has_jumps]] = heads[has_jumps]
+        return previous
+
+    @classmethod
+    def from_histories(cls, histories) -> "EventSample":
+        """The columns of ``EventHistory`` objects, ordered by subject id."""
+        histories = sorted(histories, key=lambda h: h.subject)
+        jumps = [jump for h in histories for jump in h.jumps]
+        return cls(
+            [h.subject for h in histories],
+            [h.initial_state for h in histories],
+            np.cumsum([0] + [len(h.jumps) for h in histories]),
+            [t for t, _ in jumps],
+            [s for _, s in jumps],
+        )
+
+    def states_at(self, t: float, side: Side = "right") -> np.ndarray:
+        """Each subject's state at t, or just before t with ``side="left"``."""
+        reached = self.times <= t if side == "right" else self.times < t
+        before = np.concatenate(([0], np.cumsum(reached)))
+        begin = self.offsets[:-1]
+        count = before[self.offsets[1:]] - before[begin]
+        # jump times rise within a subject, so the jumps it has made by t come first
+        state = self.initial.copy()
+        moved = count > 0
+        state[moved] = self.states[(begin + count - 1)[moved]]
+        return state
+
+    def __len__(self) -> int:
+        return len(self.subjects)
+
+    def __getitem__(self, index) -> EventHistory:
+        i = range(len(self))[operator.index(index)]  # negative indices count from the end
+        begin, end = self.offsets[i : i + 2].tolist()
+        jumps = zip(self.times[begin:end].tolist(), self.states[begin:end].tolist())
+        return _checked_history(int(self.subjects[i]), int(self.initial[i]), tuple(jumps))
+
+    def __iter__(self):
+        jumps = list(zip(self.times.tolist(), self.states.tolist()))
+        offsets = self.offsets.tolist()
+        for i, (subject, initial) in enumerate(zip(self.subjects.tolist(), self.initial.tolist())):
+            yield _checked_history(subject, initial, tuple(jumps[offsets[i] : offsets[i + 1]]))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventSample):
+            return all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("subjects", "initial", "offsets", "times", "states")
+            )
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"EventSample({len(self)} subjects, {len(self.times)} jumps)"
+
+
+def _as_sample(sample) -> EventSample:
+    """``sample`` as an ``EventSample``; a sequence of ``EventHistory`` is
+    converted once."""
+    return sample if isinstance(sample, EventSample) else EventSample.from_histories(sample)
+
+
+def infer_dim(sample) -> int:
     """Largest observed state, as the default state-space dimension."""
-    if not sample:
+    sample = _as_sample(sample)
+    if not len(sample):
         raise EstimationError("empty sample")
-    return max(max(eh.max_state for eh in sample), 1)
+    return max(sample.max_state, 1)
 
 
-def empirical_counts(sample: Sequence[EventHistory], j: int, k: int, t: float) -> float:
-    """Mean number of observed direct j -> k transitions in (0, t] per subject."""
-    if not sample:
-        raise EstimationError("empty sample")
-    if j < 1 or k < 1 or j == k:
-        raise ValueError("need distinct observable states j != k, both >= 1")
-    total = 0
-    for eh in sample:
-        state = eh.initial_state
-        for time, to in eh.jumps:
-            if state == j and to == k and 0.0 < time <= t:
-                total += 1
-            state = to
-    return total / len(sample)
+def _check_dimension(sample: EventSample, d: int) -> None:
+    """Raise EstimationError naming the first subject with a state above d."""
+    if sample.max_state <= d:
+        return
+    top = sample.initial.copy()
+    np.maximum.at(top, np.repeat(np.arange(len(sample)), np.diff(sample.offsets)), sample.states)
+    i = int(np.argmax(top > d))
+    raise EstimationError(f"subject {sample.subjects[i]} visits state {top[i]} beyond dimension {d}")
 
 
-def empirical_occupancy(
-    sample: Sequence[EventHistory], j: int, t: float, side: Side = "right"
-) -> float:
+def empirical_occupancy(sample, j: int, t: float, side: Side = "right") -> float:
     """Fraction of subjects observed in state j at t (or just before t)."""
-    if not sample:
+    sample = _as_sample(sample)
+    if not len(sample):
         raise EstimationError("empty sample")
     if j < 1:
         raise ValueError("occupancy is tracked for observable states >= 1")
-    hits = 0
-    for eh in sample:
-        state = eh.state_at(t) if side == "right" else eh.state_before(t)
-        if state == j:
-            hits += 1
-    return hits / len(sample)
+    return int(np.count_nonzero(sample.states_at(t, side) == j)) / len(sample)
 
 
 @dataclass(frozen=True)
@@ -158,21 +296,6 @@ class EstimateGrid:
     transition: tuple[np.ndarray, ...] | None = None
     p0: np.ndarray | None = None
     occupation: tuple[np.ndarray, ...] | None = None
-
-    def hazard_step_at(self, t: float) -> np.ndarray:
-        """Increment at exactly ``t`` (zero matrix off the event grid)."""
-        i = bisect_right(self.times, t) - 1
-        if i >= 0 and self.times[i] == t:
-            return self.hazard_steps[i]
-        return np.zeros((self.dim, self.dim))
-
-    def transition_at(self, t: float) -> np.ndarray:
-        if self.transition is None:
-            raise EstimationError("transition part not computed yet")
-        i = bisect_right(self.times, t) - 1
-        if i < 0:
-            return np.eye(self.dim)
-        return self.transition[i]
 
     def occupation_at(self, t: float) -> np.ndarray:
         if self.occupation is None or self.p0 is None:
@@ -196,9 +319,7 @@ class EstimateGrid:
         }
 
 
-def nelson_aalen(
-    sample: Sequence[EventHistory], upto: float | None = None, dim: int | None = None
-) -> EstimateGrid:
+def nelson_aalen(sample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
     """Pooled hazard increments at every observed transition time.
 
     At each event time u the increment is (observed j->k count at u) /
@@ -206,51 +327,44 @@ def nelson_aalen(
     one whenever the numerator is positive, because a subject observed to
     transition out of j at u is itself observed in j just before u.
 
-    One sweep over the sorted jump times: the risk sets start from the
-    time-0 states, each time's increment uses the risk sets held before
-    that time's jumps, and then every jump -- counted or not, including
-    moves into and out of state 0 -- moves one subject between risk sets.
+    The risk sets just before each event time are the time-0 states plus a
+    running sum of every earlier jump -- counted or not, including moves
+    into and out of state 0 -- each moving one subject between risk sets.
     """
-    if not sample:
+    sample = _as_sample(sample)
+    if not len(sample):
         raise EstimationError("empty sample")
     d = dim if dim is not None else infer_dim(sample)
-    at_risk = [0] * (d + 1)  # index 0 tallies the unobserved
-    moves: dict[float, list[tuple[int, int]]] = {}
-    for eh in sample:
-        if eh.max_state > d:
-            raise EstimationError(
-                f"subject {eh.subject} visits state {eh.max_state} beyond dimension {d}"
-            )
-        state = eh.initial_state
-        at_risk[state] += 1
-        for t, to in eh.jumps:
-            moves.setdefault(t, []).append((state, to))
-            state = to
+    _check_dimension(sample, d)
+    sources, targets = sample.sources, sample.states
+    counted = (sources >= 1) & (targets >= 1)
+    if upto is not None:
+        counted &= sample.times <= upto
+    times, column = np.unique(sample.times[counted], return_inverse=True)
+    size = len(times)
+    entries = (size + 1) * d * d
+    if entries > MAX_GRID_ENTRIES:
+        raise GridBudgetError(
+            f"{size} event times with {d} states need {entries} estimate entries, "
+            f"above the budget of {MAX_GRID_ENTRIES}"
+        )
+    cell = (column * d + sources[counted] - 1) * d + targets[counted] - 1
+    counts = np.bincount(cell, minlength=size * d * d).reshape(size, d, d).astype(np.float64)
+    # a jump moves its subject between risk sets from the first event time after it on
+    first_after = np.searchsorted(times, sample.times, side="right") * (d + 1)
+    moves = np.bincount(first_after + targets, minlength=(size + 1) * (d + 1))
+    moves -= np.bincount(first_after + sources, minlength=(size + 1) * (d + 1))
+    moves[: d + 1] += np.bincount(sample.initial, minlength=d + 1)
+    at_risk = np.cumsum(moves.reshape(size + 1, d + 1), axis=0)[:size, 1:]
 
-    steps = []
-    kept_times = []
-    for u in sorted(moves):
-        at_u = moves[u]
-        if upto is None or u <= upto:
-            counts = np.zeros((d, d))
-            for j, k in at_u:
-                if j >= 1 and k >= 1:
-                    counts[j - 1, k - 1] += 1
-            if counts.any():
-                step = np.zeros((d, d))
-                for j in range(d):
-                    if not counts[j].any():
-                        continue
-                    if at_risk[j + 1] < 1:
-                        raise EstimationError("transition observed out of an empty risk set")
-                    step[j] = counts[j] / at_risk[j + 1]
-                    step[j, j] = -step[j].sum()
-                steps.append(step)
-                kept_times.append(u)
-        for j, k in at_u:
-            at_risk[j] -= 1
-            at_risk[k] += 1
-    return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
+    observed = counts.any(axis=2)
+    if (at_risk[observed] < 1).any():
+        raise EstimationError("transition observed out of an empty risk set")
+    steps = np.zeros((size, d, d))
+    steps[observed] = counts[observed] / at_risk[observed][:, None]
+    at, j = observed.nonzero()
+    steps[at, j, j] = -steps[at, j].sum(axis=1)
+    return EstimateGrid(d, len(sample), tuple(times.tolist()), tuple(steps))
 
 
 def aalen_johansen(grid: EstimateGrid) -> EstimateGrid:
@@ -279,15 +393,13 @@ def aalen_johansen(grid: EstimateGrid) -> EstimateGrid:
     return replace(grid, transition=tuple(transition))
 
 
-def occupation_estimate(sample: Sequence[EventHistory], grid: EstimateGrid) -> EstimateGrid:
+def occupation_estimate(sample, grid: EstimateGrid) -> EstimateGrid:
     """Derived occupation curve: renormalized initial occupancy pushed forward."""
+    sample = _as_sample(sample)
+    _check_dimension(sample, grid.dim)
     if grid.transition is None:
         grid = aalen_johansen(grid)
-    counts0 = np.zeros(grid.dim)
-    for eh in sample:
-        state = eh.initial_state
-        if state >= 1:
-            counts0[state - 1] += 1
+    counts0 = np.bincount(sample.initial, minlength=grid.dim + 1)[1:].astype(np.float64)
     total = counts0.sum()
     if total == 0:
         raise EstimationError("no subject observed at time 0")
@@ -299,10 +411,9 @@ def occupation_estimate(sample: Sequence[EventHistory], grid: EstimateGrid) -> E
     return replace(grid, p0=p0, occupation=occupation)
 
 
-def estimate(
-    sample: Sequence[EventHistory], upto: float | None = None, dim: int | None = None
-) -> EstimateGrid:
+def estimate(sample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
     """Full pipeline: hazard increments, transition matrices, occupation curve."""
+    sample = _as_sample(sample)
     grid = nelson_aalen(sample, upto=upto, dim=dim)
     grid = aalen_johansen(grid)
     return occupation_estimate(sample, grid)
@@ -311,16 +422,65 @@ def estimate(
 # -- event-history CSV ------------------------------------------------------
 
 CSV_HEADER = ("subject", "time", "state")
+# Everything a data row of plain decimal numbers can hold.  Within it numpy's
+# and Python's number parsers accept the same fields with the same values.
+_PLAIN_ROW_BYTES = b"0123456789+-.eE,\t \r\n"
+_ROW_DTYPE = np.dtype([("subject", np.int64), ("time", np.float64), ("state", np.int64)])
 
 
-def read_event_histories(path, max_state: int | None = None) -> list[EventHistory]:
+def read_event_histories(path, max_state: int | None = None) -> EventSample:
     """Read `subject,time,state` rows; the time-0 row gives the initial state.
 
-    Raises FormatError naming the line of the first malformed row.  Each
-    subject's jumps are validated once, by ``EventHistory``; only when that
-    fails are its rows walked again to find the line.
+    A file of plain decimal rows is parsed in bulk and validated with array
+    operations.  Any other file, and any file that fails a check, is read
+    row by row, which raises FormatError naming the line of the first
+    malformed row.
     """
-    rows_by_subject: dict[int, list[tuple[int, float, int]]] = {}
+    with open(path, "rb") as handle:
+        data = handle.read()
+    sample = _read_bulk(data, max_state)
+    return sample if sample is not None else _read_rows(path, max_state)
+
+
+def _read_bulk(data: bytes, max_state: int | None) -> EventSample | None:
+    """The sample the row reader returns for ``data``, or None where the
+    bulk path cannot tell (the row reader then finds the error or reads the
+    file)."""
+    header, _, body = data.partition(b"\n")
+    if tuple(field.strip() for field in header.split(b",")) != tuple(h.encode() for h in CSV_HEADER):
+        return None
+    if body.translate(None, _PLAIN_ROW_BYTES) or not body.strip():
+        return None
+    # the csv module refuses fields above its size limit; no line of this file holds one
+    line_ends = np.flatnonzero(np.frombuffer(body + b"\n", np.uint8) == ord("\n"))
+    if np.diff(line_ends, prepend=-1).max() > csv.field_size_limit():
+        return None
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(body), dtype=_ROW_DTYPE, delimiter=",", comments=None,
+            quotechar=None, ndmin=1, encoding="ascii",
+        )
+    except (ValueError, OverflowError):
+        return None
+    subjects, times, states = rows["subject"], rows["time"], rows["state"]
+    if max_state is not None and (states > max_state).any():
+        return None
+    order = np.argsort(subjects, kind="stable")  # keeps each subject's rows in file order
+    subjects, times, states = subjects[order], times[order], states[order]
+    heads = np.flatnonzero(np.r_[True, subjects[1:] != subjects[:-1]])
+    if not (times[heads] == 0.0).all():
+        return None
+    jumps = np.ones(len(rows), dtype=bool)
+    jumps[heads] = False
+    offsets = np.append(heads - np.arange(len(heads)), len(rows) - len(heads))
+    try:
+        return EventSample(subjects[heads], states[heads], offsets, times[jumps], states[jumps])
+    except ValueError:
+        return None
+
+
+def _rows(path, max_state: int | None = None):
+    """Yield (line, subject, time, state) of each data row, checking each row alone."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -344,51 +504,73 @@ def read_event_histories(path, max_state: int | None = None) -> list[EventHistor
                     raise FormatError(f"line {lineno}: state {state} exceeds dimension {max_state}")
                 if time < 0:
                     raise FormatError(f"line {lineno}: negative time {time}")
-                rows_by_subject.setdefault(subject, []).append((lineno, time, state))
+                for name, value in (("subject", subject), ("state", state)):
+                    if not -(2**63) <= value < 2**63:
+                        raise FormatError(f"line {lineno}: {name} {value} out of range")
+                yield lineno, subject, time, state
         except csv.Error as exc:  # e.g. a field above the csv module's size limit
             raise FormatError(f"line {reader.line_num}: {exc}") from None
 
-    histories = []
-    for subject in sorted(rows_by_subject):
-        rows = rows_by_subject[subject]
-        first_line, first_time, initial = rows[0]
-        if first_time != 0.0:
-            raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
-        jumps = tuple((time, state) for _, time, state in rows[1:])
-        try:
-            histories.append(EventHistory(subject, initial, jumps))
-        except ValueError:
-            _raise_first_bad_row(rows)
-            raise
-    if not histories:
+
+def _read_rows(path, max_state: int | None) -> EventSample:
+    """The row-by-row reader: every row is checked on its own, then against
+    the row before it of its subject."""
+    rows_by_subject: dict[int, list[tuple[int, float, int]]] = {}
+    for lineno, subject, time, state in _rows(path, max_state):
+        rows_by_subject.setdefault(subject, []).append((lineno, time, state))
+    if not rows_by_subject:
         raise FormatError("no subject rows found")
-    return histories
+    subjects = sorted(rows_by_subject)
+    for subject in subjects:
+        rows = rows_by_subject[subject]
+        first_line, previous_time, previous_state = rows[0]
+        if previous_time != 0.0:
+            raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
+        for lineno, time, state in rows[1:]:
+            error = _jump_error(previous_time, previous_state, time, state)
+            if error is not None:
+                raise FormatError(f"line {lineno}: {error}")
+            previous_time, previous_state = time, state
+    ordered = [rows_by_subject[subject] for subject in subjects]
+    jumps = [row for rows in ordered for row in rows[1:]]
+    return EventSample(
+        subjects,
+        [rows[0][2] for rows in ordered],
+        np.cumsum([0] + [len(rows) - 1 for rows in ordered]),
+        [time for _, time, _ in jumps],
+        [state for _, _, state in jumps],
+    )
 
 
-def _raise_first_bad_row(rows: list[tuple[int, float, int]]) -> None:
-    """Raise FormatError naming the first of one subject's rows that cannot
-    follow the row before it."""
-    _, previous_time, previous_state = rows[0]
-    for lineno, time, state in rows[1:]:
-        error = _jump_error(previous_time, previous_state, time, state)
-        if error is not None:
-            raise FormatError(f"line {lineno}: {error}") from None
-        previous_time, previous_state = time, state
+def line_of_state(path, state: int) -> int:
+    """Line number of the first row of a valid event-history CSV in ``state``."""
+    return next(lineno for lineno, _, _, s in _rows(path) if s == state)
 
 
-def write_event_histories(path, sample: Sequence[EventHistory]) -> int:
-    """Write the CSV form; returns the number of data rows."""
-    rows = 0
+def write_event_histories(path, sample) -> int:
+    """Write the CSV form, ordered by subject; returns the number of data rows.
+
+    The rows are those ``csv.writer`` writes: numbers as ``str`` gives them,
+    lines ending in CRLF.
+    """
+    sample = _as_sample(sample)
+    # a jump row is its subject's id before one of a few (time, state) texts
+    times, time_of = np.unique(sample.times, return_inverse=True)
+    states, state_of = np.unique(sample.states, return_inverse=True)
+    width = len(states)
+    pairs, pair_of = np.unique(time_of * width + state_of, return_inverse=True)
+    time_text = [repr(t) for t in times.tolist()]
+    state_text = [str(s) for s in states.tolist()]
+    pair_text = [f"{time_text[p // width]},{state_text[p % width]}\r\n" for p in pairs.tolist()]
+    tails = np.array(pair_text, dtype=object)[pair_of].tolist()
+    offsets = sample.offsets.tolist()
+    chunks = [",".join(CSV_HEADER) + "\r\n"]
+    for i, (subject, initial) in enumerate(zip(sample.subjects.tolist(), sample.initial.tolist())):
+        prefix = f"{subject},"
+        chunks.append(prefix + prefix.join([f"0.0,{initial}\r\n"] + tails[offsets[i] : offsets[i + 1]]))
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for eh in sorted(sample, key=lambda h: h.subject):
-            writer.writerow([eh.subject, 0.0, eh.initial_state])
-            rows += 1
-            for t, s in eh.jumps:
-                writer.writerow([eh.subject, t, s])
-                rows += 1
-    return rows
+        handle.write("".join(chunks))
+    return len(sample) + len(sample.times)
 
 
 def write_occupation_csv(path, grid: EstimateGrid) -> None:

@@ -30,7 +30,6 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .intervals import Interval, Partition, halve_open_cells, young_partition
 
@@ -307,13 +306,20 @@ def variation_norm(f, a: Interval, depth: int = 6) -> float:
     return best
 
 
-def _density_exponent(lam: AdditiveIF, lo: float, hi: float) -> np.ndarray | None:
+def _density_factor(lam: AdditiveIF, lo: float, hi: float) -> np.ndarray | None:
+    """exp of the density integrated over (lo, hi), or None where there is none."""
     total = None
     for start, end, rate in lam.density:
         overlap = min(hi, end) - max(lo, start)
         if overlap > 0:
             total = overlap * rate if total is None else total + overlap * rate
-    return total
+    if total is None:
+        return None
+    # imported here: only a density needs it, and importing it takes about as
+    # long as importing the rest of the package
+    from scipy.linalg import expm
+
+    return expm(total)
 
 
 def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
@@ -331,15 +337,15 @@ def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
         if not a.contains(t):
             continue
         if t > cursor:
-            exponent = _density_exponent(lam, cursor, t)
-            if exponent is not None:
-                result = result @ expm(exponent)
+            factor = _density_factor(lam, cursor, t)
+            if factor is not None:
+                result = result @ factor
         result = result @ (eye + jump)
         cursor = t
     if a.hi > cursor:
-        exponent = _density_exponent(lam, cursor, a.hi)
-        if exponent is not None:
-            result = result @ expm(exponent)
+        factor = _density_factor(lam, cursor, a.hi)
+        if factor is not None:
+            result = result @ factor
     return result
 
 

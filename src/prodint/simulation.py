@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EventHistory
+from .estimators import EventSample
 from .multistate import PathSpace, StatePath
 
 RULE_KINDS = ("markov", "entry_time_dependent", "duration_dependent")
@@ -396,14 +396,14 @@ def _censoring_draws(censoring: CensoringConfig, m: int) -> int:
     return {"none": 0, "independent_right": 1}.get(censoring.kind, m + 1)
 
 
-def _observed_histories(
+def _observed_columns(
     scenario: ScenarioConfig,
     censoring: CensoringConfig,
     states: np.ndarray,
     u: np.ndarray,
-    first_subject: int = 0,
-) -> list[EventHistory]:
-    """Observed event histories of subjects with tick states ``states``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Observed event histories of subjects with tick states ``states``, as
+    (initial states, jump counts, jump times, jump states) columns.
 
     Row i of ``u`` holds subject i's censoring draws (``_censoring_draws``
     of them).  Observation can only change at a span start, and the path
@@ -419,7 +419,6 @@ def _observed_histories(
     doubled = np.repeat(np.arange(m + 1), 2)
     slot_span = doubled[1:]  # 0, 1, 1, 2, 2, ..., m, m
     values = states[:, doubled[:-1]]  # tick columns 0, 0, 1, 1, ..., m - 1, m - 1, m
-    # the scenario's own float objects, so that every history shares them
     slot_times = [0.0]
     for (start, _), t in zip(scenario._spans[1:], scenario.grid):
         slot_times += (start, t)
@@ -446,21 +445,13 @@ def _observed_histories(
         values[np.arange(2 * m + 1) >= hide_from[:, None]] = 0
     subjects, slots = np.nonzero(values[:, 1:] != values[:, :-1])
     slots += 1
-    observed = values[subjects, slots].tolist()
+    observed = values[subjects, slots]
     if cut_index is not None:
         # a cut subject's first hidden slot is read at its cut time
         at_cut = slots == hide_from[subjects]
         slots[at_cut] = np.array(cut_index)[category[subjects[at_cut]]]
-    times = list(map(slot_times.__getitem__, slots.tolist()))
-    initial = values[:, 0].tolist()
-    ends = np.cumsum(np.bincount(subjects, minlength=n)).tolist()
-    histories = []
-    begin = 0
-    for i, end in enumerate(ends):
-        jumps = tuple(zip(times[begin:end], observed[begin:end]))
-        histories.append(EventHistory(first_subject + i, initial[i], jumps))
-        begin = end
-    return histories
+    times = np.array(slot_times)[slots]
+    return values[:, 0], np.bincount(subjects, minlength=n), times, observed
 
 
 def simulate_sample(
@@ -469,7 +460,7 @@ def simulate_sample(
     n: int,
     seed: int,
     arm: int = 0,
-) -> list[EventHistory]:
+) -> EventSample:
     """Draw n subjects, each from its own (seed, arm, subject) substream.
 
     Each subject takes all its uniforms in one block draw: one for the
@@ -482,14 +473,15 @@ def simulate_sample(
         raise ConfigError("need at least one subject")
     m = len(scenario.grid)
     k = 1 + m + _censoring_draws(censoring, m)
-    sample = []
+    blocks = []
     for first in range(0, n, _BLOCK):
         draws = np.empty((min(_BLOCK, n - first), k))
         for offset, row in enumerate(draws):
             subject_rng(seed, first + offset, arm).random(out=row)
         states = _tick_states(scenario, draws[:, : 1 + m])
-        sample.extend(_observed_histories(scenario, censoring, states, draws[:, 1 + m :], first))
-    return sample
+        blocks.append(_observed_columns(scenario, censoring, states, draws[:, 1 + m :]))
+    initial, counts, times, states = (np.concatenate(column) for column in zip(*blocks))
+    return EventSample(np.arange(n), initial, np.append(0, np.cumsum(counts)), times, states)
 
 
 # -- canonical scenarios ------------------------------------------------------

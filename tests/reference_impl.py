@@ -1,15 +1,21 @@
 """Rescanning and per-subject reference versions of the sampler, the
-censoring mechanisms, the Nelson-Aalen estimator, the path-space queries,
-the count-mean defect suite and the product-variation bound.
+censoring mechanisms, the event-history CSV reader, the Nelson-Aalen
+estimator, the path-space queries, the count-mean defect suite and the
+product-variation bound, and the per-subject estimate lookups the library
+does not use.
 
 These are the straightforward scans and scalar walks the library replaced
-with an indexed lookup, an array walk over all subjects at once, a sweep
-line, memoized tick-pair tables, a one-pass defect sum and per-class cell
-terms.  They stay here, outside the package, so that tests can require the
-fast versions to agree with them exactly.
+with an indexed lookup, an array walk over all subjects at once, a bulk
+parse, array counts and risk sets, memoized tick-pair tables, a one-pass
+defect sum and per-class cell terms.  They stay here, outside the package,
+so that tests can require the fast versions to agree with them exactly.
 """
 
+import csv
+import io
 import math
+from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from prodint import (
     subject_rng,
 )
 from prodint.checks import CheckRecord
-from prodint.estimators import infer_dim
+from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error, infer_dim
 from prodint.simulation import _observation_spans
 
 
@@ -215,6 +221,163 @@ def nelson_aalen_rescan(sample, upto=None, dim=None):
         steps.append(step)
         kept_times.append(u)
     return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
+
+
+def nelson_aalen_per_jump(sample, upto=None, dim=None):
+    """nelson_aalen as one sweep over the sorted jump times, subject by subject."""
+    if not sample:
+        raise EstimationError("empty sample")
+    d = dim if dim is not None else infer_dim(sample)
+    at_risk = [0] * (d + 1)  # index 0 tallies the unobserved
+    moves = {}
+    for eh in sample:
+        if eh.max_state > d:
+            raise EstimationError(
+                f"subject {eh.subject} visits state {eh.max_state} beyond dimension {d}"
+            )
+        state = eh.initial_state
+        at_risk[state] += 1
+        for t, to in eh.jumps:
+            moves.setdefault(t, []).append((state, to))
+            state = to
+
+    steps = []
+    kept_times = []
+    for u in sorted(moves):
+        at_u = moves[u]
+        if upto is None or u <= upto:
+            counts = np.zeros((d, d))
+            for j, k in at_u:
+                if j >= 1 and k >= 1:
+                    counts[j - 1, k - 1] += 1
+            if counts.any():
+                step = np.zeros((d, d))
+                for j in range(d):
+                    if not counts[j].any():
+                        continue
+                    if at_risk[j + 1] < 1:
+                        raise EstimationError("transition observed out of an empty risk set")
+                    step[j] = counts[j] / at_risk[j + 1]
+                    step[j, j] = -step[j].sum()
+                steps.append(step)
+                kept_times.append(u)
+        for j, k in at_u:
+            at_risk[j] -= 1
+            at_risk[k] += 1
+    return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
+
+
+def occupation_per_subject(sample, grid):
+    """occupation_estimate with the time-0 states tallied subject by subject."""
+    counts0 = np.zeros(grid.dim)
+    for eh in sample:
+        if eh.initial_state >= 1:
+            counts0[eh.initial_state - 1] += 1
+    total = counts0.sum()
+    if total == 0:
+        raise EstimationError("no subject observed at time 0")
+    p0 = counts0 / total
+    return replace(grid, p0=p0, occupation=tuple(p0 @ mat for mat in grid.transition))
+
+
+# -- estimate lookups and transition counts, one subject or step at a time ------
+
+
+def empirical_counts(sample, j, k, t):
+    """Mean number of observed direct j -> k transitions in (0, t] per subject."""
+    if not len(sample):
+        raise EstimationError("empty sample")
+    if j < 1 or k < 1 or j == k:
+        raise ValueError("need distinct observable states j != k, both >= 1")
+    total = 0
+    for eh in sample:
+        state = eh.initial_state
+        for time, to in eh.jumps:
+            if state == j and to == k and 0.0 < time <= t:
+                total += 1
+            state = to
+    return total / len(sample)
+
+
+def hazard_step_at(grid, t):
+    """The grid's increment at exactly ``t`` (zero matrix off the event grid)."""
+    i = bisect_right(grid.times, t) - 1
+    if i >= 0 and grid.times[i] == t:
+        return grid.hazard_steps[i]
+    return np.zeros((grid.dim, grid.dim))
+
+
+def transition_at(grid, t):
+    """The Aalen-Johansen estimate P(0, t), a step function of t."""
+    if grid.transition is None:
+        raise EstimationError("transition part not computed yet")
+    i = bisect_right(grid.times, t) - 1
+    if i < 0:
+        return np.eye(grid.dim)
+    return grid.transition[i]
+
+
+# -- the per-subject event-history CSV reader ------------------------------------
+
+
+def read_event_histories_per_subject(path, max_state=None):
+    """Read the CSV row by row into one validated EventHistory per subject."""
+    rows_by_subject = {}
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+                raise FormatError(f"line 1: expected header {','.join(CSV_HEADER)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not field.strip() for field in row):
+                    continue
+                if len(row) != 3:
+                    raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                try:
+                    subject = int(row[0])
+                    time = float(row[1])
+                    state = int(row[2])
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
+                if state < 0:
+                    raise FormatError(f"line {lineno}: negative state {state}")
+                if max_state is not None and state > max_state:
+                    raise FormatError(f"line {lineno}: state {state} exceeds dimension {max_state}")
+                if time < 0:
+                    raise FormatError(f"line {lineno}: negative time {time}")
+                rows_by_subject.setdefault(subject, []).append((lineno, time, state))
+        except csv.Error as exc:
+            raise FormatError(f"line {reader.line_num}: {exc}") from None
+
+    histories = []
+    for subject in sorted(rows_by_subject):
+        rows = rows_by_subject[subject]
+        first_line, first_time, initial = rows[0]
+        if first_time != 0.0:
+            raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
+        _, previous_time, previous_state = rows[0]
+        for lineno, time, state in rows[1:]:
+            error = _jump_error(previous_time, previous_state, time, state)
+            if error is not None:
+                raise FormatError(f"line {lineno}: {error}")
+            previous_time, previous_state = time, state
+        histories.append(EventHistory(subject, initial, tuple((t, s) for _, t, s in rows[1:])))
+    if not histories:
+        raise FormatError("no subject rows found")
+    return histories
+
+
+def csv_writer_text(sample):
+    """The CSV text of a sample as csv.writer writes it, subject by subject."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(CSV_HEADER)
+    for eh in sorted(sample, key=lambda h: h.subject):
+        writer.writerow([eh.subject, 0.0, eh.initial_state])
+        for t, s in eh.jumps:
+            writer.writerow([eh.subject, t, s])
+    return handle.getvalue()
 
 
 # -- path-space queries, one loop over every path per call ----------------------

@@ -77,6 +77,27 @@ class TestEstimate:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state", [100_000, 10**15])
+    def test_oversized_state_is_refused_before_allocating(self, tmp_path, capsys, state):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"subject,time,state\n0,0.0,1\n1,0.0,2\n1,1.0,{state}\n")
+        assert run("estimate", "--input", bad, "--out-json", tmp_path / "grid.json") == 2
+        err = capsys.readouterr().err
+        assert f"line 4: state {state}: " in err and "above the budget of 16777216" in err
+        assert not (tmp_path / "grid.json").exists()
+
+    def test_oversized_dimension_is_refused(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        csv_path.write_text("subject,time,state\n0,0.0,1\n0,1.0,2\n")
+        assert run("estimate", "--input", csv_path, "--dim", 5000) == 2
+        assert "--dim 5000: 1 event times with 5000 states" in capsys.readouterr().err
+
+    def test_state_beyond_int64_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"subject,time,state\n0,0.0,1\n0,1.0,{2**63}\n")
+        assert run("estimate", "--input", bad) == 2
+        assert f"line 3: state {2**63} out of range" in capsys.readouterr().err
+
     def test_malformed_row_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,time,state\n0,0.0,1\n0,zap,2\n")
@@ -209,6 +230,16 @@ class TestConvergence:
             payload.pop("elapsed_s")
             reports.append(payload)
         assert reports[0] == reports[1]
+
+    def test_empty_grid_is_usage_error(self, tmp_path, capsys):
+        doc = corpus_document("idn.json")
+        doc.update(grid=[], transitions=[])
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        code = run("convergence", "--scenario", path, "--censoring", f"{CORPUS}/conforming.json")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "empty.json" in err and "grid is empty" in err
 
     def test_gate_failure_sets_exit_code(self, capsys):
         code = run(

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from prodint import (
     CensoringConfig,
     EventHistory,
+    EventSample,
     FormatError,
     EstimateGrid,
     EstimationError,
     aalen_johansen,
-    empirical_counts,
     empirical_occupancy,
     estimate,
     illness_death_scenario,
@@ -23,9 +23,44 @@ from prodint import estimators
 from prodint.cli import main
 from prodint.estimators import write_occupation_csv
 
+from reference_impl import empirical_counts, hazard_step_at, transition_at
+
 
 def subject(i, init, *jumps):
     return EventHistory(i, init, tuple(jumps))
+
+
+class TestEventSample:
+    def test_columns_round_trip_through_histories(self):
+        histories = [subject(4, 0, (0.5, 2)), subject(-1, 1), subject(2, 3, (1.0, 0), (2.5, 1))]
+        sample = EventSample.from_histories(histories)
+        assert sample.subjects.tolist() == [-1, 2, 4]
+        assert sample.offsets.tolist() == [0, 0, 2, 3]
+        assert sample.sources.tolist() == [3, 0, 0]
+        assert sample.max_state == 3
+        assert list(sample) == sorted(histories, key=lambda h: h.subject)
+        assert sample[-1] == histories[0] and sample == EventSample(*[
+            getattr(sample, name) for name in ("subjects", "initial", "offsets", "times", "states")
+        ])
+        with pytest.raises(ValueError):
+            sample.times[0] = 9.0  # validated columns are read-only
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0, 1], [1], [0, 0, 0], [], []), "inconsistent lengths"),
+            (([0], [1], [0, 2], [1.0], [2]), "offsets"),
+            (([1, 1], [1, 1], [0, 0, 0], [], []), "strictly increasing"),
+            (([0], [-1], [0, 0], [], []), "numbered from 0"),
+            (([0, 7], [1, 1], [0, 0, 2], [2.0, 1.0], [2, 1]), "subject 7: jump times"),
+            (([0], [1], [0, 1], [0.0], [2]), "subject 0: jump times"),
+            (([0], [1], [0, 1], [float("nan")], [2]), "subject 0: jump times"),
+            (([3, 5], [1, 1], [0, 1, 2], [1.0, 1.0], [2, 1]), "subject 5: consecutive states"),
+        ],
+    )
+    def test_invalid_columns_are_rejected(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            EventSample(*columns)
 
 
 class TestEmpiricalMeans:
@@ -62,11 +97,11 @@ class TestNelsonAalen:
     def test_risk_set_of_one(self):
         grid = nelson_aalen([subject(0, 1, (1.0, 2))], dim=2)
         assert grid.times == (1.0,)
-        assert grid.hazard_step_at(1.0)[0, 1] == 1.0
+        assert hazard_step_at(grid, 1.0)[0, 1] == 1.0
 
     def test_risk_set_of_two(self):
         grid = nelson_aalen([subject(0, 1, (1.0, 2)), subject(1, 1)], dim=2)
-        step = grid.hazard_step_at(1.0)
+        step = hazard_step_at(grid, 1.0)
         assert step[0, 1] == 0.5
         assert step[0, 0] == -0.5
 
@@ -89,17 +124,17 @@ class TestNelsonAalen:
             seed=7,
         )
         grid = nelson_aalen(sample, dim=3)
-        assert grid.hazard_step_at(3.0)[1, 2] == pytest.approx(0.6, abs=0.03)
+        assert hazard_step_at(grid, 3.0)[1, 2] == pytest.approx(0.6, abs=0.03)
 
 
 class TestAalenJohansen:
     def test_no_events_gives_identity(self):
         grid = aalen_johansen(nelson_aalen([subject(0, 1)], dim=2))
-        np.testing.assert_array_equal(grid.transition_at(5.0), np.eye(2))
+        np.testing.assert_array_equal(transition_at(grid, 5.0), np.eye(2))
 
     def test_single_step(self):
         grid = aalen_johansen(nelson_aalen([subject(0, 1, (1.0, 2)), subject(1, 1)], dim=2))
-        np.testing.assert_allclose(grid.transition_at(1.0)[0], [0.5, 0.5])
+        np.testing.assert_allclose(transition_at(grid, 1.0)[0], [0.5, 0.5])
 
     def test_row_stochastic_under_filtering(self):
         sample = simulate_sample(
@@ -178,7 +213,7 @@ class TestOccupationEstimate:
         after = empirical_counts(base + [extra], 1, 2, 2.0)
         assert abs(after - before) <= max(before, 1.0) / (len(base) + 1)
         grid = estimate(base + [extra], dim=2)
-        np.testing.assert_allclose(grid.transition_at(1.0).sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(transition_at(grid, 1.0).sum(axis=1), 1.0, atol=1e-12)
 
 
 dyadic_time = st.integers(1, 8).map(lambda k: k / 2.0)
@@ -264,22 +299,26 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="line 3: jump times must be strictly increasing"):
             read_event_histories(path)
 
-    def test_each_jump_row_is_validated_once(self, tmp_path, monkeypatch):
+    def test_valid_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
         sample = simulate_sample(
             illness_death_scenario(), CensoringConfig("state_filtering_conforming", q=0.7), 200, seed=5
         )
         path = tmp_path / "sample.csv"
-        rows = write_event_histories(path, sample)
+        write_event_histories(path, sample)
         calls = []
 
-        def counted(*args):
+        def row_reader(*args):
             calls.append(args)
             return original(*args)
 
-        original = estimators._jump_error
-        monkeypatch.setattr(estimators, "_jump_error", counted)
+        original = estimators._read_rows
+        monkeypatch.setattr(estimators, "_read_rows", row_reader)
         assert read_event_histories(path) == sample
-        assert len(calls) == rows - len(sample)
+        assert calls == []
+        # a field the bulk parse leaves to the csv module: the row reader reads it
+        path.write_text(path.read_text().replace("\n1,0.0,", '\n"1",0.0,'))
+        assert read_event_histories(path) == sample
+        assert len(calls) == 1
 
     def test_occupation_csv(self, tmp_path):
         sample = [subject(0, 1, (1.0, 2)), subject(1, 1)]

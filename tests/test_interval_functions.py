@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +223,24 @@ class TestProductIntegral:
     def test_constant_density_exponentiates(self):
         lam = AdditiveIF(1, (), ((0.0, 1.0, [[0.7]]),))
         assert product_integral(lam, OC(0, 1))[0, 0] == pytest.approx(math.exp(0.7), abs=1e-12)
+
+    def test_scipy_is_imported_only_for_a_density(self):
+        # a fresh interpreter: the command-line module alone must not load
+        # scipy.linalg, and the density path must still find expm
+        script = (
+            "import sys\n"
+            "import prodint.cli\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "from prodint import AdditiveIF, Interval, product_integral\n"
+            "lam = AdditiveIF(1, (), ((0.0, 1.0, [[0.7]]),))\n"
+            "print(float(product_integral(lam, Interval.open_closed(0.0, 1.0))[0, 0]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(math.exp(0.7), abs=1e-12)
 
     def test_atom_density_interleaving(self):
         lam = AdditiveIF(1, ((1.0, [[0.5]]),), ((0.0, 2.0, [[0.25]]),))

@@ -1,23 +1,29 @@
-"""The array sampler, the indexed rule lookup and the sweep-line
-Nelson-Aalen estimator agree exactly with the per-subject and rescanning
-references, and the per-subject censoring walk with its rescan."""
+"""The array sampler, the indexed rule lookup, the bulk CSV reader and the
+array Nelson-Aalen estimator agree exactly with the per-subject, per-row,
+per-jump and rescanning references, and the per-subject censoring walk
+with its rescan."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prodint import (
     CensoringConfig,
     EventHistory,
+    EventSample,
     ScenarioConfig,
     StatePath,
     TransitionRule,
+    aalen_johansen,
+    estimate,
     nelson_aalen,
+    read_event_histories,
     simulate_sample,
+    write_event_histories,
 )
-from prodint import simulation
+from prodint import estimators, simulation
 from prodint.checks import random_scenario
-from prodint.simulation import _observed_histories, _tick_states
+from prodint.simulation import _observed_columns, _tick_states
 
 import reference_impl
 from reference_impl import apply_censoring, sample_path
@@ -27,16 +33,16 @@ pooled_time = st.integers(1, 8).map(lambda k: k / 2.0)
 
 
 @st.composite
-def observed_samples(draw):
+def observed_samples(draw, states=3):
     """Histories with unobserved (state 0) starts, spans and re-entries."""
     n = draw(st.integers(1, 12))
     sample = []
     for i in range(n):
-        state = draw(st.integers(0, 3))
+        state = draw(st.integers(0, states))
         initial = state
         jumps = []
         for t in sorted(draw(st.frozensets(pooled_time, max_size=5))):
-            state = draw(st.sampled_from([s for s in (0, 1, 2, 3) if s != state]))
+            state = draw(st.sampled_from([s for s in range(states + 1) if s != state]))
             jumps.append((t, state))
         sample.append(EventHistory(i, initial, tuple(jumps)))
     return sample
@@ -55,6 +61,151 @@ def test_nelson_aalen_matches_rescan(sample, upto, dim):
     assert len(fast.hazard_steps) == len(slow.hazard_steps)
     for a, b in zip(fast.hazard_steps, slow.hazard_steps):
         assert np.array_equal(a, b)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([3, 11]).flatmap(observed_samples),
+    st.none() | st.sampled_from([0.5, 1.25, 2.0, 3.0, 4.0]),
+    st.sampled_from([None, 2, 0, 3, 11, 12]),
+)
+def test_estimate_matches_per_jump_reference(sample, upto, dim):
+    # eleven states put more than eight entries in a row, where numpy sums
+    # pairwise; a dimension below the largest state must raise alike
+    fast = outcome(estimate, sample, upto=upto, dim=dim)
+    grid = outcome(reference_impl.nelson_aalen_per_jump, sample, upto=upto, dim=dim)
+    if isinstance(grid, tuple):
+        assert fast == grid
+        return
+    slow = outcome(reference_impl.occupation_per_subject, sample, aalen_johansen(grid))
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert (fast.dim, fast.n, fast.times) == (slow.dim, slow.n, slow.times)
+    assert same_bits(fast.p0, slow.p0)
+    for part in ("hazard_steps", "transition", "occupation"):
+        assert len(getattr(fast, part)) == len(getattr(slow, part))
+        for a, b in zip(getattr(fast, part), getattr(slow, part)):
+            assert same_bits(a, b)
+
+
+# -- the bulk CSV reader against the per-row, per-subject reference ------------
+
+HEADERS = ["subject,time,state", " subject , time,state", '"subject",time,state', "subject,time", "a,b,c"]
+NEWLINES = ["\n", "\r\n", "\r"]
+CHANGES = ["none", "format", "format", "pad", "swap", "line", "header", "newline"]
+
+
+def int_texts(value):
+    return [str(value), f"+{value}", f" {value} ", f"{value}.0", f"0{value}", f'"{value}"', f"{value}_0",
+            f"{value}e0", "\u0663"]
+
+
+def float_texts(value):
+    return [repr(value), f"+{value!r}", f"{value:e}", f"{value!r}".replace(".", "_0."), "inf", "nan",
+            "-0.0", "-1.0", repr(value + 0.5), "1" * 140_000, f'"{value!r}"', f"{value!r}j", f"0x{value}"]
+
+
+# spaces the parsers may strip or refuse, and padding past the csv field limit
+PADDING = ["", " ", "\t", "\x1c", "\xa0", " " * 140_000]
+
+
+@st.composite
+def csv_texts(draw):
+    """The text of a valid sample with one or two of its fields, lines,
+    header or separators changed."""
+    sample = draw(observed_samples())
+    ids = draw(st.lists(st.integers(-5, 10**6), min_size=len(sample), max_size=len(sample), unique=True))
+    rows = []
+    for history, subject in zip(sample, ids):
+        rows.append([str(subject), "0.0", str(history.initial_state)])
+        rows += [[str(subject), repr(t), str(s)] for t, s in history.jumps]
+    if draw(st.booleans()):  # interleave the subjects' rows, keeping each one's order
+        keys = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+        rows = [row for _, _, row in sorted(zip(keys, range(len(rows)), rows))]
+    valid = [row[:] for row in rows]  # the unchanged texts, row for row
+    header, newline, extra = HEADERS[0], "\n", []
+    for change in draw(st.lists(st.sampled_from(CHANGES), min_size=1, max_size=2)):
+        i = draw(st.integers(0, len(rows) - 1))
+        column = draw(st.integers(0, 2))
+        if change == "format" and column == 1:
+            rows[i][column] = draw(st.sampled_from(float_texts(float(valid[i][column]))))
+        elif change == "format":
+            rows[i][column] = draw(st.sampled_from(int_texts(int(valid[i][column]))))
+        elif change == "pad":
+            rows[i][column] = draw(st.sampled_from(PADDING)) + rows[i][column] + draw(st.sampled_from(PADDING))
+        elif change == "swap" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            valid[i], valid[i + 1] = valid[i + 1], valid[i]
+        elif change == "line":
+            extra.append((i, draw(st.sampled_from(["", "  ", ",,", "1,0.0", "1,0.0,1,1", "\x00"]))))
+        elif change == "header":
+            header = draw(st.sampled_from(HEADERS))
+        elif change == "newline":
+            newline = draw(st.sampled_from(NEWLINES))
+    lines = [",".join(row) for row in rows]
+    for i, line in extra:
+        lines.insert(i, line)
+    return newline.join([header] + lines) + newline * draw(st.integers(0, 1))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts(), st.sampled_from([None, 2, 3]))
+def test_reader_matches_per_subject_reference(tmp_path, text, max_state):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(text.encode())
+    got = outcome(read_event_histories, path, max_state=max_state)
+    expected = outcome(reference_impl.read_event_histories_per_subject, path, max_state=max_state)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,0.0,1\x1c\n",  # numpy's parser strips \x1c, Python's int does not
+        "0,0.0,1\n0," + " " * 140_000 + "1.0,2\n",  # a number padded past the csv field limit
+        "0,0.0,1\r0,1.0,2\r",  # lone CR line ends
+        "0,0.0,1\r\n0,1.0,2\r\n",
+        " 0 ,\t0.0 , +1\n0,1e0,2\n",
+        "0,0.0,1\n\n0,1.0,2\n",
+        '"0",0.0,1\n',
+        "0,0.0,1\n0,1_0.5,2\n",
+        "\u0663,0.0,1\n",
+        "0,0.0,3.0\n",
+        "0,0.0,1\n0,inf,2\n",
+        "0,0.0,1\n0,nan,2\n",
+        "0,-0.0,1\n0,0.5,1\n",
+        "0,1.0,1\n",
+        "7,0.0,1\n3,0.0,2\n7,2.0,3\n3,1.0,1\n7,1.0,2\n",
+    ],
+)
+def test_reader_matches_per_subject_reference_on_edge_texts(tmp_path, body):
+    path = tmp_path / "sample.csv"
+    path.write_bytes(("subject,time,state\n" + body).encode())
+    got = outcome(read_event_histories, path)
+    assert got == outcome(reference_impl.read_event_histories_per_subject, path)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(observed_samples())
+def test_written_sample_reads_back_in_bulk(tmp_path, sample):
+    path = tmp_path / "sample.csv"
+    write_event_histories(path, sample)
+    data = path.read_bytes()
+    assert estimators._read_bulk(data, None) == sample
+    assert data == reference_impl.csv_writer_text(sample).encode()
 
 
 GRID = (1.0, 2.0, 3.0, 4.0)
@@ -271,5 +422,8 @@ def test_censoring_core_at_the_observation_boundaries(censoring):
     for path, path_states in zip(paths, states):
         for row in rows:
             row = row[:width]
-            [got] = _observed_histories(scenario, censoring, path_states[None, :], np.array([row]), 9)
+            initial, count, times, states = _observed_columns(
+                scenario, censoring, path_states[None, :], np.array([row])
+            )
+            [got] = EventSample([9], initial, np.append(0, count), times, states)
             assert got == apply_censoring(ChosenUniforms(row), path, scenario, censoring, 9)
