@@ -15,9 +15,7 @@ from .intervals import (
     Interval,
     Partition,
     halve_open_cells,
-    ordered_before,
     refine,
-    refines,
     young_partition,
 )
 from .interval_functions import (
@@ -43,8 +41,6 @@ from .multistate import (
     HazardMatrixIF,
     PathSpace,
     StatePath,
-    load_pathspace,
-    save_pathspace,
 )
 from .estimators import (
     EstimateGrid,
@@ -110,20 +106,16 @@ __all__ = [
     "illness_death_scenario",
     "kolmogorov_integral",
     "load_censoring",
-    "load_pathspace",
     "load_scenario",
     "matrix_norm",
     "multiplicative_transform",
     "nelson_aalen",
     "occupation_estimate",
-    "ordered_before",
     "plus_identity",
     "product_integral",
     "read_event_histories",
     "refine",
     "refinement_partitions",
-    "refines",
-    "save_pathspace",
     "simulate_sample",
     "strict_transform_defect",
     "subject_rng",

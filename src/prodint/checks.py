@@ -1,15 +1,17 @@
 """Verification suites over the exact oracles and randomized instances.
 
 Each suite compares an implemented quantity against an independently
-computed reference and emits one record per comparison.  The command-line
-front end aggregates the records; the acceptance tests assert on them
-directly.  Randomized generators draw their probabilities from sixteenths
-so that enumerated path weights stay exact binary floats.
+computed reference and emits one record per comparison.  ``SUITES``
+registers the suites ``prodint verify`` runs, under their command-line
+names; the front end aggregates their records, and the acceptance tests
+assert on them directly.  Randomized generators draw their probabilities
+from sixteenths so that enumerated path weights stay exact binary floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,14 +62,6 @@ class CheckRecord:
 
 def close_record(name: str, lhs: float, rhs: float, tol: float, detail: str = "") -> CheckRecord:
     return CheckRecord(name, lhs, rhs, tol, abs(lhs - rhs) <= tol, detail)
-
-
-def all_passed(records) -> bool:
-    return all(r.passed for r in records)
-
-
-def worst_gap(records) -> float:
-    return max((abs(r.lhs - r.rhs) for r in records), default=0.0)
 
 
 # -- randomized instance generators ------------------------------------------
@@ -581,6 +575,43 @@ def uncensored_identity_checks(
             close_record("uncensored-identity", worst, 0.0, 1e-12, detail=f"sample {i} (n={n})")
         )
     return records
+
+
+# -- the suite registry --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SuiteInputs:
+    """What a suite of ``prodint verify`` draws on: the exact laws with their
+    labels, the generator of the randomized suites and ``--count``."""
+
+    spaces: Sequence[PathSpace]
+    labels: Sequence[str]
+    rng: np.random.Generator
+    count: int
+
+
+def _each_space(check, inputs: SuiteInputs) -> list[CheckRecord]:
+    return [r for ps, label in zip(inputs.spaces, inputs.labels) for r in check(ps, label=label)]
+
+
+# Every suite of ``prodint verify``, in the order it runs them.  The order
+# fixes every record: transform-duality, markov-product and
+# uncensored-identity draw from the one generator in turn.  Each runner
+# looks its check function up by name when it runs, so a rebinding of the
+# module attribute (a span tracer, a test's monkeypatch) takes effect.
+SUITES: dict[str, Callable[[SuiteInputs], list[CheckRecord]]] = {
+    "occupation-identity": lambda run: _each_space(occupation_identity_checks, run),
+    "hazard-defect": lambda run: _each_space(hazard_defect_checks, run),
+    "chapman-kolmogorov": lambda run: chapman_kolmogorov_checks(),
+    "count-mean-defect": lambda run: _each_space(count_mean_defect_checks, run),
+    "transform-duality": lambda run: transform_duality_checks(run.rng, count=run.count),
+    "hazard-integral": lambda run: _each_space(hazard_integral_checks, run),
+    "markov-product": lambda run: markov_product_checks(run.rng, count=max(50, run.count // 2)),
+    "occupation-lower-bound": lambda run: occupation_bound_checks(run.spaces, run.labels),
+    "extinction-exit": lambda run: extinction_checks(run.spaces, run.labels),
+    "uncensored-identity": lambda run: uncensored_identity_checks(run.rng, count=run.count),
+}
 
 
 def convergence_study(

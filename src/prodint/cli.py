@@ -168,57 +168,27 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     if args.count < 0:
         raise ConfigError(f"--count must be at least 0, got {args.count}")
-    corpus_dir = args.corpus or os.environ.get(CORPUS_ENV)
+    if args.only and args.only not in checks.SUITES:
+        print(f"unknown check {args.only!r}; choose from {', '.join(sorted(checks.SUITES))}", file=sys.stderr)
+        return 2
+
     if args.scenario:
         scenarios = {os.path.basename(args.scenario): load_scenario(args.scenario)}
     else:
-        scenarios = _corpus_scenarios(corpus_dir)
-    spaces = {name: exact_pathspace(cfg) for name, cfg in scenarios.items()}
+        scenarios = _corpus_scenarios(args.corpus or os.environ.get(CORPUS_ENV))
     rng = np.random.default_rng(args.seed)
-
-    golden = list(spaces.values())
-    golden_labels = list(spaces.keys())
     mixed = [checks.random_scenario(rng) for _ in range(args.count)]
     mixed += [checks.random_scenario(rng, progressive=True) for _ in range(args.count // 4)]
     mixed += [checks.random_scenario(rng, forced_exit=True) for _ in range(args.count // 4)]
-    mixed_spaces = [exact_pathspace(s) for s in mixed]
-    everything = golden + mixed_spaces
-    labels = golden_labels + [f"random {i}" for i in range(len(mixed_spaces))]
+    spaces = [exact_pathspace(s) for s in [*scenarios.values(), *mixed]]
+    labels = [*scenarios, *(f"random {i}" for i in range(len(mixed)))]
 
-    suites = {
-        "occupation-identity": lambda: [
-            r for ps, lab in zip(everything, labels) for r in checks.occupation_identity_checks(ps, lab)
-        ],
-        "hazard-defect": lambda: [
-            r for ps, lab in zip(everything, labels) for r in checks.hazard_defect_checks(ps, label=lab)
-        ],
-        "chapman-kolmogorov": lambda: checks.chapman_kolmogorov_checks(),
-        "count-mean-defect": lambda: [
-            r for ps, lab in zip(everything, labels) for r in checks.count_mean_defect_checks(ps, label=lab)
-        ],
-        "transform-duality": lambda: checks.transform_duality_checks(rng, count=args.count),
-        "hazard-integral": lambda: [
-            r for ps, lab in zip(everything, labels) for r in checks.hazard_integral_checks(ps, label=lab)
-        ],
-        "markov-product": lambda: checks.markov_product_checks(rng, count=max(50, args.count // 2)),
-        "occupation-lower-bound": lambda: checks.occupation_bound_checks(everything, labels),
-        "extinction-exit": lambda: checks.extinction_checks(everything, labels),
-        "uncensored-identity": lambda: checks.uncensored_identity_checks(rng, count=args.count),
-    }
-    if args.only and args.only not in suites:
-        print(f"unknown check {args.only!r}; choose from {', '.join(sorted(suites))}", file=sys.stderr)
-        return 2
-
-    records = []
-    for name, run in suites.items():
-        if args.only and name != args.only:
-            continue
-        records.extend(run())
-
+    inputs = checks.SuiteInputs(spaces, labels, rng, args.count)
+    selected = [args.only] if args.only else list(checks.SUITES)
+    records = [r for name in selected for r in checks.SUITES[name](inputs)]
     if args.only == "hazard-defect":
-        target = next(iter(spaces.values()))
-        print("defect profile on", next(iter(spaces)))
-        for label, value in checks.hazard_defect_table(target):
+        print("defect profile on", labels[0])
+        for label, value in checks.hazard_defect_table(spaces[0]):
             print(f"  {label:>8}: {value:.3e}")
 
     status = _summarize(records)
@@ -300,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the exact-identity check suites")
     ver.add_argument("--corpus", help=f"corpus directory (default: packaged, or ${CORPUS_ENV})")
     ver.add_argument("--scenario", help="verify a single scenario JSON instead of the corpus")
-    ver.add_argument("--only", help="run a single named check suite")
+    ver.add_argument("--only", help=f"run a single check suite: {', '.join(checks.SUITES)}")
     ver.add_argument("--count", type=int, default=100, help="randomized instances per suite (>= 0)")
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--report", help="write a JSON run report here")

@@ -94,24 +94,6 @@ class EventHistory:
             previous_time, previous_state = t, s
         object.__setattr__(self, "jumps", jumps)
 
-    def state_at(self, t: float) -> int:
-        state = self.initial_state
-        for time, to in self.jumps:
-            if time <= t:
-                state = to
-            else:
-                break
-        return state
-
-    def state_before(self, t: float) -> int:
-        state = self.initial_state
-        for time, to in self.jumps:
-            if time < t:
-                state = to
-            else:
-                break
-        return state
-
     @property
     def max_state(self) -> int:
         return max(self.initial_state, max((s for _, s in self.jumps), default=0))

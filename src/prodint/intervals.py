@@ -70,13 +70,6 @@ class Interval:
             return False
         return True
 
-    def contains_interval(self, other: "Interval") -> bool:
-        if other.lo < self.lo or (other.lo == self.lo and other.lo_closed and not self.lo_closed):
-            return False
-        if other.hi > self.hi or (other.hi == self.hi and other.hi_closed and not self.hi_closed):
-            return False
-        return True
-
     def intersect(self, other: "Interval") -> "Interval | None":
         """Intersection as an Interval, or None when it is empty."""
         lo = max(self.lo, other.lo)
@@ -93,15 +86,6 @@ class Interval:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo:g}, {self.hi:g}{right}"
-
-
-def ordered_before(a: Interval, b: Interval) -> bool:
-    """True iff every point of ``a`` lies strictly below every point of ``b``."""
-    if a.hi < b.lo:
-        return True
-    if a.hi == b.lo:
-        return not (a.hi_closed and b.lo_closed)
-    return False
 
 
 @dataclass(frozen=True)
@@ -154,11 +138,6 @@ def refine(p: Partition, q: Partition) -> Partition:
             if cell is not None:
                 cells.append(cell)
     return Partition(tuple(cells))
-
-
-def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every cell of ``fine`` sits inside some cell of ``coarse``."""
-    return all(any(big.contains_interval(cell) for big in coarse.cells) for cell in fine.cells)
 
 
 def young_partition(times, j: Interval) -> Partition:

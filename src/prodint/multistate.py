@@ -12,7 +12,6 @@ calculus and the empirical estimators are checked.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -58,35 +57,6 @@ class StatePath:
                 raise ValueError("states are numbered from 1")
             previous_time, previous_state = t, s
         object.__setattr__(self, "jumps", jumps)
-
-    def state_at(self, t: float) -> int:
-        state = self.initial_state
-        for time, to in self.jumps:
-            if time <= t:
-                state = to
-            else:
-                break
-        return state
-
-    def state_before(self, t: float) -> int:
-        state = self.initial_state
-        for time, to in self.jumps:
-            if time < t:
-                state = to
-            else:
-                break
-        return state
-
-    def jump_at(self, t: float) -> tuple[int, int] | None:
-        """The (from_state, to_state) of a jump exactly at ``t``, if any."""
-        state = self.initial_state
-        for time, to in self.jumps:
-            if time == t:
-                return state, to
-            if time > t:
-                break
-            state = to
-        return None
 
     @property
     def max_state(self) -> int:
@@ -163,7 +133,7 @@ class PathSpace:
         total = math.fsum(w for _, w in paths)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"path weights sum to {total!r}, not 1")
-        events = self.event_times_of(paths)
+        events = tuple(sorted({t for path, _ in paths for t, _ in path.jumps}))
         grid = tuple(sorted(float(t) for t in self.grid))
         if not grid:
             grid = events
@@ -201,10 +171,6 @@ class PathSpace:
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_schedules", {})
-
-    @staticmethod
-    def event_times_of(paths) -> tuple[float, ...]:
-        return tuple(sorted({t for path, _ in paths for t, _ in path.jumps}))
 
     @property
     def event_times(self) -> tuple[float, ...]:
@@ -310,19 +276,6 @@ class PathSpace:
 
     # -- expected counting and status measures ----------------------------
 
-    def counting_mean(self, j: int, k: int, a: Interval) -> float:
-        """Expected number of direct j -> k transitions in ``a``."""
-        if k == j:
-            raise ValueError("counting means are defined for k != j")
-        self._check_states(j, k)
-        counts = np.zeros(len(self.paths), dtype=np.intp)
-        states = self._states
-        for i in range(1, len(self._ticks)):
-            if a.contains(self._ticks[i]):
-                counts += (states[:, i - 1] == j - 1) & (states[:, i] == k - 1)
-        # the builtin sum, in path order, as for any per-path total
-        return sum((self._weights * counts).tolist())
-
     def counting_mean_if(self, j: int, k: int) -> AdditiveIF:
         """The expected-count measure of j -> k as a scalar additive function."""
         if k == j:
@@ -408,29 +361,6 @@ class PathSpace:
 
     # -- identities and structural checks ----------------------------------
 
-    def iterated_product(self, s: float, t: float, cuts=()) -> np.ndarray:
-        """Occupation row at ``s`` pushed forward through half-open cells.
-
-        Multiplies the occupation vector at ``s`` by the transition matrix
-        of (t_{i-1}, t_i] for the cut sequence s < ... < t.  With no cuts
-        this is a single push through (s, t]; with s == t it is the
-        occupation vector itself.
-        """
-        if s > t:
-            raise ValueError("need s <= t")
-        cuts = tuple(float(c) for c in cuts)
-        for earlier, later in zip(cuts, cuts[1:]):
-            if not earlier < later:
-                raise ValueError("cuts must be strictly increasing")
-        for c in cuts:
-            if not s <= c <= t:
-                raise ValueError(f"cut {c} outside [{s}, {t}]")
-        points = [s] + [c for c in cuts if s < c < t] + [t] if t > s else [s]
-        result = self.occupation_vector(s)
-        for lo, hi in zip(points, points[1:]):
-            result = result @ self.transition_matrix(Interval.open_closed(lo, hi))
-        return result
-
     def occupation_lower_bound(self, j: int, s: float, t: float) -> BoundCheck:
         """Occupation at ``t`` against the survival-style floor from ``s``.
 
@@ -461,27 +391,6 @@ class PathSpace:
                 boundaries.append(ExtinctionBoundary(u, exit_mass, abs(exit_mass - 1.0) <= 1e-12))
         return ExtinctionReport(j, tuple(boundaries))
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.dim,
-            "tau": self.tau,
-            "grid": list(self.grid),
-            "paths": [
-                {"init": p.initial_state, "jumps": [[t, s] for t, s in p.jumps], "w": w}
-                for p, w in self.paths
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PathSpace":
-        paths = tuple(
-            (StatePath(entry["init"], tuple((t, s) for t, s in entry["jumps"])), entry["w"])
-            for entry in data["paths"]
-        )
-        return cls(int(data["d"]), float(data["tau"]), paths, tuple(data.get("grid", ())))
-
 
 @dataclass(frozen=True)
 class HazardMatrixIF(AdditiveIF):
@@ -506,13 +415,3 @@ class HazardMatrixIF(AdditiveIF):
             if np.abs(step.sum(axis=1)).max() > 1e-12:
                 raise ValueError(f"hazard rows must sum to zero at {t}")
 
-
-def save_pathspace(ps: PathSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(ps.to_json_dict(), handle, indent=2)
-        handle.write("\n")
-
-
-def load_pathspace(path) -> PathSpace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return PathSpace.from_json_dict(json.load(handle))

@@ -23,6 +23,7 @@ and worker count.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -67,6 +68,10 @@ class TransitionRule:
     probs: tuple[tuple[int, float], ...]
     when: float | None = None
 
+    def __post_init__(self) -> None:
+        # a tuple of pairs, so that a row can key its scenario's tables
+        object.__setattr__(self, "probs", tuple((to, p) for to, p in self.probs))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -82,6 +87,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown rule kind {self.rule!r}")
         if self.dim < 1:
             raise ConfigError("dimension must be at least 1")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError(f"tau must be a positive finite time, got {self.tau!r}")
         grid = tuple(float(t) for t in self.grid)
         for earlier, later in zip(grid, grid[1:]):
             if not earlier < later:
@@ -125,6 +132,9 @@ class ScenarioConfig:
         for rule in self.transitions:
             index.setdefault((rule.time, rule.from_state), {})[rule.when] = rule.probs
         object.__setattr__(self, "_rules", index)
+        # each row's inverse-CDF table, which also fixes its stay mass
+        cdf = {rule.probs: _cumulative([p for _, p in rule.probs]) for rule in self.transitions}
+        object.__setattr__(self, "_cdf", cdf)
         # observation spans of the censoring kinds, shared by every subject
         object.__setattr__(self, "_spans", tuple(_observation_spans(grid, self.tau)))
 
@@ -294,7 +304,7 @@ def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
         grown: list[tuple[int, int, float, tuple[tuple[float, int], ...], float]] = []
         for initial, state, entered_at, jumps, weight in frontier:
             outgoing = scenario.outgoing(t, state, entered_at)
-            stay = 1.0 - sum(p for _, p in outgoing)
+            stay = 1.0 - float(scenario._cdf[outgoing][-1]) if outgoing else 1.0
             if stay > 0.0:
                 grown.append((initial, state, entered_at, jumps, weight * stay))
             for to, p in outgoing:
@@ -325,11 +335,27 @@ def _observation_spans(grid: Sequence[float], tau: float) -> list[tuple[float, f
     return list(zip(edges, edges[1:]))
 
 
-def _inverse_cdf(probs: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: for each uniform, the index of the first cumulative
-    probability above it, or len(probs) for the residual mass.  The
-    cumulative sums add left to right, like a scalar walk over the pairs."""
-    return np.fromiter(accumulate(probs), float).searchsorted(u, side="right")
+def _cumulative(probs: Sequence[float]) -> np.ndarray:
+    """Inverse-CDF table of ``probs``: the cumulative sums, added left to
+    right like a scalar walk over the pairs.
+
+    Probabilities whose sum is 1 within the validator's 1e-12 leave no
+    residual: 0.7 + 0.2 + 0.1 adds up to 0.9999999999999999, and the
+    1.1e-16 left over is rounding, not a chance of staying put.  The table
+    then reads exactly 1 from the last positive probability on, so that
+    entry takes the rounding and the stay mass ``1 - table[-1]`` is 0.
+    """
+    table = np.fromiter(accumulate(probs), float, len(probs))
+    if len(table) and abs(table[-1] - 1.0) <= 1e-12:
+        last = max(i for i, p in enumerate(probs) if p > 0.0)
+        table[last:] = 1.0
+    return table
+
+
+def _inverse_cdf(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: for each uniform, the index of the first entry of
+    the ``_cumulative`` table above it, or len(table) for the stay mass."""
+    return table.searchsorted(u, side="right")
 
 
 def _feature_classes(scenario, rules, t, members, entered):
@@ -363,11 +389,7 @@ def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
     """
     n, m = len(u), len(scenario.grid)
     states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
-    drawn = _inverse_cdf(scenario.initial, u[:, 0])
-    # the validator accepts a float sum just below 1 (0.7 + 0.2 + 0.1 is
-    # 0.9999999999999999); that residual belongs to the last state with mass
-    last = max(i for i, p in enumerate(scenario.initial) if p > 0.0)
-    states[:, 0] = np.minimum(drawn, last) + 1
+    states[:, 0] = _inverse_cdf(_cumulative(scenario.initial), u[:, 0]) + 1
     entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
     for column, t in enumerate(scenario.grid, start=1):
         before = states[:, column - 1]
@@ -383,7 +405,7 @@ def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
             for row, movers in _feature_classes(scenario, rules, t, members, entered):
                 if not row:
                     continue
-                pick = _inverse_cdf([p for _, p in row], u[movers, column])
+                pick = _inverse_cdf(scenario._cdf[row], u[movers, column])
                 jumped = pick < len(row)
                 movers = movers[jumped]
                 after[movers] = np.array([to for to, _ in row])[pick[jumped]]
@@ -432,7 +454,7 @@ def _observed_columns(
         values[~seen[:, slot_span]] = 0
     elif censoring.kind == "independent_right":
         # category c observes through after[c]'s time, then is cut at the
-        # midpoint before the next grid time; the residual one is never cut
+        # midpoint before the next grid time; the last one, ``never``, is not cut
         cut_slot = [2 * m + 1] * (len(censoring.after) + 1)
         cut_index = [0] * len(cut_slot)  # where in ``slot_times`` each cut time sits
         for c, (cut_after, _) in enumerate(censoring.after):
@@ -440,7 +462,8 @@ def _observed_columns(
             if j < m:
                 cut_slot[c], cut_index[c] = 2 * j + 1, len(slot_times)
                 slot_times.append(0.5 * (cut_after + scenario.grid[j]))
-        category = _inverse_cdf([p for _, p in censoring.after], u[:, 0])
+        weights = [p for _, p in censoring.after] + [censoring.never]
+        category = _inverse_cdf(_cumulative(weights), u[:, 0])
         hide_from = np.array(cut_slot)[category]
         values[np.arange(2 * m + 1) >= hide_from[:, None]] = 0
     subjects, slots = np.nonzero(values[:, 1:] != values[:, :-1])

@@ -1,8 +1,9 @@
 """Rescanning and per-subject reference versions of the sampler, the
 censoring mechanisms, the event-history CSV reader, the Nelson-Aalen
 estimator, the path-space queries, the count-mean defect suite and the
-product-variation bound, and the per-subject estimate lookups the library
-does not use.
+product-variation bound, the per-subject estimate lookups the library
+does not use, and the trajectory lookups (state at a time, just before it,
+jump at it) that work on a ``StatePath`` and an ``EventHistory`` alike.
 
 These are the straightforward scans and scalar walks the library replaced
 with an indexed lookup, an array walk over all subjects at once, a bulk
@@ -40,28 +41,67 @@ from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_e
 from prodint.simulation import _observation_spans
 
 
+# -- trajectory lookups, for a StatePath or an EventHistory alike --------------
+
+
+def state_at(path, t):
+    """The state of ``path`` (an ``initial_state`` and sorted (time, state)
+    ``jumps``) at ``t``; paths are right-continuous."""
+    state = path.initial_state
+    for time, to in path.jumps:
+        if time > t:
+            break
+        state = to
+    return state
+
+
+def state_before(path, t):
+    """The state of ``path`` just before ``t``; the time-0 state at t <= 0."""
+    state = path.initial_state
+    for time, to in path.jumps:
+        if time >= t:
+            break
+        state = to
+    return state
+
+
+def jump_at(path, t):
+    """The (from_state, to_state) of a jump of ``path`` exactly at ``t``, if any."""
+    state = path.initial_state
+    for time, to in path.jumps:
+        if time == t:
+            return state, to
+        if time > t:
+            break
+        state = to
+    return None
+
+
 # -- the per-subject sampler: scalar draws from each subject's stream ----------
 
 
 def _draw(rng: np.random.Generator, outcomes) -> int | None:
-    """Inverse-CDF draw over (value, prob) pairs; None for the residual mass."""
+    """Inverse-CDF draw over (value, prob) pairs; None for the stay mass.
+
+    Pairs whose probabilities sum to 1 within the validator's 1e-12 leave no
+    stay mass: the float residual of the sum (0.7 + 0.2 + 0.1 is
+    0.9999999999999999) goes to the last pair with positive probability.
+    """
+    outcomes = tuple(outcomes)
     u = rng.random()
     acc = 0.0
     for value, p in outcomes:
         acc += p
         if u < acc:
             return value
+    if outcomes and abs(acc - 1.0) <= 1e-12:
+        return [value for value, p in outcomes if p > 0.0][-1]
     return None
 
 
 def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> StatePath:
     """Draw one trajectory by walking the grid and the scenario's rule."""
-    start = _draw(rng, enumerate(scenario.initial))
-    if start is None:
-        # the validator accepts a float sum just below 1 (0.7 + 0.2 + 0.1 is
-        # 0.9999999999999999); that residual belongs to the last state with mass
-        start = max(i for i, p in enumerate(scenario.initial) if p > 0.0)
-    initial = start + 1
+    initial = _draw(rng, enumerate(scenario.initial)) + 1
     state = initial
     entered_at = 0.0
     jumps = []
@@ -90,7 +130,7 @@ def apply_censoring(
         return EventHistory(subject, path.initial_state, path.jumps)
 
     if censoring.kind == "independent_right":
-        cut_after = _draw(rng, censoring.after)
+        cut_after = _draw(rng, censoring.after + ((None, censoring.never),))
         if cut_after is None:
             return EventHistory(subject, path.initial_state, path.jumps)
         later = [t for t in scenario.grid if t > cut_after]
@@ -165,13 +205,13 @@ def filtering_censoring_rescan(rng, path, scenario, censoring, subject=0):
     for i, _ in enumerate(spans):
         p_obs = censoring.q
         if censoring.kind == "violating" and i >= 1:
-            if path.jump_at(scenario.grid[i - 1]) is not None:
+            if jump_at(path, scenario.grid[i - 1]) is not None:
                 p_obs = censoring.q * (1.0 - censoring.delta)
         observed.append(rng.random() < p_obs)
 
     changes = []
     for (start, end), on in zip(spans, observed):
-        changes.append((start, path.state_at(start) if on else 0))
+        changes.append((start, state_at(path, start) if on else 0))
         if on:
             for t, s in path.jumps:
                 if start < t < end:
@@ -204,10 +244,10 @@ def nelson_aalen_rescan(sample, upto=None, dim=None):
         counts = np.zeros((d, d))
         at_risk = np.zeros(d)
         for eh in sample:
-            before = eh.state_before(u)
+            before = state_before(eh, u)
             if before >= 1:
                 at_risk[before - 1] += 1
-            after = eh.state_at(u)
+            after = state_at(eh, u)
             if before >= 1 and after >= 1 and after != before:
                 counts[before - 1, after - 1] += 1
         if not counts.any():
@@ -384,15 +424,15 @@ def csv_writer_text(sample):
 
 
 def statuses(path, a):
-    left = path.state_before(a.lo) if a.lo_closed else path.state_at(a.lo)
-    right = path.state_at(a.hi) if a.hi_closed else path.state_before(a.hi)
+    left = state_before(path, a.lo) if a.lo_closed else state_at(path, a.lo)
+    right = state_at(path, a.hi) if a.hi_closed else state_before(path, a.hi)
     return left, right
 
 
 def occupation(ps, j, t, side="right"):
     total = 0.0
     for path, weight in ps.paths:
-        state = path.state_at(t) if side == "right" else path.state_before(t)
+        state = state_at(path, t) if side == "right" else state_before(path, t)
         if state == j:
             total += weight
     return total
@@ -424,7 +464,7 @@ def indicator_mean(ps, j, k, a):
 def jump_mass(ps, u):
     mass = np.zeros((ps.dim, ps.dim))
     for path, w in ps.paths:
-        jump = path.jump_at(u)
+        jump = jump_at(path, u)
         if jump is not None:
             mass[jump[0] - 1, jump[1] - 1] += w
     return mass
@@ -449,7 +489,7 @@ def counting_mean_if(ps, j, k):
     for u in ps.event_times:
         mass = 0.0
         for path, w in ps.paths:
-            if path.jump_at(u) == (j, k):
+            if jump_at(path, u) == (j, k):
                 mass += w
         if mass != 0.0:
             atoms.append((u, [[mass]]))

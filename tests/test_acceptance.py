@@ -18,7 +18,6 @@ from prodint import (
     product_integral,
 )
 from prodint.checks import (
-    all_passed,
     chapman_kolmogorov_checks,
     convergence_study,
     count_mean_defect_checks,
@@ -30,7 +29,6 @@ from prodint.checks import (
     occupation_identity_checks,
     transform_duality_checks,
     uncensored_identity_checks,
-    worst_gap,
 )
 
 from corpora import default_corpus, random_corpus
@@ -38,6 +36,14 @@ from corpora import default_corpus, random_corpus
 OC = Interval.open_closed
 
 SEED = 7
+
+
+def all_passed(records) -> bool:
+    return all(r.passed for r in records)
+
+
+def worst_gap(records) -> float:
+    return max((abs(r.lhs - r.rhs) for r in records), default=0.0)
 
 
 def report(name: str, detail: str) -> None:

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from prodint import checks, empirical_occupancy, multiplicative_transform, read_
 from prodint.checks import CheckRecord
 from prodint.cli import RunReport, _summarize, main
 
+from corpora import float_sum_exit_scenario
+
 CORPUS = "src/prodint/corpus"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def run(*argv):
@@ -137,6 +142,23 @@ class TestVerify:
         assert run("verify", "--only", "bogus", "--count", 2) == 2
         assert "unknown check" in capsys.readouterr().err
 
+    def test_unknown_suite_rejected_before_the_corpus_is_read(self, tmp_path, capsys):
+        assert run("verify", "--only", "bogus", "--corpus", tmp_path / "missing") == 2
+        assert "unknown check" in capsys.readouterr().err
+
+    def test_help_lists_every_suite(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping inside a name
+        with pytest.raises(SystemExit):
+            run("verify", "--help")
+        out = capsys.readouterr().out
+        assert all(name in out for name in checks.SUITES)
+
+    def test_float_sum_exit_finds_its_extinction(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(float_sum_exit_scenario().to_json_dict()))
+        assert run("verify", "--scenario", path, "--count", 0) == 0
+        assert "check extinction-exit: PASS (1/1," in capsys.readouterr().out
+
     def test_negative_count_is_usage_error(self, capsys):
         assert run("verify", "--count", -4) == 2
         assert "--count" in capsys.readouterr().err
@@ -172,6 +194,43 @@ class TestVerify:
         code = run("verify", "--corpus", corpus, "--count", 2)
         assert code == 3
         assert "surv.json" in capsys.readouterr().err
+
+
+class TestSuiteRegistry:
+    @pytest.fixture(scope="class")
+    def single_suite_runs(self, tmp_path_factory):
+        """Exit code and record names of `verify --only NAME --count 2 --seed 7`, by suite."""
+        runs = {}
+        for name in checks.SUITES:
+            report = tmp_path_factory.mktemp("report") / "report.json"
+            code = run("verify", "--only", name, "--count", 2, "--seed", 7, "--report", report)
+            runs[name] = code, {r["name"] for r in json.loads(report.read_text())["records"]}
+        return runs
+
+    @pytest.mark.parametrize("name", list(checks.SUITES))
+    def test_each_suite_runs_alone(self, single_suite_runs, name):
+        code, names = single_suite_runs[name]
+        assert code == 0 and names
+
+    def test_single_suites_make_every_record_name_of_the_full_run(self, single_suite_runs, tmp_path):
+        report = tmp_path / "report.json"
+        assert run("verify", "--count", 2, "--seed", 7, "--report", report) == 0
+        full = {r["name"] for r in json.loads(report.read_text())["records"]}
+        assert set().union(*(names for _, names in single_suite_runs.values())) == full
+
+    def test_traced_suite_record_counts_add_up(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert list(tracer.SUITES) == list(checks.SUITES)
+        report = tmp_path / "report.json"
+        spans = tracer.Spans()
+        with tracer.Instrumentation(spans):
+            assert run("verify", "--count", 2, "--seed", 7, "--report", report) == 0
+        metrics = tracer.layer_metrics(spans, report.stat().st_size)
+        counts = {name: metrics[f"checks.{name}.records"] for name in checks.SUITES}
+        assert all(count > 0 for count in counts.values()), counts
+        assert sum(counts.values()) == len(json.loads(report.read_text())["records"])
 
 
 class TestSummary:
@@ -391,6 +450,17 @@ class TestEscapesFound:
         path = self.write_idn(tmp_path, transitions=transitions)
         assert self.simulate(tmp_path, path) == 2
         assert "transition probabilities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_tau_is_rejected_by_name(self, tmp_path, capsys, tau):
+        path = self.write_idn(tmp_path, tau=tau)
+        message = f"tau must be a positive finite time, got {tau!r}"
+        assert self.simulate(tmp_path, path) == 2
+        assert message in capsys.readouterr().err
+        assert run("verify", "--scenario", path, "--count", 0) == 2
+        assert message in capsys.readouterr().err
+        assert run("convergence", "--scenario", path, "--censoring", f"{CORPUS}/conforming.json") == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "document, message",

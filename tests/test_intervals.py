@@ -5,9 +5,7 @@ from prodint import (
     Interval,
     Partition,
     halve_open_cells,
-    ordered_before,
     refine,
-    refines,
     young_partition,
 )
 
@@ -45,20 +43,6 @@ class TestInterval:
         assert OC(0, 1).intersect(OC(1, 2)) is None
         assert OO(0, 1).intersect(CO(1, 2)) is None
         assert CC(0, 3).intersect(OO(1, 2)) == OO(1, 2)
-
-
-class TestOrderedBefore:
-    def test_touching_half_open(self):
-        assert ordered_before(OC(0, 1), OC(1, 2))
-
-    def test_shared_closed_endpoint(self):
-        assert not ordered_before(PT(1.0), CC(1, 2))
-
-    def test_overlap(self):
-        assert not ordered_before(OO(0, 2), CC(1, 3))
-
-    def test_touching_both_open(self):
-        assert ordered_before(OO(0, 1), OO(1, 2))
 
 
 class TestPartition:
@@ -127,6 +111,20 @@ class TestYoungPartition:
     def test_singleton_window(self):
         assert young_partition((), PT(2.0)) == Partition((PT(2.0),))
         assert young_partition((2.0,), PT(2.0)) == Partition((PT(2.0),))
+
+
+def contains(big, cell):
+    """True iff the interval ``cell`` lies inside the interval ``big``."""
+    if cell.lo < big.lo or (cell.lo == big.lo and cell.lo_closed and not big.lo_closed):
+        return False
+    if cell.hi > big.hi or (cell.hi == big.hi and cell.hi_closed and not big.hi_closed):
+        return False
+    return True
+
+
+def refines(fine, coarse):
+    """True iff every cell of ``fine`` sits inside some cell of ``coarse``."""
+    return all(any(contains(big, cell) for big in coarse.cells) for cell in fine.cells)
 
 
 eighths = st.integers(1, 63).map(lambda k: k / 8.0)

@@ -25,8 +25,9 @@ from prodint import estimators, simulation
 from prodint.checks import random_scenario
 from prodint.simulation import _observed_columns, _tick_states
 
+from corpora import float_sum_exit_scenario
 import reference_impl
-from reference_impl import apply_censoring, sample_path
+from reference_impl import apply_censoring, sample_path, state_at
 
 # a small pool of times, so that subjects often jump at the same time
 pooled_time = st.integers(1, 8).map(lambda k: k / 2.0)
@@ -361,7 +362,7 @@ def assert_core_matches_reference(scenario, rows):
     ticks = (0.0,) + scenario.grid
     for row, got in zip(rows, states.tolist()):
         path = sample_path(ChosenUniforms(row), scenario)
-        assert got == [path.state_at(t) for t in ticks]
+        assert got == [state_at(path, t) for t in ticks]
     return states
 
 
@@ -371,6 +372,13 @@ def test_core_gives_the_initial_float_residual_to_the_last_state_with_mass():
     states = assert_core_matches_reference(scenario, [[TOP, 0.5], [0.0, 0.5], [0.7, 0.5], [0.9, TOP]])
     assert states.tolist() == [[3, 3], [1, 1], [2, 2], [3, 3]]
     assert states.dtype == np.uint8  # the narrowest dtype holding 0..d
+
+
+def test_core_gives_a_row_float_residual_to_its_last_target():
+    # the exit row 0.7 + 0.2 + 0.1 also adds up to TOP, so nobody stays in state 1
+    scenario = float_sum_exit_scenario()
+    states = assert_core_matches_reference(scenario, [[0.0, TOP], [0.0, 0.0], [0.0, 0.7], [0.0, 0.9]])
+    assert states.tolist() == [[1, 4], [1, 2], [1, 3], [1, 4]]
 
 
 def test_core_forces_the_duration_rule_exit():
@@ -415,7 +423,7 @@ def test_censoring_core_at_the_observation_boundaries(censoring):
     # probability fall on the unobserved side, as the scalar walk has it
     scenario = ScenarioConfig(3, 3.0, (1.0, 2.0, 3.0), "markov", (1.0, 0.0, 0.0), ())
     paths = [StatePath(1), StatePath(1, ((1.0, 2), (3.0, 3))), StatePath(2, ((2.0, 1),))]
-    states = np.array([[p.state_at(t) for t in (0.0,) + scenario.grid] for p in paths])
+    states = np.array([[state_at(p, t) for t in (0.0,) + scenario.grid] for p in paths])
     uniforms = (0.0, 0.25, 0.5, TOP)
     rows = [[uniforms[(i + j * r) % 4] for j in range(4)] for r in range(4) for i in range(4)]
     width = 1 if censoring.kind == "independent_right" else 4

@@ -21,7 +21,8 @@ from prodint.checks import close_record
 from prodint.simulation import _tick_states
 
 import oracle_enum
-from reference_impl import apply_censoring, sample_path
+from corpora import float_sum_exit_scenario
+from reference_impl import apply_censoring, sample_path, state_at, state_before
 
 CORPUS = "src/prodint/corpus"
 
@@ -87,6 +88,11 @@ class TestScenarioValidation:
                 (TransitionRule(1.5, 1, ((2, 0.5),)),),
             )
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ConfigError, match=f"tau must be a positive finite time, got {tau!r}"):
+            ScenarioConfig(2, tau, (), "markov", (1.0, 0.0), ())
+
     def test_rejects_nan_grid_time(self):
         with pytest.raises(ConfigError, match="grid times"):
             ScenarioConfig(2, 2.0, (float("nan"),), "markov", (1.0, 0.0), ())
@@ -97,6 +103,14 @@ class TestScenarioValidation:
 
 
 class TestExactPathspace:
+    def test_float_sum_exit_leaves_nobody_behind(self):
+        ps = exact_pathspace(float_sum_exit_scenario())
+        assert [(p.jumps, w) for p, w in ps.paths] == [
+            (((1.0, 2),), 0.7), (((1.0, 3),), 0.2), (((1.0, 4),), 0.1)
+        ]
+        report = ps.extinction_report(1)
+        assert [b.time for b in report.boundaries] == [1.0] and report.ok
+
     def test_illness_death_weights(self, idn_enumerated):
         weights = {
             (p.initial_state, p.jumps): w for p, w in idn_enumerated.paths
@@ -165,8 +179,8 @@ class TestCensoring:
         cfg = CensoringConfig("independent_right", after=((2.0, 1.0),), never=0.0)
         eh = apply_censoring(rng, path, illness_death_scenario(), cfg)
         # observed through t=2 inclusive; unobserved strictly after
-        assert eh.state_at(2.0) == 2
-        assert eh.state_at(2.5) == 0 and eh.state_at(3.0) == 0
+        assert state_at(eh, 2.0) == 2
+        assert state_at(eh, 2.5) == 0 and state_at(eh, 3.0) == 0
         assert eh.jumps == ((1.0, 2), (2.5, 0))
 
     def test_baseline_only_censor(self, rng):
@@ -188,8 +202,8 @@ class TestCensoring:
                 path = sample_path(rng, scenario)
                 eh = apply_censoring(rng, path, scenario, cfg)
                 for t in np.arange(0.0, 3.25, 0.25):
-                    seen = eh.state_at(float(t))
-                    assert seen in (0, path.state_at(float(t)))
+                    seen = state_at(eh, float(t))
+                    assert seen in (0, state_at(path, float(t)))
 
     def test_filtering_reenters_observation(self):
         scenario = illness_death_scenario()
@@ -199,7 +213,7 @@ class TestCensoring:
             rng = subject_rng(1234, seed)
             path = sample_path(rng, scenario)
             eh = apply_censoring(rng, path, scenario, cfg)
-            states = [eh.state_at(t) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+            states = [state_at(eh, t) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
             for a, b in zip(states, states[1:]):
                 if a == 0 and b != 0:
                     reentered = True
@@ -213,9 +227,9 @@ class TestCensoring:
         def observable_ratio(cfg, u, j, k, arm):
             sample = simulate_sample(scenario, cfg, n, seed=13, arm=arm)
             jumps = sum(
-                1 for eh in sample if eh.state_before(u) == j and eh.state_at(u) == k
+                1 for eh in sample if state_before(eh, u) == j and state_at(eh, u) == k
             )
-            at_risk = sum(1 for eh in sample if eh.state_before(u) == j)
+            at_risk = sum(1 for eh in sample if state_before(eh, u) == j)
             return jumps / at_risk
 
         conforming = CensoringConfig("state_filtering_conforming", q=q)
