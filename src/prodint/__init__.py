@@ -40,7 +40,6 @@ from .multistate import (
     ExtinctionReport,
     HazardMatrixIF,
     PathSpace,
-    StatePath,
 )
 from .estimators import (
     EstimateGrid,
@@ -91,7 +90,6 @@ __all__ = [
     "Partition",
     "PathSpace",
     "ScenarioConfig",
-    "StatePath",
     "StepFunction",
     "TransitionRule",
     "aalen_johansen",

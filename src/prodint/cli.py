@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -129,6 +130,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.upto is not None and not math.isfinite(args.upto):
+        raise ConfigError(f"--upto must be a finite time, got {args.upto!r}")
     sample = read_event_histories(args.input, max_state=args.dim)
     try:
         grid = estimate(sample, upto=args.upto, dim=args.dim)
@@ -205,6 +208,10 @@ def cmd_verify(args) -> int:
 
 def cmd_convergence(args) -> int:
     started = time.perf_counter()
+    if not (math.isfinite(args.sup_tol) and args.sup_tol > 0.0):
+        raise ConfigError(f"--sup-tol must be a positive finite tolerance, got {args.sup_tol!r}")
+    if not math.isfinite(args.bias_floor):
+        raise ConfigError(f"--bias-floor must be finite, got {args.bias_floor!r}")
     scenario = load_scenario(args.scenario)
     if not scenario.grid:
         # the study compares the estimated and exact curves at the grid times

@@ -1,7 +1,9 @@
 """Exact law of a finitely supported multi-state process.
 
 A ``PathSpace`` is a weighted finite set of right-continuous piecewise
-constant trajectories on states 1..d over a window (0, tau].  Because the
+constant trajectories on states 1..d over a window (0, tau] that jump only
+at the times of a grid, held as a matrix of each path's states at the
+ticks (0,) + grid next to a vector of path weights.  Because the
 support is finite, every quantity of interest -- occupation probabilities,
 transition probabilities under all four endpoint conventions, expected
 transition counts, expected status indicators, cumulative hazards -- is a
@@ -15,10 +17,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, NamedTuple
 
 import numpy as np
 
+from .estimators import EventHistory, EventSample
 from .interval_functions import (
     AdditiveIF,
     BoundCheck,
@@ -29,38 +33,6 @@ from .interval_functions import (
 from .intervals import Interval, Partition
 
 Side = Literal["right", "left"]
-
-
-@dataclass(frozen=True)
-class StatePath:
-    """One trajectory: an initial state and a sorted tuple of (time, to_state).
-
-    The path value is right-continuous; the left limit at t=0 is defined to
-    equal the time-0 value.
-    """
-
-    initial_state: int
-    jumps: tuple[tuple[float, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.initial_state < 1:
-            raise ValueError("states are numbered from 1")
-        jumps = tuple((float(t), int(s)) for t, s in self.jumps)
-        previous_time = 0.0
-        previous_state = self.initial_state
-        for t, s in jumps:
-            if t <= previous_time:
-                raise ValueError("jump times must be strictly increasing and positive")
-            if s == previous_state:
-                raise ValueError("consecutive states must differ")
-            if s < 1:
-                raise ValueError("states are numbered from 1")
-            previous_time, previous_state = t, s
-        object.__setattr__(self, "jumps", jumps)
-
-    @property
-    def max_state(self) -> int:
-        return max((s for _, s in self.jumps), default=self.initial_state)
 
 
 @dataclass(frozen=True)
@@ -99,83 +71,78 @@ class _JointTable(NamedTuple):
     transition: np.ndarray  # joint / conditioning by row; identity row where it is 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSpace:
     """Finite weighted set of trajectories; weights sum to one.
 
-    Every jump lies on ``grid``, so a path is fully described by its states
-    at the ticks ``(0,) + grid``.  The constructor stores them as an integer
-    matrix (path x tick) next to the weight vector; a query reads the one or
-    two tick columns its time points select, and the weighted joint table of
-    each column pair is built once (one ``np.bincount``, which adds the
-    weights in path order) and memoized.
+    Every jump lies on ``grid``, so a path is its row of states at the
+    ticks ``(0,) + grid``: ``states`` is the integer path x tick matrix of
+    states 1..dim and ``weights`` holds one weight per path.  A query reads
+    the one or two tick columns its time points select, and the weighted
+    joint table of each column pair is built once (one ``np.bincount``,
+    which adds the weights in path order) and memoized.
     """
 
     dim: int
     tau: float
-    paths: tuple[tuple[StatePath, float], ...]
-    grid: tuple[float, ...] = ()
+    grid: tuple[float, ...]
+    states: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        paths = tuple((p, float(w)) for p, w in self.paths)
-        if not paths:
+        grid = tuple(float(t) for t in self.grid)
+        for earlier, later in zip(grid, grid[1:]):
+            if not earlier < later:
+                raise ValueError("grid times must be strictly increasing")
+        if grid and not (0.0 < grid[0] and grid[-1] <= self.tau):  # also rejects NaN
+            raise ValueError("grid times must lie in (0, tau]")
+        states = np.array(self.states)
+        if states.ndim != 2 or not np.issubdtype(states.dtype, np.integer):
+            raise ValueError("states must be a 2-D integer array (path x tick)")
+        if states.shape[1] != 1 + len(grid):
+            raise ValueError(f"states need {1 + len(grid)} tick columns, got {states.shape[1]}")
+        if not len(states):
             raise ValueError("a path space needs at least one path")
-        for path, weight in paths:
-            if weight <= 0:
-                raise ValueError("path weights must be positive")
-            if path.max_state > self.dim or path.initial_state > self.dim:
-                raise ValueError("path visits a state beyond the dimension")
-            if path.jumps and path.jumps[-1][0] > self.tau:
-                raise ValueError("jump times must not exceed the horizon")
+        if states.min() < 1 or states.max() > self.dim:  # also rejects a dim below 1
+            raise ValueError(f"path states must lie in 1..{self.dim}")
+        weights = np.array(self.weights, dtype=float)
+        if weights.shape != (len(states),):
+            raise ValueError(f"need one weight per path: {len(states)} paths, weights {weights.shape}")
+        bad = ~(np.isfinite(weights) & (weights > 0.0))  # also flags NaN
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"weights must be positive and finite: weight {i} is {float(weights[i])!r}")
         # compensated, so that rounding in many small weights cannot reject a law
-        total = math.fsum(w for _, w in paths)
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"path weights sum to {total!r}, not 1")
-        events = tuple(sorted({t for path, _ in paths for t, _ in path.jumps}))
-        grid = tuple(sorted(float(t) for t in self.grid))
-        if not grid:
-            grid = events
-        else:
-            for earlier, later in zip(grid, grid[1:]):
-                if not earlier < later:
-                    raise ValueError("grid times must be strictly increasing")
-            if grid and (grid[0] <= 0 or grid[-1] > self.tau):
-                raise ValueError("grid times must lie in (0, tau]")
-            if not set(events) <= set(grid):
-                raise ValueError("every jump time must lie on the declared grid")
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_event_times", events)
-
-        ticks = (0.0,) + grid
-        rows = []
-        for path, _ in paths:
-            jumps = path.jumps
-            state = path.initial_state - 1
-            cursor = 0
-            row = []
-            for tick in ticks:
-                if cursor < len(jumps) and jumps[cursor][0] == tick:
-                    state = jumps[cursor][1] - 1
-                    cursor += 1
-                row.append(state)
-            rows.append(row)
-        states = np.array(rows, dtype=np.min_scalar_type(self.dim - 1))
-        weights = np.array([w for _, w in paths])
         states.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "_ticks", ticks)
-        object.__setattr__(self, "_states", states)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_ticks", (0.0,) + grid)
         object.__setattr__(self, "_tables", {})
         object.__setattr__(self, "_schedules", {})
 
-    @property
+    @cached_property
     def event_times(self) -> tuple[float, ...]:
-        """Times at which some path actually jumps."""
-        return self._event_times
+        """Grid times at which some path actually jumps."""
+        moved = (self.states[:, 1:] != self.states[:, :-1]).any(axis=0)
+        return tuple(t for t, m in zip(self.grid, moved.tolist()) if m)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[EventHistory, float], ...]:
+        """Each path as an (``EventHistory``, weight) pair; path i is subject i."""
+        subjects, columns = np.nonzero(self.states[:, 1:] != self.states[:, :-1])
+        sample = EventSample(
+            np.arange(len(self.states)),
+            self.states[:, 0],
+            np.append(0, np.cumsum(np.bincount(subjects, minlength=len(self.states)))),
+            np.array(self.grid)[columns],
+            self.states[subjects, columns + 1],
+        )
+        return tuple(zip(sample, self.weights.tolist()))
 
     # -- tick columns and their joint tables --------------------------------
 
@@ -217,11 +184,10 @@ class PathSpace:
         table = self._tables.get((left, right))
         if table is None:
             d = self.dim
-            lo = self._states[:, left].astype(np.intp)
-            joint = np.bincount(
-                lo * d + self._states[:, right], weights=self._weights, minlength=d * d
-            ).reshape(d, d)
-            conditioning = np.bincount(lo, weights=self._weights, minlength=d)
+            lo = self.states[:, left].astype(np.intp) - 1
+            hi = self.states[:, right] - 1
+            joint = np.bincount(lo * d + hi, weights=self.weights, minlength=d * d).reshape(d, d)
+            conditioning = np.bincount(lo, weights=self.weights, minlength=d)
             transition = np.eye(d)
             np.divide(joint, conditioning[:, None], out=transition, where=conditioning[:, None] != 0.0)
             for array in (joint, conditioning, transition):

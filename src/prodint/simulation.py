@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import EventSample
-from .multistate import PathSpace, StatePath
+from .multistate import PathSpace
 
 RULE_KINDS = ("markov", "entry_time_dependent", "duration_dependent")
 CENSORING_KINDS = ("none", "independent_right", "state_filtering_conforming", "violating")
@@ -293,30 +293,29 @@ def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
     """Enumerate every positive-probability trajectory with its exact weight.
 
     Weights multiply along the branching at each grid time and sum to one.
+    A path branches into staying put first, then the row's targets in
+    order, which fixes the order in which queries add the weights.
     Raises ConfigError when the enumeration would exceed ``cap`` paths.
     """
-    # frontier entries: (initial state, current state, entry time, jumps, weight)
-    frontier: list[tuple[int, int, float, tuple[tuple[float, int], ...], float]] = []
-    for state0, p0 in enumerate(scenario.initial, start=1):
-        if p0 > 0.0:
-            frontier.append((state0, state0, 0.0, (), p0))
+    # frontier entries: (states at the ticks so far, entry time of the last state, weight)
+    frontier = [((s,), 0.0, p) for s, p in enumerate(scenario.initial, start=1) if p > 0.0]
     for t in scenario.grid:
-        grown: list[tuple[int, int, float, tuple[tuple[float, int], ...], float]] = []
-        for initial, state, entered_at, jumps, weight in frontier:
+        grown: list[tuple[tuple[int, ...], float, float]] = []
+        for row, entered_at, weight in frontier:
+            state = row[-1]
             outgoing = scenario.outgoing(t, state, entered_at)
             stay = 1.0 - float(scenario._cdf[outgoing][-1]) if outgoing else 1.0
             if stay > 0.0:
-                grown.append((initial, state, entered_at, jumps, weight * stay))
+                grown.append((row + (state,), entered_at, weight * stay))
             for to, p in outgoing:
                 if p > 0.0:
-                    grown.append((initial, to, t, jumps + ((t, to),), weight * p))
+                    grown.append((row + (to,), t, weight * p))
             if len(grown) > cap:
                 raise ConfigError(f"path space exceeds the cap of {cap} paths")
         frontier = grown
-    paths = tuple(
-        (StatePath(initial, jumps), weight) for initial, _, _, jumps, weight in frontier
-    )
-    return PathSpace(scenario.dim, scenario.tau, paths, grid=scenario.grid)
+    rows, _, weights = zip(*frontier)
+    states = np.array(rows, dtype=np.min_scalar_type(scenario.dim))
+    return PathSpace(scenario.dim, scenario.tau, scenario.grid, states, np.array(weights))
 
 
 def _observation_spans(grid: Sequence[float], tau: float) -> list[tuple[float, float]]:

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from prodint import PathSpace, StatePath, exact_pathspace, illness_death_scenario
+from prodint import EventHistory, PathSpace, exact_pathspace, illness_death_scenario
 
 import oracle_enum
+from reference_impl import pathspace
 
 
 @pytest.fixture(scope="session")
 def idn_space() -> PathSpace:
     """The illness-death oracle built from the hand-enumerated path list."""
-    paths = tuple(
-        (StatePath(init, jumps), w) for init, jumps, w in oracle_enum.IDN_PATHS
-    )
-    return PathSpace(3, 3.0, paths, grid=(1.0, 2.0, 3.0))
+    paths = [
+        (EventHistory(i, init, jumps), w) for i, (init, jumps, w) in enumerate(oracle_enum.IDN_PATHS)
+    ]
+    return pathspace(3, 3.0, (1.0, 2.0, 3.0), paths)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 censoring mechanisms, the event-history CSV reader, the Nelson-Aalen
 estimator, the path-space queries, the count-mean defect suite and the
 product-variation bound, the per-subject estimate lookups the library
-does not use, and the trajectory lookups (state at a time, just before it,
-jump at it) that work on a ``StatePath`` and an ``EventHistory`` alike.
+does not use, the trajectory lookups (state at a time, just before it,
+jump at it) of an ``EventHistory``, and a ``PathSpace`` built from
+hand-drawn trajectories through those lookups.
 
 These are the straightforward scans and scalar walks the library replaced
 with an indexed lookup, an array walk over all subjects at once, a bulk
@@ -28,8 +29,8 @@ from prodint import (
     EventHistory,
     GeneralIF,
     Interval,
+    PathSpace,
     ScenarioConfig,
-    StatePath,
     defect_profile,
     matrix_norm,
     product_integral,
@@ -41,7 +42,7 @@ from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_e
 from prodint.simulation import _observation_spans
 
 
-# -- trajectory lookups, for a StatePath or an EventHistory alike --------------
+# -- trajectory lookups, for any object with initial_state and jumps ----------
 
 
 def state_at(path, t):
@@ -77,6 +78,44 @@ def jump_at(path, t):
     return None
 
 
+def pathspace(dim, tau, grid, paths):
+    """The ``PathSpace`` of (trajectory, weight) pairs whose jumps lie on
+    ``grid``: each trajectory's states at the ticks (0,) + grid, read with
+    ``state_at``."""
+    ticks = (0.0,) + tuple(grid)
+    states = np.array([[state_at(path, t) for t in ticks] for path, _ in paths])
+    return PathSpace(dim, tau, grid, states, np.array([w for _, w in paths]))
+
+
+def enumerate_paths(scenario):
+    """exact_pathspace's paths and weights by a walk that carries each path's
+    jump tuple: (EventHistory, weight) pairs, path i being subject i, with
+    the stay branch first and then the targets in row order at every tick.
+
+    A row whose probabilities sum to 1 within the validator's 1e-12 leaves
+    no stay branch, as in ``_draw``.
+    """
+    frontier = [(s, s, 0.0, (), p) for s, p in enumerate(scenario.initial, start=1) if p > 0.0]
+    for t in scenario.grid:
+        grown = []
+        for initial, state, entered_at, jumps, weight in frontier:
+            outgoing = scenario.outgoing(t, state, entered_at)
+            total = 0.0
+            for _, p in outgoing:
+                total += p
+            stay = 0.0 if outgoing and abs(total - 1.0) <= 1e-12 else 1.0 - total
+            if stay > 0.0:
+                grown.append((initial, state, entered_at, jumps, weight * stay))
+            for to, p in outgoing:
+                if p > 0.0:
+                    grown.append((initial, to, t, jumps + ((t, to),), weight * p))
+        frontier = grown
+    return [
+        (EventHistory(i, initial, jumps), weight)
+        for i, (initial, _, _, jumps, weight) in enumerate(frontier)
+    ]
+
+
 # -- the per-subject sampler: scalar draws from each subject's stream ----------
 
 
@@ -99,7 +138,7 @@ def _draw(rng: np.random.Generator, outcomes) -> int | None:
     return None
 
 
-def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> StatePath:
+def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> EventHistory:
     """Draw one trajectory by walking the grid and the scenario's rule."""
     initial = _draw(rng, enumerate(scenario.initial)) + 1
     state = initial
@@ -111,12 +150,12 @@ def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> StatePath
             jumps.append((t, to))
             state = to
             entered_at = t
-    return StatePath(initial, tuple(jumps))
+    return EventHistory(0, initial, tuple(jumps))
 
 
 def apply_censoring(
     rng: np.random.Generator,
-    path: StatePath,
+    path: EventHistory,
     scenario: ScenarioConfig,
     censoring: CensoringConfig,
     subject: int = 0,

@@ -75,6 +75,14 @@ class TestEstimate:
         payload = json.loads(grid_json.read_text())
         assert set(payload) >= {"d", "p0", "times", "hazard_steps", "transition", "occupation"}
 
+    @pytest.mark.parametrize("upto", ["nan", "inf", "-inf"])
+    def test_non_finite_upto_is_usage_error(self, tmp_path, capsys, upto):
+        sample = tmp_path / "s.csv"
+        sample.write_text("subject,time,state\n0,0.0,1\n0,1.0,2\n")
+        assert run("estimate", "--input", sample, f"--upto={upto}") == 2
+        err = capsys.readouterr().err
+        assert "--upto" in err and upto in err
+
     def test_state_beyond_dimension_names_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,time,state\n0,0.0,1\n0,1.0,99\n")
@@ -299,6 +307,26 @@ class TestConvergence:
         assert code == 2
         err = capsys.readouterr().err
         assert "empty.json" in err and "grid is empty" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sup-tol", "nan"),
+            ("--sup-tol", "inf"),
+            ("--sup-tol", "-1"),
+            ("--sup-tol", "0"),
+            ("--bias-floor", "nan"),
+            ("--bias-floor", "inf"),
+        ],
+    )
+    def test_bad_tolerance_is_usage_error(self, capsys, flag, value):
+        code = run(
+            "convergence", "--scenario", f"{CORPUS}/idn.json",
+            "--censoring", f"{CORPUS}/conforming.json", "--n", "50", flag, value,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(float(value)) in err
 
     def test_gate_failure_sets_exit_code(self, capsys):
         code = run(

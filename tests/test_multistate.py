@@ -3,8 +3,8 @@ import pytest
 
 from prodint import (
     Interval,
+    EventHistory,
     PathSpace,
-    StatePath,
     exact_pathspace,
     forced_exit_scenario,
     two_state_scenario,
@@ -23,8 +23,10 @@ SHAPES = (OC, OO, CO, CC)
 
 
 class TestStatePath:
+    """Lookups on a path of states, held as an ``EventHistory``."""
+
     def test_right_continuous_lookup(self):
-        path = StatePath(1, ((1.0, 2), (3.0, 3)))
+        path = EventHistory(0, 1, ((1.0, 2), (3.0, 3)))
         assert state_at(path, 0.0) == 1
         assert state_at(path, 1.0) == 2
         assert state_before(path, 1.0) == 1
@@ -32,44 +34,82 @@ class TestStatePath:
         assert state_at(path, 3.0) == 3
 
     def test_jump_lookup(self):
-        path = StatePath(1, ((1.0, 2), (3.0, 3)))
+        path = EventHistory(0, 1, ((1.0, 2), (3.0, 3)))
         assert jump_at(path, 1.0) == (1, 2)
         assert jump_at(path, 2.0) is None
 
     def test_rejects_bad_paths(self):
         with pytest.raises(ValueError):
-            StatePath(1, ((1.0, 1),))
+            EventHistory(0, 1, ((1.0, 1),))
         with pytest.raises(ValueError):
-            StatePath(1, ((2.0, 2), (2.0, 3)))
+            EventHistory(0, 1, ((2.0, 2), (2.0, 3)))
         with pytest.raises(ValueError):
-            StatePath(1, ((0.0, 2),))
+            EventHistory(0, 1, ((0.0, 2),))
+
+
+def two_path_space(states=((1, 1), (1, 2)), weights=(0.5, 0.5), grid=(1.0,), dim=2, tau=2.0):
+    return PathSpace(dim, tau, grid, np.array(states), np.array(weights))
 
 
 class TestPathSpaceValidation:
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ValueError):
-            PathSpace(2, 1.0, ((StatePath(1), 0.5),))
+    def test_accepts_a_valid_law(self):
+        ps = two_path_space()
+        assert ps.event_times == (1.0,)
+        assert not ps.states.flags.writeable and not ps.weights.flags.writeable
 
-    def test_rejects_jump_off_grid(self):
-        with pytest.raises(ValueError):
-            PathSpace(2, 2.0, ((StatePath(1, ((1.5, 2),)), 1.0),), grid=(1.0,))
+    def test_rejects_unnormalized_weights(self):
+        with pytest.raises(ValueError, match="sum to"):
+            PathSpace(2, 1.0, (), np.array([[1]]), np.array([0.5]))
 
     def test_rejects_state_beyond_dim(self):
-        with pytest.raises(ValueError):
-            PathSpace(1, 2.0, ((StatePath(1, ((1.0, 2),)), 1.0),))
+        with pytest.raises(ValueError, match="1..1"):
+            two_path_space(((1, 1), (1, 2)), dim=1)
 
-    def test_grid_defaults_to_event_times(self):
-        ps = PathSpace(2, 2.0, ((StatePath(1, ((1.0, 2),)), 1.0),))
-        assert ps.grid == (1.0,)
+    @pytest.mark.parametrize(
+        "states, match",
+        [
+            (((0, 1), (1, 2)), "1..2"),
+            (((1, 1, 2), (1, 2, 2)), "tick columns"),
+            ((1, 2), "2-D integer"),
+            (((1.0, 1.0), (1.0, 2.0)), "2-D integer"),
+        ],
+    )
+    def test_rejects_bad_state_matrix(self, states, match):
+        with pytest.raises(ValueError, match=match):
+            two_path_space(states)
+
+    def test_rejects_zero_paths(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            PathSpace(2, 2.0, (1.0,), np.empty((0, 2), dtype=int), np.empty(0))
+
+    def test_rejects_weight_length_mismatch(self):
+        with pytest.raises(ValueError, match="one weight per path"):
+            two_path_space(weights=(0.25, 0.25, 0.5))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_non_positive_or_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match=f"weight 1 is {bad!r}"):
+            PathSpace(3, 1.0, (), np.array([[1], [2], [3]]), np.array([1.0, bad, 0.5]))
+
+    @pytest.mark.parametrize("grid", [(1.0, 1.0), (1.5, 1.0), (0.0,), (3.0,), (float("nan"),)])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="grid times"):
+            two_path_space(tuple((1,) * (1 + len(grid)) for _ in range(2)), grid=grid)
 
     def test_weights_are_summed_without_rounding_drift(self):
-        paths = ((StatePath(1), 1e-5),) * 100_000
+        weights = np.full(100_000, 1e-5)
         # a running float sum misses 1 by about 1.9e-12, beyond the 1e-12 tolerance
         total = 0.0
-        for _, w in paths:
+        for w in weights.tolist():
             total += w
         assert abs(total - 1.0) > 1e-12
-        assert len(PathSpace(1, 1.0, paths).paths) == 100_000
+        ps = PathSpace(1, 1.0, (), np.ones((100_000, 1), dtype=int), weights)
+        assert len(ps.paths) == 100_000
+
+    def test_is_compared_by_identity(self):
+        ps = two_path_space()
+        assert ps == ps and ps != two_path_space()
+        assert hash(ps) == hash(ps)
 
     def test_rejects_state_outside_range(self, idn_space):
         with pytest.raises(ValueError):
@@ -166,7 +206,7 @@ class TestHazard:
             )
 
     def test_no_jumps_means_zero_hazard(self):
-        ps = PathSpace(2, 1.0, ((StatePath(1), 0.5), (StatePath(2), 0.5)))
+        ps = PathSpace(2, 1.0, (), np.array([[1], [2]]), np.array([0.5, 0.5]))
         assert ps.hazard_matrix().atoms == ()
 
     def test_two_state_atom(self):

@@ -6,10 +6,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from prodint import (
+    EventHistory,
     Interval,
     Partition,
     PathSpace,
-    StatePath,
     defect_profile,
     exact_pathspace,
     forced_exit_scenario,
@@ -35,8 +35,8 @@ VARIANTS = ("plain", "progressive", "forced_exit")
 
 
 @st.composite
-def random_spaces(draw):
-    """Laws from the generator `verify` uses, for every rule kind and variant."""
+def random_scenarios(draw):
+    """Scenarios of the generator `verify` uses, for every rule kind and variant."""
     kind = draw(st.sampled_from(RULE_KINDS))
     variant = draw(st.sampled_from(VARIANTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -44,29 +44,57 @@ def random_spaces(draw):
     scenario = random_scenario(rng, **flags)
     while scenario.rule != kind:
         scenario = random_scenario(rng, **flags)
-    return exact_pathspace(scenario)
+    return scenario
+
+
+def random_spaces():
+    return random_scenarios().map(exact_pathspace)
 
 
 @st.composite
-def weighted_spaces(draw):
-    """Hand-drawn paths with non-dyadic weights, where the order in which
-    weights are added shows in the last bits of every sum.  Sometimes no
-    path jumps at one of the grid ticks."""
+def tick_matrices(draw):
+    """(dim, grid, tick rows, weights) of hand-drawn paths with non-dyadic
+    weights, where the order in which weights are added shows in the last
+    bits of every sum.  Sometimes no path jumps at one of the grid ticks."""
     dim = draw(st.integers(2, 4))
     grid = tuple(sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0]), min_size=1))))
     quiet = draw(st.none() | st.sampled_from(grid))
-    paths = []
+    rows = []
     for _ in range(draw(st.integers(1, 12))):
-        state = draw(st.integers(1, dim))
-        initial, jumps = state, []
+        row = [draw(st.integers(1, dim))]
         for t in grid:
-            if t != quiet and draw(st.booleans()):
-                state = draw(st.sampled_from([s for s in range(1, dim + 1) if s != state]))
-                jumps.append((t, state))
-        paths.append(StatePath(initial, tuple(jumps)))
-    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(paths), max_size=len(paths)))
+            row.append(row[-1] if t == quiet else draw(st.integers(1, dim)))
+        rows.append(row)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows), max_size=len(rows)))
     total = sum(raw)
-    return PathSpace(dim, 4.0, tuple((p, x / total) for p, x in zip(paths, raw)), grid=grid)
+    return dim, grid, rows, [x / total for x in raw]
+
+
+def tick_space(dim, grid, rows, weights):
+    return PathSpace(dim, 4.0, grid, np.array(rows), np.array(weights))
+
+
+def weighted_spaces():
+    return tick_matrices().map(lambda matrix: tick_space(*matrix))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tick_matrices())
+def test_paths_are_the_drawn_rows_in_order(matrix):
+    dim, grid, rows, weights = matrix
+    ps = tick_space(dim, grid, rows, weights)
+    expected = []
+    for i, (row, weight) in enumerate(zip(rows, weights)):
+        jumps = tuple((t, s) for t, before, s in zip(grid, row, row[1:]) if s != before)
+        expected.append((EventHistory(i, row[0], jumps), weight))
+    assert list(ps.paths) == expected
+    assert ps.event_times == tuple(sorted({t for path, _ in expected for t, _ in path.jumps}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_scenarios())
+def test_enumerated_paths_are_the_jump_walk_in_order(scenario):
+    assert list(exact_pathspace(scenario).paths) == reference_impl.enumerate_paths(scenario)
 
 
 def probe_intervals(rng, tau):
@@ -151,11 +179,11 @@ def test_quiet_tick_gives_distinct_pairs_with_equal_terms():
     # no path jumps at t = 2, so these cells read different column pairs
     # although their transition matrices and hazard atoms agree
     paths = (
-        (StatePath(1, ((1.0, 2), (3.0, 3))), 0.3),
-        (StatePath(1, ((3.0, 2),)), 0.2),
-        (StatePath(2, ((1.0, 1),)), 0.5),
+        (EventHistory(0, 1, ((1.0, 2), (3.0, 3))), 0.3),
+        (EventHistory(1, 1, ((3.0, 2),)), 0.2),
+        (EventHistory(2, 2, ((1.0, 1),)), 0.5),
     )
-    ps = PathSpace(3, 4.0, paths, grid=(1.0, 2.0, 3.0))
+    ps = reference_impl.pathspace(3, 4.0, (1.0, 2.0, 3.0), paths)
     a, b = Interval.open_closed(1.0, 1.5), Interval.open_closed(1.0, 2.5)
     assert ps.columns(a) != ps.columns(b)
     f, hazard = ps.transition_deviation_if(), ps.hazard_matrix()

@@ -12,7 +12,6 @@ from prodint import (
     EventHistory,
     EventSample,
     ScenarioConfig,
-    StatePath,
     TransitionRule,
     aalen_johansen,
     estimate,
@@ -260,7 +259,7 @@ def paths_on_grid(draw):
     for t in sorted(times):
         state = draw(st.sampled_from([s for s in (1, 2, 3) if s != state]))
         jumps.append((t, state))
-    return StatePath(initial, tuple(jumps))
+    return EventHistory(0, initial, tuple(jumps))
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,7 +421,11 @@ def test_censoring_core_at_the_observation_boundaries(censoring):
     # uniforms equal to q, q * (1 - delta) or a cumulative censoring
     # probability fall on the unobserved side, as the scalar walk has it
     scenario = ScenarioConfig(3, 3.0, (1.0, 2.0, 3.0), "markov", (1.0, 0.0, 0.0), ())
-    paths = [StatePath(1), StatePath(1, ((1.0, 2), (3.0, 3))), StatePath(2, ((2.0, 1),))]
+    paths = [
+        EventHistory(0, 1),
+        EventHistory(1, 1, ((1.0, 2), (3.0, 3))),
+        EventHistory(2, 2, ((2.0, 1),)),
+    ]
     states = np.array([[state_at(p, t) for t in (0.0,) + scenario.grid] for p in paths])
     uniforms = (0.0, 0.25, 0.5, TOP)
     rows = [[uniforms[(i + j * r) % 4] for j in range(4)] for r in range(4) for i in range(4)]

@@ -4,9 +4,9 @@ import pytest
 from prodint import (
     CensoringConfig,
     ConfigError,
+    EventHistory,
     Interval,
     ScenarioConfig,
-    StatePath,
     TransitionRule,
     exact_pathspace,
     forced_exit_scenario,
@@ -140,7 +140,7 @@ class TestSamplePath:
     def test_no_rules_means_constant_path(self, rng):
         scenario = ScenarioConfig(2, 2.0, (1.0,), "markov", (1.0, 0.0), ())
         for _ in range(10):
-            assert sample_path(rng, scenario) == StatePath(1)
+            assert sample_path(rng, scenario) == EventHistory(0, 1)
 
     def test_duration_rule_forces_exit_next_step(self, rng):
         scenario = ScenarioConfig(
@@ -160,7 +160,7 @@ class TestSamplePath:
 
         # 0.7 + 0.2 + 0.1 rounds to 1 - 2**-53, the largest value random() returns
         scenario = ScenarioConfig(4, 2.0, (1.0,), "markov", (0.7, 0.2, 0.1, 0.0), ())
-        assert sample_path(TopOfUnitInterval(), scenario) == StatePath(3)
+        assert sample_path(TopOfUnitInterval(), scenario) == EventHistory(0, 3)
 
     def test_marginals_match_enumeration(self, rng):
         records = sampler_agreement_checks(rng, illness_death_scenario(), draws=10**5)
@@ -170,12 +170,12 @@ class TestSamplePath:
 
 class TestCensoring:
     def test_none_is_identity(self, rng):
-        path = StatePath(1, ((1.0, 2), (3.0, 3)))
+        path = EventHistory(0, 1, ((1.0, 2), (3.0, 3)))
         eh = apply_censoring(rng, path, illness_death_scenario(), CensoringConfig("none"))
         assert eh.initial_state == 1 and eh.jumps == path.jumps
 
     def test_deterministic_right_censor(self, rng):
-        path = StatePath(1, ((1.0, 2), (3.0, 3)))
+        path = EventHistory(0, 1, ((1.0, 2), (3.0, 3)))
         cfg = CensoringConfig("independent_right", after=((2.0, 1.0),), never=0.0)
         eh = apply_censoring(rng, path, illness_death_scenario(), cfg)
         # observed through t=2 inclusive; unobserved strictly after
@@ -184,7 +184,7 @@ class TestCensoring:
         assert eh.jumps == ((1.0, 2), (2.5, 0))
 
     def test_baseline_only_censor(self, rng):
-        path = StatePath(1, ((1.0, 2),))
+        path = EventHistory(0, 1, ((1.0, 2),))
         cfg = CensoringConfig("independent_right", after=((0.0, 1.0),), never=0.0)
         eh = apply_censoring(rng, path, illness_death_scenario(), cfg)
         assert eh.initial_state == 1
