@@ -17,7 +17,8 @@ observation probability exactly when the subject transitions.
 
 Reproducibility: every subject draws from its own substream seeded by
 (seed, arm, subject id), so samples are independent of evaluation order
-and worker count.
+and worker count.  The sampler seeds all of a block's substreams in one
+array pass that reproduces numpy's SeedSequence and PCG64 seeding.
 """
 
 from __future__ import annotations
@@ -36,11 +37,25 @@ from .multistate import PathSpace
 
 RULE_KINDS = ("markov", "entry_time_dependent", "duration_dependent")
 CENSORING_KINDS = ("none", "independent_right", "state_filtering_conforming", "violating")
-# Subjects sampled together by simulate_sample.  A block's arrays stay a few
-# hundred KB even on long grids: the C allocator keeps freed blocks of the
-# size of the largest array it has returned, so larger blocks raise the
-# peak resident memory of a process that samples repeatedly.
-_BLOCK = 256
+# Uniforms drawn per block by simulate_sample: a block holds
+# max(1, _BLOCK_DRAWS // k) subjects of k draws each.  That is one block for
+# a thousand subjects on a 100-tick grid, while a long sample keeps its draw
+# matrix at 2 MB and its other block arrays at a few times that; the C
+# allocator keeps freed blocks of the size of the largest array it has
+# returned, so larger blocks raise the peak resident memory of a process
+# that samples repeatedly.
+_BLOCK_DRAWS = 2**18
+
+# SeedSequence's entropy mixing (numpy/random/bit_generator.pyx): hash
+# constants and multipliers on uint32 words, and a pool of 4 words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 class ConfigError(ValueError):
@@ -268,25 +283,110 @@ class CensoringConfig:
             raise ConfigError(f"malformed censoring document: {exc!r}") from None
 
 
-def _load_json(path):
+def _load_config(path, config_type):
+    """``config_type.from_json_dict`` of the JSON file at ``path``.  Every
+    decode or shape error is a ConfigError that names the file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return config_type.from_json_dict(json.load(handle))
         except RecursionError:
             raise ConfigError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON or UTF-8, a bad number, or a ConfigError
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:
-    return ScenarioConfig.from_json_dict(_load_json(path))
+    return _load_config(path, ScenarioConfig)
 
 
 def load_censoring(path) -> CensoringConfig:
-    return CensoringConfig.from_json_dict(_load_json(path))
+    return _load_config(path, CensoringConfig)
 
 
 def subject_rng(seed: int, subject: int, arm: int = 0) -> np.random.Generator:
     """Independent substream for one subject, stable under parallel fan-out."""
     return np.random.default_rng(np.random.SeedSequence((seed, arm, subject)))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit
+    words, one word for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_words(seed: int, arm: int, subjects: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence((seed, arm, s)).generate_state(8, np.uint32)`` for every
+    subject id s < 2**32 in ``subjects``, as eight uint32 arrays, word by word.
+
+    SeedSequence hashes its entropy words into a pool of 4 words, mixes the
+    pool, and hashes the pool out again.  Every subject has the same number
+    of entropy words (seed's, arm's, then its own), and the hash constants
+    advance once per hash whatever the values, so the subjects go through
+    the same sequence of uint32 array operations, which wrap silently.
+    """
+    n = len(subjects)
+    entropy = [np.full(n, word, np.uint32) for word in _uint32_words(seed) + _uint32_words(arm)]
+    entropy.append(subjects.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _fill_streams(seed: int, arm: int, first: int, draws: np.ndarray) -> None:
+    """Fill row i of ``draws`` with ``subject_rng(seed, first + i, arm).random``.
+
+    The subjects' seed words come from one array pass (``_seed_words``); one
+    reused PCG64 is then seeded per subject as ``pcg64_set_seed`` does it
+    from ``generate_state(4, np.uint64)``, whose words are (initstate high,
+    low, initseq high, low): state 0, inc = initseq << 1 | 1, a step,
+    state += initstate, another step.  A step is state * mult + inc.
+    """
+    words = np.array(_seed_words(seed, arm, np.arange(first, first + len(draws))), np.uint64)
+    halves = words[0::2] | words[1::2] << 32  # little-endian pairs of uint32 words
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for (state_hi, state_lo, seq_hi, seq_lo), row in zip(halves.T.tolist(), draws):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.random(out=row)
 
 
 def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
@@ -487,19 +587,26 @@ def simulate_sample(
 
     Each subject takes all its uniforms in one block draw: one for the
     initial state, one per grid time, then its censoring draws.  That is the
-    same stream as one scalar draw at a time, so a sample does not depend
-    on how the subjects are batched.  Subjects are sampled ``_BLOCK`` at a
-    time, which bounds the size of the draw matrix.
+    same stream as one scalar draw at a time from ``subject_rng``, so a
+    sample does not depend on how the subjects are batched.  A block holds
+    as many subjects as fit ``_BLOCK_DRAWS`` uniforms (at least one); its
+    streams are seeded in one array pass and its subjects walk the ticks
+    together.  Seed and arm must be non-negative and subject ids, 0 to
+    n - 1, below 2**32, so that every subject's seed has the same words.
     """
     if n < 1:
         raise ConfigError("need at least one subject")
+    if n > 2**32:
+        raise ConfigError(f"subject ids must be below 2**32, got {n} subjects")
+    if seed < 0 or arm < 0:
+        raise ConfigError(f"seed and arm must be non-negative, got seed {seed} and arm {arm}")
     m = len(scenario.grid)
     k = 1 + m + _censoring_draws(censoring, m)
+    size = max(1, _BLOCK_DRAWS // k)
     blocks = []
-    for first in range(0, n, _BLOCK):
-        draws = np.empty((min(_BLOCK, n - first), k))
-        for offset, row in enumerate(draws):
-            subject_rng(seed, first + offset, arm).random(out=row)
+    for first in range(0, n, size):
+        draws = np.empty((min(size, n - first), k))
+        _fill_streams(seed, arm, first, draws)
         states = _tick_states(scenario, draws[:, : 1 + m])
         blocks.append(_observed_columns(scenario, censoring, states, draws[:, 1 + m :]))
     initial, counts, times, states = (np.concatenate(column) for column in zip(*blocks))

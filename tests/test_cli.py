@@ -503,3 +503,42 @@ class TestEscapesFound:
         path.write_text(json.dumps(document))
         assert self.simulate(tmp_path, f"{CORPUS}/idn.json", path) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "convergence"])
+    def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys, command):
+        argv = {
+            "simulate": ["--scenario", f"{CORPUS}/idn.json", "--n", 5, "--out", tmp_path / "s.csv"],
+            "verify": ["--count", 0],
+            "convergence": ["--scenario", f"{CORPUS}/idn.json", "--censoring", f"{CORPUS}/conforming.json"],
+        }[command]
+        assert run(command, *argv, "--seed", -1) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be a non-negative integer, got -1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"d": "x"}', "\udcff"])
+    def test_malformed_scenario_names_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert self.simulate(tmp_path, path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert run("verify", "--scenario", path, "--count", 0) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("text", ["{", "[]"])
+    def test_broken_corpus_names_the_file(self, tmp_path, capsys, text):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("idn.json", "surv.json", "forced_exit.json"):
+            shutil.copy(f"{CORPUS}/{name}", corpus / name)
+        (corpus / "forced_exit.json").write_text(text)
+        assert run("verify", "--corpus", corpus, "--count", 0) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus / 'forced_exit.json'}: ")
+        assert "Traceback" not in err
+
+    def test_malformed_censoring_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "censoring.json"
+        path.write_text('{"kind": "none"')
+        assert self.simulate(tmp_path, f"{CORPUS}/idn.json", path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")

@@ -321,13 +321,20 @@ def censorings(draw):
     return CensoringConfig(kind, q=q)
 
 
+# seeds of one, two and three or more 32-bit words: with arm and subject, the
+# last make more entropy words than SeedSequence's pool of four
+seeds = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**100)
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(generated_scenarios(), history_scenarios()),
     censorings(),
     st.integers(1, 25),
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 1),
+    seeds,
+    st.integers(0, 2),
 )
 def test_simulate_sample_matches_per_subject_reference(scenario, censoring, n, seed, arm):
     fast = simulate_sample(scenario, censoring, n, seed, arm)
@@ -335,11 +342,21 @@ def test_simulate_sample_matches_per_subject_reference(scenario, censoring, n, s
     assert fast == slow
 
 
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(0, 2**33), st.integers(0, 2**32 - 4), st.integers(1, 40))
+def test_block_seeding_matches_subject_rng(seed, arm, first, k):
+    # subject ids up to the largest one word holds, which a test sample cannot reach
+    draws = np.empty((4, k))
+    simulation._fill_streams(seed, arm, first, draws)
+    for offset, row in enumerate(draws):
+        assert np.array_equal(row, simulation.subject_rng(seed, first + offset, arm).random(k))
+
+
 def test_sample_does_not_depend_on_the_block_size(monkeypatch):
     scenario = random_scenario(np.random.default_rng(5), forced_exit=True)
     censoring = CensoringConfig("violating", q=0.7, delta=0.5)
     whole = simulate_sample(scenario, censoring, 10, seed=3, arm=1)
-    monkeypatch.setattr(simulation, "_BLOCK", 3)
+    monkeypatch.setattr(simulation, "_BLOCK_DRAWS", 1)
     assert simulate_sample(scenario, censoring, 10, seed=3, arm=1) == whole
 
 

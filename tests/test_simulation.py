@@ -256,6 +256,18 @@ class TestReproducibility:
         two = simulate_sample(scenario, cfg, 50, seed=42, arm=1)
         assert one != two
 
+    @pytest.mark.parametrize(
+        "n, seed, arm, message",
+        [
+            (5, -1, 0, "seed -1"),
+            (5, 0, -2, "arm -2"),
+            (2**32 + 1, 7, 0, "below 2\\*\\*32"),
+        ],
+    )
+    def test_out_of_range_stream_keys_are_rejected(self, n, seed, arm, message):
+        with pytest.raises(ConfigError, match=message):
+            simulate_sample(two_state_scenario(), CensoringConfig("none"), n, seed, arm)
+
 
 class TestJsonConfigs:
     def test_scenario_round_trip(self):
