@@ -20,12 +20,12 @@ from .interval_functions import (
     AdditiveIF,
     StepFunction,
     check_product_variation_bound,
-    defect_profile,
     kolmogorov_integral,
     matrix_norm,
     multiplicative_transform,
     plus_identity,
     product_integral,
+    refinement_cells,
 )
 from .intervals import Interval
 from .multistate import PathSpace
@@ -232,18 +232,16 @@ def hazard_defect_table(ps: PathSpace, depths: int = 6) -> list[tuple[str, float
 
     A cell's term depends only on its tick columns (``PathSpace.columns``),
     which fix its transition matrix and the hazard atoms it contains, so
-    each column pair is evaluated once.  The schedule is the space's
-    memoized one, shared with ``count_mean_defect_checks``.
+    each column pair of the schedule is evaluated once.  Every row adds its
+    cells' terms in partition order, as ``defect_profile`` does.
     """
     window = Interval.open_closed(0.0, ps.tau)
-    return defect_profile(
-        ps.transition_deviation_if(),
-        ps.hazard_matrix(),
-        window,
-        depths,
-        key=ps.columns,
-        schedule=ps.refinement_schedule(depths),
-    )
+    schedule = refinement_cells(ps.event_times, window, depths)
+    cells, classes = ps.column_classes(schedule)
+    f, hazard = ps.transition_deviation_if(), ps.hazard_matrix()
+    terms = np.array([matrix_norm(f(cell) - hazard(cell)) for cell in cells])
+    defects = schedule.sums(terms, classes)
+    return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
 
 
 def hazard_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> list[CheckRecord]:
@@ -301,19 +299,15 @@ def count_mean_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") ->
     accumulates every pair's sum at once; each entry adds its cells in the
     same order as a per-pair ``strict_transform_defect`` would.  A cell's
     term depends only on its tick columns, so each column pair is
-    evaluated once.  The schedule is the space's memoized one, shared with
-    ``hazard_defect_checks``.
+    evaluated once.
     """
-    deepest = ps.refinement_schedule(depths)[-1]
+    window = Interval.open_closed(0.0, ps.tau)
+    deepest = refinement_cells(ps.event_times, window, depths).since(depths + 1)
+    cells, classes = ps.column_classes(deepest)
     counts = AdditiveIF(ps.dim, tuple((u, ps.jump_mass(u)) for u in ps.event_times))
-    terms = {}
-    defect = np.zeros((ps.dim, ps.dim))
-    for cell in deepest.cells:
-        columns = ps.columns(cell)
-        term = terms.get(columns)
-        if term is None:
-            term = terms[columns] = np.abs(ps.indicator_matrix(cell) - counts(cell))
-        defect += term
+    terms = np.array([np.abs(ps.indicator_matrix(cell) - counts(cell)) for cell in cells])
+    # a running sum, cell after cell; a pairwise np.sum would round differently
+    defect = np.cumsum(terms[classes], axis=0)[-1]
     records = []
     for j in range(1, ps.dim + 1):
         for k in range(1, ps.dim + 1):

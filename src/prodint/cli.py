@@ -24,6 +24,7 @@ from . import checks
 from .estimators import (
     FormatError,
     GridBudgetError,
+    _json_float,
     estimate,
     line_of_state,
     read_event_histories,
@@ -82,11 +83,38 @@ def _digest(*documents) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+# one record of ``RunReport.to_json_dict()`` as ``json.dump(..., indent=2)`` lays it out
+_RECORD = (
+    '\n    {\n      "name": %s,\n      "lhs": %s,\n      "rhs": %s,\n      "tol": %s,'
+    '\n      "passed": %s,\n      "detail": %s,\n      "kind": %s\n    }'
+)
+
+
 def _write_report(report: RunReport, path) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
-            handle.write("\n")
+    """``json.dump(report.to_json_dict(), handle, indent=2)`` and a newline,
+    written one record at a time instead of one token at a time."""
+    if not path:
+        return
+    text = json.encoder.encode_basestring_ascii
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(
+            f'{{\n  "command": {text(report.command)},\n  "config_digest": '
+            f'{text(report.config_digest)},\n  "seed": {json.dumps(report.seed)},\n  "records": '
+        )
+        for i, r in enumerate(report.records):
+            handle.write(("[" if i == 0 else ",") + _RECORD % (
+                text(r.name),
+                _json_float(r.lhs),
+                _json_float(r.rhs),
+                _json_float(r.tol),
+                "true" if r.passed else "false",
+                text(r.detail),
+                text(r.kind),
+            ))
+        handle.write("\n  ]" if report.records else "[]")
+        # json.dumps lays the few table rows out at depth 0; indent them to depth 1
+        table = json.dumps(report.table, indent=2).replace("\n", "\n  ")
+        handle.write(f',\n  "table": {table},\n  "elapsed_s": {json.dumps(report.elapsed_s)}\n}}\n')
 
 
 def _slack(record) -> float:

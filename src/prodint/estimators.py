@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -567,7 +566,48 @@ def write_occupation_csv(path, grid: EstimateGrid) -> None:
             writer.writerow([t] + list(row))
 
 
+def _json_float(value: float) -> str:
+    """``value`` as ``json`` writes a float: its repr, or NaN, Infinity, -Infinity."""
+    if value != value:
+        return "NaN"
+    if value in (np.inf, -np.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_json_array(handle, array: np.ndarray, depth: int, text) -> None:
+    """A float array laid out as ``json.dump(..., indent=2)`` lays out its
+    nested lists at nesting ``depth``, one innermost row per write; ``text``
+    spells one float."""
+    if not len(array):
+        handle.write("[]")
+        return
+    pad = "\n" + "  " * (depth + 1)
+    if array.ndim == 1:
+        handle.write("[" + pad + ("," + pad).join(map(text, array.tolist())))
+    else:
+        for i, inner in enumerate(array):
+            handle.write(("[" if i == 0 else ",") + pad)
+            _write_json_array(handle, inner, depth + 1, text)
+    handle.write("\n" + "  " * depth + "]")
+
+
 def write_grid_json(path, grid: EstimateGrid) -> None:
+    """``json.dump(grid.to_json_dict(), handle, indent=2)`` and a newline,
+    written one row at a time instead of one token at a time."""
+    if grid.transition is None or grid.occupation is None or grid.p0 is None:
+        raise EstimationError("grid is not fully computed")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(grid.to_json_dict(), handle, indent=2)
-        handle.write("\n")
+        handle.write(f'{{\n  "d": {grid.dim!r},\n  "n": {grid.n!r}')
+        for key, values in (
+            ("p0", grid.p0),
+            ("times", grid.times),
+            ("hazard_steps", grid.hazard_steps),
+            ("transition", grid.transition),
+            ("occupation", grid.occupation),
+        ):
+            array = np.asarray(values, dtype=float)
+            text = float.__repr__ if np.isfinite(array).all() else _json_float
+            handle.write(f',\n  "{key}": ')
+            _write_json_array(handle, array, 1, text)
+        handle.write("\n}\n")

@@ -11,6 +11,9 @@ time window.  This module provides:
 * additive and multiplicative transforms, computed as limits along the
   canonical refinement schedule (Young partition at the declared support,
   then repeated halving of the open cells);
+* the same schedule as endpoint arrays (``refinement_cells``), whose cells
+  can be classed by the support times they contain and evaluated once per
+  class;
 * the summed defect against a proposed transform on a given partition;
 * the exact product integral of an additive function, and the integral of
   a regulated step function against an additive function.
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -249,44 +251,113 @@ def strict_transform_defect(f, target, p: Partition) -> float:
     return sum(matrix_norm(f(cell) - target(cell)) for cell in p.cells)
 
 
-def _memoized(term, key):
-    """``term`` evaluated once per ``key(cell)`` for the life of the result.
-
-    Only sound when cells with equal keys have equal terms.
-    """
-    memo = {}
-
-    def lookup(cell):
-        k = key(cell)
-        value = memo.get(k)
-        if value is None:
-            value = memo[k] = term(cell)
-        return value
-
-    return lookup
-
-
-def defect_profile(
-    f, target, a: Interval, depths: int = 6, key=None, schedule=None
-) -> list[tuple[str, float]]:
-    """Defect against ``target`` on the trivial partition and the schedule.
-
-    ``key``, when given, maps a cell to a hashable class such that cells of
-    one class have equal ``f`` and equal ``target`` values.  Each class is
-    then evaluated once per call, and every row still adds its cells'
-    terms in partition order, so the rows equal the unkeyed ones exactly.
-    ``schedule``, when given, is the refinement schedule of ``a`` at
-    ``f.support`` to ``depths`` halvings, already built by the caller.
-    """
-    if schedule is None:
-        schedule = refinement_partitions(f.support, a, depths)
-    partitions = [Partition((a,))] + list(schedule)
-    if key is None:
-        defects = [strict_transform_defect(f, target, p) for p in partitions]
-    else:
-        term = _memoized(lambda cell: matrix_norm(f(cell) - target(cell)), key)
-        defects = [sum(map(term, p.cells)) for p in partitions]
+def defect_profile(f, target, a: Interval, depths: int = 6) -> list[tuple[str, float]]:
+    """Defect against ``target`` on the trivial partition and the schedule."""
+    partitions = [Partition((a,))] + list(refinement_partitions(f.support, a, depths))
+    defects = [strict_transform_defect(f, target, p) for p in partitions]
     return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
+
+
+class CellSchedule(NamedTuple):
+    """Consecutive partitions of one window as endpoint arrays.
+
+    Cell i is ``Interval(lo[i], hi[i], lo_closed[i], hi_closed[i])``, and
+    partition p holds the cells ``bounds[p]:bounds[p + 1]``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_closed: np.ndarray
+    hi_closed: np.ndarray
+    bounds: tuple[int, ...]
+
+    def cell(self, i: int) -> Interval:
+        return Interval(
+            float(self.lo[i]), float(self.hi[i]), bool(self.lo_closed[i]), bool(self.hi_closed[i])
+        )
+
+    def since(self, p: int) -> "CellSchedule":
+        """The partitions from ``p`` on."""
+        first = self.bounds[p]
+        return CellSchedule(
+            self.lo[first:],
+            self.hi[first:],
+            self.lo_closed[first:],
+            self.hi_closed[first:],
+            tuple(b - first for b in self.bounds[p:]),
+        )
+
+    def ranges(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """The (start, stop) index arrays for which cell i contains exactly
+        ``times[start[i]:stop[i]]`` of the sorted ``times``."""
+        times = np.asarray(times, dtype=float)
+        start = np.where(
+            self.lo_closed,
+            np.searchsorted(times, self.lo, "left"),
+            np.searchsorted(times, self.lo, "right"),
+        )
+        stop = np.where(
+            self.hi_closed,
+            np.searchsorted(times, self.hi, "right"),
+            np.searchsorted(times, self.hi, "left"),
+        )
+        return start, stop
+
+    def classes(self, start, stop) -> tuple[list[Interval], np.ndarray]:
+        """Class the cells by their (start, stop) index pair: each class's
+        first cell in schedule order, and every cell's class."""
+        keys = start * (int(stop.max(initial=0)) + 1) + stop
+        _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
+        return [self.cell(i) for i in first.tolist()], classes
+
+    def sums(self, values: np.ndarray, classes: np.ndarray) -> list[float]:
+        """Per partition, the sum of its cells' ``values[classes]`` taken in
+        cell order with the builtin ``sum``, as a loop over the cells adds."""
+        terms = values[classes].tolist()
+        return [sum(terms[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
+
+
+def _halved(lo, hi, lo_closed, hi_closed):
+    """``halve_open_cells`` on endpoint arrays: a cell (a, b) becomes
+    (a, m), [m, m], (m, b); a point stays whole."""
+    split = lo < hi
+    mid = 0.5 * (lo + hi)
+    if not ((lo < mid) & (mid < hi))[split].all():
+        raise ValueError("a cell is too narrow to halve: its midpoint is an endpoint")
+    counts = 1 + 2 * split
+    first = (np.cumsum(counts) - counts)[split]
+    second, third = first + 1, first + 2
+    lo, hi, lo_closed, hi_closed = (np.repeat(x, counts) for x in (lo, hi, lo_closed, hi_closed))
+    mid = mid[split]
+    lo[second] = lo[third] = hi[first] = hi[second] = mid
+    lo_closed[second] = hi_closed[second] = True
+    lo_closed[third] = hi_closed[first] = False
+    return lo, hi, lo_closed, hi_closed
+
+
+def _endpoint_arrays(cells) -> tuple[np.ndarray, ...]:
+    return (
+        np.array([c.lo for c in cells], dtype=float),
+        np.array([c.hi for c in cells], dtype=float),
+        np.array([c.lo_closed for c in cells], dtype=bool),
+        np.array([c.hi_closed for c in cells], dtype=bool),
+    )
+
+
+def refinement_cells(support, a: Interval, max_depth: int) -> CellSchedule:
+    """The trivial partition ``{a}``, then ``refinement_partitions(support, a,
+    max_depth)``, as one ``CellSchedule`` of ``max_depth + 2`` partitions.
+
+    Each halving is one array step over the previous partition, with the
+    midpoint computed as ``halve_open_cells`` computes it, so the cells equal
+    the ``Interval`` schedule's exactly.
+    """
+    times = sorted({t for t in support if a.contains(t)})
+    partitions = [_endpoint_arrays((a,)), _endpoint_arrays(young_partition(times, a).cells)]
+    for _ in range(max_depth):
+        partitions.append(_halved(*partitions[-1]))
+    bounds = tuple(np.cumsum([0] + [len(p[0]) for p in partitions]).tolist())
+    return CellSchedule(*(np.concatenate(side) for side in zip(*partitions)), bounds)
 
 
 def variation_norm(f, a: Interval, depth: int = 6) -> float:
@@ -464,16 +535,14 @@ def check_product_variation_bound(
     def deviation(cell):
         return matrix_norm(product_integral(mu, cell) - eye)
 
-    if not mu.density:
-        deviation = _memoized(deviation, partial(_atom_range, tuple(t for t, _ in mu.atoms)))
     lhs = 0.0
-    for part in refinement_partitions(mu.support, a, depths):
-        lhs = max(lhs, sum(map(deviation, part.cells)))
+    if mu.density:
+        for part in refinement_partitions(mu.support, a, depths):
+            lhs = max(lhs, sum(map(deviation, part.cells)))
+    else:
+        schedule = refinement_cells(mu.support, a, depths).since(1)
+        cells, classes = schedule.classes(*schedule.ranges([t for t, _ in mu.atoms]))
+        values = np.array([deviation(cell) for cell in cells])
+        for total in schedule.sums(values, classes):
+            lhs = max(lhs, total)
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-12)
-
-
-def _atom_range(times, a: Interval) -> tuple[int, int]:
-    """The (start, stop) indices of the sorted ``times`` that ``a`` contains."""
-    start = bisect_left(times, a.lo) if a.lo_closed else bisect_right(times, a.lo)
-    stop = bisect_right(times, a.hi) if a.hi_closed else bisect_left(times, a.hi)
-    return start, stop

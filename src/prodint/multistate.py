@@ -26,11 +26,11 @@ from .estimators import EventHistory, EventSample
 from .interval_functions import (
     AdditiveIF,
     BoundCheck,
+    CellSchedule,
     GeneralIF,
     product_integral,
-    refinement_partitions,
 )
-from .intervals import Interval, Partition
+from .intervals import Interval
 
 Side = Literal["right", "left"]
 
@@ -123,7 +123,6 @@ class PathSpace:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_ticks", (0.0,) + grid)
         object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_schedules", {})
 
     @cached_property
     def event_times(self) -> tuple[float, ...]:
@@ -170,15 +169,13 @@ class PathSpace:
         right = self._column_at(a.hi) if a.hi_closed else self._column_before(a.hi)
         return left, right
 
-    def refinement_schedule(self, depths: int) -> tuple[Partition, ...]:
-        """The refinement schedule of (0, tau] at the event times, from the
-        Young partition through ``depths`` halvings; built once per depth."""
-        schedule = self._schedules.get(depths)
-        if schedule is None:
-            window = Interval.open_closed(0.0, self.tau)
-            schedule = tuple(refinement_partitions(self.event_times, window, depths))
-            self._schedules[depths] = schedule
-        return schedule
+    def column_classes(self, schedule: CellSchedule) -> tuple[list[Interval], np.ndarray]:
+        """Class the cells of ``schedule`` by their ``columns`` pair: each
+        class's first cell in schedule order, and every cell's class."""
+        # the ticks a cell holds are ticks[start:stop]; its left column is the
+        # last tick before it, its right column the last tick in or before it
+        start, stop = schedule.ranges(self._ticks)
+        return schedule.classes(np.maximum(start - 1, 0), np.maximum(stop - 1, 0))
 
     def _table(self, left: int, right: int) -> _JointTable:
         table = self._tables.get((left, right))

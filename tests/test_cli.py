@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prodint import checks, empirical_occupancy, multiplicative_transform, read_event_histories
 from prodint.checks import CheckRecord
-from prodint.cli import RunReport, _summarize, main
+from prodint.cli import RunReport, _summarize, _write_report, main
+from prodint.estimators import EstimateGrid, write_grid_json
 
 from corpora import float_sum_exit_scenario
 
@@ -267,6 +268,60 @@ class TestSummary:
         records = [CheckRecord("eq", 1.0, 2.0, 0.0, False, "d"), CheckRecord("b", 1, 2, 0, True, kind="bound")]
         dumped = RunReport("verify", "digest", 7, records).to_json_dict()["records"]
         assert [list(r.items()) for r in dumped] == [list(dataclasses.asdict(r).items()) for r in records]
+
+
+JSON_FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+JSON_TEXTS = st.text() | st.sampled_from(['say "hi"', "back\\slash", "na\u00efve \u2603 \U0001f600", "\x00\n\t"])
+
+
+def json_dump_text(path, document):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    return path.read_text(encoding="utf-8")
+
+
+class TestJsonWriters:
+    """The report and grid writers write what json.dump(..., indent=2) writes."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.builds(
+                CheckRecord, JSON_TEXTS, JSON_FLOATS, JSON_FLOATS, JSON_FLOATS, st.booleans(),
+                JSON_TEXTS, st.sampled_from(["equality", "bound"]),
+            ),
+            max_size=4,
+        ),
+        st.lists(
+            st.fixed_dictionaries({"arm": JSON_TEXTS, "n": st.integers(1, 10**6), "sup_error": JSON_FLOATS}),
+            max_size=3,
+        ),
+        st.none() | st.integers(0, 2**70),
+        JSON_FLOATS,
+    )
+    def test_report_matches_json_dump(self, tmp_path, records, table, seed, elapsed):
+        report = RunReport("verify", "0123abcd", seed, records, table, elapsed)
+        _write_report(report, tmp_path / "report.json")
+        expected = json_dump_text(tmp_path / "expected.json", report.to_json_dict())
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 3), st.integers(0, 3), st.data())
+    def test_grid_matches_json_dump(self, tmp_path, dim, size, data):
+        def floats(*shape):
+            values = data.draw(st.lists(JSON_FLOATS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+            return np.array(values, dtype=float).reshape(shape)
+
+        times = tuple(sorted(set(data.draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size)))))
+        grid = EstimateGrid(
+            dim, data.draw(st.integers(1, 10**6)), times,
+            tuple(floats(dim, dim) for _ in times), tuple(floats(dim, dim) for _ in times),
+            floats(dim), tuple(floats(dim) for _ in times),
+        )
+        write_grid_json(tmp_path / "grid.json", grid)
+        expected = json_dump_text(tmp_path / "expected.json", grid.to_json_dict())
+        assert (tmp_path / "grid.json").read_text(encoding="utf-8") == expected
 
 
 class TestConvergence:

@@ -27,6 +27,7 @@ from prodint import (
     variation_norm,
     young_partition,
 )
+from prodint.interval_functions import refinement_cells
 
 import oracle_enum
 import reference_impl
@@ -209,6 +210,44 @@ class TestStrictTransformDefect:
         assert values[0] > 1.0  # the single coarse cell is far from additive
         assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
         assert values[-1] < 1e-10
+
+
+SCHEDULE_TIMES = st.sampled_from([k * 0.25 for k in range(17)]) | st.floats(-1e3, 1e3)
+
+
+class TestRefinementCells:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(SCHEDULE_TIMES, min_size=2, max_size=2, unique=True),
+        st.lists(SCHEDULE_TIMES, max_size=6),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 5),
+    )
+    def test_equals_the_interval_schedule(self, ends, support, on_lo, on_hi, depths):
+        lo, hi = sorted(ends)
+        support = support + [lo] * on_lo + [hi] * on_hi
+        windows = [Interval(lo, hi, lc, hc) for lc in (False, True) for hc in (False, True)]
+        for a in windows + [PT(lo)]:
+            try:
+                expected = [Partition((a,))] + list(refinement_partitions(support, a, depths))
+            except ValueError:  # a cell too narrow to halve
+                with pytest.raises(ValueError):
+                    refinement_cells(support, a, depths)
+                continue
+            schedule = refinement_cells(support, a, depths)
+            bounds = schedule.bounds
+            got = [[schedule.cell(i) for i in range(b, e)] for b, e in zip(bounds, bounds[1:])]
+            assert got == [list(p.cells) for p in expected]
+            deepest = schedule.since(depths + 1)
+            assert [deepest.cell(i) for i in range(len(deepest.lo))] == list(expected[-1].cells)
+
+    def test_narrow_cell_is_rejected_like_the_interval_schedule(self):
+        a = OC(1.0, math.nextafter(1.0, 2.0))
+        with pytest.raises(ValueError):
+            list(refinement_partitions((), a, 1))
+        with pytest.raises(ValueError):
+            refinement_cells((), a, 1)
 
 
 class TestProductIntegral:

@@ -23,7 +23,8 @@ from prodint.checks import (
     random_scenario,
     random_subinterval,
 )
-from prodint import interval_functions, multistate
+from prodint import checks, interval_functions
+from prodint.interval_functions import refinement_cells
 from prodint.simulation import RULE_KINDS
 
 from corpora import random_corpus
@@ -228,17 +229,40 @@ def test_defect_suites_build_one_schedule_per_space(monkeypatch):
 
     def counting(support, a, depths):
         built.append(depths)
-        return refinement_partitions(support, a, depths)
+        return refinement_cells(support, a, depths)
 
-    monkeypatch.setattr(multistate, "refinement_partitions", counting)
-    monkeypatch.setattr(interval_functions, "refinement_partitions", counting)
+    def per_cell(*args):
+        raise AssertionError("the defect suites build no Interval schedule")
+
+    monkeypatch.setattr(checks, "refinement_cells", counting)
+    monkeypatch.setattr(interval_functions, "refinement_partitions", per_cell)
+    monkeypatch.setattr(interval_functions, "halve_open_cells", per_cell)
     for ps in spaces:
+        built.clear()
         hazard_defect_checks(ps)
         count_mean_defect_checks(ps)
-        hazard_defect_table(ps)
-        window = Interval.open_closed(0.0, ps.tau)
-        assert ps.refinement_schedule(6) == tuple(refinement_partitions(ps.event_times, window, 6))
-    assert built == [6] * len(spaces)
+        # one array schedule per suite and space, to the default depth
+        assert built == [6, 6]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_spaces() | weighted_spaces(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_column_classes_are_the_cells_column_pairs(ps, depths, seed):
+    # the window of the defect suites, its other three shapes, random
+    # subintervals and points; support at the event times or at every tick
+    windows = [Interval(0.0, ps.tau, lc, hc) for lc in (False, True) for hc in (True, False)]
+    windows += probe_intervals(np.random.default_rng(seed), ps.tau)[:4]
+    windows += [Interval.point(0.0), Interval.point(ps.grid[0])]
+    for window, support in zip(windows, [ps.event_times, ps.grid] * len(windows)):
+        schedule = refinement_cells(support, window, depths)
+        cells, classes = ps.column_classes(schedule)
+        partitions = [Partition((window,))] + list(refinement_partitions(support, window, depths))
+        expected = [ps.columns(cell) for p in partitions for cell in p.cells]
+        assert [ps.columns(cells[c]) for c in classes.tolist()] == expected
+        # distinct classes read distinct pairs, and each is held by its first cell
+        assert len({ps.columns(cell) for cell in cells}) == len(cells)
+        flat = [cell for p in partitions for cell in p.cells]
+        assert [flat[classes.tolist().index(c)] for c in range(len(cells))] == cells
 
 
 def test_zero_conditioning_gives_identity_row():
