@@ -2,22 +2,16 @@
 multi-state event histories.
 
 The pieces fit together like this: ``intervals`` supplies endpoint-aware
-intervals and partitions; ``interval_functions`` the additive and
-multiplicative transforms, product integrals and step-function integrals
-built on them; ``multistate`` an exactly enumerable law of a multi-state
+intervals; ``interval_functions`` the refinement engine, the additive and
+multiplicative transforms along it, product integrals and step-function
+integrals; ``multistate`` an exactly enumerable law of a multi-state
 process serving as the oracle; ``estimators`` the Nelson-Aalen /
 Aalen-Johansen pipeline on observed event histories; ``simulation`` the
 grid samplers and censoring mechanisms; ``checks`` the verification
 suites; and ``cli`` the command-line harness.
 """
 
-from .intervals import (
-    Interval,
-    Partition,
-    halve_open_cells,
-    refine,
-    young_partition,
-)
+from .intervals import Interval
 from .interval_functions import (
     AdditiveIF,
     BoundCheck,
@@ -32,7 +26,6 @@ from .interval_functions import (
     multiplicative_transform,
     plus_identity,
     product_integral,
-    refinement_partitions,
     strict_transform_defect,
     variation_norm,
 )
@@ -87,7 +80,6 @@ __all__ = [
     "GeneralIF",
     "HazardMatrixIF",
     "Interval",
-    "Partition",
     "PathSpace",
     "ScenarioConfig",
     "StepFunction",
@@ -100,7 +92,6 @@ __all__ = [
     "estimate",
     "exact_pathspace",
     "forced_exit_scenario",
-    "halve_open_cells",
     "illness_death_scenario",
     "kolmogorov_integral",
     "load_censoring",
@@ -112,13 +103,10 @@ __all__ = [
     "plus_identity",
     "product_integral",
     "read_event_histories",
-    "refine",
-    "refinement_partitions",
     "simulate_sample",
     "strict_transform_defect",
     "subject_rng",
     "two_state_scenario",
     "variation_norm",
     "write_event_histories",
-    "young_partition",
 ]

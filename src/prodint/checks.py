@@ -20,12 +20,13 @@ from .interval_functions import (
     AdditiveIF,
     StepFunction,
     check_product_variation_bound,
+    defect_profile,
     kolmogorov_integral,
     matrix_norm,
     multiplicative_transform,
     plus_identity,
     product_integral,
-    refinement_cells,
+    strict_transform_defect,
 )
 from .intervals import Interval
 from .multistate import PathSpace
@@ -228,20 +229,11 @@ def occupation_identity_checks(ps: PathSpace, label: str = "") -> list[CheckReco
 
 def hazard_defect_table(ps: PathSpace, depths: int = 6) -> list[tuple[str, float]]:
     """Defect profile of (transition - identity) against the hazard on
-    (0, tau]: the trivial partition, then the refinement schedule.
-
-    A cell's term depends only on its tick columns (``PathSpace.columns``),
-    which fix its transition matrix and the hazard atoms it contains, so
-    each column pair of the schedule is evaluated once.  Every row adds its
-    cells' terms in partition order, as ``defect_profile`` does.
-    """
+    (0, tau]: the trivial partition, then the refinement schedule.  Both
+    functions are step-like on ``ps.event_times``, so the engine evaluates
+    each support range once."""
     window = Interval.open_closed(0.0, ps.tau)
-    schedule = refinement_cells(ps.event_times, window, depths)
-    cells, classes = ps.column_classes(schedule)
-    f, hazard = ps.transition_deviation_if(), ps.hazard_matrix()
-    terms = np.array([matrix_norm(f(cell) - hazard(cell)) for cell in cells])
-    defects = schedule.sums(terms, classes)
-    return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
+    return defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
 
 
 def hazard_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> list[CheckRecord]:
@@ -295,19 +287,14 @@ def chapman_kolmogorov_checks(ps: PathSpace | None = None) -> list[CheckRecord]:
 def count_mean_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> list[CheckRecord]:
     """Refinement sums of |status mean - expected count| vanish per pair.
 
-    One pass over the cells of the deepest partition of the schedule
-    accumulates every pair's sum at once; each entry adds its cells in the
-    same order as a per-pair ``strict_transform_defect`` would.  A cell's
-    term depends only on its tick columns, so each column pair is
-    evaluated once.
+    One defect on the deepest partition of the schedule gives every pair's
+    sum at once: each entry adds its cells in the same order as a per-pair
+    ``strict_transform_defect`` would.  Both functions are step-like on
+    ``ps.event_times``, so each support range is evaluated once.
     """
     window = Interval.open_closed(0.0, ps.tau)
-    deepest = refinement_cells(ps.event_times, window, depths).since(depths + 1)
-    cells, classes = ps.column_classes(deepest)
     counts = AdditiveIF(ps.dim, tuple((u, ps.jump_mass(u)) for u in ps.event_times))
-    terms = np.array([np.abs(ps.indicator_matrix(cell) - counts(cell)) for cell in cells])
-    # a running sum, cell after cell; a pairwise np.sum would round differently
-    defect = np.cumsum(terms[classes], axis=0)[-1]
+    defect = strict_transform_defect(ps.indicator_if(), counts, window, depths, distance=np.abs)
     records = []
     for j in range(1, ps.dim + 1):
         for k in range(1, ps.dim + 1):
@@ -510,8 +497,13 @@ def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
     return records
 
 
-def extinction_checks(spaces, labels=None) -> list[CheckRecord]:
-    """Wherever an occupation hits zero the exit atoms there must total one."""
+def extinction_checks(spaces, labels=None, corpus: bool = True) -> list[CheckRecord]:
+    """Wherever an occupation hits zero the exit atoms there must total one.
+
+    On a ``corpus`` (the packaged scenarios plus random ones), finding no
+    extinction at all is a failed coverage record: the corpus is built to
+    hold one.  A single scenario need not.
+    """
     records = []
     labels = labels or [f"instance {i}" for i in range(len(spaces))]
     seen_extinction = False
@@ -531,7 +523,7 @@ def extinction_checks(spaces, labels=None) -> list[CheckRecord]:
                         detail=f"{label} j={j} at t={boundary.time:g}",
                     )
                 )
-    if not seen_extinction:
+    if corpus and not seen_extinction:
         records.append(
             CheckRecord(
                 "extinction-exit",
@@ -577,12 +569,14 @@ def uncensored_identity_checks(
 @dataclass(frozen=True)
 class SuiteInputs:
     """What a suite of ``prodint verify`` draws on: the exact laws with their
-    labels, the generator of the randomized suites and ``--count``."""
+    labels, the generator of the randomized suites, ``--count``, and whether
+    the laws are the corpus or one ``--scenario``."""
 
     spaces: Sequence[PathSpace]
     labels: Sequence[str]
     rng: np.random.Generator
     count: int
+    corpus: bool = True
 
 
 def _each_space(check, inputs: SuiteInputs) -> list[CheckRecord]:
@@ -603,7 +597,7 @@ SUITES: dict[str, Callable[[SuiteInputs], list[CheckRecord]]] = {
     "hazard-integral": lambda run: _each_space(hazard_integral_checks, run),
     "markov-product": lambda run: markov_product_checks(run.rng, count=max(50, run.count // 2)),
     "occupation-lower-bound": lambda run: occupation_bound_checks(run.spaces, run.labels),
-    "extinction-exit": lambda run: extinction_checks(run.spaces, run.labels),
+    "extinction-exit": lambda run: extinction_checks(run.spaces, run.labels, run.corpus),
     "uncensored-identity": lambda run: uncensored_identity_checks(run.rng, count=run.count),
 }
 

@@ -55,12 +55,14 @@ class RunReport:
     records: list = field(default_factory=list)
     table: list = field(default_factory=list)
     elapsed_s: float = 0.0
+    suites: list = field(default_factory=list)  # verify: name, records and wall_s per suite
 
     def to_json_dict(self) -> dict:
         return {
             "command": self.command,
             "config_digest": self.config_digest,
             "seed": self.seed,
+            "suites": self.suites,
             "records": [
                 {
                     "name": r.name,
@@ -99,7 +101,8 @@ def _write_report(report: RunReport, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(
             f'{{\n  "command": {text(report.command)},\n  "config_digest": '
-            f'{text(report.config_digest)},\n  "seed": {json.dumps(report.seed)},\n  "records": '
+            f'{text(report.config_digest)},\n  "seed": {json.dumps(report.seed)},\n  "suites": '
+            f'{_nested(report.suites)},\n  "records": '
         )
         for i, r in enumerate(report.records):
             handle.write(("[" if i == 0 else ",") + _RECORD % (
@@ -112,9 +115,15 @@ def _write_report(report: RunReport, path) -> None:
                 text(r.kind),
             ))
         handle.write("\n  ]" if report.records else "[]")
-        # json.dumps lays the few table rows out at depth 0; indent them to depth 1
-        table = json.dumps(report.table, indent=2).replace("\n", "\n  ")
-        handle.write(f',\n  "table": {table},\n  "elapsed_s": {json.dumps(report.elapsed_s)}\n}}\n')
+        handle.write(
+            f',\n  "table": {_nested(report.table)},\n  "elapsed_s": {json.dumps(report.elapsed_s)}\n}}\n'
+        )
+
+
+def _nested(rows) -> str:
+    """A short list of rows as ``json.dump(..., indent=2)`` lays it out one
+    level down (json.dumps lays it out at depth 0)."""
+    return json.dumps(rows, indent=2).replace("\n", "\n  ")
 
 
 def _slack(record) -> float:
@@ -214,9 +223,15 @@ def cmd_verify(args) -> int:
     spaces = [exact_pathspace(s) for s in [*scenarios.values(), *mixed]]
     labels = [*scenarios, *(f"random {i}" for i in range(len(mixed)))]
 
-    inputs = checks.SuiteInputs(spaces, labels, rng, args.count)
-    selected = [args.only] if args.only else list(checks.SUITES)
-    records = [r for name in selected for r in checks.SUITES[name](inputs)]
+    inputs = checks.SuiteInputs(spaces, labels, rng, args.count, corpus=not args.scenario)
+    records, suites = [], []
+    for name in [args.only] if args.only else checks.SUITES:
+        suite_started = time.perf_counter()
+        made = checks.SUITES[name](inputs)
+        seconds = time.perf_counter() - suite_started
+        print(f"suite {name}: {len(made)} records in {seconds:.4f} s")
+        suites.append({"name": name, "records": len(made), "wall_s": seconds})
+        records += made
     if args.only == "hazard-defect":
         print("defect profile on", labels[0])
         for label, value in checks.hazard_defect_table(spaces[0]):
@@ -229,6 +244,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         records=records,
         elapsed_s=time.perf_counter() - started,
+        suites=suites,
     )
     _write_report(report, args.report)
     return status

@@ -268,6 +268,13 @@ class EstimateGrid:
     P(0, times[i]); ``occupation[i]`` the derived occupation row there.
     The transition and occupation parts are filled in by
     ``aalen_johansen`` and ``occupation_estimate``.
+
+    Only for a Markov law is ``transition`` a transition probability.
+    Otherwise its row j converges to the product of the pooled hazards,
+    not to P(X(t) = k | X(0) = j): in a duration-dependent illness-death
+    law the ill-to-dead entry tends to 0.4 where the truth is 0.2.  The
+    occupation estimate p(0) times that product is the estimator proved
+    consistent without the Markov property.
     """
 
     dim: int

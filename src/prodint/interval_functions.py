@@ -8,13 +8,14 @@ time window.  This module provides:
   norm;
 * ``GeneralIF`` -- an arbitrary evaluator together with its declared
   candidate discontinuity times;
-* additive and multiplicative transforms, computed as limits along the
-  canonical refinement schedule (Young partition at the declared support,
-  then repeated halving of the open cells);
-* the same schedule as endpoint arrays (``refinement_cells``), whose cells
-  can be classed by the support times they contain and evaluated once per
-  class;
-* the summed defect against a proposed transform on a given partition;
+* the refinement engine (``refinement_runs``): the canonical schedule of a
+  window (Young partition at the declared support, then repeated halving of
+  the open cells) given as runs of consecutive cells that hold the same
+  support times;
+* additive and multiplicative transforms, computed as limits along that
+  schedule, and the summed defect against a proposed transform.  A
+  step-like function (constant on cells that hold the same support times)
+  is evaluated once per support range, any other on every cell;
 * the exact product integral of an additive function, and the integral of
   a regulated step function against an additive function.
 
@@ -29,11 +30,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .intervals import Interval, Partition, halve_open_cells, young_partition
+from .intervals import Interval
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 24
@@ -98,6 +100,12 @@ class AdditiveIF:
         object.__setattr__(self, "density", pieces)
 
     @property
+    def step_like(self) -> bool:
+        """Without a density, the value on a cell is the sum of the atoms it
+        holds."""
+        return not self.density
+
+    @property
     def support(self) -> tuple[float, ...]:
         """Candidate discontinuity times: atom times and density edges."""
         times = {t for t, _ in self.atoms}
@@ -154,12 +162,15 @@ class GeneralIF:
     ``support`` must list every time where the function can be
     discontinuous; refinement schedules start from the Young partition at
     these times, and the constructors in this package all know their own
-    jump times.  Discontinuity detection is not attempted.
+    jump times.  Discontinuity detection is not attempted.  ``step_like``
+    declares the function constant on cells that hold the same support
+    times, so the refinement engine evaluates it once per support range.
     """
 
     dim: int
     evaluator: Callable[[Interval], np.ndarray]
     support: tuple[float, ...] = ()
+    step_like: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(sorted(self.support)))
@@ -171,22 +182,135 @@ class GeneralIF:
 def plus_identity(f) -> GeneralIF:
     """The interval function ``a -> identity + f(a)``."""
     eye = np.eye(f.dim)
-    return GeneralIF(f.dim, lambda a: eye + f(a), support=tuple(f.support))
+    return GeneralIF(f.dim, lambda a: eye + f(a), support=tuple(f.support), step_like=f.step_like)
 
 
-def refinement_partitions(support, a: Interval, max_depth: int) -> Iterator[Partition]:
-    """Canonical refinement schedule of ``a``.
+# -- the refinement engine ---------------------------------------------------
 
-    Starts from the Young partition at the support times inside ``a`` and
-    halves every open cell once per step.  Yields ``max_depth + 1``
-    partitions.
+
+class Run(NamedTuple):
+    """``multiplicity`` consecutive cells of one partition, each holding
+    exactly the support times ``times[start:stop]`` (``times`` being the
+    sorted support times inside the window).  They are the Young cell
+    ``cell`` halved ``depth`` times, so ``cell`` holds the same support
+    times and stands for all of them."""
+
+    start: int
+    stop: int
+    multiplicity: int
+    cell: Interval
+    depth: int
+
+    def cells(self) -> list[Interval]:
+        """The run's cells in order."""
+        return _halvings(self.cell, self.depth)
+
+
+def _halvings(cell: Interval, depth: int) -> list[Interval]:
+    """``cell`` halved ``depth`` times, in order: each halving turns (a, b)
+    into (a, m), [m, m], (m, b) with m = 0.5 * (a + b)."""
+    if depth == 0:
+        return [cell]
+    mid = 0.5 * (cell.lo + cell.hi)
+    if not cell.lo < mid < cell.hi:
+        raise ValueError("a cell is too narrow to halve: its midpoint is an endpoint")
+    return (
+        _halvings(Interval(cell.lo, mid, cell.lo_closed, False), depth - 1)
+        + [Interval.point(mid)]
+        + _halvings(Interval(mid, cell.hi, False, cell.hi_closed), depth - 1)
+    )
+
+
+def _young_runs(times, a: Interval) -> list[Run]:
+    """The Young partition of ``a`` at ``times`` (sorted, inside ``a``): a
+    point at each time and the gaps between, one run per cell."""
+    runs = []
+    lo, lo_closed = a.lo, a.lo_closed
+    for i, t in enumerate(times):
+        if t > lo:
+            runs.append(Run(i, i, 1, Interval(lo, t, lo_closed, False), 0))
+        runs.append(Run(i, i + 1, 1, Interval.point(t), 0))
+        lo, lo_closed = t, False
+    if lo < a.hi:
+        runs.append(Run(len(times), len(times), 1, Interval(lo, a.hi, lo_closed, a.hi_closed), 0))
+    elif not runs:
+        runs.append(Run(0, 0, 1, Interval.point(a.lo), 0))
+    return runs
+
+
+def _halved(run: Run) -> Run:
+    """A gap's run one depth further down."""
+    gap, depth = run.cell, run.depth
+    # A float midpoint lies within one ulp of the largest endpoint (u) of the
+    # exact midpoint of its float cell, so the depth-k cells are at least
+    # width / 2**k - 2k u wide, and a cell wider than 2 u has its float
+    # midpoint strictly inside.  The extra 6 u cover the rounding of the width.
+    # Closer to the float resolution, halve the cells one by one, which raises
+    # where one of them is too narrow (or a sum of endpoints could overflow).
+    largest = max(abs(gap.lo), abs(gap.hi))
+    margin = 2.0**depth * (2 * depth + 8) * math.ulp(largest)
+    if not (largest < 2.0**1022 and gap.hi - gap.lo > margin):
+        _halvings(gap, depth + 1)
+    return Run(run.start, run.stop, 2 * run.multiplicity + 1, gap, depth + 1)
+
+
+def refinement_runs(
+    support, a: Interval, max_depth: int, trivial: bool = False
+) -> Iterator[list[Run]]:
+    """The canonical refinement schedule of ``a``: one partition per depth
+    0..``max_depth``, each given lazily as its runs in cell order.
+
+    Depth 0 is the Young partition at the support times inside ``a``, and
+    each depth halves every cell that is not a point.  The halvings of a gap
+    hold no support time, so each gap stays one run of 2**(depth + 1) - 1
+    cells: a partition over E support times is at most 2E + 1 runs at any
+    depth.  With ``trivial`` the partition {a} comes first.  Reaching a
+    depth at which a cell is too narrow to halve raises ``ValueError``.
     """
     times = sorted({t for t in support if a.contains(t)})
-    part = young_partition(times, a)
-    yield part
+    if trivial:
+        yield [Run(0, len(times), 1, a, 0)]
+    runs = _young_runs(times, a)
+    yield runs
     for _ in range(max_depth):
-        part = halve_open_cells(part)
-        yield part
+        runs = [run if run.cell.is_point else _halved(run) for run in runs]
+        yield runs
+
+
+def _values(f, step_like: bool, runs, memo: dict) -> list[tuple]:
+    """(value, multiplicity) of each run in cell order.  A ``step_like``
+    ``f`` is evaluated once per support range, memoized in ``memo`` across
+    the partitions of one schedule; any other on every cell."""
+    if not step_like:
+        return [(f(cell), 1) for run in runs for cell in run.cells()]
+    values = []
+    for run in runs:
+        key = (run.start, run.stop)
+        if key not in memo:
+            memo[key] = f(run.cell)
+        values.append((memo[key], run.multiplicity))
+    return values
+
+
+def _cell_sum(values):
+    """The builtin ``sum`` of every cell's value, in cell order.  Runs of an
+    exact zero are left out: the sum starts from 0, so it never holds -0.0,
+    and adding a zero changes none of its bits."""
+    kept = [
+        (v, n)
+        for v, n in values
+        if n == 1 or (v.any() if isinstance(v, np.ndarray) else v != 0.0)
+    ]
+    return sum(chain.from_iterable(repeat(v, n) for v, n in kept or values[:1]))
+
+
+def _cell_product(values) -> np.ndarray:
+    """The product of every cell's value, left to right in cell order."""
+    result = None
+    for value, n in values:
+        for _ in range(n):
+            result = value if result is None else result @ value
+    return result
 
 
 def _limit_over_refinements(f, a, combine, tol, max_depth, what):
@@ -195,8 +319,9 @@ def _limit_over_refinements(f, a, combine, tol, max_depth, what):
     previous = None
     change = math.inf
     depth = -1
-    for depth, part in enumerate(refinement_partitions(f.support, a, max_depth)):
-        current = combine([f(cell) for cell in part.cells])
+    memo = {}
+    for depth, runs in enumerate(refinement_runs(f.support, a, max_depth)):
+        current = combine(_values(f, f.step_like, runs, memo))
         if previous is not None:
             change = matrix_norm(current - previous)
             if change < tol:
@@ -219,14 +344,7 @@ def additive_transform(
     the support times, so the limit terminates; a density part converges
     geometrically and doubles the work per depth step.
     """
-    return _limit_over_refinements(f, a, sum, tol, max_depth, "additive transform")
-
-
-def _ordered_product(values) -> np.ndarray:
-    result = values[0]
-    for value in values[1:]:
-        result = result @ value
-    return result
+    return _limit_over_refinements(f, a, _cell_sum, tol, max_depth, "additive transform")
 
 
 def multiplicative_transform(
@@ -238,126 +356,55 @@ def multiplicative_transform(
     (chronological) product convention used everywhere in this package.
     """
     return _limit_over_refinements(
-        f, a, _ordered_product, tol, max_depth, "multiplicative transform"
+        f, a, _cell_product, tol, max_depth, "multiplicative transform"
     )
 
 
-def strict_transform_defect(f, target, p: Partition) -> float:
-    """Summed cell-wise distance between ``f`` and a proposed transform.
+def _distance_term(f, target, a: Interval, distance):
+    """The cell term ``distance(f - target)``, and whether it is constant on
+    the support ranges of ``f`` (both step-like, and every support time of
+    ``target`` inside ``a`` one of ``f``'s)."""
+    step_like = (
+        f.step_like
+        and target.step_like
+        and {t for t in target.support if a.contains(t)} <= set(f.support)
+    )
+    return (lambda cell: distance(f(cell) - target(cell))), step_like
+
+
+def strict_transform_defect(f, target, a: Interval, depth: int = 0, distance=matrix_norm):
+    """Summed cell-wise distance between ``f`` and a proposed transform on
+    the depth-``depth`` partition of ``a``'s refinement schedule.
 
     A vanishing defect along refinements is what makes ``target`` a strict
-    (additive or multiplicative) transform of ``f``.
+    (additive or multiplicative) transform of ``f``.  ``distance`` maps a
+    cell's difference to its term; ``np.abs`` gives every entry's defect at
+    once.
     """
-    return sum(matrix_norm(f(cell) - target(cell)) for cell in p.cells)
+    term, step_like = _distance_term(f, target, a, distance)
+    *_, runs = refinement_runs(f.support, a, depth)
+    return _cell_sum(_values(term, step_like, runs, {}))
 
 
 def defect_profile(f, target, a: Interval, depths: int = 6) -> list[tuple[str, float]]:
     """Defect against ``target`` on the trivial partition and the schedule."""
-    partitions = [Partition((a,))] + list(refinement_partitions(f.support, a, depths))
-    defects = [strict_transform_defect(f, target, p) for p in partitions]
+    term, step_like = _distance_term(f, target, a, matrix_norm)
+    memo = {}
+    defects = [
+        _cell_sum(_values(term, step_like, runs, memo))
+        for runs in refinement_runs(f.support, a, depths, trivial=True)
+    ]
     return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
 
 
-class CellSchedule(NamedTuple):
-    """Consecutive partitions of one window as endpoint arrays.
-
-    Cell i is ``Interval(lo[i], hi[i], lo_closed[i], hi_closed[i])``, and
-    partition p holds the cells ``bounds[p]:bounds[p + 1]``.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-    lo_closed: np.ndarray
-    hi_closed: np.ndarray
-    bounds: tuple[int, ...]
-
-    def cell(self, i: int) -> Interval:
-        return Interval(
-            float(self.lo[i]), float(self.hi[i]), bool(self.lo_closed[i]), bool(self.hi_closed[i])
-        )
-
-    def since(self, p: int) -> "CellSchedule":
-        """The partitions from ``p`` on."""
-        first = self.bounds[p]
-        return CellSchedule(
-            self.lo[first:],
-            self.hi[first:],
-            self.lo_closed[first:],
-            self.hi_closed[first:],
-            tuple(b - first for b in self.bounds[p:]),
-        )
-
-    def ranges(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """The (start, stop) index arrays for which cell i contains exactly
-        ``times[start[i]:stop[i]]`` of the sorted ``times``."""
-        times = np.asarray(times, dtype=float)
-        start = np.where(
-            self.lo_closed,
-            np.searchsorted(times, self.lo, "left"),
-            np.searchsorted(times, self.lo, "right"),
-        )
-        stop = np.where(
-            self.hi_closed,
-            np.searchsorted(times, self.hi, "right"),
-            np.searchsorted(times, self.hi, "left"),
-        )
-        return start, stop
-
-    def classes(self, start, stop) -> tuple[list[Interval], np.ndarray]:
-        """Class the cells by their (start, stop) index pair: each class's
-        first cell in schedule order, and every cell's class."""
-        keys = start * (int(stop.max(initial=0)) + 1) + stop
-        _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
-        return [self.cell(i) for i in first.tolist()], classes
-
-    def sums(self, values: np.ndarray, classes: np.ndarray) -> list[float]:
-        """Per partition, the sum of its cells' ``values[classes]`` taken in
-        cell order with the builtin ``sum``, as a loop over the cells adds."""
-        terms = values[classes].tolist()
-        return [sum(terms[start:stop]) for start, stop in zip(self.bounds, self.bounds[1:])]
-
-
-def _halved(lo, hi, lo_closed, hi_closed):
-    """``halve_open_cells`` on endpoint arrays: a cell (a, b) becomes
-    (a, m), [m, m], (m, b); a point stays whole."""
-    split = lo < hi
-    mid = 0.5 * (lo + hi)
-    if not ((lo < mid) & (mid < hi))[split].all():
-        raise ValueError("a cell is too narrow to halve: its midpoint is an endpoint")
-    counts = 1 + 2 * split
-    first = (np.cumsum(counts) - counts)[split]
-    second, third = first + 1, first + 2
-    lo, hi, lo_closed, hi_closed = (np.repeat(x, counts) for x in (lo, hi, lo_closed, hi_closed))
-    mid = mid[split]
-    lo[second] = lo[third] = hi[first] = hi[second] = mid
-    lo_closed[second] = hi_closed[second] = True
-    lo_closed[third] = hi_closed[first] = False
-    return lo, hi, lo_closed, hi_closed
-
-
-def _endpoint_arrays(cells) -> tuple[np.ndarray, ...]:
-    return (
-        np.array([c.lo for c in cells], dtype=float),
-        np.array([c.hi for c in cells], dtype=float),
-        np.array([c.lo_closed for c in cells], dtype=bool),
-        np.array([c.hi_closed for c in cells], dtype=bool),
-    )
-
-
-def refinement_cells(support, a: Interval, max_depth: int) -> CellSchedule:
-    """The trivial partition ``{a}``, then ``refinement_partitions(support, a,
-    max_depth)``, as one ``CellSchedule`` of ``max_depth + 2`` partitions.
-
-    Each halving is one array step over the previous partition, with the
-    midpoint computed as ``halve_open_cells`` computes it, so the cells equal
-    the ``Interval`` schedule's exactly.
-    """
-    times = sorted({t for t in support if a.contains(t)})
-    partitions = [_endpoint_arrays((a,)), _endpoint_arrays(young_partition(times, a).cells)]
-    for _ in range(max_depth):
-        partitions.append(_halved(*partitions[-1]))
-    bounds = tuple(np.cumsum([0] + [len(p[0]) for p in partitions]).tolist())
-    return CellSchedule(*(np.concatenate(side) for side in zip(*partitions)), bounds)
+def _largest_cell_sum(term, step_like: bool, support, a: Interval, depth: int) -> float:
+    """The largest summed cell term over the partitions of the schedule up
+    to ``depth``."""
+    best = 0.0
+    memo = {}
+    for runs in refinement_runs(support, a, depth):
+        best = max(best, _cell_sum(_values(term, step_like, runs, memo)))
+    return best
 
 
 def variation_norm(f, a: Interval, depth: int = 6) -> float:
@@ -371,10 +418,7 @@ def variation_norm(f, a: Interval, depth: int = 6) -> float:
         raise ValueError("depth must be nonnegative")
     if isinstance(f, AdditiveIF):
         return f.variation(a)
-    best = 0.0
-    for part in refinement_partitions(f.support, a, depth):
-        best = max(best, sum(matrix_norm(f(cell)) for cell in part.cells))
-    return best
+    return _largest_cell_sum(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth)
 
 
 def _density_factor(lam: AdditiveIF, lo: float, hi: float) -> np.ndarray | None:
@@ -525,8 +569,8 @@ def check_product_variation_bound(
     The left side sweeps the refinement schedule (the Young partition at
     the support already separates the atoms) and takes the largest summed
     cell deviation.  Without a density a cell's product integral depends
-    only on the atoms it contains, so each range of atom indices is
-    evaluated once; with one, every cell is evaluated.
+    only on the atoms it contains, so each support range is evaluated once;
+    with one, every cell is evaluated.
     """
     v = mu.variation(a)
     rhs = math.exp(v) * v
@@ -535,14 +579,5 @@ def check_product_variation_bound(
     def deviation(cell):
         return matrix_norm(product_integral(mu, cell) - eye)
 
-    lhs = 0.0
-    if mu.density:
-        for part in refinement_partitions(mu.support, a, depths):
-            lhs = max(lhs, sum(map(deviation, part.cells)))
-    else:
-        schedule = refinement_cells(mu.support, a, depths).since(1)
-        cells, classes = schedule.classes(*schedule.ranges([t for t, _ in mu.atoms]))
-        values = np.array([deviation(cell) for cell in cells])
-        for total in schedule.sums(values, classes):
-            lhs = max(lhs, total)
+    lhs = _largest_cell_sum(deviation, mu.step_like, mu.support, a, depths)
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-12)

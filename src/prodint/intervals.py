@@ -1,4 +1,4 @@
-"""Intervals with explicit endpoint openness, and ordered finite partitions.
+"""Intervals with explicit endpoint openness.
 
 The time window is a bounded interval such as (0, tau]; everything here is
 a nonempty subinterval of it.  Endpoints are compared exactly, so scenario
@@ -86,104 +86,3 @@ class Interval:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo:g}, {self.hi:g}{right}"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered finite partition of an interval into pairwise disjoint cells.
-
-    Consecutive cells must meet exactly: same boundary time, complementary
-    closedness.  The union of the cells is then itself an interval, exposed
-    as ``span``.
-    """
-
-    cells: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if not self.cells:
-            raise ValueError("a partition needs at least one cell")
-        for left, right in zip(self.cells, self.cells[1:]):
-            if left.hi != right.lo or left.hi_closed == right.lo_closed:
-                raise ValueError(f"cells {left} and {right} do not tile an interval")
-
-    @property
-    def span(self) -> Interval:
-        first, last = self.cells[0], self.cells[-1]
-        return Interval(first.lo, last.hi, first.lo_closed, last.hi_closed)
-
-    @property
-    def mesh(self) -> float:
-        return max(cell.length for cell in self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-
-def refine(p: Partition, q: Partition) -> Partition:
-    """Common refinement: the ordered nonempty pairwise cell intersections.
-
-    Idempotent (``refine(p, p) == p``) and rejects partitions whose spans
-    differ.
-    """
-    if p.span != q.span:
-        raise ValueError(f"partitions cover different intervals: {p.span} vs {q.span}")
-    cells = []
-    for a in p.cells:
-        for b in q.cells:
-            cell = a.intersect(b)
-            if cell is not None:
-                cells.append(cell)
-    return Partition(tuple(cells))
-
-
-def young_partition(times, j: Interval) -> Partition:
-    """Partition of ``j`` into singletons at ``times`` and the open gaps between.
-
-    ``times`` must be strictly increasing and contained in ``j`` (its open
-    endpoints excluded).  With no times the partition is ``{j}`` itself.
-    """
-    times = tuple(times)
-    for earlier, later in zip(times, times[1:]):
-        if not earlier < later:
-            raise ValueError("cut times must be strictly increasing")
-    for t in times:
-        if not j.contains(t):
-            raise ValueError(f"cut time {t} lies outside {j}")
-
-    cells: list[Interval] = []
-    cursor = j.lo
-    cursor_closed = j.lo_closed
-    for t in times:
-        if t > cursor:
-            cells.append(Interval(cursor, t, cursor_closed, False))
-        cells.append(Interval.point(t))
-        cursor = t
-        cursor_closed = False
-    if cursor < j.hi:
-        cells.append(Interval(cursor, j.hi, cursor_closed, j.hi_closed))
-    elif not cells:
-        cells.append(Interval.point(j.lo))
-    return Partition(tuple(cells))
-
-
-def halve_open_cells(p: Partition) -> Partition:
-    """Refinement that splits every non-degenerate cell at its midpoint.
-
-    A cell (a, b) becomes (a, m), [m, m], (m, b) with m the midpoint, so a
-    Young-style partition stays Young-style and the mesh of the split cells
-    is halved.
-    """
-    cells: list[Interval] = []
-    for cell in p.cells:
-        if cell.is_point:
-            cells.append(cell)
-            continue
-        mid = 0.5 * (cell.lo + cell.hi)
-        cells.append(Interval(cell.lo, mid, cell.lo_closed, False))
-        cells.append(Interval.point(mid))
-        cells.append(Interval(mid, cell.hi, False, cell.hi_closed))
-    return Partition(tuple(cells))

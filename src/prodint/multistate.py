@@ -26,7 +26,6 @@ from .estimators import EventHistory, EventSample
 from .interval_functions import (
     AdditiveIF,
     BoundCheck,
-    CellSchedule,
     GeneralIF,
     product_integral,
 )
@@ -164,18 +163,14 @@ class PathSpace:
         times inside ``a`` are exactly ``grid[left:right]``.  Since every
         jump lies on the grid, intervals with the same pair have equal
         transition and indicator values and contain the same jump times.
+        A tick where no path jumps repeats the column before it, so the
+        columns read hold the same states whenever the intervals hold the
+        same ``event_times``: the interval functions built here are
+        step-like.
         """
         left = self._column_before(a.lo) if a.lo_closed else self._column_at(a.lo)
         right = self._column_at(a.hi) if a.hi_closed else self._column_before(a.hi)
         return left, right
-
-    def column_classes(self, schedule: CellSchedule) -> tuple[list[Interval], np.ndarray]:
-        """Class the cells of ``schedule`` by their ``columns`` pair: each
-        class's first cell in schedule order, and every cell's class."""
-        # the ticks a cell holds are ticks[start:stop]; its left column is the
-        # last tick before it, its right column the last tick in or before it
-        start, stop = schedule.ranges(self._ticks)
-        return schedule.classes(np.maximum(start - 1, 0), np.maximum(stop - 1, 0))
 
     def _table(self, left: int, right: int) -> _JointTable:
         table = self._tables.get((left, right))
@@ -228,13 +223,16 @@ class PathSpace:
 
     def transition_if(self) -> GeneralIF:
         """The transition matrix as an interval function."""
-        return GeneralIF(self.dim, self.transition_matrix, support=self.event_times)
+        return GeneralIF(self.dim, self.transition_matrix, support=self.event_times, step_like=True)
 
     def transition_deviation_if(self) -> GeneralIF:
         """Transition matrix minus the identity, as an interval function."""
         eye = np.eye(self.dim)
         return GeneralIF(
-            self.dim, lambda a: self.transition_matrix(a) - eye, support=self.event_times
+            self.dim,
+            lambda a: self.transition_matrix(a) - eye,
+            support=self.event_times,
+            step_like=True,
         )
 
     # -- expected counting and status measures ----------------------------
@@ -266,11 +264,18 @@ class PathSpace:
         """Every ``indicator_mean(j, k, a)`` at once, with a zero diagonal."""
         return self._off_diagonal(*self.columns(a))
 
+    def indicator_if(self) -> GeneralIF:
+        """``indicator_matrix`` as an interval function."""
+        return GeneralIF(self.dim, self.indicator_matrix, support=self.event_times, step_like=True)
+
     def indicator_mean_if(self, j: int, k: int) -> GeneralIF:
         if k == j:
             raise ValueError("indicator means are defined for k != j")
         return GeneralIF(
-            1, lambda a: np.array([[self.indicator_mean(j, k, a)]]), support=self.event_times
+            1,
+            lambda a: np.array([[self.indicator_mean(j, k, a)]]),
+            support=self.event_times,
+            step_like=True,
         )
 
     # -- hazards -----------------------------------------------------------

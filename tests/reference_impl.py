@@ -1,6 +1,8 @@
 """Rescanning and per-subject reference versions of the sampler, the
 censoring mechanisms, the event-history CSV reader, the Nelson-Aalen
-estimator, the path-space queries, the count-mean defect suite and the
+estimator, the path-space queries, the refinement schedule as partitions
+of ``Interval`` cells with the transforms, variation norms and defects
+that walk it one cell at a time, the count-mean defect suite and the
 product-variation bound, the per-subject estimate lookups the library
 does not use, the trajectory lookups (state at a time, just before it,
 jump at it) of an ``EventHistory``, and a ``PathSpace`` built from
@@ -9,7 +11,8 @@ hand-drawn trajectories through those lookups.
 These are the straightforward scans and scalar walks the library replaced
 with an indexed lookup, an array walk over all subjects at once, a bulk
 parse, array counts and risk sets, memoized tick-pair tables, a one-pass
-defect sum and per-class cell terms.  They stay here, outside the package,
+defect sum and a refinement engine that evaluates step-like functions once
+per support range.  They stay here, outside the package,
 so that tests can require the fast versions to agree with them exactly.
 """
 
@@ -17,7 +20,7 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +31,12 @@ from prodint import (
     EstimateGrid,
     EventHistory,
     GeneralIF,
+    ConvergenceError,
     Interval,
     PathSpace,
     ScenarioConfig,
-    defect_profile,
     matrix_norm,
     product_integral,
-    refinement_partitions,
     subject_rng,
 )
 from prodint.checks import CheckRecord
@@ -533,6 +535,203 @@ def counting_mean_if(ps, j, k):
         if mass != 0.0:
             atoms.append((u, [[mass]]))
     return AdditiveIF(1, tuple(atoms))
+
+
+# -- the refinement schedule as Interval partitions, one cell at a time ---------
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Ordered finite partition of an interval into pairwise disjoint cells.
+
+    Consecutive cells must meet exactly: same boundary time, complementary
+    closedness.  The union of the cells is then itself an interval, exposed
+    as ``span``.
+    """
+
+    cells: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(self.cells))
+        if not self.cells:
+            raise ValueError("a partition needs at least one cell")
+        for left, right in zip(self.cells, self.cells[1:]):
+            if left.hi != right.lo or left.hi_closed == right.lo_closed:
+                raise ValueError(f"cells {left} and {right} do not tile an interval")
+
+    @property
+    def span(self):
+        first, last = self.cells[0], self.cells[-1]
+        return Interval(first.lo, last.hi, first.lo_closed, last.hi_closed)
+
+    @property
+    def mesh(self):
+        return max(cell.length for cell in self.cells)
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __iter__(self):
+        return iter(self.cells)
+
+
+def refine(p, q):
+    """Common refinement: the ordered nonempty pairwise cell intersections.
+
+    Idempotent (``refine(p, p) == p``) and rejects partitions whose spans
+    differ.
+    """
+    if p.span != q.span:
+        raise ValueError(f"partitions cover different intervals: {p.span} vs {q.span}")
+    cells = []
+    for a in p.cells:
+        for b in q.cells:
+            cell = a.intersect(b)
+            if cell is not None:
+                cells.append(cell)
+    return Partition(tuple(cells))
+
+
+def young_partition(times, j):
+    """Partition of ``j`` into singletons at ``times`` and the open gaps between.
+
+    ``times`` must be strictly increasing and contained in ``j`` (its open
+    endpoints excluded).  With no times the partition is ``{j}`` itself.
+    """
+    times = tuple(times)
+    for earlier, later in zip(times, times[1:]):
+        if not earlier < later:
+            raise ValueError("cut times must be strictly increasing")
+    for t in times:
+        if not j.contains(t):
+            raise ValueError(f"cut time {t} lies outside {j}")
+
+    cells = []
+    cursor = j.lo
+    cursor_closed = j.lo_closed
+    for t in times:
+        if t > cursor:
+            cells.append(Interval(cursor, t, cursor_closed, False))
+        cells.append(Interval.point(t))
+        cursor = t
+        cursor_closed = False
+    if cursor < j.hi:
+        cells.append(Interval(cursor, j.hi, cursor_closed, j.hi_closed))
+    elif not cells:
+        cells.append(Interval.point(j.lo))
+    return Partition(tuple(cells))
+
+
+def halve_open_cells(p):
+    """Refinement that splits every non-degenerate cell at its midpoint.
+
+    A cell (a, b) becomes (a, m), [m, m], (m, b) with m the midpoint, so a
+    Young-style partition stays Young-style and the mesh of the split cells
+    is halved.
+    """
+    cells = []
+    for cell in p.cells:
+        if cell.is_point:
+            cells.append(cell)
+            continue
+        mid = 0.5 * (cell.lo + cell.hi)
+        cells.append(Interval(cell.lo, mid, cell.lo_closed, False))
+        cells.append(Interval.point(mid))
+        cells.append(Interval(mid, cell.hi, False, cell.hi_closed))
+    return Partition(tuple(cells))
+
+
+def refinement_partitions(support, a, max_depth):
+    """Canonical refinement schedule of ``a``: the Young partition at the
+    support times inside ``a``, then ``max_depth`` halvings of every open
+    cell.  Yields ``max_depth + 1`` partitions."""
+    times = sorted({t for t in support if a.contains(t)})
+    part = young_partition(times, a)
+    yield part
+    for _ in range(max_depth):
+        part = halve_open_cells(part)
+        yield part
+
+
+def _limit_over_refinements(f, a, combine, tol, max_depth, what):
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    previous = None
+    change = math.inf
+    depth = -1
+    for depth, part in enumerate(refinement_partitions(f.support, a, max_depth)):
+        current = combine([f(cell) for cell in part.cells])
+        if previous is not None:
+            change = matrix_norm(current - previous)
+            if change < tol:
+                return current
+        previous = current
+    raise ConvergenceError(
+        f"{what} over {a} still moved by {change:.3e} at depth {depth} (tol {tol:.1e})",
+        previous,
+        change,
+        depth,
+    )
+
+
+def additive_transform(f, a, tol=1e-10, max_depth=24):
+    return _limit_over_refinements(f, a, sum, tol, max_depth, "additive transform")
+
+
+def _ordered_product(values):
+    result = values[0]
+    for value in values[1:]:
+        result = result @ value
+    return result
+
+
+def multiplicative_transform(f, a, tol=1e-10, max_depth=24):
+    return _limit_over_refinements(f, a, _ordered_product, tol, max_depth, "multiplicative transform")
+
+
+def strict_transform_defect(f, target, cells, distance=matrix_norm):
+    """Summed cell-wise distance between ``f`` and ``target`` over ``cells``."""
+    return sum(distance(f(cell) - target(cell)) for cell in cells)
+
+
+def defect_profile(f, target, a, depths=6):
+    """Defect against ``target`` on the trivial partition and the schedule."""
+    partitions = [Partition((a,))] + list(refinement_partitions(f.support, a, depths))
+    defects = [strict_transform_defect(f, target, p) for p in partitions]
+    return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
+
+
+def variation_norm(f, a, depth=6):
+    """The largest summed cell norm of ``f`` over the schedule up to ``depth``."""
+    best = 0.0
+    for part in refinement_partitions(f.support, a, depth):
+        best = max(best, sum(matrix_norm(f(cell)) for cell in part.cells))
+    return best
+
+
+# -- outcomes compared bit for bit -------------------------------------------------
+
+
+def bits(x):
+    """``x`` as comparable bits, so that the sign of a zero and the type count."""
+    if isinstance(x, (tuple, list)):
+        return type(x).__name__, [bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return "ndarray", x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (float, np.floating)):
+        return type(x).__name__, np.float64(x).tobytes()
+    return type(x).__name__, x
+
+
+def outcome(call, *args, **kwargs):
+    """What ``call`` returns or raises, as bits: a value, the fields of a
+    ``ConvergenceError``, or a too-narrow ``ValueError``."""
+    try:
+        return "value", bits(call(*args, **kwargs))
+    except ConvergenceError as exc:
+        return "unsettled", str(exc), bits(exc.last_value), bits(exc.last_change), exc.depth
+    except ValueError:
+        return "narrow"
 
 
 def count_mean_defect_checks(ps, depths=6, label=""):

@@ -168,6 +168,37 @@ class TestVerify:
         assert run("verify", "--scenario", path, "--count", 0) == 0
         assert "check extinction-exit: PASS (1/1," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["idn.json", "surv.json"])
+    def test_scenario_without_extinction_passes(self, capsys, name):
+        # the "no extinction boundary" record guards the corpus, not one scenario
+        assert run("verify", "--scenario", f"{CORPUS}/{name}", "--count", 0) == 0
+        out = capsys.readouterr().out
+        assert "suite extinction-exit: 0 records" in out and "check extinction-exit" not in out
+
+    def test_scenario_with_extinction_checks_it(self, capsys):
+        assert run("verify", "--scenario", f"{CORPUS}/forced_exit.json", "--count", 0) == 0
+        assert "check extinction-exit: PASS (1/1," in capsys.readouterr().out
+
+    def test_corpus_without_extinction_fails_its_coverage(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("idn.json", "surv.json"):
+            shutil.copy(f"{CORPUS}/{name}", corpus / name)
+        shutil.copy(f"{CORPUS}/idn.json", corpus / "forced_exit.json")
+        assert run("verify", "--corpus", corpus, "--count", 0) == 1
+        assert "FAIL no extinction boundary found in the corpus" in capsys.readouterr().out
+
+    def test_each_suite_reports_its_records_and_time(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert run("verify", "--count", 2, "--seed", 7, "--report", report) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("suite ")]
+        payload = json.loads(report.read_text())
+        suites = payload["suites"]
+        assert [s["name"] for s in suites] == list(checks.SUITES)
+        assert sum(s["records"] for s in suites) == len(payload["records"])
+        assert all(s["records"] > 0 and s["wall_s"] >= 0.0 for s in suites)
+        assert lines == [f"suite {s['name']}: {s['records']} records in {s['wall_s']:.4f} s" for s in suites]
+
     def test_negative_count_is_usage_error(self, capsys):
         assert run("verify", "--count", -4) == 2
         assert "--count" in capsys.readouterr().err
@@ -299,9 +330,13 @@ class TestJsonWriters:
         ),
         st.none() | st.integers(0, 2**70),
         JSON_FLOATS,
+        st.lists(
+            st.fixed_dictionaries({"name": JSON_TEXTS, "records": st.integers(0, 10**6), "wall_s": JSON_FLOATS}),
+            max_size=3,
+        ),
     )
-    def test_report_matches_json_dump(self, tmp_path, records, table, seed, elapsed):
-        report = RunReport("verify", "0123abcd", seed, records, table, elapsed)
+    def test_report_matches_json_dump(self, tmp_path, records, table, seed, elapsed, suites):
+        report = RunReport("verify", "0123abcd", seed, records, table, elapsed, suites)
         _write_report(report, tmp_path / "report.json")
         expected = json_dump_text(tmp_path / "expected.json", report.to_json_dict())
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected

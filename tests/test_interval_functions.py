@@ -2,17 +2,18 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prodint
 from prodint import (
     AdditiveIF,
     ConvergenceError,
     GeneralIF,
     Interval,
-    Partition,
     StepFunction,
     additive_transform,
     check_product_variation_bound,
@@ -22,15 +23,14 @@ from prodint import (
     multiplicative_transform,
     plus_identity,
     product_integral,
-    refinement_partitions,
     strict_transform_defect,
     variation_norm,
-    young_partition,
 )
-from prodint.interval_functions import refinement_cells
+from prodint.interval_functions import refinement_runs
 
 import oracle_enum
 import reference_impl
+from reference_impl import Partition, outcome, refinement_partitions
 
 OC = Interval.open_closed
 OO = Interval.open_open
@@ -192,13 +192,12 @@ class TestVariationNorm:
 class TestStrictTransformDefect:
     def test_self_defect_vanishes(self):
         mu = scalar_atoms((1.0, 0.5), (2.0, 0.25))
-        part = young_partition((1.0,), OC(0, 3))
-        assert strict_transform_defect(mu, mu, part) == 0.0
+        assert strict_transform_defect(mu, mu, OC(0, 3)) == 0.0
 
     def test_count_mean_defect_vanishes_once_atoms_split(self, idn_space):
-        part = young_partition((1.0, 2.0, 3.0), OC(0, 3))
+        # depth 0 is the Young partition at the event times 1, 2 and 3
         defect = strict_transform_defect(
-            idn_space.indicator_mean_if(1, 2), idn_space.counting_mean_if(1, 2), part
+            idn_space.indicator_mean_if(1, 2), idn_space.counting_mean_if(1, 2), OC(0, 3)
         )
         assert defect == 0.0
 
@@ -215,7 +214,49 @@ class TestStrictTransformDefect:
 SCHEDULE_TIMES = st.sampled_from([k * 0.25 for k in range(17)]) | st.floats(-1e3, 1e3)
 
 
+def schedule_windows(ends, support, on_lo, on_hi):
+    """The four shapes of the window between ``ends`` and the point at its
+    left end, with support times on the edges (when drawn), inside,
+    outside, or none."""
+    lo, hi = sorted(ends)
+    support = support + [lo] * on_lo + [hi] * on_hi
+    windows = [Interval(lo, hi, lc, hc) for lc in (False, True) for hc in (False, True)]
+    return windows + [PT(lo)], support
+
+
+def partitions_until_narrow(schedule):
+    """The partitions a schedule yields, then True if it raised ValueError
+    (a cell too narrow to halve) where it stopped."""
+    parts = []
+    try:
+        for part in schedule:
+            parts.append(part)
+    except ValueError:
+        return parts, True
+    return parts, False
+
+
 class TestRefinementCells:
+    """The engine's runs are the ``Interval`` schedule of the reference, cell
+    by cell, and raise where it raises."""
+
+    @staticmethod
+    def assert_runs_are_the_schedule(support, a, depths):
+        runs, runs_raised = partitions_until_narrow(refinement_runs(support, a, depths, trivial=True))
+        parts, raised = partitions_until_narrow(
+            chain([Partition((a,))], refinement_partitions(support, a, depths))
+        )
+        assert (len(runs), runs_raised) == (len(parts), raised)
+        times = sorted({t for t in support if a.contains(t)})
+        for partition, part in zip(runs, parts):
+            assert [cell for run in partition for cell in run.cells()] == list(part.cells)
+            assert len(partition) <= 2 * len(times) + 1
+            for run in partition:
+                cells = run.cells()
+                assert len(cells) == run.multiplicity
+                for cell in cells + [run.cell]:
+                    assert [t for t in times if cell.contains(t)] == times[run.start : run.stop]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(SCHEDULE_TIMES, min_size=2, max_size=2, unique=True),
@@ -225,29 +266,122 @@ class TestRefinementCells:
         st.integers(0, 5),
     )
     def test_equals_the_interval_schedule(self, ends, support, on_lo, on_hi, depths):
-        lo, hi = sorted(ends)
-        support = support + [lo] * on_lo + [hi] * on_hi
-        windows = [Interval(lo, hi, lc, hc) for lc in (False, True) for hc in (False, True)]
-        for a in windows + [PT(lo)]:
-            try:
-                expected = [Partition((a,))] + list(refinement_partitions(support, a, depths))
-            except ValueError:  # a cell too narrow to halve
-                with pytest.raises(ValueError):
-                    refinement_cells(support, a, depths)
-                continue
-            schedule = refinement_cells(support, a, depths)
-            bounds = schedule.bounds
-            got = [[schedule.cell(i) for i in range(b, e)] for b, e in zip(bounds, bounds[1:])]
-            assert got == [list(p.cells) for p in expected]
-            deepest = schedule.since(depths + 1)
-            assert [deepest.cell(i) for i in range(len(deepest.lo))] == list(expected[-1].cells)
+        windows, support = schedule_windows(ends, support, on_lo, on_hi)
+        for a in windows:
+            self.assert_runs_are_the_schedule(support, a, depths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(1, 300),
+        st.integers(0, 2),
+        st.integers(0, 9),
+    )
+    def test_narrow_windows_raise_at_the_same_depth(self, lo, ulps, inside, depths):
+        # windows a few hundred ulps wide, where float midpoints round
+        hi = lo
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+        if not math.isfinite(hi):
+            return
+        support = [lo, hi] + [0.5 * (lo + hi)] * inside
+        for a in schedule_windows([lo, hi], support, False, False)[0]:
+            self.assert_runs_are_the_schedule(support, a, depths)
 
     def test_narrow_cell_is_rejected_like_the_interval_schedule(self):
         a = OC(1.0, math.nextafter(1.0, 2.0))
         with pytest.raises(ValueError):
             list(refinement_partitions((), a, 1))
         with pytest.raises(ValueError):
-            refinement_cells((), a, 1)
+            list(refinement_runs((), a, 1))
+        # the Young partition and the trivial one come before the depth that raises
+        schedule = refinement_runs((), a, 1, trivial=True)
+        assert [run.cell for run in next(schedule)] == [a]
+        assert [run.cell for run in next(schedule)] == [a]
+        with pytest.raises(ValueError):
+            next(schedule)
+
+
+def assert_same_as_reference(name, *args, **kwargs):
+    """The library's ``name`` and the reference's give the same bits."""
+    got = outcome(getattr(prodint, name), *args, **kwargs)
+    assert got == outcome(getattr(reference_impl, name), *args, **kwargs), name
+
+
+class TestEngineMatchesIntervalReference:
+    """Transforms, variation norms, defect profiles and the product bound on
+    the engine equal the one-cell-at-a-time ``Interval`` walk bit for bit,
+    for pure-jump and density functions, every window shape and points."""
+
+    @staticmethod
+    def measures(seed, support, dim):
+        """A pure-jump function with atoms at ``support``, the same plus two
+        density pieces, and a pure-jump one with atoms elsewhere."""
+        rng = np.random.default_rng(seed)
+        times = sorted(set(support))
+        atoms = tuple((t, rng.uniform(-0.6, 0.6, size=(dim, dim))) for t in times)
+        jumps = AdditiveIF(dim, atoms)
+        lo, hi = (times[0], times[-1]) if times else (0.0, 1.0)
+        lo, hi = min(lo, 0.0), max(hi, 4.0)
+        # rates of total mass below one, so that exp(variation) stays finite
+        rates = rng.uniform(-0.5, 0.5, size=(2, dim, dim)) / (hi - lo)
+        pieces = ((lo, 0.5 * (lo + hi), rates[0]), (0.75 * hi + 0.25 * lo, hi, rates[1]))
+        density = AdditiveIF(dim, atoms, pieces)
+        other = AdditiveIF(dim, ((0.5 * (lo + hi) + 0.125, rng.uniform(-0.6, 0.6, size=(dim, dim))),))
+        return jumps, density, other
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(SCHEDULE_TIMES, min_size=2, max_size=2, unique=True),
+        st.lists(SCHEDULE_TIMES, max_size=5),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_the_interval_walk(self, ends, support, on_lo, on_hi, depth, dim, seed):
+        windows, support = schedule_windows(ends, support, on_lo, on_hi)
+        jumps, density, other = self.measures(seed, support, dim)
+        half = 0.5 * np.eye(dim)
+        for mu in (jumps, density):
+            # a GeneralIF view, so that variation_norm sweeps the schedule
+            view = GeneralIF(dim, mu, support=mu.support, step_like=mu.step_like)
+            # half the identity on every gap cell, so every factor and term counts
+            shifted = GeneralIF(dim, lambda b, mu=mu: half + mu(b), support=mu.support, step_like=mu.step_like)
+            for a in windows:
+                assert_same_as_reference("additive_transform", mu, a, max_depth=depth)
+                assert_same_as_reference("additive_transform", view, a, max_depth=depth)
+                assert_same_as_reference("additive_transform", shifted, a, max_depth=depth)
+                assert_same_as_reference("multiplicative_transform", plus_identity(mu), a, max_depth=depth)
+                assert_same_as_reference("multiplicative_transform", shifted, a, max_depth=depth)
+                assert_same_as_reference("variation_norm", view, a, depth)
+                assert_same_as_reference("variation_norm", plus_identity(mu), a, depth)
+                for target in (mu, mu.scale(0.5), other, jumps):
+                    assert_same_as_reference("defect_profile", view, target, a, depth)
+                assert_same_as_reference("check_product_variation_bound", mu, a, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(SCHEDULE_TIMES, min_size=2, max_size=2, unique=True),
+        st.lists(SCHEDULE_TIMES, max_size=5),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_strict_defect_is_the_last_profile_row(self, ends, support, depth, seed):
+        windows, support = schedule_windows(ends, support, True, False)
+        jumps, density, other = self.measures(seed, support, 2)
+        for f, target in ((jumps, jumps.scale(0.25)), (density, jumps), (jumps, other)):
+            for a in windows:
+                expected = outcome(lambda: reference_impl.defect_profile(f, target, a, depth)[-1][1])
+                assert outcome(strict_transform_defect, f, target, a, depth) == expected
+
+                def entries():
+                    *_, part = refinement_partitions(f.support, a, depth)
+                    return reference_impl.strict_transform_defect(f, target, part, distance=np.abs)
+
+                got = outcome(strict_transform_defect, f, target, a, depth, distance=np.abs)
+                assert got == outcome(entries)
 
 
 class TestProductIntegral:

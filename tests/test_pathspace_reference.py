@@ -1,6 +1,6 @@
-"""The tick-indexed path-space queries and the defect suites, which evaluate
-one term per tick-column pair, agree exactly with the per-path and per-cell
-references."""
+"""The tick-indexed path-space queries, the interval functions a path space
+builds and the defect suites, which evaluate one term per support range,
+agree exactly with the per-path and per-cell references."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from prodint import (
     EventHistory,
     Interval,
-    Partition,
     PathSpace,
-    defect_profile,
     exact_pathspace,
     forced_exit_scenario,
     illness_death_scenario,
-    refinement_partitions,
+    plus_identity,
 )
 from prodint.checks import (
     count_mean_defect_checks,
@@ -23,12 +21,14 @@ from prodint.checks import (
     random_scenario,
     random_subinterval,
 )
-from prodint import checks, interval_functions
-from prodint.interval_functions import refinement_cells
+import prodint
+from prodint import interval_functions
+from prodint.interval_functions import refinement_runs
 from prodint.simulation import RULE_KINDS
 
 from corpora import random_corpus
 import reference_impl
+from reference_impl import bits, outcome
 
 # ticks of the generator's grid, points between them (dyadic and not), 0 and tau
 PROBE_TIMES = (0.0, 0.25, 0.3, 0.5, 1.0, 1.25, 1.7, 2.0, 2.5, 3.0, 3.5, 3.9, 4.0)
@@ -155,7 +155,7 @@ def test_count_mean_defect_matches_per_pair_profiles(ps, depths):
 
 def per_cell_hazard_profile(ps, depths):
     window = Interval.open_closed(0.0, ps.tau)
-    return defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
+    return reference_impl.defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,14 +196,20 @@ def test_quiet_tick_gives_distinct_pairs_with_equal_terms():
         )
 
 
-def test_defect_suites_evaluate_each_column_pair_once(monkeypatch):
+def support_range(ps, a):
+    """(event times before ``a``, event times before or inside it)."""
+    before = sum(t < a.lo or (t == a.lo and not a.lo_closed) for t in ps.event_times)
+    return before, before + sum(map(a.contains, ps.event_times))
+
+
+def test_defect_suites_evaluate_each_support_range_once(monkeypatch):
     spaces = [exact_pathspace(illness_death_scenario()), exact_pathspace(forced_exit_scenario())]
     spaces += random_corpus(np.random.default_rng(3), 6)
     seen = []
 
     def recording(query):
         def wrapper(self, a):
-            seen.append(self.columns(a))
+            seen.append(support_range(self, a))
             return query(self, a)
 
         return wrapper
@@ -212,57 +218,83 @@ def test_defect_suites_evaluate_each_column_pair_once(monkeypatch):
     monkeypatch.setattr(PathSpace, "indicator_matrix", recording(PathSpace.indicator_matrix))
     for ps in spaces:
         window = Interval.open_closed(0.0, ps.tau)
-        schedule = [Partition((window,))] + list(refinement_partitions(ps.event_times, window, 6))
+        schedule = list(refinement_runs(ps.event_times, window, 6, trivial=True))
         # the hazard profile reads every partition, the count-mean suite the deepest
         suites = ((hazard_defect_checks, schedule), (count_mean_defect_checks, schedule[-1:]))
         for suite, partitions in suites:
             seen.clear()
             suite(ps)
-            pairs_in_schedule = {ps.columns(cell) for p in partitions for cell in p.cells}
-            assert len(seen) == len(set(seen)) and set(seen) == pairs_in_schedule
+            ranges = {support_range(ps, cell) for runs in partitions for run in runs for cell in run.cells()}
+            assert len(seen) == len(set(seen)) and set(seen) == ranges
 
 
 def test_defect_suites_build_one_schedule_per_space(monkeypatch):
     spaces = [exact_pathspace(illness_death_scenario()), exact_pathspace(forced_exit_scenario())]
     spaces += random_corpus(np.random.default_rng(4), 6)
     built = []
+    runs = interval_functions.refinement_runs
 
-    def counting(support, a, depths):
-        built.append(depths)
-        return refinement_cells(support, a, depths)
+    def counting(support, a, depths, trivial=False):
+        built.append((depths, trivial))
+        return runs(support, a, depths, trivial)
 
     def per_cell(*args):
-        raise AssertionError("the defect suites build no Interval schedule")
+        raise AssertionError("the defect suites halve no cell one by one")
 
-    monkeypatch.setattr(checks, "refinement_cells", counting)
-    monkeypatch.setattr(interval_functions, "refinement_partitions", per_cell)
-    monkeypatch.setattr(interval_functions, "halve_open_cells", per_cell)
+    monkeypatch.setattr(interval_functions, "refinement_runs", counting)
+    monkeypatch.setattr(interval_functions, "_halvings", per_cell)
     for ps in spaces:
         built.clear()
         hazard_defect_checks(ps)
         count_mean_defect_checks(ps)
-        # one array schedule per suite and space, to the default depth
-        assert built == [6, 6]
+        # one run schedule per suite and space, to the default depth; the
+        # hazard profile starts from the trivial partition
+        assert built == [(6, True), (6, False)]
+
+
+def schedule_windows(ps, seed):
+    """The window of the defect suites in its four shapes, random
+    subintervals and points."""
+    windows = [Interval(0.0, ps.tau, lc, hc) for lc in (False, True) for hc in (True, False)]
+    windows += probe_intervals(np.random.default_rng(seed), ps.tau)[:4]
+    return windows + [Interval.point(0.0), Interval.point(ps.grid[0])]
 
 
 @settings(max_examples=100, deadline=None)
 @given(random_spaces() | weighted_spaces(), st.integers(0, 4), st.integers(0, 2**32 - 1))
-def test_column_classes_are_the_cells_column_pairs(ps, depths, seed):
-    # the window of the defect suites, its other three shapes, random
-    # subintervals and points; support at the event times or at every tick
-    windows = [Interval(0.0, ps.tau, lc, hc) for lc in (False, True) for hc in (True, False)]
-    windows += probe_intervals(np.random.default_rng(seed), ps.tau)[:4]
-    windows += [Interval.point(0.0), Interval.point(ps.grid[0])]
-    for window, support in zip(windows, [ps.event_times, ps.grid] * len(windows)):
-        schedule = refinement_cells(support, window, depths)
-        cells, classes = ps.column_classes(schedule)
-        partitions = [Partition((window,))] + list(refinement_partitions(support, window, depths))
-        expected = [ps.columns(cell) for p in partitions for cell in p.cells]
-        assert [ps.columns(cells[c]) for c in classes.tolist()] == expected
-        # distinct classes read distinct pairs, and each is held by its first cell
-        assert len({ps.columns(cell) for cell in cells}) == len(cells)
-        flat = [cell for p in partitions for cell in p.cells]
-        assert [flat[classes.tolist().index(c)] for c in range(len(cells))] == cells
+def test_cells_of_one_support_range_read_equal_tables(ps, depths, seed):
+    # quiet ticks give cells of one range distinct column pairs, yet the
+    # columns hold the same states
+    for window in schedule_windows(ps, seed):
+        for runs in refinement_runs(ps.event_times, window, depths, trivial=True):
+            for run in runs:
+                first = bits([ps.transition_matrix(run.cell), ps.indicator_matrix(run.cell)])
+                for cell in run.cells():
+                    assert support_range(ps, cell) == support_range(ps, run.cell)
+                    assert bits([ps.transition_matrix(cell), ps.indicator_matrix(cell)]) == first
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_spaces() | weighted_spaces(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_pathspace_functions_match_the_interval_walk(ps, depth, seed):
+    transition, deviation, hazard = ps.transition_if(), ps.transition_deviation_if(), ps.hazard_matrix()
+    j = 1 + seed % ps.dim
+    k = 1 + j % ps.dim
+    indicator, counts = ps.indicator_mean_if(j, k), ps.counting_mean_if(j, k)
+    for window in schedule_windows(ps, seed):
+        calls = [
+            ("additive_transform", deviation, window),
+            ("additive_transform", indicator, window),
+            ("multiplicative_transform", transition, window),
+            ("multiplicative_transform", plus_identity(hazard), window),
+            ("variation_norm", deviation, window, depth),
+            ("defect_profile", deviation, hazard, window, depth),
+            ("defect_profile", transition, hazard, window, depth),
+            ("defect_profile", indicator, counts, window, depth),
+        ]
+        for name, *args in calls:
+            got = outcome(getattr(prodint, name), *args)
+            assert got == outcome(getattr(reference_impl, name), *args), name
 
 
 def test_zero_conditioning_gives_identity_row():
