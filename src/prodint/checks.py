@@ -21,11 +21,12 @@ from .interval_functions import (
     StepFunction,
     check_product_variation_bound,
     defect_profile,
-    kolmogorov_integral,
+    index_range,
     matrix_norm,
     multiplicative_transform,
     plus_identity,
     product_integral,
+    product_integral_sweep,
     strict_transform_defect,
 )
 from .intervals import Interval
@@ -158,7 +159,8 @@ def random_scenario(
 
     if forced_exit:
         # a certain total exit from state 1 at the last grid time, with no
-        # simultaneous inflow into it, so its occupation hits exactly zero
+        # simultaneous inflow into it, so its occupation is exactly zero
+        # there (an earlier certain exit may already have emptied it)
         last = float(grid[-1])
         rules = [
             r
@@ -191,7 +193,7 @@ def random_jump_function(
 def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
     """Random dyadic subinterval of (0, tau], any of the four shapes."""
     ticks = [k * 0.25 for k in range(0, int(tau * 4) + 1)]
-    lo, hi = sorted(rng.choice(len(ticks), size=2, replace=False))
+    lo, hi = sorted(rng.choice(len(ticks), size=2, replace=False).tolist())
     lo_t, hi_t = ticks[lo], ticks[hi]
     if lo_t == 0.0:
         lo_closed = False
@@ -208,12 +210,12 @@ def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
 
 def occupation_identity_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """Initial occupation pushed through the hazard's product integral must
-    reproduce the enumerated occupation at every grid time, Markov or not."""
-    hazard = ps.hazard_matrix()
+    reproduce the enumerated occupation at every grid time, Markov or not.
+    One running product over the grid gives every (0, t] product integral."""
     p0 = ps.occupation_vector(0.0)
     records = []
-    for t in ps.grid:
-        lhs = p0 @ product_integral(hazard, Interval.open_closed(0.0, t))
+    for t, product in zip(ps.grid, product_integral_sweep(ps.hazard_matrix(), 0.0, ps.grid)):
+        lhs = p0 @ product
         rhs = ps.occupation_vector(t)
         records.append(
             close_record(
@@ -385,52 +387,80 @@ def left_occupation_reciprocal(ps: PathSpace, j: int) -> StepFunction:
     return StepFunction(times, tuple(betweens[: len(times)]), tuple(betweens))
 
 
+def _block_shapes(lo: float, hi: float) -> list[Interval]:
+    """The subintervals of a positivity block the hazard integral is checked on."""
+    shapes = [Interval.open_closed(lo, hi), Interval.open_open(lo, hi)]
+    if lo > 0.0:
+        shapes += [Interval.closed(lo, hi), Interval.closed_open(lo, hi)]
+    mid = 0.5 * (lo + hi)
+    if lo < mid < hi:
+        shapes += [Interval.open_closed(lo, mid), Interval.open_closed(mid, hi)]
+    return shapes
+
+
+def _ordered_sum(values) -> float:
+    """``values`` added left to right from 0.0, as the scalar additive
+    functions add the atoms an interval holds."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def hazard_integral_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """The hazard as the integral of 1/occupation-just-before against the
     expected-count measure, on subintervals of the positivity windows, and
-    the sup-bound of the integral."""
+    the sup-bound of the integral.
+
+    Each shape's integral, hazard and count variation add the atoms in the
+    range of event times it holds, in time order, as ``kolmogorov_integral``,
+    the hazard entry and ``AdditiveIF.variation`` add them.
+    """
     records = []
     hazard = ps.hazard_matrix()
     for j in range(1, ps.dim + 1):
         reciprocal = left_occupation_reciprocal(ps, j)
+        shapes = [
+            (a, reciprocal.sup_abs(a), str(a))
+            for lo, hi in _positivity_blocks(ps, j)
+            for a in _block_shapes(lo, hi)
+        ]
         for k in range(1, ps.dim + 1):
             if k == j:
                 continue
-            counts = ps.counting_mean_if(j, k)
-            target = hazard.entry(j, k)
-            for lo, hi in _positivity_blocks(ps, j):
-                if hi <= lo:
-                    continue
-                shapes = [Interval.open_closed(lo, hi), Interval.open_open(lo, hi)]
-                if lo > 0.0:
-                    shapes += [Interval.closed(lo, hi), Interval.closed_open(lo, hi)]
-                mid = 0.5 * (lo + hi)
-                if lo < mid < hi:
-                    shapes.append(Interval.open_closed(lo, mid))
-                    shapes.append(Interval.open_closed(mid, hi))
-                for a in shapes:
-                    integral = kolmogorov_integral(reciprocal, counts, a)
-                    records.append(
-                        close_record(
-                            "hazard-integral",
-                            integral[0, 0],
-                            target(a)[0, 0],
-                            1e-12,
-                            detail=f"{label} ({j},{k}) on {a}",
-                        )
+            counts = [(t, float(m[0, 0])) for t, m in ps.counting_mean_if(j, k).atoms]
+            count_times = [t for t, _ in counts]
+            weighted = [reciprocal(t) * m for t, m in counts]
+            variations = [abs(m) for _, m in counts]
+            target = hazard.entry(j, k).atoms
+            target_times = [t for t, _ in target]
+            steps = [float(h[0, 0]) for _, h in target]
+            for a, sup, shape in shapes:
+                start, stop = index_range(count_times, a)
+                integral = _ordered_sum(weighted[start:stop])
+                first, last = index_range(target_times, a)
+                records.append(
+                    close_record(
+                        "hazard-integral",
+                        integral,
+                        _ordered_sum(steps[first:last]),
+                        1e-12,
+                        detail=f"{label} ({j},{k}) on {shape}",
                     )
-                    envelope = reciprocal.sup_abs(a) * counts.variation(a)
-                    records.append(
-                        CheckRecord(
-                            "integral-bound",
-                            matrix_norm(integral),
-                            envelope,
-                            1e-12,
-                            passed=matrix_norm(integral) <= envelope + 1e-12,
-                            detail=f"{label} ({j},{k}) on {a}",
-                            kind="bound",
-                        )
+                )
+                norm = abs(integral)
+                envelope = sup * _ordered_sum(variations[start:stop])
+                records.append(
+                    CheckRecord(
+                        "integral-bound",
+                        norm,
+                        envelope,
+                        1e-12,
+                        passed=norm <= envelope + 1e-12,
+                        detail=f"{label} ({j},{k}) on {shape}",
+                        kind="bound",
                     )
+                )
     return records
 
 
@@ -442,15 +472,22 @@ def markov_product_checks(
 
     Scenarios keep every occupation positive so the zero-conditioning
     convention never has to stand in for an actual conditional probability.
+    The hazard is pure-jump, so its product integral depends only on the
+    range of event times a subinterval holds and is computed once per range.
     """
     records = []
     for i in range(count):
         scenario = random_scenario(rng, markov_only=True, positive_occupation=True)
         ps = exact_pathspace(scenario)
         hazard = ps.hazard_matrix()
+        atom_times = [t for t, _ in hazard.atoms]
+        products = {}
         for _ in range(subintervals):
             a = random_subinterval(rng, tau=ps.tau)
-            gap = matrix_norm(ps.transition_matrix(a) - product_integral(hazard, a))
+            span = index_range(atom_times, a)
+            if span not in products:
+                products[span] = product_integral(hazard, a)
+            gap = matrix_norm(ps.transition_matrix(a) - products[span])
             records.append(
                 close_record("markov-product", gap, 0.0, 1e-10, detail=f"instance {i} on {a}")
             )
@@ -458,21 +495,20 @@ def markov_product_checks(
 
 
 def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
-    """Occupation floors on all grid pairs; equality where no mass flows in."""
+    """Occupation floors on all grid pairs; equality where no mass flows in.
+    One running survival product per state and start tick gives the floors
+    at every later tick."""
     records = []
     labels = labels or [f"instance {i}" for i in range(len(spaces))]
     for ps, label in zip(spaces, labels):
-        inflow = {j: False for j in range(1, ps.dim + 1)}
+        inflow = np.zeros(ps.dim, dtype=bool)
         for u in ps.event_times:
-            mass = ps.jump_mass(u)
-            for k in range(1, ps.dim + 1):
-                if mass[:, k - 1].any():
-                    inflow[k] = True
+            inflow |= ps.jump_mass(u).any(axis=0)
         ticks = [0.0] + list(ps.grid)
         for j in range(1, ps.dim + 1):
+            floors = ps.occupation_floors(j, ticks)
             for si, s in enumerate(ticks):
-                for t in ticks[si:]:
-                    bound = ps.occupation_lower_bound(j, s, t)
+                for t, bound in zip(ticks[si:], floors[si]):
                     records.append(
                         CheckRecord(
                             "occupation-lower-bound",
@@ -484,7 +520,7 @@ def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
                             kind="bound",
                         )
                     )
-                    if not inflow[j]:
+                    if not inflow[j - 1]:
                         records.append(
                             close_record(
                                 "occupation-bound-equality",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -577,7 +578,7 @@ def _json_float(value: float) -> str:
     """``value`` as ``json`` writes a float: its repr, or NaN, Infinity, -Infinity."""
     if value != value:
         return "NaN"
-    if value in (np.inf, -np.inf):
+    if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
     return float.__repr__(value)
 

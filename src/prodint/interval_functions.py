@@ -16,8 +16,9 @@ time window.  This module provides:
   schedule, and the summed defect against a proposed transform.  A
   step-like function (constant on cells that hold the same support times)
   is evaluated once per support range, any other on every cell;
-* the exact product integral of an additive function, and the integral of
-  a regulated step function against an additive function.
+* the exact product integral of an additive function (also swept over
+  the right endpoints of (lo, t] in one running product), and the
+  integral of a regulated step function against an additive function.
 
 All inequality checks use the maximum absolute row-sum norm, which is
 submultiplicative (``norm(x @ y) <= norm(x) * norm(y)``); the max-entry
@@ -462,6 +463,38 @@ def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
         if factor is not None:
             result = result @ factor
     return result
+
+
+def index_range(times, a: Interval) -> tuple[int, int]:
+    """(start, stop) with ``times[start:stop]`` the sorted ``times`` that
+    lie in ``a``."""
+    start = bisect_left(times, a.lo) if a.lo_closed else bisect_right(times, a.lo)
+    stop = bisect_right(times, a.hi) if a.hi_closed else bisect_left(times, a.hi)
+    return start, stop
+
+
+def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.ndarray]:
+    """``product_integral(lam, (lo, t])`` for each t of the nondecreasing
+    ``times``, all at or after ``lo`` (the identity at ``t == lo``), from one
+    running product.
+
+    ``lam`` must be pure-jump.  Each value multiplies the same
+    ``identity + jump`` factors in the same order as its own product
+    integral, so the two agree bit for bit.
+    """
+    if lam.density:
+        raise ValueError("the product integral sweep takes a pure-jump function")
+    eye = np.eye(lam.dim)
+    atoms = [(t, jump) for t, jump in lam.atoms if t > lo]
+    result, i, previous = eye, 0, lo
+    for t in times:
+        if t < previous:
+            raise ValueError(f"sweep times must be nondecreasing from {lo}, got {t} after {previous}")
+        while i < len(atoms) and atoms[i][0] <= t:
+            result = result @ (eye + atoms[i][1])
+            i += 1
+        previous = t
+        yield result
 
 
 @dataclass(frozen=True)

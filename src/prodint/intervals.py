@@ -54,10 +54,6 @@ class Interval:
         return cls(t, t, True, True)
 
     @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def is_point(self) -> bool:
         return self.lo == self.hi
 
@@ -69,18 +65,6 @@ class Interval:
         if t == self.hi and not self.hi_closed:
             return False
         return True
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection as an Interval, or None when it is empty."""
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        lo_closed = self.contains(lo) and other.contains(lo)
-        hi_closed = self.contains(hi) and other.contains(hi)
-        if lo == hi:
-            return Interval(lo, hi, True, True) if lo_closed and hi_closed else None
-        return Interval(lo, hi, lo_closed, hi_closed)
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("

@@ -27,7 +27,7 @@ from .interval_functions import (
     AdditiveIF,
     BoundCheck,
     GeneralIF,
-    product_integral,
+    product_integral_sweep,
 )
 from .intervals import Interval
 
@@ -62,6 +62,14 @@ class ExtinctionReport:
         return all(b.ok for b in self.boundaries)
 
 
+class _OneStep(NamedTuple):
+    """The law of consecutive ticks (read-only)."""
+
+    occupation: np.ndarray  # tick x d: mass in state j at the tick
+    moves: np.ndarray  # grid time x d x d: j -> k jump mass there (zero diagonal)
+    events: np.ndarray  # indices of the grid times that carry jump mass
+
+
 class _JointTable(NamedTuple):
     """Weighted law of the states read at one pair of ticks (read-only)."""
 
@@ -80,6 +88,13 @@ class PathSpace:
     the one or two tick columns its time points select, and the weighted
     joint table of each column pair is built once (one ``np.bincount``,
     which adds the weights in path order) and memoized.
+
+    The one-step tables -- the occupation at every tick and the jump mass
+    at every grid time -- are built together on first use, and with them
+    ``event_times`` and the hazard (``hazard_matrix``), each once per space.
+    ``jump_mass``, ``exit_hazard`` and ``counting_mean_if`` read the tables
+    with array operations on every call.  An array a query hands out is a
+    copy or read-only.
     """
 
     dim: int
@@ -124,10 +139,26 @@ class PathSpace:
         object.__setattr__(self, "_tables", {})
 
     @cached_property
+    def _one_step(self) -> _OneStep:
+        # one bincount per tick and per pair of consecutive ticks, each adding
+        # the weights in path order, as ``_table`` does for any column pair
+        d, weights = self.dim, self.weights
+        ticks = self.states.T.astype(np.intp) - 1  # tick x path
+        occupation = np.array([np.bincount(at, weights=weights, minlength=d) for at in ticks])
+        pairs = ticks[:-1] * d + ticks[1:]
+        moves = np.array([np.bincount(pair, weights=weights, minlength=d * d) for pair in pairs])
+        moves = moves.reshape(len(pairs), d, d)
+        moves.reshape(len(pairs), d * d)[:, :: d + 1] = 0.0  # the diagonal: staying put is no jump
+        events = np.flatnonzero(moves.any(axis=(1, 2)))
+        for array in (occupation, moves, events):
+            array.setflags(write=False)
+        return _OneStep(occupation, moves, events)
+
+    @cached_property
     def event_times(self) -> tuple[float, ...]:
-        """Grid times at which some path actually jumps."""
-        moved = (self.states[:, 1:] != self.states[:, :-1]).any(axis=0)
-        return tuple(t for t, m in zip(self.grid, moved.tolist()) if m)
+        """Grid times at which some path actually jumps: those whose
+        one-step table carries off-diagonal mass."""
+        return tuple(self.grid[i] for i in self._one_step.events.tolist())
 
     @cached_property
     def paths(self) -> tuple[tuple[EventHistory, float], ...]:
@@ -154,7 +185,7 @@ class PathSpace:
 
     def _occupation_column(self, t: float, side: Side) -> np.ndarray:
         column = self._column_at(t) if side == "right" else self._column_before(t)
-        return self._table(column, column).conditioning
+        return self._one_step.occupation[column]
 
     def columns(self, a: Interval) -> tuple[int, int]:
         """The (left, right) tick columns ``a`` reads under its endpoint shape.
@@ -241,12 +272,10 @@ class PathSpace:
         """The expected-count measure of j -> k as a scalar additive function."""
         if k == j:
             raise ValueError("counting means are defined for k != j")
-        atoms = []
-        for u in self.event_times:
-            mass = self.jump_mass(u)[j - 1, k - 1]
-            if mass != 0.0:
-                atoms.append((u, [[mass]]))
-        return AdditiveIF(1, tuple(atoms))
+        events = self._one_step.events
+        masses = self._one_step.moves[events, j - 1, k - 1].tolist()
+        atoms = tuple((self.grid[i], [[m]]) for i, m in zip(events.tolist(), masses) if m != 0.0)
+        return AdditiveIF(1, atoms)
 
     def indicator_mean(self, j: int, k: int, a: Interval) -> float:
         """Probability of status j at the left of ``a`` and k at its right.
@@ -285,7 +314,7 @@ class PathSpace:
         weight of the paths jumping from j to k there."""
         i = bisect_left(self._ticks, u)
         if 0 < i < len(self._ticks) and self._ticks[i] == u:
-            return self._off_diagonal(i - 1, i)
+            return self._one_step.moves[i - 1].copy()
         return np.zeros((self.dim, self.dim))
 
     def hazard_matrix(self) -> "HazardMatrixIF":
@@ -294,38 +323,37 @@ class PathSpace:
         Pure-jump for a finite path space.  Off-diagonal entry (j, k) at a
         jump time is the expected j -> k mass there divided by the
         occupation of j just before; the diagonal carries minus the row
-        sum.
+        sum.  Built once per space.
         """
-        atoms = []
-        for u in self.event_times:
-            mass = self.jump_mass(u)
-            at_risk = self.occupation_vector(u, side="left")
-            step = np.zeros((self.dim, self.dim))
-            for j in range(self.dim):
-                row = mass[j]
-                if not row.any():
-                    continue
-                if at_risk[j] <= 0.0:
-                    raise ValueError(
-                        f"inconsistent path space: transition mass out of state {j + 1} "
-                        f"at time {u} with zero occupation just before"
-                    )
-                step[j] = row / at_risk[j]
-                step[j, j] = -step[j].sum()
-            if step.any():
-                atoms.append((u, step))
-        return HazardMatrixIF(self.dim, tuple(atoms))
+        return self._hazard
+
+    @cached_property
+    def _hazard(self) -> "HazardMatrixIF":
+        d, events = self.dim, self._one_step.events
+        mass = self._one_step.moves[events]  # event x j x k
+        at_risk = self._one_step.occupation[events]  # the tick before each event time
+        leaving = mass.any(axis=2)
+        stranded = np.argwhere(leaving & (at_risk <= 0.0))
+        if len(stranded):
+            e, j = stranded[0].tolist()
+            raise ValueError(
+                f"inconsistent path space: transition mass out of state {j + 1} "
+                f"at time {self.grid[events[e]]} with zero occupation just before"
+            )
+        step = np.divide(mass, at_risk[:, :, None], out=np.zeros_like(mass), where=leaving[:, :, None])
+        step.reshape(len(events), d * d)[:, :: d + 1] = np.where(leaving, -step.sum(axis=2), 0.0)
+        kept = step.any(axis=(1, 2))
+        times = [self.grid[i] for i in events[kept].tolist()]
+        return HazardMatrixIF(d, tuple(zip(times, step[kept])))
 
     def exit_hazard(self, j: int) -> AdditiveIF:
         """Total hazard of leaving state j, as a scalar additive function."""
-        atoms = []
-        for u in self.event_times:
-            mass = self.jump_mass(u)[j - 1]
-            total = mass.sum()
-            if total != 0.0:
-                before = self.occupation(j, u, side="left")
-                atoms.append((u, [[total / before]]))
-        return AdditiveIF(1, tuple(atoms))
+        events = self._one_step.events
+        totals = self._one_step.moves[events, j - 1].sum(axis=1)
+        leaves = totals != 0.0
+        rates = totals[leaves] / self._one_step.occupation[events[leaves], j - 1]
+        times = [self.grid[i] for i in events[leaves].tolist()]
+        return AdditiveIF(1, tuple((u, [[h]]) for u, h in zip(times, rates.tolist())))
 
     # -- identities and structural checks ----------------------------------
 
@@ -338,25 +366,35 @@ class PathSpace:
         """
         if s > t:
             raise ValueError("need s <= t")
-        lhs = self.occupation(j, t)
-        start = self.occupation(j, s)
-        survival = 1.0
-        if t > s:
-            survival = product_integral(
-                self.exit_hazard(j).scale(-1.0), Interval.open_closed(s, t)
-            )[0, 0]
-        rhs = start * survival
-        return BoundCheck(lhs, rhs, lhs >= rhs - 1e-12)
+        return self.occupation_floors(j, (s, t))[0][-1]
+
+    def occupation_floors(self, j: int, times) -> list[list[BoundCheck]]:
+        """``occupation_lower_bound(j, s, t)`` for every pair s <= t of the
+        nondecreasing ``times``: row i holds the floors from ``times[i]`` to
+        each of ``times[i:]``.  A row is one running survival product, with
+        the same factors in the same order as one product integral per
+        pair."""
+        survival = self.exit_hazard(j).scale(-1.0)
+        rows = []
+        for i, s in enumerate(times):
+            start = self.occupation(j, s)
+            row = []
+            for t, product in zip(times[i:], product_integral_sweep(survival, s, times[i:])):
+                lhs = self.occupation(j, t)
+                rhs = start * float(product[0, 0])
+                row.append(BoundCheck(lhs, rhs, lhs >= rhs - 1e-12))
+            rows.append(row)
+        return rows
 
     def extinction_report(self, j: int) -> ExtinctionReport:
         """Scan for times where state j's occupation drops to exactly zero."""
+        occupation, moves = self._one_step.occupation[:, j - 1].tolist(), self._one_step.moves
         boundaries = []
-        for u in self.event_times:
-            before = self.occupation(j, u, side="left")
-            after = self.occupation(j, u)
+        for i in self._one_step.events.tolist():
+            before, after = occupation[i], occupation[i + 1]
             if before > 0.0 and after == 0.0:
-                exit_mass = self.jump_mass(u)[j - 1].sum() / before
-                boundaries.append(ExtinctionBoundary(u, exit_mass, abs(exit_mass - 1.0) <= 1e-12))
+                exit_mass = float(moves[i, j - 1].sum()) / before
+                boundaries.append(ExtinctionBoundary(self.grid[i], exit_mass, abs(exit_mass - 1.0) <= 1e-12))
         return ExtinctionReport(j, tuple(boundaries))
 
 
@@ -372,14 +410,19 @@ class HazardMatrixIF(AdditiveIF):
         super().__post_init__()
         if self.density:
             raise ValueError("hazard matrices from finite path spaces are pure-jump")
-        for t, step in self.atoms:
-            off = step.copy()
-            np.fill_diagonal(off, 0.0)
-            if (off < 0.0).any():
-                raise ValueError(f"negative off-diagonal hazard at {t}")
-            row_exit = off.sum(axis=1)
-            if (row_exit > 1.0 + 1e-12).any():
-                raise ValueError(f"instantaneous exit mass above 1 at {t}")
-            if np.abs(step.sum(axis=1)).max() > 1e-12:
-                raise ValueError(f"hazard rows must sum to zero at {t}")
-
+        if not self.atoms:
+            return
+        steps = np.array([step for _, step in self.atoms])
+        off = steps.copy()
+        off.reshape(len(steps), -1)[:, :: self.dim + 1] = 0.0
+        # the checks of one atom in order; the first atom failing any raises
+        failures = (
+            (off < 0.0, "negative off-diagonal hazard at {}"),
+            (off.sum(axis=2) > 1.0 + 1e-12, "instantaneous exit mass above 1 at {}"),
+            (np.abs(steps.sum(axis=2)) > 1e-12, "hazard rows must sum to zero at {}"),
+        )
+        if any(flags.any() for flags, _ in failures):
+            failed = [flags.reshape(len(steps), -1).any(axis=1) for flags, _ in failures]
+            e = int(np.logical_or.reduce(failed).argmax())
+            message = next(message for flags, (_, message) in zip(failed, failures) if flags[e])
+            raise ValueError(message.format(self.atoms[e][0]))

@@ -1,7 +1,10 @@
 """Rescanning and per-subject reference versions of the sampler, the
 censoring mechanisms, the event-history CSV reader, the Nelson-Aalen
-estimator, the path-space queries, the refinement schedule as partitions
-of ``Interval`` cells with the transforms, variation norms and defects
+estimator, the path-space queries, the hazard laws of a path space (its
+one-step tables, event times, hazard atoms, exit hazards and occupation
+floors), the hazard-side verify suites one record at a time, the
+refinement schedule as partitions of ``Interval`` cells (with the interval
+length and intersection) and the transforms, variation norms and defects
 that walk it one cell at a time, the count-mean defect suite and the
 product-variation bound, the per-subject estimate lookups the library
 does not use, the trajectory lookups (state at a time, just before it,
@@ -10,10 +13,12 @@ hand-drawn trajectories through those lookups.
 
 These are the straightforward scans and scalar walks the library replaced
 with an indexed lookup, an array walk over all subjects at once, a bulk
-parse, array counts and risk sets, memoized tick-pair tables, a one-pass
-defect sum and a refinement engine that evaluates step-like functions once
-per support range.  They stay here, outside the package,
-so that tests can require the fast versions to agree with them exactly.
+parse, array counts and risk sets, memoized tick-pair tables, one-step
+tables with the laws derived from them once per path space, running
+product integrals, a one-pass defect sum and a refinement engine that
+evaluates step-like functions once per support range.  They stay here,
+outside the package, so that tests can require the fast versions to agree
+with them exactly.
 """
 
 import csv
@@ -537,7 +542,157 @@ def counting_mean_if(ps, j, k):
     return AdditiveIF(1, tuple(atoms))
 
 
+def event_times(ps):
+    """The grid times at which some path jumps, read off the trajectories."""
+    return tuple(sorted({t for path, _ in ps.paths for t, _ in path.jumps}))
+
+
+def one_step_tables(ps):
+    """(occupation at every tick, jump mass at every grid time), path by path."""
+    ticks = (0.0,) + ps.grid
+    occupations = [[occupation(ps, j, t) for j in range(1, ps.dim + 1)] for t in ticks]
+    moves = [jump_mass(ps, u) for u in ps.grid]
+    return np.array(occupations).reshape(len(ticks), ps.dim), np.array(moves).reshape(len(ps.grid), ps.dim, ps.dim)
+
+
+def hazard_atoms(ps):
+    """The hazard's (time, step) atoms, one event time and one state at a time."""
+    atoms = []
+    for u in event_times(ps):
+        mass = jump_mass(ps, u)
+        at_risk = [occupation(ps, j, u, side="left") for j in range(1, ps.dim + 1)]
+        step = np.zeros((ps.dim, ps.dim))
+        for j in range(ps.dim):
+            row = mass[j]
+            if not row.any():
+                continue
+            if at_risk[j] <= 0.0:
+                raise ValueError(
+                    f"inconsistent path space: transition mass out of state {j + 1} "
+                    f"at time {u} with zero occupation just before"
+                )
+            step[j] = row / at_risk[j]
+            step[j, j] = -step[j].sum()
+        if step.any():
+            atoms.append((u, step))
+    return atoms
+
+
+def exit_hazard(ps, j):
+    """The total exit hazard of state j, one event time at a time."""
+    atoms = []
+    for u in event_times(ps):
+        total = jump_mass(ps, u)[j - 1].sum()
+        if total != 0.0:
+            atoms.append((u, [[total / occupation(ps, j, u, side="left")]]))
+    return AdditiveIF(1, tuple(atoms))
+
+
+def occupation_lower_bound(ps, j, s, t):
+    """The occupation floor from s to t, with one product integral of the
+    negated exit hazard over (s, t]."""
+    lhs = occupation(ps, j, t)
+    start = occupation(ps, j, s)
+    survival = 1.0
+    if t > s:
+        survival = product_integral(exit_hazard(ps, j).scale(-1.0), Interval.open_closed(s, t))[0, 0]
+    rhs = start * survival
+    return BoundCheck(lhs, rhs, lhs >= rhs - 1e-12)
+
+
+# -- the hazard-side verify suites, one record at a time ---------------------------
+
+
+def occupation_identity_checks(ps, label=""):
+    """One product integral of the hazard over (0, t] per grid time t."""
+    hazard = ps.hazard_matrix()
+    p0 = ps.occupation_vector(0.0)
+    records = []
+    for t in ps.grid:
+        lhs = p0 @ product_integral(hazard, Interval.open_closed(0.0, t))
+        rhs = ps.occupation_vector(t)
+        gap = float(np.abs(lhs - rhs).max())
+        records.append(CheckRecord("occupation-identity", gap, 0.0, 1e-10, gap <= 1e-10, f"{label} t={t:g}"))
+    return records
+
+
+def hazard_integral_checks(ps, label=""):
+    """Every record with its own Kolmogorov integral, hazard entry, variation
+    and norms, and the positivity blocks recomputed per pair."""
+    from prodint import kolmogorov_integral
+    from prodint.checks import _positivity_blocks, left_occupation_reciprocal
+
+    records = []
+    hazard = ps.hazard_matrix()
+    for j in range(1, ps.dim + 1):
+        reciprocal = left_occupation_reciprocal(ps, j)
+        for k in range(1, ps.dim + 1):
+            if k == j:
+                continue
+            counts = counting_mean_if(ps, j, k)
+            target = hazard.entry(j, k)
+            for lo, hi in _positivity_blocks(ps, j):
+                shapes = [Interval.open_closed(lo, hi), Interval.open_open(lo, hi)]
+                if lo > 0.0:
+                    shapes += [Interval.closed(lo, hi), Interval.closed_open(lo, hi)]
+                mid = 0.5 * (lo + hi)
+                if lo < mid < hi:
+                    shapes += [Interval.open_closed(lo, mid), Interval.open_closed(mid, hi)]
+                for a in shapes:
+                    integral = kolmogorov_integral(reciprocal, counts, a)
+                    lhs, rhs = integral[0, 0], target(a)[0, 0]
+                    detail = f"{label} ({j},{k}) on {a}"
+                    records.append(CheckRecord("hazard-integral", lhs, rhs, 1e-12, abs(lhs - rhs) <= 1e-12, detail))
+                    envelope = reciprocal.sup_abs(a) * counts.variation(a)
+                    records.append(
+                        CheckRecord(
+                            "integral-bound", matrix_norm(integral), envelope, 1e-12,
+                            matrix_norm(integral) <= envelope + 1e-12, detail, kind="bound",
+                        )
+                    )
+    return records
+
+
+def occupation_bound_checks(spaces, labels):
+    """One occupation floor, with its own product integral, per (j, s, t)."""
+    records = []
+    for ps, label in zip(spaces, labels):
+        inflow = {k: any(jump_mass(ps, u)[:, k - 1].any() for u in ps.grid) for k in range(1, ps.dim + 1)}
+        ticks = [0.0] + list(ps.grid)
+        for j in range(1, ps.dim + 1):
+            for si, s in enumerate(ticks):
+                for t in ticks[si:]:
+                    lhs, rhs, ok = occupation_lower_bound(ps, j, s, t)
+                    where = f"{label} j={j} on [{s:g},{t:g}]"
+                    records.append(CheckRecord("occupation-lower-bound", lhs, rhs, 1e-12, ok, where, kind="bound"))
+                    if not inflow[j]:
+                        records.append(
+                            CheckRecord(
+                                "occupation-bound-equality", lhs, rhs, 1e-12,
+                                abs(lhs - rhs) <= 1e-12, f"{where} (no inflow)",
+                            )
+                        )
+    return records
+
+
 # -- the refinement schedule as Interval partitions, one cell at a time ---------
+
+
+def length(a):
+    return a.hi - a.lo
+
+
+def intersect(a, b):
+    """The intersection of two intervals as an Interval, or None when it is empty."""
+    lo = max(a.lo, b.lo)
+    hi = min(a.hi, b.hi)
+    if lo > hi:
+        return None
+    lo_closed = a.contains(lo) and b.contains(lo)
+    hi_closed = a.contains(hi) and b.contains(hi)
+    if lo == hi:
+        return Interval(lo, hi, True, True) if lo_closed and hi_closed else None
+    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 @dataclass(frozen=True)
@@ -566,7 +721,7 @@ class Partition:
 
     @property
     def mesh(self):
-        return max(cell.length for cell in self.cells)
+        return max(map(length, self.cells))
 
     def __len__(self):
         return len(self.cells)
@@ -586,7 +741,7 @@ def refine(p, q):
     cells = []
     for a in p.cells:
         for b in q.cells:
-            cell = a.intersect(b)
+            cell = intersect(a, b)
             if cell is not None:
                 cells.append(cell)
     return Partition(tuple(cells))

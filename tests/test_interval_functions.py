@@ -26,7 +26,8 @@ from prodint import (
     strict_transform_defect,
     variation_norm,
 )
-from prodint.interval_functions import refinement_runs
+from prodint.checks import random_jump_function, random_subinterval
+from prodint.interval_functions import index_range, product_integral_sweep, refinement_runs
 
 import oracle_enum
 import reference_impl
@@ -437,6 +438,37 @@ class TestProductIntegral:
         lam = scalar_atoms((1.0, 0.5), (2.0, 0.5))
         assert product_integral(lam, OO(1, 2))[0, 0] == 1.0
         assert product_integral(lam, Interval.closed(1, 2))[0, 0] == 2.25
+
+
+class TestProductIntegralSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_each_value_is_its_own_product_integral(self, seed):
+        rng = np.random.default_rng(seed)
+        lam = random_jump_function(rng)
+        ends = sorted(rng.choice(np.arange(0, 17) * 0.25, size=int(rng.integers(1, 8))).tolist())
+        lo = float(rng.choice([e for e in [0.0, 0.5, 1.0, 2.0] if e <= ends[0]]))
+        for t, value in zip(ends, product_integral_sweep(lam, lo, ends)):
+            expected = np.eye(lam.dim) if t == lo else product_integral(lam, OC(lo, t))
+            assert reference_impl.bits(value) == reference_impl.bits(expected)
+
+    def test_rejects_a_density_and_decreasing_times(self):
+        with pytest.raises(ValueError, match="pure-jump"):
+            list(product_integral_sweep(AdditiveIF(1, (), ((0.0, 1.0, [[0.7]]),)), 0.0, [1.0]))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            list(product_integral_sweep(scalar_atoms((1.0, 0.5)), 0.0, [2.0, 1.0]))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            list(product_integral_sweep(scalar_atoms((1.0, 0.5)), 1.0, [0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_index_range_holds_the_times_inside(seed):
+    rng = np.random.default_rng(seed)
+    times = sorted(rng.choice(np.arange(0, 17) * 0.25, size=int(rng.integers(0, 8)), replace=False).tolist())
+    a = random_subinterval(rng)
+    start, stop = index_range(times, a)
+    assert times[start:stop] == [t for t in times if a.contains(t)]
 
 
 class TestStepFunction:

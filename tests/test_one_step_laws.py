@@ -1,0 +1,195 @@
+"""The one-step tables of a path space and the laws derived from them once
+per space -- event times, jump masses, the hazard, exit hazards, counting
+means and occupation floors -- and the hazard-side verify suites built on
+them agree bit for bit with the per-path and per-event-time references,
+on the generator's scenarios and on their decimal (non-dyadic)
+counterparts.  An array a query hands out cannot change a later query."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prodint import HazardMatrixIF, exact_pathspace, product_integral
+from prodint.checks import (
+    hazard_integral_checks,
+    occupation_bound_checks,
+    occupation_identity_checks,
+    random_scenario,
+    random_subinterval,
+)
+from prodint.interval_functions import index_range
+
+from corpora import decimal_scenario, random_scenarios
+import reference_impl
+from reference_impl import bits
+
+PROBE_TIMES = (0.0, 0.25, 0.3, 0.5, 0.7, 1.0, 1.1, 1.9, 2.5, 3.7, 4.0)
+
+
+def spaces():
+    """Path spaces of the generator's scenarios and of their decimal versions."""
+    return (random_scenarios() | random_scenarios().map(decimal_scenario)).map(exact_pathspace)
+
+
+def atom_bits(f):
+    return bits(list(f.atoms))
+
+
+def record_bits(records):
+    return [(r.name, bits(r.lhs), bits(r.rhs), bits(r.tol), r.passed, r.detail, r.kind) for r in records]
+
+
+def off_diagonal_pairs(dim):
+    return [(j, k) for j in range(1, dim + 1) for k in range(1, dim + 1) if j != k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces())
+def test_one_step_laws_match_per_path_references(ps):
+    occupation, moves = reference_impl.one_step_tables(ps)
+    assert bits(ps._one_step.occupation) == bits(occupation)
+    assert bits(ps._one_step.moves) == bits(moves)
+    assert ps.event_times == reference_impl.event_times(ps)
+    for u in sorted(set(PROBE_TIMES + ps.grid)):
+        assert bits(ps.jump_mass(u)) == bits(reference_impl.jump_mass(ps, u))
+    assert atom_bits(ps.hazard_matrix()) == bits(reference_impl.hazard_atoms(ps))
+    for j in range(1, ps.dim + 1):
+        assert atom_bits(ps.exit_hazard(j)) == atom_bits(reference_impl.exit_hazard(ps, j))
+    for j, k in off_diagonal_pairs(ps.dim):
+        assert atom_bits(ps.counting_mean_if(j, k)) == atom_bits(reference_impl.counting_mean_if(ps, j, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces())
+def test_occupation_floors_match_one_product_integral_per_pair(ps):
+    ticks = (0.0,) + ps.grid
+    for j in range(1, ps.dim + 1):
+        floors = ps.occupation_floors(j, ticks)
+        for si, s in enumerate(ticks):
+            for t, floor in zip(ticks[si:], floors[si]):
+                lhs, rhs, ok = reference_impl.occupation_lower_bound(ps, j, s, t)
+                assert bits([floor.lhs, floor.rhs, floor.ok]) == bits([float(lhs), float(rhs), ok])
+                assert ps.occupation_lower_bound(j, s, t) == floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces())
+def test_hazard_suites_match_per_record_references(ps):
+    assert record_bits(occupation_identity_checks(ps, "x")) == record_bits(
+        reference_impl.occupation_identity_checks(ps, "x")
+    )
+    assert record_bits(hazard_integral_checks(ps, "x")) == record_bits(
+        reference_impl.hazard_integral_checks(ps, "x")
+    )
+    assert record_bits(occupation_bound_checks([ps], ["x"])) == record_bits(
+        reference_impl.occupation_bound_checks([ps], ["x"])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces(), st.integers(0, 2**32 - 1))
+def test_product_integral_depends_only_on_the_atoms_held(ps, seed):
+    # markov-product computes one product integral per range of atoms
+    hazard = ps.hazard_matrix()
+    times = [t for t, _ in hazard.atoms]
+    rng = np.random.default_rng(seed)
+    by_range = {}
+    for a in [random_subinterval(rng, ps.tau) for _ in range(16)]:
+        start, stop = index_range(times, a)
+        assert times[start:stop] == [t for t in times if a.contains(t)]
+        product = bits(product_integral(hazard, a))
+        assert by_range.setdefault((start, stop), product) == product
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces(), st.integers(0, 2**32 - 1))
+def test_returned_arrays_cannot_change_later_queries(ps, seed):
+    rng = np.random.default_rng(seed)
+    a = random_subinterval(rng, ps.tau)
+    queries = [lambda: ps.transition_matrix(a), lambda: ps.indicator_matrix(a)]
+    queries += [lambda t=t: ps.occupation_vector(t) for t in PROBE_TIMES]
+    queries += [lambda t=t, side=side: ps.occupation_vector(t, side) for t in ps.grid for side in ("left", "right")]
+    queries += [lambda u=u: ps.jump_mass(u) for u in ps.grid]
+    laws = [ps.hazard_matrix()] + [ps.exit_hazard(j) for j in range(1, ps.dim + 1)]
+    laws += [ps.counting_mean_if(j, k) for j, k in off_diagonal_pairs(ps.dim)]
+    queries += [lambda f=f: f(a) for f in laws]
+    for query in queries:
+        before = bits(query())
+        query()[...] = 7.0
+        assert bits(query()) == before
+    for f in laws:
+        for _, matrix in f.atoms:
+            with pytest.raises(ValueError):
+                matrix[...] = 7.0
+    for table in ps._one_step:
+        with pytest.raises(ValueError):
+            table[...] = 0
+    assert ps.hazard_matrix() is laws[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_scenarios())
+def test_decimal_scenarios_give_laws_whose_weights_sum_to_one(scenario):
+    ps = exact_pathspace(decimal_scenario(scenario))  # the constructor checks the sum within 1e-12
+    assert abs(math.fsum(ps.weights.tolist()) - 1.0) <= 1e-12
+    for row in ps._one_step.occupation:
+        assert abs(math.fsum(row.tolist()) - 1.0) <= 1e-12
+    # the decimal scenario keeps every path of the dyadic one
+    assert np.array_equal(ps.states, exact_pathspace(scenario).states)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_forced_exit_always_empties_state_one(seed, progressive, decimal):
+    scenario = random_scenario(np.random.default_rng(seed), forced_exit=True, progressive=progressive)
+    if decimal:
+        scenario = decimal_scenario(scenario)
+    ps = exact_pathspace(scenario)
+    last = scenario.grid[-1]
+    report = ps.extinction_report(1)
+    assert report.has_extinction and report.ok
+    assert ps.occupation(1, last) == 0.0
+    if ps.occupation(1, last, side="left") > 0.0:
+        final = report.boundaries[-1]
+        assert (final.time, final.exit_mass) == (last, 1.0)
+
+
+def test_forced_exit_can_empty_state_one_before_the_last_grid_time():
+    # a certain exit from state 1 at t = 1.5 empties it before the planted
+    # one at the last grid time, so the boundary lies at 1.5
+    scenario = random_scenario(np.random.default_rng(9), forced_exit=True, progressive=True)
+    ps = exact_pathspace(scenario)
+    assert scenario.grid[-1] == 3.0 and ps.occupation(1, 3.0, side="left") == 0.0
+    assert [(b.time, b.exit_mass) for b in ps.extinction_report(1).boundaries] == [(1.5, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ([[-0.5, 0.5], [-0.1, 0.1]], "negative off-diagonal hazard at 2.0"),
+        ([[-1.5, 1.5], [0.0, 0.0]], "instantaneous exit mass above 1 at 2.0"),
+        ([[0.0, 0.5], [0.0, 0.0]], "hazard rows must sum to zero at 2.0"),
+    ],
+)
+def test_hazard_matrix_checks_name_the_first_bad_atom(second, message):
+    good = [[-0.5, 0.5], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HazardMatrixIF(2, ((1.0, good), (2.0, second), (3.0, [[-2.0, 2.0], [0.0, 0.0]])))
+    with pytest.raises(ValueError, match="pure-jump"):
+        HazardMatrixIF(2, ((1.0, good),), ((0.0, 1.0, good),))
+    assert HazardMatrixIF(2, ((1.0, good),)).atoms[0][0] == 1.0
+
+
+def test_hazard_is_built_once_per_space():
+    ps = exact_pathspace(random_scenario(np.random.default_rng(5)))
+    assert ps.hazard_matrix() is ps.hazard_matrix()
+
+
+def test_occupation_floors_reject_decreasing_times():
+    ps = exact_pathspace(random_scenario(np.random.default_rng(5)))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ps.occupation_floors(1, (0.0, ps.grid[-1], ps.grid[0] / 2))
+    with pytest.raises(ValueError, match="need s <= t"):
+        ps.occupation_lower_bound(1, ps.grid[0], 0.0)

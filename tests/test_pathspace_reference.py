@@ -18,34 +18,18 @@ from prodint.checks import (
     count_mean_defect_checks,
     hazard_defect_checks,
     hazard_defect_table,
-    random_scenario,
     random_subinterval,
 )
 import prodint
 from prodint import interval_functions
 from prodint.interval_functions import refinement_runs
-from prodint.simulation import RULE_KINDS
 
-from corpora import random_corpus
+from corpora import random_corpus, random_scenarios
 import reference_impl
 from reference_impl import bits, outcome
 
 # ticks of the generator's grid, points between them (dyadic and not), 0 and tau
 PROBE_TIMES = (0.0, 0.25, 0.3, 0.5, 1.0, 1.25, 1.7, 2.0, 2.5, 3.0, 3.5, 3.9, 4.0)
-VARIANTS = ("plain", "progressive", "forced_exit")
-
-
-@st.composite
-def random_scenarios(draw):
-    """Scenarios of the generator `verify` uses, for every rule kind and variant."""
-    kind = draw(st.sampled_from(RULE_KINDS))
-    variant = draw(st.sampled_from(VARIANTS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    flags = {"progressive": variant == "progressive", "forced_exit": variant == "forced_exit"}
-    scenario = random_scenario(rng, **flags)
-    while scenario.rule != kind:
-        scenario = random_scenario(rng, **flags)
-    return scenario
 
 
 def random_spaces():
