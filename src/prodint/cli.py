@@ -63,18 +63,7 @@ class RunReport:
             "config_digest": self.config_digest,
             "seed": self.seed,
             "suites": self.suites,
-            "records": [
-                {
-                    "name": r.name,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "tol": r.tol,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "kind": r.kind,
-                }
-                for r in self.records
-            ],
+            "records": [r._asdict() for r in self.records],  # name, lhs, rhs, tol, passed, detail, kind
             "table": self.table,
             "elapsed_s": self.elapsed_s,
         }
@@ -94,25 +83,28 @@ _RECORD = (
 
 def _write_report(report: RunReport, path) -> None:
     """``json.dump(report.to_json_dict(), handle, indent=2)`` and a newline,
-    written one record at a time instead of one token at a time."""
+    written one record at a time instead of one token at a time.  Each
+    distinct name and kind is encoded once, and a finite float is its repr."""
     if not path:
         return
     text = json.encoder.encode_basestring_ascii
+    labels: dict[str, str] = {}
+    number, inf = float.__repr__, math.inf
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(
             f'{{\n  "command": {text(report.command)},\n  "config_digest": '
             f'{text(report.config_digest)},\n  "seed": {json.dumps(report.seed)},\n  "suites": '
             f'{_nested(report.suites)},\n  "records": '
         )
-        for i, r in enumerate(report.records):
+        for i, (name, lhs, rhs, tol, passed, detail, kind) in enumerate(report.records):
             handle.write(("[" if i == 0 else ",") + _RECORD % (
-                text(r.name),
-                _json_float(r.lhs),
-                _json_float(r.rhs),
-                _json_float(r.tol),
-                "true" if r.passed else "false",
-                text(r.detail),
-                text(r.kind),
+                labels.get(name) or labels.setdefault(name, text(name)),
+                number(lhs) if -inf < lhs < inf else _json_float(lhs),
+                number(rhs) if -inf < rhs < inf else _json_float(rhs),
+                number(tol) if -inf < tol < inf else _json_float(tol),
+                "true" if passed else "false",
+                text(detail),
+                labels.get(kind) or labels.setdefault(kind, text(kind)),
             ))
         handle.write("\n  ]" if report.records else "[]")
         handle.write(

@@ -58,12 +58,13 @@ class ConvergenceError(RuntimeError):
         self.depth = depth
 
 
-def _frozen_matrix(x, dim: int) -> np.ndarray:
-    m = np.array(x, dtype=float).reshape((dim, dim))
-    if not np.all(np.isfinite(m)):
+def _frozen_stack(matrices, dim: int) -> np.ndarray:
+    """``matrices`` as one read-only (count x dim x dim) array of finite floats."""
+    stack = np.array(matrices, dtype=float).reshape((len(matrices), dim, dim))
+    if matrices and not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,8 @@ class AdditiveIF:
     a tuple of ``(start, end, rate_matrix)`` pieces with disjoint
     increasing spans.  The value on an interval is the sum of the atoms it
     contains plus the density integrated over it, so additivity holds by
-    construction and the variation norm is exact.
+    construction and the variation norm is exact.  The atoms' matrices are
+    views of ``jumps``, one read-only (atom x dim x dim) array.
     """
 
     dim: int
@@ -84,21 +86,22 @@ class AdditiveIF:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        atoms = tuple((float(t), _frozen_matrix(m, self.dim)) for t, m in self.atoms)
-        for (earlier, _), (later, _) in zip(atoms, atoms[1:]):
-            if not earlier < later:
-                raise ValueError("atom times must be strictly increasing")
-        pieces = tuple(
-            (float(s), float(e), _frozen_matrix(r, self.dim)) for s, e, r in self.density
-        )
-        for s, e, _ in pieces:
-            if not s < e:
+        atoms, pieces = tuple(self.atoms), ()
+        jumps = _frozen_stack([m for _, m in atoms], self.dim)
+        times = tuple([float(t) for t, _ in atoms])
+        if not all(earlier < later for earlier, later in zip(times, times[1:])):
+            raise ValueError("atom times must be strictly increasing")
+        if self.density:
+            density = tuple(self.density)
+            rates = _frozen_stack([r for _, _, r in density], self.dim)
+            pieces = tuple((float(s), float(e), r) for (s, e, _), r in zip(density, rates))
+            if not all(s < e for s, e, _ in pieces):
                 raise ValueError("density pieces must have positive width")
-        for (_, e1, _), (s2, _, _) in zip(pieces, pieces[1:]):
-            if e1 > s2:
+            if any(e1 > s2 for (_, e1, _), (s2, _, _) in zip(pieces, pieces[1:])):
                 raise ValueError("density pieces must be disjoint and ordered")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple(zip(times, jumps)))
         object.__setattr__(self, "density", pieces)
+        object.__setattr__(self, "jumps", jumps)
 
     @property
     def step_like(self) -> bool:
@@ -144,16 +147,6 @@ class AdditiveIF:
             tuple((t, factor * m) for t, m in self.atoms),
             tuple((s, e, factor * r) for s, e, r in self.density),
         )
-
-    def entry(self, j: int, k: int) -> "AdditiveIF":
-        """The (j, k) entry (states numbered from 1) as a scalar function."""
-        atoms = tuple(
-            (t, [[m[j - 1, k - 1]]]) for t, m in self.atoms if m[j - 1, k - 1] != 0.0
-        )
-        density = tuple(
-            (s, e, [[r[j - 1, k - 1]]]) for s, e, r in self.density if r[j - 1, k - 1] != 0.0
-        )
-        return AdditiveIF(1, atoms, density)
 
 
 @dataclass(frozen=True)

@@ -410,19 +410,16 @@ class HazardMatrixIF(AdditiveIF):
         super().__post_init__()
         if self.density:
             raise ValueError("hazard matrices from finite path spaces are pure-jump")
-        if not self.atoms:
-            return
-        steps = np.array([step for _, step in self.atoms])
-        off = steps.copy()
-        off.reshape(len(steps), -1)[:, :: self.dim + 1] = 0.0
-        # the checks of one atom in order; the first atom failing any raises
+        steps = self.jumps
+        off = steps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
+        # which atoms fail each check, the checks of one atom in order; the first atom failing any raises
         failures = (
-            (off < 0.0, "negative off-diagonal hazard at {}"),
-            (off.sum(axis=2) > 1.0 + 1e-12, "instantaneous exit mass above 1 at {}"),
-            (np.abs(steps.sum(axis=2)) > 1e-12, "hazard rows must sum to zero at {}"),
+            ((off < 0.0).any(axis=(1, 2)), "negative off-diagonal hazard"),
+            ((off.sum(axis=2) > 1.0 + 1e-12).any(axis=1), "instantaneous exit mass above 1"),
+            ((np.abs(steps.sum(axis=2)) > 1e-12).any(axis=1), "hazard rows must sum to zero"),
         )
-        if any(flags.any() for flags, _ in failures):
-            failed = [flags.reshape(len(steps), -1).any(axis=1) for flags, _ in failures]
-            e = int(np.logical_or.reduce(failed).argmax())
-            message = next(message for flags, (_, message) in zip(failed, failures) if flags[e])
-            raise ValueError(message.format(self.atoms[e][0]))
+        failed = np.logical_or.reduce([flags for flags, _ in failures])
+        if failed.any():
+            e = int(failed.argmax())
+            message = next(message for flags, message in failures if flags[e])
+            raise ValueError(f"{message} at {self.atoms[e][0]}")

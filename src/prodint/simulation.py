@@ -62,6 +62,14 @@ class ConfigError(ValueError):
     """Malformed scenario or censoring configuration."""
 
 
+def _whole(value, what: str) -> int:
+    """``int(value)``, but a float with a fractional part is an error, not truncated."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return number
+
+
 def _select(rules: dict, feature: float | None) -> tuple[tuple[int, float], ...]:
     """The row of ``rules`` for a history feature: its exact match, else the default."""
     if feature is not None and feature in rules:
@@ -124,6 +132,8 @@ class ScenarioConfig:
                 raise ConfigError(f"rule state {rule.from_state} out of range")
             if self.rule == "markov" and rule.when is not None:
                 raise ConfigError("markov rules cannot carry a history feature")
+            if rule.when is not None and not math.isfinite(rule.when):
+                raise ConfigError(f"rule feature 'when' must be finite, got {rule.when!r}")
             key = (rule.time, rule.from_state, rule.when)
             if key in seen:
                 raise ConfigError(f"duplicate rule for {key}")
@@ -193,7 +203,7 @@ class ScenarioConfig:
             rules = tuple(
                 TransitionRule(
                     time=float(entry["time"]),
-                    from_state=int(entry["from"]),
+                    from_state=_whole(entry["from"], "rule state 'from'"),
                     probs=tuple(
                         (int(to), float(p)) for to, p in sorted(entry["probs"].items())
                     ),
@@ -202,7 +212,7 @@ class ScenarioConfig:
                 for entry in data["transitions"]
             )
             return cls(
-                dim=int(data["d"]),
+                dim=_whole(data["d"], "dimension 'd'"),
                 tau=float(data["tau"]),
                 grid=tuple(float(t) for t in data["grid"]),
                 rule=str(data["rule"]),

@@ -630,7 +630,6 @@ def hazard_integral_checks(ps, label=""):
             if k == j:
                 continue
             counts = counting_mean_if(ps, j, k)
-            target = hazard.entry(j, k)
             for lo, hi in _positivity_blocks(ps, j):
                 shapes = [Interval.open_closed(lo, hi), Interval.open_open(lo, hi)]
                 if lo > 0.0:
@@ -640,7 +639,7 @@ def hazard_integral_checks(ps, label=""):
                     shapes += [Interval.open_closed(lo, mid), Interval.open_closed(mid, hi)]
                 for a in shapes:
                     integral = kolmogorov_integral(reciprocal, counts, a)
-                    lhs, rhs = integral[0, 0], target(a)[0, 0]
+                    lhs, rhs = integral[0, 0], hazard(a)[j - 1, k - 1]
                     detail = f"{label} ({j},{k}) on {a}"
                     records.append(CheckRecord("hazard-integral", lhs, rhs, 1e-12, abs(lhs - rhs) <= 1e-12, detail))
                     envelope = reciprocal.sup_abs(a) * counts.variation(a)
@@ -672,6 +671,22 @@ def occupation_bound_checks(spaces, labels):
                                 abs(lhs - rhs) <= 1e-12, f"{where} (no inflow)",
                             )
                         )
+    return records
+
+
+def markov_product_checks(rng, count, subintervals):
+    """Each subinterval drawn after its space is built and checked on its
+    own: one transition matrix, product integral and norm per record."""
+    from prodint.checks import random_scenario, random_subinterval
+    from prodint.simulation import exact_pathspace
+
+    records = []
+    for i in range(count):
+        ps = exact_pathspace(random_scenario(rng, markov_only=True, positive_occupation=True))
+        for _ in range(subintervals):
+            a = random_subinterval(rng, tau=ps.tau)
+            gap = matrix_norm(ps.transition_matrix(a) - product_integral(ps.hazard_matrix(), a))
+            records.append(CheckRecord("markov-product", gap, 0.0, 1e-10, gap <= 1e-10, f"instance {i} on {a}"))
     return records
 
 

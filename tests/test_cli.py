@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import importlib.util
 import json
@@ -298,7 +297,15 @@ class TestSummary:
     def test_report_records_hold_every_field_in_order(self):
         records = [CheckRecord("eq", 1.0, 2.0, 0.0, False, "d"), CheckRecord("b", 1, 2, 0, True, kind="bound")]
         dumped = RunReport("verify", "digest", 7, records).to_json_dict()["records"]
-        assert [list(r.items()) for r in dumped] == [list(dataclasses.asdict(r).items()) for r in records]
+        assert [list(r) for r in dumped] == [["name", "lhs", "rhs", "tol", "passed", "detail", "kind"]] * 2
+        assert [list(r.values()) for r in dumped] == [list(r) for r in records]
+
+    def test_records_coerce_their_numbers_and_are_immutable(self):
+        record = CheckRecord("eq", 1, np.float64(2.5), np.int64(0), np.bool_(True))
+        assert [type(v) for v in record[1:5]] == [float, float, float, bool]
+        assert (record.detail, record.kind) == ("", "equality")
+        with pytest.raises(AttributeError):
+            record.lhs = 3.0
 
 
 JSON_FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
@@ -626,6 +633,46 @@ class TestEscapesFound:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus / 'forced_exit.json'}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"transitions": [{"time": 1.0, "from": 1.5, "probs": {"2": 0.5}}]},
+                "rule state 'from' must be a whole number, got 1.5",
+            ),
+            ({"d": 2.5}, "dimension 'd' must be a whole number, got 2.5"),
+            (
+                {"transitions": [{"time": 3.0, "from": 2, "when": float("nan"), "probs": {"3": 0.8}}]},
+                "rule feature 'when' must be finite, got nan",
+            ),
+        ],
+    )
+    def test_non_integral_or_nan_fields_are_rejected(self, tmp_path, capsys, change, message):
+        # these once loaded truncated (state 1, dimension 2) or as a rule that never matches
+        path = self.write_idn(tmp_path, **change)
+        assert run("verify", "--scenario", path, "--count", 0) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert self.simulate(tmp_path, path) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_whole_number_floats_still_load(self, tmp_path):
+        path = self.write_idn(tmp_path, d=3.0, transitions=[{"time": 1.0, "from": 1.0, "probs": {"2": 0.5}}])
+        assert run("verify", "--scenario", path, "--count", 0) == 0
+
+    def test_overflowing_reciprocal_occupation_names_scenario_state_and_time(self, tmp_path, capsys):
+        # a valid law whose state 2 holds 1e-320 after t = 1: 1/occupation overflows
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "d": 2, "tau": 3.0, "grid": [1.0, 2.0], "rule": "markov", "initial": [1.0, 0.0],
+            "transitions": [
+                {"time": 1.0, "from": 1, "probs": {"2": 1e-320}},
+                {"time": 2.0, "from": 2, "probs": {"1": 0.5}},
+            ],
+        }))
+        assert run("verify", "--scenario", path, "--count", 0) == 2
+        err = capsys.readouterr().err
+        assert err == "error: tiny.json: 1/occupation of state 2 at t=1 overflows (occupation 1e-320)\n"
 
     def test_malformed_censoring_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "censoring.json"

@@ -92,10 +92,31 @@ class TestAdditiveIF:
         with pytest.raises(ValueError):
             scalar_atoms((2.0, 0.5), (1.0, 0.5))
 
-    def test_entry_slices(self):
-        mu = AdditiveIF(2, ((1.0, [[-0.5, 0.5], [0.0, 0.0]]),))
-        assert mu.entry(1, 2)(OC(0, 2))[0, 0] == 0.5
-        assert mu.entry(2, 1)(OC(0, 2))[0, 0] == 0.0
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_atoms_and_rates_are_read_only_copies(self, dim, n_atoms, n_pieces, seed):
+        rng = np.random.default_rng(seed)
+        given_atoms = [(0.5 * (i + 1), rng.uniform(-1.0, 1.0, size=(dim, dim))) for i in range(n_atoms)]
+        given_pieces = [(i + 0.0, i + 0.5, rng.uniform(-1.0, 1.0, size=(dim, dim))) for i in range(n_pieces)]
+        mu = AdditiveIF(dim, tuple(given_atoms), tuple(given_pieces))
+        assert mu.jumps.shape == (n_atoms, dim, dim) and not mu.jumps.flags.writeable
+        assert [t for t, _ in mu.atoms] == [t for t, _ in given_atoms]
+        for (_, matrix), (_, original), jump in zip(mu.atoms, given_atoms, mu.jumps):
+            assert np.array_equal(matrix, original) and np.array_equal(matrix, jump)
+            original[...] = 9.0  # the function keeps its own copy
+            assert not np.array_equal(matrix, original)
+            with pytest.raises(ValueError):
+                matrix[...] = 7.0
+        for _, _, rate in mu.density:
+            with pytest.raises(ValueError):
+                rate[...] = 7.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_matrices(self, bad):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            AdditiveIF(2, ((1.0, [[0.0, 0.5], [0.0, 0.0]]), (2.0, [[0.0, bad], [0.0, 0.0]])))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            AdditiveIF(1, (), ((0.0, 1.0, [[bad]]),))
 
 
 class TestAdditiveTransform:

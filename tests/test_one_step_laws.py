@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from prodint import HazardMatrixIF, exact_pathspace, product_integral
 from prodint.checks import (
     hazard_integral_checks,
+    markov_product_checks,
     occupation_bound_checks,
     occupation_identity_checks,
     random_scenario,
@@ -86,6 +87,16 @@ def test_hazard_suites_match_per_record_references(ps):
     assert record_bits(occupation_bound_checks([ps], ["x"])) == record_bits(
         reference_impl.occupation_bound_checks([ps], ["x"])
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_markov_product_matches_one_subinterval_at_a_time(seed, subintervals):
+    # the suite draws an instance's subintervals before building its space and
+    # takes all of its gaps as one array norm
+    got = markov_product_checks(np.random.default_rng(seed), count=3, subintervals=subintervals)
+    expected = reference_impl.markov_product_checks(np.random.default_rng(seed), 3, subintervals)
+    assert record_bits(got) == record_bits(expected) and len(got) == 3 * subintervals
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,6 +191,59 @@ def test_hazard_matrix_checks_name_the_first_bad_atom(second, message):
     with pytest.raises(ValueError, match="pure-jump"):
         HazardMatrixIF(2, ((1.0, good),), ((0.0, 1.0, good),))
     assert HazardMatrixIF(2, ((1.0, good),)).atoms[0][0] == 1.0
+
+
+HAZARD_MESSAGES = (
+    "negative off-diagonal hazard at {}",
+    "instantaneous exit mass above 1 at {}",
+    "hazard rows must sum to zero at {}",
+)
+
+
+def first_hazard_failure(atoms):
+    """The message of the first check the first bad atom fails, one atom at a time."""
+    for t, step in atoms:
+        off = step - np.diag(np.diag(step))
+        failed = [(off < 0.0).any(), (off.sum(axis=1) > 1.0 + 1e-12).any(), (np.abs(step.sum(axis=1)) > 1e-12).any()]
+        if any(failed):
+            return HAZARD_MESSAGES[failed.index(True)].format(t)
+    return None
+
+
+@st.composite
+def hazard_atoms(draw):
+    """Up to five hazard atoms on sixteenths, some spoilt in one of three ways."""
+    dim = draw(st.integers(1, 4))
+    atoms = []
+    for i in range(draw(st.integers(0, 5))):
+        off = np.array(draw(st.lists(st.integers(0, 16 // dim), min_size=dim * dim, max_size=dim * dim)))
+        step = off.reshape(dim, dim) / 16.0
+        np.fill_diagonal(step, 0.0)
+        np.fill_diagonal(step, -step.sum(axis=1))
+        j, k = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        spoil = draw(st.sampled_from(["none", "none", "negative", "exit", "row sum"]))
+        if spoil == "negative" and j != k:
+            step[j, k] = -0.25
+        elif spoil == "exit" and j != k:
+            step[j, k] += 1.5
+            step[j, j] -= 1.5
+        elif spoil == "row sum":
+            step[j, k] += 0.125
+        atoms.append((1.0 + i, step))
+    return dim, atoms
+
+
+@settings(max_examples=300, deadline=None)
+@given(hazard_atoms())
+def test_hazard_checks_raise_at_the_first_bad_atom(case):
+    dim, atoms = case
+    expected = first_hazard_failure(atoms)
+    if expected is None:
+        hazard = HazardMatrixIF(dim, tuple(atoms))
+        assert all(np.array_equal(m, step) and not m.flags.writeable for (_, m), (_, step) in zip(hazard.atoms, atoms))
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            HazardMatrixIF(dim, tuple(atoms))
 
 
 def test_hazard_is_built_once_per_space():
