@@ -28,11 +28,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -69,43 +67,17 @@ def _jump_error(previous_time: float, previous_state: int, t: float, s: int) -> 
     return None
 
 
-@dataclass(frozen=True)
-class EventHistory:
-    """One subject's observed path: initial state at time 0 plus jumps.
+class EventHistory(NamedTuple):
+    """One subject of an ``EventSample``, as iterating the sample yields it:
+    the subject id, its state at time 0 and its (time, state) jumps.
 
-    States are integers in 0..d with 0 meaning unobserved; consecutive
-    observed states differ and jump times are strictly increasing.
+    A read-only view of columns the sample has already validated; it
+    checks nothing itself.
     """
 
     subject: int
     initial_state: int
-    jumps: tuple[tuple[float, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.initial_state < 0:
-            raise ValueError("states are numbered from 0")
-        jumps = tuple((float(t), int(s)) for t, s in self.jumps)
-        previous_time = 0.0
-        previous_state = self.initial_state
-        for t, s in jumps:
-            error = _jump_error(previous_time, previous_state, t, s)
-            if error is not None:
-                raise ValueError(error)
-            previous_time, previous_state = t, s
-        object.__setattr__(self, "jumps", jumps)
-
-    @property
-    def max_state(self) -> int:
-        return max(self.initial_state, max((s for _, s in self.jumps), default=0))
-
-
-def _checked_history(subject: int, initial_state: int, jumps: tuple) -> EventHistory:
-    """An ``EventHistory`` of values an ``EventSample`` has already validated."""
-    history = object.__new__(EventHistory)
-    object.__setattr__(history, "subject", subject)
-    object.__setattr__(history, "initial_state", initial_state)
-    object.__setattr__(history, "jumps", jumps)
-    return history
+    jumps: tuple[tuple[float, int], ...]
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -116,7 +88,7 @@ def _column(values, dtype) -> np.ndarray:
     return column
 
 
-class EventSample(Sequence):
+class EventSample:
     """A sample of event histories held in columns.
 
     Subject ``subjects[i]`` (strictly increasing) starts in ``initial[i]`` at
@@ -126,8 +98,8 @@ class EventSample(Sequence):
     which marks an unobserved span.  The columns are validated once, when
     the sample is made, and are read-only.  ``sources[k]`` is the state
     jump k leaves and ``max_state`` the largest state of the sample (0 when
-    it has none).  Indexing and iteration yield each subject's
-    ``EventHistory``.
+    it has none).  The estimators read these columns; iteration yields
+    each subject's ``EventHistory`` view of them.
     """
 
     def __init__(self, subjects, initial, offsets, times, states) -> None:
@@ -170,19 +142,6 @@ class EventSample(Sequence):
         previous[self.offsets[:-1][has_jumps]] = heads[has_jumps]
         return previous
 
-    @classmethod
-    def from_histories(cls, histories) -> "EventSample":
-        """The columns of ``EventHistory`` objects, ordered by subject id."""
-        histories = sorted(histories, key=lambda h: h.subject)
-        jumps = [jump for h in histories for jump in h.jumps]
-        return cls(
-            [h.subject for h in histories],
-            [h.initial_state for h in histories],
-            np.cumsum([0] + [len(h.jumps) for h in histories]),
-            [t for t, _ in jumps],
-            [s for _, s in jumps],
-        )
-
     def states_at(self, t: float, side: Side = "right") -> np.ndarray:
         """Each subject's state at t, or just before t with ``side="left"``."""
         reached = self.times <= t if side == "right" else self.times < t
@@ -198,46 +157,24 @@ class EventSample(Sequence):
     def __len__(self) -> int:
         return len(self.subjects)
 
-    def __getitem__(self, index) -> EventHistory:
-        i = range(len(self))[operator.index(index)]  # negative indices count from the end
-        begin, end = self.offsets[i : i + 2].tolist()
-        jumps = zip(self.times[begin:end].tolist(), self.states[begin:end].tolist())
-        return _checked_history(int(self.subjects[i]), int(self.initial[i]), tuple(jumps))
-
     def __iter__(self):
         jumps = list(zip(self.times.tolist(), self.states.tolist()))
         offsets = self.offsets.tolist()
         for i, (subject, initial) in enumerate(zip(self.subjects.tolist(), self.initial.tolist())):
-            yield _checked_history(subject, initial, tuple(jumps[offsets[i] : offsets[i + 1]]))
+            yield EventHistory(subject, initial, tuple(jumps[offsets[i] : offsets[i + 1]]))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, EventSample):
-            return all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("subjects", "initial", "offsets", "times", "states")
-            )
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        if not isinstance(other, EventSample):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("subjects", "initial", "offsets", "times", "states")
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"EventSample({len(self)} subjects, {len(self.times)} jumps)"
-
-
-def _as_sample(sample) -> EventSample:
-    """``sample`` as an ``EventSample``; a sequence of ``EventHistory`` is
-    converted once."""
-    return sample if isinstance(sample, EventSample) else EventSample.from_histories(sample)
-
-
-def infer_dim(sample) -> int:
-    """Largest observed state, as the default state-space dimension."""
-    sample = _as_sample(sample)
-    if not len(sample):
-        raise EstimationError("empty sample")
-    return max(sample.max_state, 1)
 
 
 def _check_dimension(sample: EventSample, d: int) -> None:
@@ -250,9 +187,8 @@ def _check_dimension(sample: EventSample, d: int) -> None:
     raise EstimationError(f"subject {sample.subjects[i]} visits state {top[i]} beyond dimension {d}")
 
 
-def empirical_occupancy(sample, j: int, t: float, side: Side = "right") -> float:
+def empirical_occupancy(sample: EventSample, j: int, t: float, side: Side = "right") -> float:
     """Fraction of subjects observed in state j at t (or just before t)."""
-    sample = _as_sample(sample)
     if not len(sample):
         raise EstimationError("empty sample")
     if j < 1:
@@ -308,7 +244,7 @@ class EstimateGrid:
         }
 
 
-def nelson_aalen(sample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
+def nelson_aalen(sample: EventSample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
     """Pooled hazard increments at every observed transition time.
 
     At each event time u the increment is (observed j->k count at u) /
@@ -320,10 +256,9 @@ def nelson_aalen(sample, upto: float | None = None, dim: int | None = None) -> E
     running sum of every earlier jump -- counted or not, including moves
     into and out of state 0 -- each moving one subject between risk sets.
     """
-    sample = _as_sample(sample)
     if not len(sample):
         raise EstimationError("empty sample")
-    d = dim if dim is not None else infer_dim(sample)
+    d = dim if dim is not None else max(sample.max_state, 1)
     _check_dimension(sample, d)
     sources, targets = sample.sources, sample.states
     counted = (sources >= 1) & (targets >= 1)
@@ -382,9 +317,8 @@ def aalen_johansen(grid: EstimateGrid) -> EstimateGrid:
     return replace(grid, transition=tuple(transition))
 
 
-def occupation_estimate(sample, grid: EstimateGrid) -> EstimateGrid:
+def occupation_estimate(sample: EventSample, grid: EstimateGrid) -> EstimateGrid:
     """Derived occupation curve: renormalized initial occupancy pushed forward."""
-    sample = _as_sample(sample)
     _check_dimension(sample, grid.dim)
     if grid.transition is None:
         grid = aalen_johansen(grid)
@@ -400,9 +334,8 @@ def occupation_estimate(sample, grid: EstimateGrid) -> EstimateGrid:
     return replace(grid, p0=p0, occupation=occupation)
 
 
-def estimate(sample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
+def estimate(sample: EventSample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
     """Full pipeline: hazard increments, transition matrices, occupation curve."""
-    sample = _as_sample(sample)
     grid = nelson_aalen(sample, upto=upto, dim=dim)
     grid = aalen_johansen(grid)
     return occupation_estimate(sample, grid)
@@ -536,13 +469,12 @@ def line_of_state(path, state: int) -> int:
     return next(lineno for lineno, _, _, s in _rows(path) if s == state)
 
 
-def write_event_histories(path, sample) -> int:
+def write_event_histories(path, sample: EventSample) -> int:
     """Write the CSV form, ordered by subject; returns the number of data rows.
 
     The rows are those ``csv.writer`` writes: numbers as ``str`` gives them,
     lines ending in CRLF.
     """
-    sample = _as_sample(sample)
     # a jump row is its subject's id before one of a few (time, state) texts
     times, time_of = np.unique(sample.times, return_inverse=True)
     states, state_of = np.unique(sample.states, return_inverse=True)

@@ -74,8 +74,7 @@ class _JointTable(NamedTuple):
     """Weighted law of the states read at one pair of ticks (read-only)."""
 
     joint: np.ndarray  # d x d: mass with state j at the left tick and k at the right
-    conditioning: np.ndarray  # d: mass with state j at the left tick
-    transition: np.ndarray  # joint / conditioning by row; identity row where it is 0
+    transition: np.ndarray  # joint / left-tick occupation by row; identity row where it is 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +86,8 @@ class PathSpace:
     states 1..dim and ``weights`` holds one weight per path.  A query reads
     the one or two tick columns its time points select, and the weighted
     joint table of each column pair is built once (one ``np.bincount``,
-    which adds the weights in path order) and memoized.
+    which adds the weights in path order) and memoized; its transition
+    table divides it by the one-step occupation at the left tick.
 
     The one-step tables -- the occupation at every tick and the jump mass
     at every grid time -- are built together on first use, and with them
@@ -162,7 +162,12 @@ class PathSpace:
 
     @cached_property
     def paths(self) -> tuple[tuple[EventHistory, float], ...]:
-        """Each path as an (``EventHistory``, weight) pair; path i is subject i."""
+        """Each path as an (``EventHistory``, weight) pair; path i is subject i.
+
+        A view for readers outside the package: no query reads it.  The
+        histories are those of the ``EventSample`` of the path matrix's
+        jumps.
+        """
         subjects, columns = np.nonzero(self.states[:, 1:] != self.states[:, :-1])
         sample = EventSample(
             np.arange(len(self.states)),
@@ -210,12 +215,13 @@ class PathSpace:
             lo = self.states[:, left].astype(np.intp) - 1
             hi = self.states[:, right] - 1
             joint = np.bincount(lo * d + hi, weights=self.weights, minlength=d * d).reshape(d, d)
-            conditioning = np.bincount(lo, weights=self.weights, minlength=d)
+            # the one-step occupation adds the same weights in the same path order
+            conditioning = self._one_step.occupation[left][:, None]
             transition = np.eye(d)
-            np.divide(joint, conditioning[:, None], out=transition, where=conditioning[:, None] != 0.0)
-            for array in (joint, conditioning, transition):
+            np.divide(joint, conditioning, out=transition, where=conditioning != 0.0)
+            for array in (joint, transition):
                 array.setflags(write=False)
-            table = self._tables[(left, right)] = _JointTable(joint, conditioning, transition)
+            table = self._tables[(left, right)] = _JointTable(joint, transition)
         return table
 
     def _off_diagonal(self, left: int, right: int) -> np.ndarray:

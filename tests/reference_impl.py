@@ -8,8 +8,9 @@ length and intersection) and the transforms, variation norms and defects
 that walk it one cell at a time, the count-mean defect suite and the
 product-variation bound, the per-subject estimate lookups the library
 does not use, the trajectory lookups (state at a time, just before it,
-jump at it) of an ``EventHistory``, and a ``PathSpace`` built from
-hand-drawn trajectories through those lookups.
+jump at it) of an ``EventHistory``, a ``PathSpace`` built from
+hand-drawn trajectories through those lookups, and the ``EventSample`` of
+a list of histories.
 
 These are the straightforward scans and scalar walks the library replaced
 with an indexed lookup, an array walk over all subjects at once, a bulk
@@ -35,6 +36,7 @@ from prodint import (
     CensoringConfig,
     EstimateGrid,
     EventHistory,
+    EventSample,
     GeneralIF,
     ConvergenceError,
     Interval,
@@ -45,7 +47,7 @@ from prodint import (
     subject_rng,
 )
 from prodint.checks import CheckRecord
-from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error, infer_dim
+from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error
 from prodint.simulation import _observation_spans
 
 
@@ -83,6 +85,24 @@ def jump_at(path, t):
             break
         state = to
     return None
+
+
+def event_sample(histories):
+    """The ``EventSample`` of ``EventHistory`` objects, ordered by subject id."""
+    histories = sorted(histories, key=lambda h: h.subject)
+    jumps = [jump for h in histories for jump in h.jumps]
+    return EventSample(
+        [h.subject for h in histories],
+        [h.initial_state for h in histories],
+        np.cumsum([0] + [len(h.jumps) for h in histories]),
+        [t for t, _ in jumps],
+        [s for _, s in jumps],
+    )
+
+
+def largest_state(path):
+    """The largest state ``path`` visits, its time-0 state included."""
+    return max([path.initial_state] + [s for _, s in path.jumps])
 
 
 def pathspace(dim, tau, grid, paths):
@@ -227,7 +247,7 @@ def simulate_sample_per_subject(scenario, censoring, n, seed, arm=0):
         rng = subject_rng(seed, subject, arm)
         path = sample_path(rng, scenario)
         sample.append(apply_censoring(rng, path, scenario, censoring, subject))
-    return sample
+    return event_sample(sample)
 
 
 def outgoing_scan(scenario, t, state, entered_at):
@@ -275,7 +295,7 @@ def filtering_censoring_rescan(rng, path, scenario, censoring, subject=0):
 
 def nelson_aalen_rescan(sample, upto=None, dim=None):
     """nelson_aalen by looking up every subject's state at every event time."""
-    d = dim if dim is not None else infer_dim(sample)
+    d = dim if dim is not None else max([1] + [largest_state(eh) for eh in sample])
     observed_times = set()
     for eh in sample:
         state = eh.initial_state
@@ -313,13 +333,13 @@ def nelson_aalen_per_jump(sample, upto=None, dim=None):
     """nelson_aalen as one sweep over the sorted jump times, subject by subject."""
     if not sample:
         raise EstimationError("empty sample")
-    d = dim if dim is not None else infer_dim(sample)
+    d = dim if dim is not None else max([1] + [largest_state(eh) for eh in sample])
     at_risk = [0] * (d + 1)  # index 0 tallies the unobserved
     moves = {}
     for eh in sample:
-        if eh.max_state > d:
+        if largest_state(eh) > d:
             raise EstimationError(
-                f"subject {eh.subject} visits state {eh.max_state} beyond dimension {d}"
+                f"subject {eh.subject} visits state {largest_state(eh)} beyond dimension {d}"
             )
         state = eh.initial_state
         at_risk[state] += 1
@@ -407,7 +427,8 @@ def transition_at(grid, t):
 
 
 def read_event_histories_per_subject(path, max_state=None):
-    """Read the CSV row by row into one validated EventHistory per subject."""
+    """Read the CSV row by row, validating each subject's rows in turn, into
+    one EventHistory per subject, returned as their sample."""
     rows_by_subject = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -451,7 +472,7 @@ def read_event_histories_per_subject(path, max_state=None):
         histories.append(EventHistory(subject, initial, tuple((t, s) for _, t, s in rows[1:])))
     if not histories:
         raise FormatError("no subject rows found")
-    return histories
+    return event_sample(histories)
 
 
 def csv_writer_text(sample):

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -457,8 +458,12 @@ def node_paths(doc, prefix=()):
         yield from node_paths(value, prefix + (key,))
 
 
+# integers past int64 and past the float range, which numpy and float() refuse
+huge_integers = st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, 10**400, -(10**400)])
+
+
 @st.composite
-def malformed_documents(draw, base):
+def malformed_documents(draw, base, values=json_values):
     """A valid document with up to three nodes replaced or deleted, or raw text."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.text(max_size=20))
@@ -472,7 +477,7 @@ def malformed_documents(draw, base):
         if draw(st.booleans()):
             del holder[last]
         else:
-            holder[last] = draw(json_values)
+            holder[last] = draw(values)
     return json.dumps(doc)
 
 
@@ -530,6 +535,59 @@ def test_malformed_csv_never_escapes_main(tmp_path, rows, with_header, options):
     lines += [",".join(row) for row in rows]
     (tmp_path / "sample.csv").write_text("\n".join(lines) + "\n")
     main_exit_code("estimate", "--input", tmp_path / "sample.csv", *options)
+
+
+SCENARIO_NAMES = ("idn.json", "surv.json", "forced_exit.json")
+
+
+def malformed_scenario(name):
+    return malformed_documents(corpus_document(name), json_values | huge_integers)
+
+
+@fuzz_settings
+@given(st.sampled_from(SCENARIO_NAMES).flatmap(malformed_scenario))
+def test_malformed_scenario_never_escapes_verify(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario)
+    code = main_exit_code("verify", "--scenario", path, "--count", 0)
+    err = capsys.readouterr().err
+    assert code in (0, 1) or "scenario.json" in err, err
+
+
+@st.composite
+def broken_corpora(draw):
+    """How to lay out each corpus file: kept, malformed, missing, a
+    directory or undecodable bytes; or a corpus path that is a file."""
+    if draw(st.integers(0, 19)) == 0:
+        return None
+    layout = {}
+    for name in SCENARIO_NAMES:
+        kind = draw(st.sampled_from(["kept", "malformed", "malformed", "missing", "directory", "bytes"]))
+        text = draw(malformed_scenario(name)) if kind == "malformed" else None
+        layout[name] = (kind, text)
+    return layout
+
+
+@fuzz_settings
+@given(broken_corpora())
+def test_broken_corpus_never_escapes_verify(tmp_path, capsys, layout):
+    corpus = Path(tempfile.mkdtemp(dir=tmp_path)) / "corpus"
+    if layout is None:
+        corpus.write_text("not a directory")
+    else:
+        corpus.mkdir()
+        for name, (kind, text) in layout.items():
+            if kind == "kept":
+                shutil.copy(f"{CORPUS}/{name}", corpus / name)
+            elif kind == "malformed":
+                (corpus / name).write_text(text)
+            elif kind == "directory":
+                (corpus / name).mkdir()
+            elif kind == "bytes":
+                (corpus / name).write_bytes(b"\xff\xfe{")
+    code = main_exit_code("verify", "--corpus", corpus, "--count", 0)
+    err = capsys.readouterr().err
+    assert code in (0, 1) or str(corpus) in err, err
 
 
 class TestEscapesFound:

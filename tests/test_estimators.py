@@ -23,25 +23,30 @@ from prodint import estimators
 from prodint.cli import main
 from prodint.estimators import write_occupation_csv
 
-from reference_impl import empirical_counts, hazard_step_at, transition_at
+from reference_impl import empirical_counts, event_sample, hazard_step_at, transition_at
 
 
 def subject(i, init, *jumps):
     return EventHistory(i, init, tuple(jumps))
 
 
+def sample_of(*histories):
+    return event_sample(histories)
+
+
 class TestEventSample:
     def test_columns_round_trip_through_histories(self):
         histories = [subject(4, 0, (0.5, 2)), subject(-1, 1), subject(2, 3, (1.0, 0), (2.5, 1))]
-        sample = EventSample.from_histories(histories)
+        sample = event_sample(histories)
         assert sample.subjects.tolist() == [-1, 2, 4]
         assert sample.offsets.tolist() == [0, 0, 2, 3]
         assert sample.sources.tolist() == [3, 0, 0]
         assert sample.max_state == 3
         assert list(sample) == sorted(histories, key=lambda h: h.subject)
-        assert sample[-1] == histories[0] and sample == EventSample(*[
+        assert sample == EventSample(*[
             getattr(sample, name) for name in ("subjects", "initial", "offsets", "times", "states")
         ])
+        assert sample != list(sample)  # a sample equals only a sample
         with pytest.raises(ValueError):
             sample.times[0] = 9.0  # validated columns are read-only
 
@@ -65,27 +70,27 @@ class TestEventSample:
 
 class TestEmpiricalMeans:
     def test_direct_count(self):
-        sample = [subject(0, 1, (1.0, 2)), subject(1, 1)]
+        sample = sample_of(subject(0, 1, (1.0, 2)), subject(1, 1))
         assert empirical_counts(sample, 1, 2, 2.0) == 0.5
 
     def test_filtered_transition_is_invisible(self):
         # unobserved across t=1: the underlying jump never shows up
-        sample = [subject(0, 1, (0.5, 0), (1.5, 2)), subject(1, 1, (1.0, 2))]
+        sample = sample_of(subject(0, 1, (0.5, 0), (1.5, 2)), subject(1, 1, (1.0, 2)))
         assert empirical_counts(sample, 1, 2, 3.0) == 0.5
 
     def test_occupancy(self):
-        sample = [subject(0, 1), subject(1, 1)]
+        sample = sample_of(subject(0, 1), subject(1, 1))
         assert empirical_occupancy(sample, 1, 2.0) == 1.0
 
     def test_occupancy_excludes_unobserved(self):
-        sample = [subject(0, 0), subject(1, 1)]
+        sample = sample_of(subject(0, 0), subject(1, 1))
         assert empirical_occupancy(sample, 1, 0.0) == 0.5
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EstimationError):
-            empirical_counts([], 1, 2, 1.0)
+            empirical_counts(sample_of(), 1, 2, 1.0)
         with pytest.raises(EstimationError):
-            empirical_occupancy([], 1, 1.0)
+            empirical_occupancy(sample_of(), 1, 1.0)
 
     def test_uncensored_monte_carlo_matches_oracle_means(self):
         sample = simulate_sample(illness_death_scenario(), CensoringConfig("none"), 1000, 17)
@@ -95,12 +100,12 @@ class TestEmpiricalMeans:
 
 class TestNelsonAalen:
     def test_risk_set_of_one(self):
-        grid = nelson_aalen([subject(0, 1, (1.0, 2))], dim=2)
+        grid = nelson_aalen(sample_of(subject(0, 1, (1.0, 2))), dim=2)
         assert grid.times == (1.0,)
         assert hazard_step_at(grid, 1.0)[0, 1] == 1.0
 
     def test_risk_set_of_two(self):
-        grid = nelson_aalen([subject(0, 1, (1.0, 2)), subject(1, 1)], dim=2)
+        grid = nelson_aalen(sample_of(subject(0, 1, (1.0, 2)), subject(1, 1)), dim=2)
         step = hazard_step_at(grid, 1.0)
         assert step[0, 1] == 0.5
         assert step[0, 0] == -0.5
@@ -129,11 +134,11 @@ class TestNelsonAalen:
 
 class TestAalenJohansen:
     def test_no_events_gives_identity(self):
-        grid = aalen_johansen(nelson_aalen([subject(0, 1)], dim=2))
+        grid = aalen_johansen(nelson_aalen(sample_of(subject(0, 1)), dim=2))
         np.testing.assert_array_equal(transition_at(grid, 5.0), np.eye(2))
 
     def test_single_step(self):
-        grid = aalen_johansen(nelson_aalen([subject(0, 1, (1.0, 2)), subject(1, 1)], dim=2))
+        grid = aalen_johansen(nelson_aalen(sample_of(subject(0, 1, (1.0, 2)), subject(1, 1)), dim=2))
         np.testing.assert_allclose(transition_at(grid, 1.0)[0], [0.5, 0.5])
 
     def test_row_stochastic_under_filtering(self):
@@ -166,7 +171,7 @@ class TestInvariantChecks:
 
     def test_initial_state_counts_toward_dimension(self):
         # state 3 is only ever seen at time 0
-        sample = [subject(0, 3, (1.0, 1)), subject(1, 1, (1.0, 2))]
+        sample = sample_of(subject(0, 3, (1.0, 1)), subject(1, 1, (1.0, 2)))
         assert estimate(sample).dim == 3
         with pytest.raises(EstimationError, match="subject 0 visits state 3"):
             nelson_aalen(sample, dim=2)
@@ -174,12 +179,12 @@ class TestInvariantChecks:
 
 class TestOccupationEstimate:
     def test_initial_distribution_renormalized(self):
-        sample = [subject(0, 1), subject(1, 0)]
+        sample = sample_of(subject(0, 1), subject(1, 0))
         grid = occupation_estimate(sample, nelson_aalen(sample, dim=2))
         np.testing.assert_allclose(grid.p0, [1.0, 0.0])
 
     def test_requires_someone_observed_at_zero(self):
-        sample = [subject(0, 0, (1.0, 1), (2.0, 2))]
+        sample = sample_of(subject(0, 0, (1.0, 1), (2.0, 2)))
         with pytest.raises(EstimationError):
             occupation_estimate(sample, nelson_aalen(sample, dim=2))
 
@@ -201,7 +206,7 @@ class TestOccupationEstimate:
         np.testing.assert_allclose(grid.occupation_at(3.0), [0.25, 0.30, 0.45], atol=0.02)
 
     def test_step_evaluation_extends_constantly(self):
-        sample = [subject(0, 1, (1.0, 2))]
+        sample = sample_of(subject(0, 1, (1.0, 2)))
         grid = estimate(sample, dim=2)
         np.testing.assert_array_equal(grid.occupation_at(0.5), grid.p0)
         np.testing.assert_array_equal(grid.occupation_at(1.0), grid.occupation_at(99.0))
@@ -209,10 +214,10 @@ class TestOccupationEstimate:
     def test_appending_subjects_moves_counts_by_one_over_n(self):
         base = [subject(i, 1, (1.0, 2)) for i in range(4)]
         extra = subject(4, 1)
-        before = empirical_counts(base, 1, 2, 2.0)
-        after = empirical_counts(base + [extra], 1, 2, 2.0)
+        before = empirical_counts(event_sample(base), 1, 2, 2.0)
+        after = empirical_counts(event_sample(base + [extra]), 1, 2, 2.0)
         assert abs(after - before) <= max(before, 1.0) / (len(base) + 1)
-        grid = estimate(base + [extra], dim=2)
+        grid = estimate(event_sample(base + [extra]), dim=2)
         np.testing.assert_allclose(transition_at(grid, 1.0).sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -233,7 +238,7 @@ def uncensored_samples(draw):
             jumps.append((t, to))
             state = to
         sample.append(EventHistory(i, init, tuple(jumps)))
-    return sample
+    return event_sample(sample)
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,11 +252,11 @@ def test_uncensored_identity_property(sample):
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        sample = [
+        sample = sample_of(
             subject(0, 1, (0.5, 0), (1.5, 2)),
             subject(1, 2),
             subject(2, 1, (1.0, 2), (3.0, 3)),
-        ]
+        )
         path = tmp_path / "sample.csv"
         rows = write_event_histories(path, sample)
         assert rows == 3 + sum(len(s.jumps) for s in sample)
@@ -321,7 +326,7 @@ class TestCsvRoundTrip:
         assert len(calls) == 1
 
     def test_occupation_csv(self, tmp_path):
-        sample = [subject(0, 1, (1.0, 2)), subject(1, 1)]
+        sample = sample_of(subject(0, 1, (1.0, 2)), subject(1, 1))
         grid = estimate(sample, dim=2)
         out = tmp_path / "occ.csv"
         write_occupation_csv(out, grid)

@@ -38,14 +38,6 @@ class TestStatePath:
         assert jump_at(path, 1.0) == (1, 2)
         assert jump_at(path, 2.0) is None
 
-    def test_rejects_bad_paths(self):
-        with pytest.raises(ValueError):
-            EventHistory(0, 1, ((1.0, 1),))
-        with pytest.raises(ValueError):
-            EventHistory(0, 1, ((2.0, 2), (2.0, 3)))
-        with pytest.raises(ValueError):
-            EventHistory(0, 1, ((0.0, 2),))
-
 
 def two_path_space(states=((1, 1), (1, 2)), weights=(0.5, 0.5), grid=(1.0,), dim=2, tau=2.0):
     return PathSpace(dim, tau, grid, np.array(states), np.array(weights))

@@ -45,7 +45,7 @@ def observed_samples(draw, states=3):
             state = draw(st.sampled_from([s for s in range(states + 1) if s != state]))
             jumps.append((t, state))
         sample.append(EventHistory(i, initial, tuple(jumps)))
-    return sample
+    return reference_impl.event_sample(sample)
 
 
 @settings(max_examples=300, deadline=None)
@@ -439,7 +439,7 @@ def test_censoring_core_at_the_observation_boundaries(censoring):
     # probability fall on the unobserved side, as the scalar walk has it
     scenario = ScenarioConfig(3, 3.0, (1.0, 2.0, 3.0), "markov", (1.0, 0.0, 0.0), ())
     paths = [
-        EventHistory(0, 1),
+        EventHistory(0, 1, ()),
         EventHistory(1, 1, ((1.0, 2), (3.0, 3))),
         EventHistory(2, 2, ((2.0, 1),)),
     ]

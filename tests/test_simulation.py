@@ -140,7 +140,7 @@ class TestSamplePath:
     def test_no_rules_means_constant_path(self, rng):
         scenario = ScenarioConfig(2, 2.0, (1.0,), "markov", (1.0, 0.0), ())
         for _ in range(10):
-            assert sample_path(rng, scenario) == EventHistory(0, 1)
+            assert sample_path(rng, scenario) == EventHistory(0, 1, ())
 
     def test_duration_rule_forces_exit_next_step(self, rng):
         scenario = ScenarioConfig(
@@ -160,7 +160,7 @@ class TestSamplePath:
 
         # 0.7 + 0.2 + 0.1 rounds to 1 - 2**-53, the largest value random() returns
         scenario = ScenarioConfig(4, 2.0, (1.0,), "markov", (0.7, 0.2, 0.1, 0.0), ())
-        assert sample_path(TopOfUnitInterval(), scenario) == EventHistory(0, 3)
+        assert sample_path(TopOfUnitInterval(), scenario) == EventHistory(0, 3, ())
 
     def test_marginals_match_enumeration(self, rng):
         records = sampler_agreement_checks(rng, illness_death_scenario(), draws=10**5)
