@@ -54,13 +54,11 @@ from .simulation import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
-    forced_exit_scenario,
     illness_death_scenario,
     load_censoring,
     load_scenario,
     simulate_sample,
     subject_rng,
-    two_state_scenario,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "empirical_occupancy",
     "estimate",
     "exact_pathspace",
-    "forced_exit_scenario",
     "illness_death_scenario",
     "kolmogorov_integral",
     "load_censoring",
@@ -106,7 +103,6 @@ __all__ = [
     "simulate_sample",
     "strict_transform_defect",
     "subject_rng",
-    "two_state_scenario",
     "variation_norm",
     "write_event_histories",
 ]

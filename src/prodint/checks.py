@@ -22,6 +22,7 @@ from .interval_functions import (
     check_product_variation_bound,
     defect_profile,
     index_range,
+    kolmogorov_integral,
     matrix_norm,
     multiplicative_transform,
     plus_identity,
@@ -295,8 +296,7 @@ def count_mean_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") ->
     ``ps.event_times``, so each support range is evaluated once.
     """
     window = Interval.open_closed(0.0, ps.tau)
-    counts = AdditiveIF(ps.dim, tuple((u, ps.jump_mass(u)) for u in ps.event_times))
-    defect = strict_transform_defect(ps.indicator_if(), counts, window, depths, distance=np.abs)
+    defect = strict_transform_defect(ps.indicator_if(), ps.counting_mean(), window, depths, distance=np.abs)
     records = []
     for j in range(1, ps.dim + 1):
         for k in range(1, ps.dim + 1):
@@ -401,58 +401,32 @@ def _block_shapes(lo: float, hi: float) -> list[Interval]:
     return shapes
 
 
-def _ordered_sum(values) -> float:
-    """``values`` added left to right from 0.0, as the scalar additive
-    functions add the atoms an interval holds."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def hazard_integral_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """The hazard as the integral of 1/occupation-just-before against the
     expected-count measure, on subintervals of the positivity windows, and
     the sup-bound of the integral.
 
-    Each shape's integral, hazard and count variation add the atoms in the
-    range of event times it holds, in time order, as ``kolmogorov_integral``,
-    the hazard entry and ``AdditiveIF.variation`` add them.
+    For each state j and shape, row j of ``kolmogorov_integral``, of the
+    hazard and of the counts is taken once; the counts are nonnegative, so
+    their variation on a shape is their value there.  Records go out in
+    (j, k, shape) order.
     """
     records = []
-    hazard = ps.hazard_matrix()
-    # every hazard atom, zero entries too: adding 0.0 to a sum from 0.0 changes no bit
-    target_times = [t for t, _ in hazard.atoms]
+    hazard, counts = ps.hazard_matrix(), ps.counting_mean()
     for j in range(1, ps.dim + 1):
         reciprocal = left_occupation_reciprocal(ps, j, label)
-        shapes = [
-            (a, reciprocal.sup_abs(a), str(a))
-            for lo, hi in _positivity_blocks(ps, j)
-            for a in _block_shapes(lo, hi)
-        ]
+        rows = []  # (shape, sup of the integrand, then row j of the integral, the hazard and the counts)
+        for lo, hi in _positivity_blocks(ps, j):
+            for a in _block_shapes(lo, hi):
+                values = (kolmogorov_integral(reciprocal, counts, a), hazard(a), counts(a))
+                rows.append((str(a), reciprocal.sup_abs(a), *(v[j - 1].tolist() for v in values)))
         for k in range(1, ps.dim + 1):
             if k == j:
                 continue
-            counts = [(t, float(m[0, 0])) for t, m in ps.counting_mean_if(j, k).atoms]
-            count_times = [t for t, _ in counts]
-            weighted = [reciprocal(t) * m for t, m in counts]
-            variations = [abs(m) for _, m in counts]
-            steps = hazard.jumps[:, j - 1, k - 1].tolist()
-            for a, sup, shape in shapes:
-                start, stop = index_range(count_times, a)
-                integral = _ordered_sum(weighted[start:stop])
-                first, last = index_range(target_times, a)
-                records.append(
-                    close_record(
-                        "hazard-integral",
-                        integral,
-                        _ordered_sum(steps[first:last]),
-                        1e-12,
-                        detail=f"{label} ({j},{k}) on {shape}",
-                    )
-                )
-                norm = abs(integral)
-                envelope = sup * _ordered_sum(variations[start:stop])
+            for shape, sup, integral, steps, variation in rows:
+                detail = f"{label} ({j},{k}) on {shape}"
+                records.append(close_record("hazard-integral", integral[k - 1], steps[k - 1], 1e-12, detail))
+                norm, envelope = abs(integral[k - 1]), sup * variation[k - 1]
                 records.append(
                     CheckRecord(
                         "integral-bound",
@@ -460,7 +434,7 @@ def hazard_integral_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
                         envelope,
                         1e-12,
                         passed=norm <= envelope + 1e-12,
-                        detail=f"{label} ({j},{k}) on {shape}",
+                        detail=detail,
                         kind="bound",
                     )
                 )
@@ -509,9 +483,7 @@ def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
     records = []
     labels = labels or [f"instance {i}" for i in range(len(spaces))]
     for ps, label in zip(spaces, labels):
-        inflow = np.zeros(ps.dim, dtype=bool)
-        for u in ps.event_times:
-            inflow |= ps.jump_mass(u).any(axis=0)
+        inflow = ps.counting_mean().jumps.any(axis=(0, 1))
         ticks = [0.0] + list(ps.grid)
         for j in range(1, ps.dim + 1):
             floors = ps.occupation_floors(j, ticks)

@@ -43,7 +43,6 @@ from .simulation import (
     simulate_sample,
 )
 
-CORPUS_ENV = "PRODINT_CORPUS"
 CORPUS_SCENARIOS = ("idn.json", "surv.json", "forced_exit.json")
 
 
@@ -207,12 +206,18 @@ def cmd_verify(args) -> int:
     if args.scenario:
         scenarios = {os.path.basename(args.scenario): load_scenario(args.scenario)}
     else:
-        scenarios = _corpus_scenarios(args.corpus or os.environ.get(CORPUS_ENV))
+        scenarios = _corpus_scenarios(args.corpus)
     rng = np.random.default_rng(args.seed)
     mixed = [checks.random_scenario(rng) for _ in range(args.count)]
     mixed += [checks.random_scenario(rng, progressive=True) for _ in range(args.count // 4)]
     mixed += [checks.random_scenario(rng, forced_exit=True) for _ in range(args.count // 4)]
-    spaces = [exact_pathspace(s) for s in [*scenarios.values(), *mixed]]
+    spaces = []
+    for name, scenario in scenarios.items():
+        try:
+            spaces.append(exact_pathspace(scenario))
+        except ValueError as exc:  # a law the oracle cannot build: weights off 1, too many paths
+            raise ConfigError(f"{args.scenario or name}: {exc}") from None
+    spaces += [exact_pathspace(s) for s in mixed]
     labels = [*scenarios, *(f"random {i}" for i in range(len(mixed)))]
 
     inputs = checks.SuiteInputs(spaces, labels, rng, args.count, corpus=not args.scenario)
@@ -257,9 +262,12 @@ def cmd_convergence(args) -> int:
     ns = [int(x) for x in args.n.split(",") if x]
     if not ns or any(n < 1 for n in ns):
         raise ConfigError("need a comma-separated list of positive sample sizes")
-    records, table = checks.convergence_study(
-        scenario, conforming, violating, ns, args.seed, args.sup_tol, args.bias_floor
-    )
+    try:
+        records, table = checks.convergence_study(
+            scenario, conforming, violating, ns, args.seed, args.sup_tol, args.bias_floor
+        )
+    except ValueError as exc:  # the scenario's law or a sample of it, named as verify names it
+        raise ConfigError(f"{args.scenario}: {exc}") from None
     print(f"{'arm':>12} {'n':>8} {'sup_error':>12}")
     for row in table:
         print(f"{row['arm']:>12} {row['n']:>8} {row['sup_error']:>12.5f}")
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     ver = sub.add_parser("verify", help="run the exact-identity check suites")
-    ver.add_argument("--corpus", help=f"corpus directory (default: packaged, or ${CORPUS_ENV})")
+    ver.add_argument("--corpus", help="corpus directory (default: packaged)")
     ver.add_argument("--scenario", help="verify a single scenario JSON instead of the corpus")
     ver.add_argument("--only", help=f"run a single check suite: {', '.join(checks.SUITES)}")
     ver.add_argument("--count", type=int, default=100, help="randomized instances per suite (>= 0)")

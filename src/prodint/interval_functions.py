@@ -60,9 +60,12 @@ class ConvergenceError(RuntimeError):
 
 def _frozen_stack(matrices, dim: int) -> np.ndarray:
     """``matrices`` as one read-only (count x dim x dim) array of finite floats."""
-    stack = np.array(matrices, dtype=float).reshape((len(matrices), dim, dim))
-    if matrices and not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
+    if not matrices:
+        stack = np.zeros((0, dim, dim))
+    else:
+        stack = np.array(matrices, dtype=float).reshape((len(matrices), dim, dim))
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
     stack.setflags(write=False)
     return stack
 
@@ -527,14 +530,6 @@ class StepFunction:
         i = bisect_left(self.breakpoints, t)
         if i < len(self.breakpoints) and self.breakpoints[i] == t:
             return self.at_values[i]
-        return self.between_values[i]
-
-    def left_limit(self, t: float) -> float:
-        i = bisect_left(self.breakpoints, t)
-        return self.between_values[i]
-
-    def right_limit(self, t: float) -> float:
-        i = bisect_right(self.breakpoints, t)
         return self.between_values[i]
 
     def sup_abs(self, a: Interval) -> float:

@@ -91,10 +91,11 @@ class PathSpace:
 
     The one-step tables -- the occupation at every tick and the jump mass
     at every grid time -- are built together on first use, and with them
-    ``event_times`` and the hazard (``hazard_matrix``), each once per space.
-    ``jump_mass``, ``exit_hazard`` and ``counting_mean_if`` read the tables
-    with array operations on every call.  An array a query hands out is a
-    copy or read-only.
+    ``event_times``, the expected-count measure (``counting_mean``) and the
+    hazard (``hazard_matrix``), each once per space.  ``jump_mass`` and
+    ``exit_hazard`` read the tables with array operations on every call.
+    Each quantity comes in one form, and a quantity of state pairs as one
+    d x d matrix.  An array a query hands out is a copy or read-only.
     """
 
     dim: int
@@ -224,11 +225,6 @@ class PathSpace:
             table = self._tables[(left, right)] = _JointTable(joint, transition)
         return table
 
-    def _off_diagonal(self, left: int, right: int) -> np.ndarray:
-        out = self._table(left, right).joint.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
-
     def _check_states(self, *states: int) -> None:
         for s in states:
             if not 1 <= s <= self.dim:
@@ -274,44 +270,33 @@ class PathSpace:
 
     # -- expected counting and status measures ----------------------------
 
-    def counting_mean_if(self, j: int, k: int) -> AdditiveIF:
-        """The expected-count measure of j -> k as a scalar additive function."""
-        if k == j:
-            raise ValueError("counting means are defined for k != j")
-        events = self._one_step.events
-        masses = self._one_step.moves[events, j - 1, k - 1].tolist()
-        atoms = tuple((self.grid[i], [[m]]) for i, m in zip(events.tolist(), masses) if m != 0.0)
-        return AdditiveIF(1, atoms)
+    def counting_mean(self) -> AdditiveIF:
+        """The expected-count measure: its (j, k) atom at a jump time is the
+        mass jumping from j to k there (a zero diagonal).  Built once per
+        space."""
+        return self._counts
 
-    def indicator_mean(self, j: int, k: int, a: Interval) -> float:
-        """Probability of status j at the left of ``a`` and k at its right.
+    @cached_property
+    def _counts(self) -> AdditiveIF:
+        events = self._one_step.events
+        times = [self.grid[i] for i in events.tolist()]
+        return AdditiveIF(self.dim, tuple(zip(times, self._one_step.moves[events])))
+
+    def indicator_matrix(self, a: Interval) -> np.ndarray:
+        """Probability of status j at the left of ``a`` and k at its right,
+        for every j != k, with a zero diagonal.
 
         Same endpoint conventions as ``transition`` but unconditional, so
         on a singleton this equals the expected count of the instantaneous
         direct transition.
         """
-        if k == j:
-            raise ValueError("indicator means are defined for k != j")
-        self._check_states(j, k)
-        return float(self._table(*self.columns(a)).joint[j - 1, k - 1])
-
-    def indicator_matrix(self, a: Interval) -> np.ndarray:
-        """Every ``indicator_mean(j, k, a)`` at once, with a zero diagonal."""
-        return self._off_diagonal(*self.columns(a))
+        out = self._table(*self.columns(a)).joint.copy()
+        np.fill_diagonal(out, 0.0)
+        return out
 
     def indicator_if(self) -> GeneralIF:
         """``indicator_matrix`` as an interval function."""
         return GeneralIF(self.dim, self.indicator_matrix, support=self.event_times, step_like=True)
-
-    def indicator_mean_if(self, j: int, k: int) -> GeneralIF:
-        if k == j:
-            raise ValueError("indicator means are defined for k != j")
-        return GeneralIF(
-            1,
-            lambda a: np.array([[self.indicator_mean(j, k, a)]]),
-            support=self.event_times,
-            step_like=True,
-        )
 
     # -- hazards -----------------------------------------------------------
 
@@ -363,23 +348,16 @@ class PathSpace:
 
     # -- identities and structural checks ----------------------------------
 
-    def occupation_lower_bound(self, j: int, s: float, t: float) -> BoundCheck:
-        """Occupation at ``t`` against the survival-style floor from ``s``.
-
-        The floor is the occupation at ``s`` times the product integral of
-        ``1 - exit hazard`` over (s, t]; it is attained exactly when the
-        state gains no mass on the way.
-        """
-        if s > t:
-            raise ValueError("need s <= t")
-        return self.occupation_floors(j, (s, t))[0][-1]
-
     def occupation_floors(self, j: int, times) -> list[list[BoundCheck]]:
-        """``occupation_lower_bound(j, s, t)`` for every pair s <= t of the
-        nondecreasing ``times``: row i holds the floors from ``times[i]`` to
-        each of ``times[i:]``.  A row is one running survival product, with
-        the same factors in the same order as one product integral per
-        pair."""
+        """Occupation of j at t against the survival-style floor from s, for
+        every pair s <= t of the nondecreasing ``times``: row i holds the
+        floors from ``times[i]`` to each of ``times[i:]``.
+
+        The floor is the occupation at s times the product integral of
+        ``1 - exit hazard`` over (s, t]; it is attained exactly when the
+        state gains no mass on the way.  A row is one running survival
+        product, with the same factors in the same order as one product
+        integral per pair."""
         survival = self.exit_hazard(j).scale(-1.0)
         rows = []
         for i, s in enumerate(times):

@@ -404,22 +404,31 @@ def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
 
     Weights multiply along the branching at each grid time and sum to one.
     A path branches into staying put first, then the row's targets in
-    order, which fixes the order in which queries add the weights.
+    order, which fixes the order in which queries add the weights.  Every
+    branch's mass is read off the row's ``_cumulative`` table, as the
+    sampler reads it: a target's mass is the step of the table at it, and
+    the stay mass what the table leaves below 1.  So the rounding slack the
+    validator allows in a row's sum is spent once, on its last target; the
+    initial distribution is read the same way.
     Raises ConfigError when the enumeration would exceed ``cap`` paths.
     """
+    # each row's stay mass and its targets with positive mass; no row or an empty one: all stay
+    branches = {(): (1.0, [])}
+    for probs, table in scenario._cdf.items():
+        if probs:
+            steps = zip((to for to, _ in probs), _steps(table))
+            branches[probs] = (1.0 - float(table[-1]), [(to, p) for to, p in steps if p > 0.0])
     # frontier entries: (states at the ticks so far, entry time of the last state, weight)
-    frontier = [((s,), 0.0, p) for s, p in enumerate(scenario.initial, start=1) if p > 0.0]
+    initial = _steps(_cumulative(scenario.initial))
+    frontier = [((s,), 0.0, p) for s, p in enumerate(initial, start=1) if p > 0.0]
     for t in scenario.grid:
         grown: list[tuple[tuple[int, ...], float, float]] = []
         for row, entered_at, weight in frontier:
             state = row[-1]
-            outgoing = scenario.outgoing(t, state, entered_at)
-            stay = 1.0 - float(scenario._cdf[outgoing][-1]) if outgoing else 1.0
+            stay, moves = branches[scenario.outgoing(t, state, entered_at)]
             if stay > 0.0:
                 grown.append((row + (state,), entered_at, weight * stay))
-            for to, p in outgoing:
-                if p > 0.0:
-                    grown.append((row + (to,), t, weight * p))
+            grown += [(row + (to,), t, weight * p) for to, p in moves]
             if len(grown) > cap:
                 raise ConfigError(f"path space exceeds the cap of {cap} paths")
         frontier = grown
@@ -459,6 +468,13 @@ def _cumulative(probs: Sequence[float]) -> np.ndarray:
         last = max(i for i, p in enumerate(probs) if p > 0.0)
         table[last:] = 1.0
     return table
+
+
+def _steps(table: np.ndarray) -> list[float]:
+    """The step of the ``_cumulative`` table at each entry: the mass that
+    ``_inverse_cdf`` gives the entry."""
+    sums = table.tolist()
+    return [above - below for below, above in zip([0.0] + sums, sums)]
 
 
 def _inverse_cdf(table: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -648,28 +664,4 @@ def illness_death_scenario() -> ScenarioConfig:
             TransitionRule(3.0, 2, ((3, 0.8),), when=1.0),
             TransitionRule(3.0, 2, ((3, 0.2),), when=2.0),
         ),
-    )
-
-
-def two_state_scenario() -> ScenarioConfig:
-    """Single binary branch: one 1 -> 2 transition at t=1 with probability 1/2."""
-    return ScenarioConfig(
-        dim=2,
-        tau=2.0,
-        grid=(1.0,),
-        rule="markov",
-        initial=(1.0, 0.0),
-        transitions=(TransitionRule(1.0, 1, ((2, 0.5),)),),
-    )
-
-
-def forced_exit_scenario() -> ScenarioConfig:
-    """State 1 empties with certainty at t=1; exercises the extinction checks."""
-    return ScenarioConfig(
-        dim=2,
-        tau=2.0,
-        grid=(1.0,),
-        rule="markov",
-        initial=(1.0, 0.0),
-        transitions=(TransitionRule(1.0, 1, ((2, 1.0),)),),
     )

@@ -13,12 +13,36 @@ from prodint import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
-    forced_exit_scenario,
     illness_death_scenario,
-    two_state_scenario,
 )
 from prodint.checks import random_scenario
 from prodint.simulation import RULE_KINDS
+
+
+def two_state_scenario() -> ScenarioConfig:
+    """Single binary branch: one 1 -> 2 transition at t=1 with probability
+    1/2 (the packaged surv.json)."""
+    return ScenarioConfig(
+        dim=2,
+        tau=2.0,
+        grid=(1.0,),
+        rule="markov",
+        initial=(1.0, 0.0),
+        transitions=(TransitionRule(1.0, 1, ((2, 0.5),)),),
+    )
+
+
+def forced_exit_scenario() -> ScenarioConfig:
+    """State 1 empties with certainty at t=1; exercises the extinction
+    checks (the packaged forced_exit.json)."""
+    return ScenarioConfig(
+        dim=2,
+        tau=2.0,
+        grid=(1.0,),
+        rule="markov",
+        initial=(1.0, 0.0),
+        transitions=(TransitionRule(1.0, 1, ((2, 1.0),)),),
+    )
 
 
 def default_corpus() -> dict[str, PathSpace]:

@@ -114,28 +114,45 @@ def pathspace(dim, tau, grid, paths):
     return PathSpace(dim, tau, grid, states, np.array([w for _, w in paths]))
 
 
+def branch_masses(outcomes):
+    """The positive (value, mass) branches of the (value, prob) pairs and the
+    stay mass, each a step of the running sum of the probabilities.
+
+    Pairs whose probabilities sum to 1 within the validator's 1e-12 have
+    their sum read as 1 from the last positive probability on, so that pair
+    takes the rounding slack and no stay mass is left.
+    """
+    sums = []
+    total = 0.0
+    for _, p in outcomes:
+        total += p
+        sums.append(total)
+    if outcomes and abs(total - 1.0) <= 1e-12:
+        last = [i for i, (_, p) in enumerate(outcomes) if p > 0.0][-1]
+        sums[last:] = [1.0] * (len(sums) - last)
+    stay = 1.0 - sums[-1] if outcomes else 1.0
+    steps = [(value, above - below) for (value, _), below, above in zip(outcomes, [0.0] + sums, sums)]
+    return [(value, mass) for value, mass in steps if mass > 0.0], stay
+
+
 def enumerate_paths(scenario):
     """exact_pathspace's paths and weights by a walk that carries each path's
     jump tuple: (EventHistory, weight) pairs, path i being subject i, with
     the stay branch first and then the targets in row order at every tick.
 
-    A row whose probabilities sum to 1 within the validator's 1e-12 leaves
-    no stay branch, as in ``_draw``.
+    Each branch's mass is a step of the running sum of its row (or of the
+    initial distribution), as ``_draw`` walks it; see ``branch_masses``.
     """
-    frontier = [(s, s, 0.0, (), p) for s, p in enumerate(scenario.initial, start=1) if p > 0.0]
+    masses, _ = branch_masses(list(enumerate(scenario.initial, start=1)))
+    frontier = [(s, s, 0.0, (), p) for s, p in masses]
     for t in scenario.grid:
         grown = []
         for initial, state, entered_at, jumps, weight in frontier:
-            outgoing = scenario.outgoing(t, state, entered_at)
-            total = 0.0
-            for _, p in outgoing:
-                total += p
-            stay = 0.0 if outgoing and abs(total - 1.0) <= 1e-12 else 1.0 - total
+            moves, stay = branch_masses(scenario.outgoing(t, state, entered_at))
             if stay > 0.0:
                 grown.append((initial, state, entered_at, jumps, weight * stay))
-            for to, p in outgoing:
-                if p > 0.0:
-                    grown.append((initial, to, t, jumps + ((t, to),), weight * p))
+            for to, p in moves:
+                grown.append((initial, to, t, jumps + ((t, to),), weight * p))
         frontier = grown
     return [
         (EventHistory(i, initial, jumps), weight)
@@ -561,6 +578,12 @@ def counting_mean_if(ps, j, k):
         if mass != 0.0:
             atoms.append((u, [[mass]]))
     return AdditiveIF(1, tuple(atoms))
+
+
+def entry_if(f, j, k):
+    """Entry (j, k) of the additive ``f`` as a scalar additive function, with
+    an atom wherever that entry is nonzero, as ``counting_mean_if`` keeps them."""
+    return AdditiveIF(1, tuple((t, [[m[j - 1, k - 1]]]) for t, m in f.atoms if m[j - 1, k - 1] != 0.0))
 
 
 def event_times(ps):

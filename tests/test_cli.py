@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prodint import checks, empirical_occupancy, multiplicative_transform, read_event_histories
+from prodint import checks, cli, empirical_occupancy, exact_pathspace, multiplicative_transform, read_event_histories
 from prodint.checks import CheckRecord
 from prodint.cli import RunReport, _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json
@@ -174,6 +174,24 @@ class TestVerify:
         assert run("verify", "--scenario", f"{CORPUS}/{name}", "--count", 0) == 0
         out = capsys.readouterr().out
         assert "suite extinction-exit: 0 records" in out and "check extinction-exit" not in out
+
+    def test_rounding_slack_scenario_passes(self, capsys):
+        # rows that sum to 1 + 9e-13 once stopped the enumeration: "path weights sum to 1.0000000000026998"
+        assert run("verify", "--scenario", "tests/data/rounding_slack.json", "--count", 0) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_unbuildable_law_names_the_scenario(self, monkeypatch, capsys):
+        # a cap of 2 paths cannot hold idn's five
+        capped = functools.partial(exact_pathspace, cap=2)
+        monkeypatch.setattr(cli, "exact_pathspace", capped)
+        monkeypatch.setattr(checks, "exact_pathspace", capped)
+        message = "path space exceeds the cap of 2 paths\n"
+        assert run("verify", "--scenario", f"{CORPUS}/idn.json", "--count", 0) == 2
+        assert capsys.readouterr().err == f"error: {CORPUS}/idn.json: {message}"
+        assert run("verify", "--count", 0) == 2
+        assert capsys.readouterr().err == f"error: idn.json: {message}"
+        assert run("convergence", "--scenario", f"{CORPUS}/idn.json", "--censoring", f"{CORPUS}/conforming.json") == 2
+        assert capsys.readouterr().err == f"error: {CORPUS}/idn.json: {message}"
 
     def test_scenario_with_extinction_checks_it(self, capsys):
         assert run("verify", "--scenario", f"{CORPUS}/forced_exit.json", "--count", 0) == 0

@@ -127,8 +127,8 @@ class TestAdditiveTransform:
             assert got[0, 0] == 0.5
 
     def test_recovers_count_mean_from_status_mean(self, idn_space):
-        got = additive_transform(idn_space.indicator_mean_if(1, 2), OC(0, 3))
-        assert got[0, 0] == pytest.approx(0.75, abs=1e-12)
+        got = additive_transform(idn_space.indicator_if(), OC(0, 3))
+        assert got[0, 1] == pytest.approx(0.75, abs=1e-12)
         assert oracle_enum.count_mean(oracle_enum.IDN_PATHS, 1, 2, (0, 3, False, True)) == 0.75
 
     def test_recovers_hazard_from_transition_deviation(self, idn_space):
@@ -136,7 +136,7 @@ class TestAdditiveTransform:
         assert got[0, 0] == pytest.approx(-0.6, abs=1e-12)
 
     def test_additive_across_contiguous_intervals(self, idn_space):
-        f = idn_space.indicator_mean_if(1, 2)
+        f = idn_space.indicator_if()
         whole = additive_transform(f, OC(0, 3))
         parts = additive_transform(f, OC(0, 1.5)) + additive_transform(f, OC(1.5, 3))
         assert abs(whole - parts).max() < 1e-10
@@ -219,9 +219,9 @@ class TestStrictTransformDefect:
     def test_count_mean_defect_vanishes_once_atoms_split(self, idn_space):
         # depth 0 is the Young partition at the event times 1, 2 and 3
         defect = strict_transform_defect(
-            idn_space.indicator_mean_if(1, 2), idn_space.counting_mean_if(1, 2), OC(0, 3)
+            idn_space.indicator_if(), idn_space.counting_mean(), OC(0, 3), distance=np.abs
         )
-        assert defect == 0.0
+        assert defect[0, 1] == 0.0 and not defect.any()
 
     def test_transition_deviation_profile_decreases(self, idn_space):
         rows = defect_profile(
@@ -500,7 +500,6 @@ class TestStepFunction:
     def test_lookup_and_limits(self):
         f = self.f()
         assert f(0.5) == 1.0 and f(1.0) == 3.0 and f(1.5) == 2.0
-        assert f.left_limit(1.0) == 1.0 and f.right_limit(1.0) == 2.0
 
     def test_sup_abs(self):
         f = self.f()
@@ -532,8 +531,8 @@ class TestKolmogorovIntegral:
         from prodint.checks import left_occupation_reciprocal
 
         f = left_occupation_reciprocal(idn_space, 1)
-        got = kolmogorov_integral(f, idn_space.counting_mean_if(1, 2), OC(0, 3))
-        assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
+        got = kolmogorov_integral(f, idn_space.counting_mean(), OC(0, 3))
+        assert got[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_density_splits_at_breakpoints(self):
         f = StepFunction((1.0,), (5.0,), (2.0, 4.0))
@@ -545,10 +544,12 @@ class TestKolmogorovIntegral:
         from prodint.checks import left_occupation_reciprocal
 
         f = left_occupation_reciprocal(idn_space, 2)
-        mu = idn_space.counting_mean_if(2, 3)
+        mu = idn_space.counting_mean()
         for a in (OC(0, 3), OC(1, 3), OO(1, 3), PT(3.0)):
             value = matrix_norm(kolmogorov_integral(f, mu, a))
             assert value <= f.sup_abs(a) * mu.variation(a) + 1e-12
+            # the counts are nonnegative, so entry (2, 3) of their variation is their value
+            assert abs(kolmogorov_integral(f, mu, a)[1, 2]) <= f.sup_abs(a) * mu(a)[1, 2] + 1e-12
 
 
 class TestProductVariationBound:

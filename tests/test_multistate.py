@@ -6,11 +6,10 @@ from prodint import (
     EventHistory,
     PathSpace,
     exact_pathspace,
-    forced_exit_scenario,
-    two_state_scenario,
 )
 
 import oracle_enum
+from corpora import forced_exit_scenario, two_state_scenario
 from reference_impl import counting_mean, jump_at, state_at, state_before
 
 OC = Interval.open_closed
@@ -162,26 +161,22 @@ class TestCountingAndIndicatorMeans:
         assert counting_mean(idn_space, 1, 2, OC(0, 3)) == pytest.approx(0.75, abs=1e-12)
         assert counting_mean(idn_space, 2, 3, OC(0, 3)) == pytest.approx(0.45, abs=1e-12)
         assert counting_mean(idn_space, 1, 2, OO(2.0, 2.5)) == 0.0
-        assert idn_space.counting_mean_if(1, 2)(OC(0, 3))[0, 0] == pytest.approx(0.75, abs=1e-12)
-        assert idn_space.counting_mean_if(2, 3)(OC(0, 3))[0, 0] == pytest.approx(0.45, abs=1e-12)
-        assert idn_space.counting_mean_if(1, 2)(OO(2.0, 2.5))[0, 0] == 0.0
+        counts = idn_space.counting_mean()
+        assert counts(OC(0, 3))[0, 1] == pytest.approx(0.75, abs=1e-12)
+        assert counts(OC(0, 3))[1, 2] == pytest.approx(0.45, abs=1e-12)
+        assert counts(OO(2.0, 2.5))[0, 1] == 0.0
+        assert not np.diag(counts(OC(0, 3))).any()
 
     def test_indicator_examples(self, idn_space):
-        assert idn_space.indicator_mean(1, 2, OC(0, 1)) == pytest.approx(0.5, abs=1e-12)
-        assert idn_space.indicator_mean(1, 2, OC(0, 3)) == pytest.approx(0.3, abs=1e-12)
+        assert idn_space.indicator_matrix(OC(0, 1))[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert idn_space.indicator_matrix(OC(0, 3))[0, 1] == pytest.approx(0.3, abs=1e-12)
 
     def test_singleton_indicator_equals_count(self, idn_space):
         for t in (1.0, 2.0, 3.0):
             for j, k in ((1, 2), (2, 3), (1, 3)):
-                assert idn_space.indicator_mean(j, k, PT(t)) == counting_mean(
+                assert idn_space.indicator_matrix(PT(t))[j - 1, k - 1] == counting_mean(
                     idn_space, j, k, PT(t)
                 )
-
-    def test_rejects_diagonal_pair(self, idn_space):
-        with pytest.raises(ValueError):
-            idn_space.counting_mean_if(1, 1)
-        with pytest.raises(ValueError):
-            idn_space.indicator_mean(2, 2, OC(0, 3))
 
 
 class TestHazard:
@@ -258,21 +253,26 @@ class TestIteratedProduct:
             iterated_product(idn_space, 0.0, 3.0, (4.0,))
 
 
+def floor(ps, j, s, t):
+    """The occupation floor of j from s to t, as ``occupation_floors`` gives it."""
+    return ps.occupation_floors(j, (s, t))[0][-1]
+
+
 class TestOccupationLowerBound:
     def test_equality_without_inflow(self, idn_space):
-        lhs, rhs, ok = idn_space.occupation_lower_bound(1, 0.0, 3.0)
+        lhs, rhs, ok = floor(idn_space, 1, 0.0, 3.0)
         assert ok
         assert lhs == pytest.approx(0.25, abs=1e-12)
         assert rhs == pytest.approx(0.25, abs=1e-12)
 
     def test_strict_with_inflow(self, idn_space):
-        lhs, rhs, ok = idn_space.occupation_lower_bound(2, 1.0, 3.0)
+        lhs, rhs, ok = floor(idn_space, 2, 1.0, 3.0)
         assert ok
         assert lhs == pytest.approx(0.3, abs=1e-12)
         assert rhs == pytest.approx(0.2, abs=1e-12)
 
     def test_unoccupied_start(self, idn_space):
-        lhs, rhs, ok = idn_space.occupation_lower_bound(3, 0.0, 2.0)
+        lhs, rhs, ok = floor(idn_space, 3, 0.0, 2.0)
         assert ok and rhs == 0.0
 
 

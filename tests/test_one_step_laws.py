@@ -58,8 +58,11 @@ def test_one_step_laws_match_per_path_references(ps):
     assert atom_bits(ps.hazard_matrix()) == bits(reference_impl.hazard_atoms(ps))
     for j in range(1, ps.dim + 1):
         assert atom_bits(ps.exit_hazard(j)) == atom_bits(reference_impl.exit_hazard(ps, j))
+    counts = ps.counting_mean()
+    assert [t for t, _ in counts.atoms] == list(ps.event_times)
+    assert not np.diagonal(counts.jumps, axis1=1, axis2=2).any()
     for j, k in off_diagonal_pairs(ps.dim):
-        assert atom_bits(ps.counting_mean_if(j, k)) == atom_bits(reference_impl.counting_mean_if(ps, j, k))
+        assert atom_bits(reference_impl.entry_if(counts, j, k)) == atom_bits(reference_impl.counting_mean_if(ps, j, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -72,7 +75,6 @@ def test_occupation_floors_match_one_product_integral_per_pair(ps):
             for t, floor in zip(ticks[si:], floors[si]):
                 lhs, rhs, ok = reference_impl.occupation_lower_bound(ps, j, s, t)
                 assert bits([floor.lhs, floor.rhs, floor.ok]) == bits([float(lhs), float(rhs), ok])
-                assert ps.occupation_lower_bound(j, s, t) == floor
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,7 +126,7 @@ def test_returned_arrays_cannot_change_later_queries(ps, seed):
     queries += [lambda t=t, side=side: ps.occupation_vector(t, side) for t in ps.grid for side in ("left", "right")]
     queries += [lambda u=u: ps.jump_mass(u) for u in ps.grid]
     laws = [ps.hazard_matrix()] + [ps.exit_hazard(j) for j in range(1, ps.dim + 1)]
-    laws += [ps.counting_mean_if(j, k) for j, k in off_diagonal_pairs(ps.dim)]
+    laws += [ps.counting_mean()]
     queries += [lambda f=f: f(a) for f in laws]
     for query in queries:
         before = bits(query())
@@ -137,7 +139,7 @@ def test_returned_arrays_cannot_change_later_queries(ps, seed):
     for table in ps._one_step:
         with pytest.raises(ValueError):
             table[...] = 0
-    assert ps.hazard_matrix() is laws[0]
+    assert ps.hazard_matrix() is laws[0] and ps.counting_mean() is laws[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,5 +257,5 @@ def test_occupation_floors_reject_decreasing_times():
     ps = exact_pathspace(random_scenario(np.random.default_rng(5)))
     with pytest.raises(ValueError, match="nondecreasing"):
         ps.occupation_floors(1, (0.0, ps.grid[-1], ps.grid[0] / 2))
-    with pytest.raises(ValueError, match="need s <= t"):
-        ps.occupation_lower_bound(1, ps.grid[0], 0.0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ps.occupation_floors(1, (ps.grid[0], 0.0))

@@ -10,7 +10,6 @@ from prodint import (
     Interval,
     PathSpace,
     exact_pathspace,
-    forced_exit_scenario,
     illness_death_scenario,
     plus_identity,
 )
@@ -24,7 +23,7 @@ import prodint
 from prodint import interval_functions
 from prodint.interval_functions import refinement_runs
 
-from corpora import random_corpus, random_scenarios
+from corpora import forced_exit_scenario, random_corpus, random_scenarios
 import reference_impl
 from reference_impl import bits, outcome
 
@@ -116,16 +115,16 @@ def test_queries_match_per_path_scans(ps, seed):
             assert ps.transition(j, k, a) == expected == matrix[j - 1, k - 1]
             if j == k:
                 continue
-            expected = reference_impl.indicator_mean(ps, j, k, a)
-            assert ps.indicator_mean(j, k, a) == expected == indicators[j - 1, k - 1]
+            assert reference_impl.indicator_mean(ps, j, k, a) == indicators[j - 1, k - 1]
 
     for u in sorted(set(PROBE_TIMES + ps.grid + (ps.tau,))):
         assert np.array_equal(ps.jump_mass(u), reference_impl.jump_mass(ps, u))
 
+    counts = ps.counting_mean()
     for j, k in pairs(ps.dim):
         if j == k:
             continue
-        fast, slow = ps.counting_mean_if(j, k), reference_impl.counting_mean_if(ps, j, k)
+        fast, slow = reference_impl.entry_if(counts, j, k), reference_impl.counting_mean_if(ps, j, k)
         assert [t for t, _ in fast.atoms] == [t for t, _ in slow.atoms]
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(fast.atoms, slow.atoms))
 
@@ -262,9 +261,7 @@ def test_cells_of_one_support_range_read_equal_tables(ps, depths, seed):
 @given(random_spaces() | weighted_spaces(), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_pathspace_functions_match_the_interval_walk(ps, depth, seed):
     transition, deviation, hazard = ps.transition_if(), ps.transition_deviation_if(), ps.hazard_matrix()
-    j = 1 + seed % ps.dim
-    k = 1 + j % ps.dim
-    indicator, counts = ps.indicator_mean_if(j, k), ps.counting_mean_if(j, k)
+    indicator, counts = ps.indicator_if(), ps.counting_mean()
     for window in schedule_windows(ps, seed):
         calls = [
             ("additive_transform", deviation, window),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,22 +11,21 @@ from prodint import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
-    forced_exit_scenario,
     illness_death_scenario,
     load_censoring,
     load_scenario,
     simulate_sample,
     subject_rng,
-    two_state_scenario,
 )
 from prodint.checks import close_record
 from prodint.simulation import _tick_states
 
 import oracle_enum
-from corpora import float_sum_exit_scenario
+from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario
 from reference_impl import apply_censoring, sample_path, state_at, state_before
 
 CORPUS = "src/prodint/corpus"
+ROUNDING_SLACK = "tests/data/rounding_slack.json"
 
 
 def sampler_agreement_checks(rng, scenario, draws=10**5, tol=0.01):
@@ -105,11 +106,25 @@ class TestScenarioValidation:
 class TestExactPathspace:
     def test_float_sum_exit_leaves_nobody_behind(self):
         ps = exact_pathspace(float_sum_exit_scenario())
+        # the steps of the sampler's table 0.7, 0.7 + 0.2, 1.0: the last target takes the rounding
         assert [(p.jumps, w) for p, w in ps.paths] == [
-            (((1.0, 2),), 0.7), (((1.0, 3),), 0.2), (((1.0, 4),), 0.1)
+            (((1.0, 2),), 0.7), (((1.0, 3),), (0.7 + 0.2) - 0.7), (((1.0, 4),), 1.0 - (0.7 + 0.2))
         ]
         report = ps.extinction_report(1)
         assert [b.time for b in report.boundaries] == [1.0] and report.ok
+
+    def test_rounding_slack_is_spent_once(self):
+        # rows summing to 1 + 9e-13, inside the validator's 1e-12: the sampler
+        # reads each as exactly 1, and so must the enumeration
+        scenario = load_scenario(ROUNDING_SLACK)
+        ps = exact_pathspace(scenario)
+        assert ps.weights.tolist() == [0.125] * 8
+        assert math.fsum(ps.weights.tolist()) == 1.0
+
+    def test_empty_row_keeps_everyone(self):
+        scenario = ScenarioConfig(2, 2.0, (1.0,), "markov", (1.0, 0.0), (TransitionRule(1.0, 1, ()),))
+        ps = exact_pathspace(scenario)
+        assert ps.states.tolist() == [[1, 1]] and ps.weights.tolist() == [1.0]
 
     def test_illness_death_weights(self, idn_enumerated):
         weights = {
