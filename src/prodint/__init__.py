@@ -2,11 +2,13 @@
 multi-state event histories.
 
 The pieces fit together like this: ``intervals`` supplies endpoint-aware
-intervals; ``interval_functions`` the refinement engine, the additive and
-multiplicative transforms along it, product integrals and step-function
-integrals; ``multistate`` an exactly enumerable law of a multi-state
-process serving as the oracle; ``estimators`` the Nelson-Aalen /
-Aalen-Johansen pipeline on observed event histories; ``simulation`` the
+intervals; ``interval_functions`` the additive interval functions and
+the hazard matrix (``HazardMatrixIF``, formed from transition counts and
+risk sets), the refinement engine, the additive and multiplicative
+transforms along it, product integrals and step-function integrals;
+``multistate`` an exactly enumerable law of a multi-state process serving
+as the oracle; ``estimators`` the Nelson-Aalen / Aalen-Johansen pipeline
+on observed event histories, built on that calculus; ``simulation`` the
 grid samplers and censoring mechanisms; ``checks`` the verification
 suites; and ``cli`` the command-line harness.
 """
@@ -17,6 +19,7 @@ from .interval_functions import (
     BoundCheck,
     ConvergenceError,
     GeneralIF,
+    HazardMatrixIF,
     StepFunction,
     additive_transform,
     check_product_variation_bound,
@@ -31,7 +34,6 @@ from .interval_functions import (
 )
 from .multistate import (
     ExtinctionReport,
-    HazardMatrixIF,
     PathSpace,
 )
 from .estimators import (
@@ -58,7 +60,6 @@ from .simulation import (
     load_censoring,
     load_scenario,
     simulate_sample,
-    subject_rng,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +103,6 @@ __all__ = [
     "read_event_histories",
     "simulate_sample",
     "strict_transform_defect",
-    "subject_rng",
     "variation_norm",
     "write_event_histories",
 ]

@@ -406,19 +406,23 @@ def hazard_integral_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     expected-count measure, on subintervals of the positivity windows, and
     the sup-bound of the integral.
 
-    For each state j and shape, row j of ``kolmogorov_integral``, of the
-    hazard and of the counts is taken once; the counts are nonnegative, so
-    their variation on a shape is their value there.  Records go out in
+    For each state j and shape, row j of ``kolmogorov_integral`` is taken
+    once; the hazard and the counts do not depend on j, so each is taken
+    once per distinct shape.  The counts are nonnegative, so their
+    variation on a shape is their value there.  Records go out in
     (j, k, shape) order.
     """
     records = []
     hazard, counts = ps.hazard_matrix(), ps.counting_mean()
+    laws = {}  # shape -> (hazard, counts) there
     for j in range(1, ps.dim + 1):
         reciprocal = left_occupation_reciprocal(ps, j, label)
         rows = []  # (shape, sup of the integrand, then row j of the integral, the hazard and the counts)
         for lo, hi in _positivity_blocks(ps, j):
             for a in _block_shapes(lo, hi):
-                values = (kolmogorov_integral(reciprocal, counts, a), hazard(a), counts(a))
+                if a not in laws:
+                    laws[a] = (hazard(a), counts(a))
+                values = (kolmogorov_integral(reciprocal, counts, a), *laws[a])
                 rows.append((str(a), reciprocal.sup_abs(a), *(v[j - 1].tolist() for v in values)))
         for k in range(1, ps.dim + 1):
             if k == j:

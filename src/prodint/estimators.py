@@ -29,10 +29,12 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
 import numpy as np
+
+from .interval_functions import HazardMatrixIF, first_failure, product_integral_sweep
 
 Side = Literal["right", "left"]
 
@@ -198,13 +200,15 @@ def empirical_occupancy(sample: EventSample, j: int, t: float, side: Side = "rig
 
 @dataclass(frozen=True)
 class EstimateGrid:
-    """Estimates at the pooled observed transition times.
+    """Estimates at the pooled observed transition times, built whole by
+    ``estimate``.
 
     ``hazard_steps[i]`` is the Nelson-Aalen increment matrix at
-    ``times[i]``; ``transition[i]`` the running Aalen-Johansen product
-    P(0, times[i]); ``occupation[i]`` the derived occupation row there.
-    The transition and occupation parts are filled in by
-    ``aalen_johansen`` and ``occupation_estimate``.
+    ``times[i]`` (the atoms of ``nelson_aalen``'s ``HazardMatrixIF``);
+    ``transition[i]`` the Aalen-Johansen product P(0, times[i]), the
+    product integral of that hazard over (0, times[i]]; ``p0`` the
+    renormalized observed initial distribution and ``occupation[i]`` the
+    derived occupation row p0 @ transition[i].
 
     Only for a Markov law is ``transition`` a transition probability.
     Otherwise its row j converges to the product of the pooled hazards,
@@ -217,22 +221,16 @@ class EstimateGrid:
     dim: int
     n: int
     times: tuple[float, ...]
-    hazard_steps: tuple[np.ndarray, ...]
-    transition: tuple[np.ndarray, ...] | None = None
-    p0: np.ndarray | None = None
-    occupation: tuple[np.ndarray, ...] | None = None
+    hazard_steps: np.ndarray
+    transition: np.ndarray
+    p0: np.ndarray
+    occupation: np.ndarray
 
     def occupation_at(self, t: float) -> np.ndarray:
-        if self.occupation is None or self.p0 is None:
-            raise EstimationError("occupation part not computed yet")
         i = bisect_right(self.times, t) - 1
-        if i < 0:
-            return self.p0
-        return self.occupation[i]
+        return self.p0 if i < 0 else self.occupation[i]
 
     def to_json_dict(self) -> dict:
-        if self.transition is None or self.occupation is None or self.p0 is None:
-            raise EstimationError("grid is not fully computed")
         return {
             "d": self.dim,
             "n": self.n,
@@ -244,12 +242,13 @@ class EstimateGrid:
         }
 
 
-def nelson_aalen(sample: EventSample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
+def nelson_aalen(sample: EventSample, upto: float | None = None, dim: int | None = None) -> HazardMatrixIF:
     """Pooled hazard increments at every observed transition time.
 
     At each event time u the increment is (observed j->k count at u) /
-    (subjects observed in j just before u).  The denominator is at least
-    one whenever the numerator is positive, because a subject observed to
+    (subjects observed in j just before u), formed by
+    ``HazardMatrixIF.from_counts``.  The denominator is at least one
+    whenever the numerator is positive, because a subject observed to
     transition out of j at u is itself observed in j just before u.
 
     The risk sets just before each event time are the time-0 states plus a
@@ -280,65 +279,51 @@ def nelson_aalen(sample: EventSample, upto: float | None = None, dim: int | None
     moves -= np.bincount(first_after + sources, minlength=(size + 1) * (d + 1))
     moves[: d + 1] += np.bincount(sample.initial, minlength=d + 1)
     at_risk = np.cumsum(moves.reshape(size + 1, d + 1), axis=0)[:size, 1:]
-
-    observed = counts.any(axis=2)
-    if (at_risk[observed] < 1).any():
-        raise EstimationError("transition observed out of an empty risk set")
-    steps = np.zeros((size, d, d))
-    steps[observed] = counts[observed] / at_risk[observed][:, None]
-    at, j = observed.nonzero()
-    steps[at, j, j] = -steps[at, j].sum(axis=1)
-    return EstimateGrid(d, len(sample), tuple(times.tolist()), tuple(steps))
+    return HazardMatrixIF.from_counts(times.tolist(), counts, at_risk)
 
 
-def aalen_johansen(grid: EstimateGrid) -> EstimateGrid:
-    """Running forward products P(0, t) of (I + hazard increment).
+def aalen_johansen(hazard: HazardMatrixIF) -> np.ndarray:
+    """The forward products P(0, t) of (I + hazard increment) at the
+    hazard's times: its product integral swept over (0, t].
 
-    Each factor is row-stochastic because the off-diagonal increment row
-    mass never exceeds one; the products therefore have nonnegative entries
-    and unit row sums, which is checked.
+    ``HazardMatrixIF`` keeps every factor row-stochastic (nonnegative
+    off-diagonals, exit mass at most one, zero row sums), so the products
+    have nonnegative entries and unit row sums, which is checked.
     """
-    eye = np.eye(grid.dim)
-    running = eye
-    transition = []
-    for u, step in zip(grid.times, grid.hazard_steps):
-        off = step.copy()
-        np.fill_diagonal(off, 0.0)
-        if not (off >= 0.0).all():
-            raise EstimationError(f"negative hazard increment at {u}")
-        if not (off.sum(axis=1) <= 1.0 + 1e-12).all():
-            raise EstimationError(f"exit mass above one at {u}")
-        running = running @ (eye + step)
-        if not (running >= -1e-12).all():
-            raise EstimationError(f"negative transition estimate at {u}")
-        if not np.abs(running.sum(axis=1) - 1.0).max() <= 1e-12:
-            raise EstimationError(f"row sums drift at {u}")
-        transition.append(running)
-    return replace(grid, transition=tuple(transition))
+    products = np.array(list(product_integral_sweep(hazard, 0.0, hazard.times)))
+    products = products.reshape(hazard.jumps.shape)
+    failure = first_failure(hazard.times, (
+        (products < -1e-12, "negative transition estimate"),
+        (np.abs(products.sum(axis=2) - 1.0) > 1e-12, "row sums drift"),
+    ))
+    if failure:
+        raise EstimationError(failure)
+    return products
 
 
-def occupation_estimate(sample: EventSample, grid: EstimateGrid) -> EstimateGrid:
-    """Derived occupation curve: renormalized initial occupancy pushed forward."""
-    _check_dimension(sample, grid.dim)
-    if grid.transition is None:
-        grid = aalen_johansen(grid)
-    counts0 = np.bincount(sample.initial, minlength=grid.dim + 1)[1:].astype(np.float64)
+def occupation_estimate(sample: EventSample, times, transition: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The renormalized initial occupancy p0 and the occupation rows
+    p0 @ P(0, t) at ``times``, pushed forward by the ``transition``
+    products estimated from ``sample``."""
+    counts0 = np.bincount(sample.initial, minlength=transition.shape[-1] + 1)[1:].astype(np.float64)
     total = counts0.sum()
     if total == 0:
         raise EstimationError("no subject observed at time 0")
     p0 = counts0 / total
-    occupation = tuple(p0 @ mat for mat in grid.transition)
-    for u, row in zip(grid.times, occupation):
-        if not ((row >= -1e-12).all() and row.sum() <= 1.0 + 1e-12):
-            raise EstimationError(f"occupation estimate out of range at {u}")
-    return replace(grid, p0=p0, occupation=occupation)
+    occupation = p0 @ transition
+    out_of_range = (occupation < -1e-12).any(axis=1) | (occupation.sum(axis=1) > 1.0 + 1e-12)
+    failure = first_failure(times, ((out_of_range, "occupation estimate out of range"),))
+    if failure:
+        raise EstimationError(failure)
+    return p0, occupation
 
 
 def estimate(sample: EventSample, upto: float | None = None, dim: int | None = None) -> EstimateGrid:
     """Full pipeline: hazard increments, transition matrices, occupation curve."""
-    grid = nelson_aalen(sample, upto=upto, dim=dim)
-    grid = aalen_johansen(grid)
-    return occupation_estimate(sample, grid)
+    hazard = nelson_aalen(sample, upto=upto, dim=dim)
+    transition = aalen_johansen(hazard)
+    p0, occupation = occupation_estimate(sample, hazard.times, transition)
+    return EstimateGrid(hazard.dim, len(sample), hazard.times, hazard.jumps, transition, p0, occupation)
 
 
 # -- event-history CSV ------------------------------------------------------
@@ -496,8 +481,6 @@ def write_event_histories(path, sample: EventSample) -> int:
 
 def write_occupation_csv(path, grid: EstimateGrid) -> None:
     """Occupation curve as `t,p_1..p_d`, starting from the time-0 row."""
-    if grid.p0 is None or grid.occupation is None:
-        raise EstimationError("occupation part not computed yet")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t"] + [f"p_{j}" for j in range(1, grid.dim + 1)])
@@ -535,8 +518,6 @@ def _write_json_array(handle, array: np.ndarray, depth: int, text) -> None:
 def write_grid_json(path, grid: EstimateGrid) -> None:
     """``json.dump(grid.to_json_dict(), handle, indent=2)`` and a newline,
     written one row at a time instead of one token at a time."""
-    if grid.transition is None or grid.occupation is None or grid.p0 is None:
-        raise EstimationError("grid is not fully computed")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f'{{\n  "d": {grid.dim!r},\n  "n": {grid.n!r}')
         for key, values in (

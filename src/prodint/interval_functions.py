@@ -5,7 +5,8 @@ time window.  This module provides:
 
 * ``AdditiveIF`` -- the canonical finitely additive representative (jump
   atoms plus a piecewise-constant matrix density), with an exact variation
-  norm;
+  norm, and its pure-jump ``HazardMatrixIF``, whose steps are formed from
+  transition counts and risk sets in one place (``from_counts``);
 * ``GeneralIF`` -- an arbitrary evaluator together with its declared
   candidate discontinuity times;
 * the refinement engine (``refinement_runs``): the canonical schedule of a
@@ -78,8 +79,9 @@ class AdditiveIF:
     a tuple of ``(start, end, rate_matrix)`` pieces with disjoint
     increasing spans.  The value on an interval is the sum of the atoms it
     contains plus the density integrated over it, so additivity holds by
-    construction and the variation norm is exact.  The atoms' matrices are
-    views of ``jumps``, one read-only (atom x dim x dim) array.
+    construction and the variation norm is exact.  The atoms' times are
+    ``times`` and their matrices views of ``jumps``, one read-only (atom x
+    dim x dim) array; the atoms an interval holds are found by bisection.
     """
 
     dim: int
@@ -104,6 +106,7 @@ class AdditiveIF:
                 raise ValueError("density pieces must be disjoint and ordered")
         object.__setattr__(self, "atoms", tuple(zip(times, jumps)))
         object.__setattr__(self, "density", pieces)
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "jumps", jumps)
 
     @property
@@ -115,17 +118,17 @@ class AdditiveIF:
     @property
     def support(self) -> tuple[float, ...]:
         """Candidate discontinuity times: atom times and density edges."""
-        times = {t for t, _ in self.atoms}
-        for s, e, _ in self.density:
-            times.add(s)
-            times.add(e)
-        return tuple(sorted(times))
+        edges = [edge for start, end, _ in self.density for edge in (start, end)]
+        return tuple(sorted({*self.times, *edges}))
+
+    def _atoms_in(self, a: Interval) -> tuple:
+        """The atoms ``a`` holds, in time order."""
+        return self.atoms[slice(*index_range(self.times, a))]
 
     def __call__(self, a: Interval) -> np.ndarray:
         total = np.zeros((self.dim, self.dim))
-        for t, jump in self.atoms:
-            if a.contains(t):
-                total += jump
+        for _, jump in self._atoms_in(a):
+            total += jump
         for start, end, rate in self.density:
             overlap = min(a.hi, end) - max(a.lo, start)
             if overlap > 0:
@@ -135,9 +138,8 @@ class AdditiveIF:
     def variation(self, a: Interval) -> float:
         """Exact variation norm on ``a``: atom norms plus density norm mass."""
         total = 0.0
-        for t, jump in self.atoms:
-            if a.contains(t):
-                total += matrix_norm(jump)
+        for _, jump in self._atoms_in(a):
+            total += matrix_norm(jump)
         for start, end, rate in self.density:
             overlap = min(a.hi, end) - max(a.lo, start)
             if overlap > 0:
@@ -150,6 +152,62 @@ class AdditiveIF:
             tuple((t, factor * m) for t, m in self.atoms),
             tuple((s, e, factor * r) for s, e, r in self.density),
         )
+
+
+def first_failure(times, checks) -> str | None:
+    """"<message> at <time>" for the first of ``times`` that fails one of
+    ``checks``, naming the first check it fails there; None if every time
+    passes.  A check is a (flags, message) pair whose boolean ``flags``
+    array has one leading entry per time and fails a time with any flag."""
+    if not any(flags.any() for flags, _ in checks):
+        return None
+    failed = [flags.reshape(len(times), -1).any(axis=1) for flags, _ in checks]
+    i = int(np.logical_or.reduce(failed).argmax())
+    return f"{next(message for flags, (_, message) in zip(failed, checks) if flags[i])} at {times[i]}"
+
+
+@dataclass(frozen=True)
+class HazardMatrixIF(AdditiveIF):
+    """Additive hazard matrix: nonnegative off-diagonals, zero row sums.
+
+    Pure-jump by construction; each atom's off-diagonal row mass is at most
+    one (a state cannot expect to leave more than once instantaneously).
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.density:
+            raise ValueError("hazard matrices are pure-jump")
+        steps = self.jumps
+        off = steps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
+        failure = first_failure(self.times, (
+            (off < 0.0, "negative off-diagonal hazard"),
+            (off.sum(axis=2) > 1.0 + 1e-12, "instantaneous exit mass above 1"),
+            (np.abs(steps.sum(axis=2)) > 1e-12, "hazard rows must sum to zero"),
+        ))
+        if failure:
+            raise ValueError(failure)
+
+    @classmethod
+    def from_counts(cls, times, counts, at_risk) -> "HazardMatrixIF":
+        """The hazard with an atom at each of ``times``: row j of the step at
+        ``times[e]`` is row j of ``counts[e]`` (the j -> k transition counts
+        or masses there, a zero diagonal) over ``at_risk[e, j]`` (the count
+        or occupation of j just before), with minus its sum on the diagonal.
+        A row without counts is all zeros; counts out of a state with
+        nobody at risk raise ``ValueError`` naming the state and the time.
+        """
+        counts = np.asarray(counts, dtype=float)
+        at_risk = np.asarray(at_risk)
+        leaving = counts.any(axis=2)
+        stranded = leaving & (at_risk <= 0)
+        if stranded.any():
+            e, j = np.argwhere(stranded)[0].tolist()
+            raise ValueError(f"transitions out of state {j + 1} at {times[e]} with nobody at risk just before")
+        size, d = leaving.shape
+        steps = np.divide(counts, at_risk[:, :, None], out=np.zeros_like(counts), where=leaving[:, :, None])
+        steps.reshape(size, d * d)[:, :: d + 1] = np.where(leaving, -steps.sum(axis=2), 0.0)
+        return cls(d, tuple(zip(times, steps)))
 
 
 @dataclass(frozen=True)
@@ -445,9 +503,7 @@ def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
     eye = np.eye(lam.dim)
     result = eye
     cursor = a.lo
-    for t, jump in lam.atoms:
-        if not a.contains(t):
-            continue
+    for t, jump in lam._atoms_in(a):
         if t > cursor:
             factor = _density_factor(lam, cursor, t)
             if factor is not None:
@@ -481,7 +537,7 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
     if lam.density:
         raise ValueError("the product integral sweep takes a pure-jump function")
     eye = np.eye(lam.dim)
-    atoms = [(t, jump) for t, jump in lam.atoms if t > lo]
+    atoms = lam.atoms[bisect_right(lam.times, lo) :]
     result, i, previous = eye, 0, lo
     for t in times:
         if t < previous:
@@ -560,9 +616,8 @@ def kolmogorov_integral(f: StepFunction, mu: AdditiveIF, a: Interval) -> np.ndar
     ``matrix_norm(result) <= f.sup_abs(a) * mu.variation(a)``.
     """
     total = np.zeros((mu.dim, mu.dim))
-    for t, jump in mu.atoms:
-        if a.contains(t):
-            total += f(t) * jump
+    for t, jump in mu._atoms_in(a):
+        total += f(t) * jump
     for start, end, rate in mu.density:
         lo = max(start, a.lo)
         hi = min(end, a.hi)

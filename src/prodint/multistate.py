@@ -27,6 +27,7 @@ from .interval_functions import (
     AdditiveIF,
     BoundCheck,
     GeneralIF,
+    HazardMatrixIF,
     product_integral_sweep,
 )
 from .intervals import Interval
@@ -278,9 +279,7 @@ class PathSpace:
 
     @cached_property
     def _counts(self) -> AdditiveIF:
-        events = self._one_step.events
-        times = [self.grid[i] for i in events.tolist()]
-        return AdditiveIF(self.dim, tuple(zip(times, self._one_step.moves[events])))
+        return AdditiveIF(self.dim, tuple(zip(self.event_times, self._one_step.moves[self._one_step.events])))
 
     def indicator_matrix(self, a: Interval) -> np.ndarray:
         """Probability of status j at the left of ``a`` and k at its right,
@@ -308,34 +307,22 @@ class PathSpace:
             return self._one_step.moves[i - 1].copy()
         return np.zeros((self.dim, self.dim))
 
-    def hazard_matrix(self) -> "HazardMatrixIF":
+    def hazard_matrix(self) -> HazardMatrixIF:
         """Cumulative transition hazard: atom mass / occupation just before.
 
         Pure-jump for a finite path space.  Off-diagonal entry (j, k) at a
         jump time is the expected j -> k mass there divided by the
         occupation of j just before; the diagonal carries minus the row
-        sum.  Built once per space.
+        sum.  Built once per space, by ``HazardMatrixIF.from_counts``.
         """
         return self._hazard
 
     @cached_property
-    def _hazard(self) -> "HazardMatrixIF":
-        d, events = self.dim, self._one_step.events
-        mass = self._one_step.moves[events]  # event x j x k
-        at_risk = self._one_step.occupation[events]  # the tick before each event time
-        leaving = mass.any(axis=2)
-        stranded = np.argwhere(leaving & (at_risk <= 0.0))
-        if len(stranded):
-            e, j = stranded[0].tolist()
-            raise ValueError(
-                f"inconsistent path space: transition mass out of state {j + 1} "
-                f"at time {self.grid[events[e]]} with zero occupation just before"
-            )
-        step = np.divide(mass, at_risk[:, :, None], out=np.zeros_like(mass), where=leaving[:, :, None])
-        step.reshape(len(events), d * d)[:, :: d + 1] = np.where(leaving, -step.sum(axis=2), 0.0)
-        kept = step.any(axis=(1, 2))
-        times = [self.grid[i] for i in events[kept].tolist()]
-        return HazardMatrixIF(d, tuple(zip(times, step[kept])))
+    def _hazard(self) -> HazardMatrixIF:
+        events = self._one_step.events  # the tick before each event time holds its occupation
+        return HazardMatrixIF.from_counts(
+            self.event_times, self._one_step.moves[events], self._one_step.occupation[events]
+        )
 
     def exit_hazard(self, j: int) -> AdditiveIF:
         """Total hazard of leaving state j, as a scalar additive function."""
@@ -380,30 +367,3 @@ class PathSpace:
                 exit_mass = float(moves[i, j - 1].sum()) / before
                 boundaries.append(ExtinctionBoundary(self.grid[i], exit_mass, abs(exit_mass - 1.0) <= 1e-12))
         return ExtinctionReport(j, tuple(boundaries))
-
-
-@dataclass(frozen=True)
-class HazardMatrixIF(AdditiveIF):
-    """Additive hazard matrix: nonnegative off-diagonals, zero row sums.
-
-    Pure-jump by construction; each atom's off-diagonal row mass is at most
-    one (a state cannot expect to leave more than once instantaneously).
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.density:
-            raise ValueError("hazard matrices from finite path spaces are pure-jump")
-        steps = self.jumps
-        off = steps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
-        # which atoms fail each check, the checks of one atom in order; the first atom failing any raises
-        failures = (
-            ((off < 0.0).any(axis=(1, 2)), "negative off-diagonal hazard"),
-            ((off.sum(axis=2) > 1.0 + 1e-12).any(axis=1), "instantaneous exit mass above 1"),
-            ((np.abs(steps.sum(axis=2)) > 1e-12).any(axis=1), "hazard rows must sum to zero"),
-        )
-        failed = np.logical_or.reduce([flags for flags, _ in failures])
-        if failed.any():
-            e = int(failed.argmax())
-            message = next(message for flags, message in failures if flags[e])
-            raise ValueError(f"{message} at {self.atoms[e][0]}")

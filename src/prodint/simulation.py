@@ -313,11 +313,6 @@ def load_censoring(path) -> CensoringConfig:
     return _load_config(path, CensoringConfig)
 
 
-def subject_rng(seed: int, subject: int, arm: int = 0) -> np.random.Generator:
-    """Independent substream for one subject, stable under parallel fan-out."""
-    return np.random.default_rng(np.random.SeedSequence((seed, arm, subject)))
-
-
 def _uint32_words(value: int) -> list[int]:
     """A non-negative int as SeedSequence reads it: little-endian 32-bit
     words, one word for 0."""
@@ -375,7 +370,9 @@ def _seed_words(seed: int, arm: int, subjects: np.ndarray) -> list[np.ndarray]:
 
 
 def _fill_streams(seed: int, arm: int, first: int, draws: np.ndarray) -> None:
-    """Fill row i of ``draws`` with ``subject_rng(seed, first + i, arm).random``.
+    """Fill row i of ``draws`` with the uniforms of subject ``first + i``'s
+    stream, ``np.random.default_rng(SeedSequence((seed, arm, first + i)))``
+    (``subject_rng`` in ``tests/reference_impl.py``).
 
     The subjects' seed words come from one array pass (``_seed_words``); one
     reused PCG64 is then seeded per subject as ``pcg64_set_seed`` does it
@@ -613,12 +610,13 @@ def simulate_sample(
 
     Each subject takes all its uniforms in one block draw: one for the
     initial state, one per grid time, then its censoring draws.  That is the
-    same stream as one scalar draw at a time from ``subject_rng``, so a
-    sample does not depend on how the subjects are batched.  A block holds
-    as many subjects as fit ``_BLOCK_DRAWS`` uniforms (at least one); its
-    streams are seeded in one array pass and its subjects walk the ticks
-    together.  Seed and arm must be non-negative and subject ids, 0 to
-    n - 1, below 2**32, so that every subject's seed has the same words.
+    same stream as one scalar draw at a time from the subject's own
+    generator (``subject_rng`` in ``tests/reference_impl.py``), so a sample
+    does not depend on how the subjects are batched.  A block holds as many
+    subjects as fit ``_BLOCK_DRAWS`` uniforms (at least one); its streams
+    are seeded in one array pass and its subjects walk the ticks together.
+    Seed and arm must be non-negative and subject ids, 0 to n - 1, below
+    2**32, so that every subject's seed has the same words.
     """
     if n < 1:
         raise ConfigError("need at least one subject")

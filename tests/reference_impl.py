@@ -1,6 +1,8 @@
-"""Rescanning and per-subject reference versions of the sampler, the
-censoring mechanisms, the event-history CSV reader, the Nelson-Aalen
-estimator, the path-space queries, the hazard laws of a path space (its
+"""Rescanning and per-subject reference versions of the sampler (with
+each subject's own stream, ``subject_rng``), the censoring mechanisms, the
+event-history CSV reader, the Nelson-Aalen estimator, the Aalen-Johansen
+product as one checked matrix product per event time, the path-space
+queries, the hazard laws of a path space (its
 one-step tables, event times, hazard atoms, exit hazards and occupation
 floors), the hazard-side verify suites one record at a time, the
 refinement schedule as partitions of ``Interval`` cells (with the interval
@@ -26,7 +28,7 @@ import csv
 import io
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from prodint import (
     AdditiveIF,
     BoundCheck,
     CensoringConfig,
-    EstimateGrid,
     EventHistory,
     EventSample,
     GeneralIF,
@@ -44,7 +45,6 @@ from prodint import (
     ScenarioConfig,
     matrix_norm,
     product_integral,
-    subject_rng,
 )
 from prodint.checks import CheckRecord
 from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error
@@ -257,6 +257,11 @@ def apply_censoring(
     return EventHistory(subject, initial, tuple(jumps))
 
 
+def subject_rng(seed, subject, arm=0):
+    """The subject's own stream, which the sampler's block seeding reproduces."""
+    return np.random.default_rng(np.random.SeedSequence((seed, arm, subject)))
+
+
 def simulate_sample_per_subject(scenario, censoring, n, seed, arm=0):
     """simulate_sample one subject at a time, one scalar draw at a time."""
     sample = []
@@ -311,7 +316,8 @@ def filtering_censoring_rescan(rng, path, scenario, censoring, subject=0):
 
 
 def nelson_aalen_rescan(sample, upto=None, dim=None):
-    """nelson_aalen by looking up every subject's state at every event time."""
+    """nelson_aalen's (times, steps) by looking up every subject's state at
+    every event time."""
     d = dim if dim is not None else max([1] + [largest_state(eh) for eh in sample])
     observed_times = set()
     for eh in sample:
@@ -343,11 +349,12 @@ def nelson_aalen_rescan(sample, upto=None, dim=None):
             step[j, j] = -step[j].sum()
         steps.append(step)
         kept_times.append(u)
-    return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
+    return tuple(kept_times), np.array(steps).reshape(len(steps), d, d)
 
 
 def nelson_aalen_per_jump(sample, upto=None, dim=None):
-    """nelson_aalen as one sweep over the sorted jump times, subject by subject."""
+    """nelson_aalen's (times, steps) as one sweep over the sorted jump
+    times, subject by subject."""
     if not sample:
         raise EstimationError("empty sample")
     d = dim if dim is not None else max([1] + [largest_state(eh) for eh in sample])
@@ -379,7 +386,9 @@ def nelson_aalen_per_jump(sample, upto=None, dim=None):
                     if not counts[j].any():
                         continue
                     if at_risk[j + 1] < 1:
-                        raise EstimationError("transition observed out of an empty risk set")
+                        raise ValueError(
+                            f"transitions out of state {j + 1} at {u} with nobody at risk just before"
+                        )
                     step[j] = counts[j] / at_risk[j + 1]
                     step[j, j] = -step[j].sum()
                 steps.append(step)
@@ -387,12 +396,29 @@ def nelson_aalen_per_jump(sample, upto=None, dim=None):
         for j, k in at_u:
             at_risk[j] -= 1
             at_risk[k] += 1
-    return EstimateGrid(d, len(sample), tuple(kept_times), tuple(steps))
+    return tuple(kept_times), np.array(steps).reshape(len(steps), d, d)
 
 
-def occupation_per_subject(sample, grid):
-    """occupation_estimate with the time-0 states tallied subject by subject."""
-    counts0 = np.zeros(grid.dim)
+def aalen_johansen_per_step(times, steps):
+    """aalen_johansen as one running matrix product, checked after each
+    event time."""
+    eye = np.eye(steps.shape[-1])
+    running = eye
+    transition = []
+    for u, step in zip(times, steps):
+        running = running @ (eye + step)
+        if not (running >= -1e-12).all():
+            raise EstimationError(f"negative transition estimate at {u}")
+        if not np.abs(running.sum(axis=1) - 1.0).max() <= 1e-12:
+            raise EstimationError(f"row sums drift at {u}")
+        transition.append(running)
+    return np.array(transition).reshape(steps.shape)
+
+
+def occupation_per_subject(sample, transition):
+    """occupation_estimate's (p0, occupation) with the time-0 states tallied
+    subject by subject."""
+    counts0 = np.zeros(transition.shape[-1])
     for eh in sample:
         if eh.initial_state >= 1:
             counts0[eh.initial_state - 1] += 1
@@ -400,7 +426,7 @@ def occupation_per_subject(sample, grid):
     if total == 0:
         raise EstimationError("no subject observed at time 0")
     p0 = counts0 / total
-    return replace(grid, p0=p0, occupation=tuple(p0 @ mat for mat in grid.transition))
+    return p0, [p0 @ mat for mat in transition]
 
 
 # -- estimate lookups and transition counts, one subject or step at a time ------
@@ -422,22 +448,13 @@ def empirical_counts(sample, j, k, t):
     return total / len(sample)
 
 
-def hazard_step_at(grid, t):
-    """The grid's increment at exactly ``t`` (zero matrix off the event grid)."""
-    i = bisect_right(grid.times, t) - 1
-    if i >= 0 and grid.times[i] == t:
-        return grid.hazard_steps[i]
-    return np.zeros((grid.dim, grid.dim))
-
-
-def transition_at(grid, t):
-    """The Aalen-Johansen estimate P(0, t), a step function of t."""
-    if grid.transition is None:
-        raise EstimationError("transition part not computed yet")
-    i = bisect_right(grid.times, t) - 1
+def transition_at(times, transition, t):
+    """The Aalen-Johansen estimate P(0, t) from its values at ``times``, a
+    step function of t."""
+    i = bisect_right(times, t) - 1
     if i < 0:
-        return np.eye(grid.dim)
-    return grid.transition[i]
+        return np.eye(transition.shape[-1])
+    return transition[i]
 
 
 # -- the per-subject event-history CSV reader ------------------------------------
@@ -611,10 +628,7 @@ def hazard_atoms(ps):
             if not row.any():
                 continue
             if at_risk[j] <= 0.0:
-                raise ValueError(
-                    f"inconsistent path space: transition mass out of state {j + 1} "
-                    f"at time {u} with zero occupation just before"
-                )
+                raise ValueError(f"transitions out of state {j + 1} at {u} with nobody at risk just before")
             step[j] = row / at_risk[j]
             step[j, j] = -step[j].sum()
         if step.any():

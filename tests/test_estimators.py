@@ -7,8 +7,9 @@ from prodint import (
     EventHistory,
     EventSample,
     FormatError,
-    EstimateGrid,
     EstimationError,
+    HazardMatrixIF,
+    Interval,
     aalen_johansen,
     empirical_occupancy,
     estimate,
@@ -23,7 +24,7 @@ from prodint import estimators
 from prodint.cli import main
 from prodint.estimators import write_occupation_csv
 
-from reference_impl import empirical_counts, event_sample, hazard_step_at, transition_at
+from reference_impl import empirical_counts, event_sample, transition_at
 
 
 def subject(i, init, *jumps):
@@ -100,13 +101,13 @@ class TestEmpiricalMeans:
 
 class TestNelsonAalen:
     def test_risk_set_of_one(self):
-        grid = nelson_aalen(sample_of(subject(0, 1, (1.0, 2))), dim=2)
-        assert grid.times == (1.0,)
-        assert hazard_step_at(grid, 1.0)[0, 1] == 1.0
+        hazard = nelson_aalen(sample_of(subject(0, 1, (1.0, 2))), dim=2)
+        assert hazard.times == (1.0,)
+        assert hazard(Interval.point(1.0))[0, 1] == 1.0
 
     def test_risk_set_of_two(self):
-        grid = nelson_aalen(sample_of(subject(0, 1, (1.0, 2)), subject(1, 1)), dim=2)
-        step = hazard_step_at(grid, 1.0)
+        hazard = nelson_aalen(sample_of(subject(0, 1, (1.0, 2)), subject(1, 1)), dim=2)
+        step = hazard(Interval.point(1.0))
         assert step[0, 1] == 0.5
         assert step[0, 0] == -0.5
 
@@ -114,8 +115,8 @@ class TestNelsonAalen:
         sample = simulate_sample(
             illness_death_scenario(), CensoringConfig("state_filtering_conforming", q=0.7), 500, 5
         )
-        grid = nelson_aalen(sample, dim=3)
-        for step in grid.hazard_steps:
+        hazard = nelson_aalen(sample, dim=3)
+        for step in hazard.jumps:
             np.testing.assert_allclose(step.sum(axis=1), 0.0, atol=1e-15)
             off = step.copy()
             np.fill_diagonal(off, 0.0)
@@ -128,25 +129,42 @@ class TestNelsonAalen:
             10_000,
             seed=7,
         )
-        grid = nelson_aalen(sample, dim=3)
-        assert hazard_step_at(grid, 3.0)[1, 2] == pytest.approx(0.6, abs=0.03)
+        hazard = nelson_aalen(sample, dim=3)
+        assert hazard(Interval.point(3.0))[1, 2] == pytest.approx(0.6, abs=0.03)
+
+
+class TestHazardFromCounts:
+    def test_divides_each_row_by_its_risk_set(self):
+        counts = [[[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]
+        hazard = HazardMatrixIF.from_counts((0.5,), counts, [[4, 0, 2]])
+        assert hazard.times == (0.5,)
+        np.testing.assert_array_equal(hazard.jumps[0], [[-0.75, 0.25, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, -0.5]])
+        assert not np.signbit(hazard.jumps[0][1]).any()  # a row without counts is all (positive) zeros
+
+    def test_counts_with_nobody_at_risk_name_the_state_and_time(self):
+        counts = np.zeros((2, 3, 3))
+        counts[1, 2, 0] = 1.0
+        message = "^transitions out of state 3 at 2.5 with nobody at risk just before$"
+        with pytest.raises(ValueError, match=message):
+            HazardMatrixIF.from_counts((1.0, 2.5), counts, [[1, 1, 1], [1, 1, 0]])
 
 
 class TestAalenJohansen:
     def test_no_events_gives_identity(self):
-        grid = aalen_johansen(nelson_aalen(sample_of(subject(0, 1)), dim=2))
-        np.testing.assert_array_equal(transition_at(grid, 5.0), np.eye(2))
+        hazard = nelson_aalen(sample_of(subject(0, 1)), dim=2)
+        transition = aalen_johansen(hazard)
+        assert hazard.times == () and hazard.jumps.shape == transition.shape == (0, 2, 2)
+        np.testing.assert_array_equal(transition_at(hazard.times, transition, 5.0), np.eye(2))
 
     def test_single_step(self):
-        grid = aalen_johansen(nelson_aalen(sample_of(subject(0, 1, (1.0, 2)), subject(1, 1)), dim=2))
-        np.testing.assert_allclose(transition_at(grid, 1.0)[0], [0.5, 0.5])
+        hazard = nelson_aalen(sample_of(subject(0, 1, (1.0, 2)), subject(1, 1)), dim=2)
+        np.testing.assert_allclose(transition_at(hazard.times, aalen_johansen(hazard), 1.0)[0], [0.5, 0.5])
 
     def test_row_stochastic_under_filtering(self):
         sample = simulate_sample(
             illness_death_scenario(), CensoringConfig("state_filtering_conforming", q=0.7), 2000, 9
         )
-        grid = aalen_johansen(nelson_aalen(sample, dim=3))
-        for mat in grid.transition:
+        for mat in aalen_johansen(nelson_aalen(sample, dim=3)):
             assert (mat >= -1e-12).all()
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
@@ -154,20 +172,29 @@ class TestAalenJohansen:
 class TestInvariantChecks:
     """The estimator invariants are explicit checks, kept under ``python -O``."""
 
-    def bad_grid(self):
+    @staticmethod
+    def bad_hazard():
         step = np.array([[0.5, -0.5], [0.0, 0.0]])  # negative off-diagonal increment
-        return EstimateGrid(2, 1, (1.0,), (step,))
+        return HazardMatrixIF(2, ((1.0, step),))
 
     def test_negative_increment_raises(self):
-        with pytest.raises(EstimationError, match="negative hazard increment at 1.0"):
-            aalen_johansen(self.bad_grid())
+        with pytest.raises(ValueError, match="negative off-diagonal hazard at 1.0"):
+            self.bad_hazard()
 
     def test_negative_increment_is_usage_exit_under_cli(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "s.csv"
         path.write_text("subject,time,state\n0,0.0,1\n0,1.0,2\n")
-        monkeypatch.setattr(estimators, "nelson_aalen", lambda *args, **kwargs: self.bad_grid())
+        monkeypatch.setattr(estimators, "nelson_aalen", lambda *args, **kwargs: self.bad_hazard())
         assert main(["estimate", "--input", str(path)]) == 2
-        assert "negative hazard increment" in capsys.readouterr().err
+        assert "negative off-diagonal hazard" in capsys.readouterr().err
+
+    def test_product_drift_raises(self):
+        # each step's rows sum to 9e-13, inside the hazard's tolerance; their
+        # product's rows drift from 1 by more than 1e-12 at the second time
+        step = np.array([[-0.5, 0.5 + 9e-13], [0.0, 0.0]])
+        hazard = HazardMatrixIF(2, ((1.0, step), (2.0, step), (3.0, step)))
+        with pytest.raises(EstimationError, match="^row sums drift at 2.0$"):
+            aalen_johansen(hazard)
 
     def test_initial_state_counts_toward_dimension(self):
         # state 3 is only ever seen at time 0
@@ -180,13 +207,16 @@ class TestInvariantChecks:
 class TestOccupationEstimate:
     def test_initial_distribution_renormalized(self):
         sample = sample_of(subject(0, 1), subject(1, 0))
-        grid = occupation_estimate(sample, nelson_aalen(sample, dim=2))
-        np.testing.assert_allclose(grid.p0, [1.0, 0.0])
+        hazard = nelson_aalen(sample, dim=2)
+        p0, occupation = occupation_estimate(sample, hazard.times, aalen_johansen(hazard))
+        np.testing.assert_allclose(p0, [1.0, 0.0])
+        assert occupation.shape == (0, 2)
 
     def test_requires_someone_observed_at_zero(self):
         sample = sample_of(subject(0, 0, (1.0, 1), (2.0, 2)))
-        with pytest.raises(EstimationError):
-            occupation_estimate(sample, nelson_aalen(sample, dim=2))
+        hazard = nelson_aalen(sample, dim=2)
+        with pytest.raises(EstimationError, match="no subject observed at time 0"):
+            occupation_estimate(sample, hazard.times, aalen_johansen(hazard))
 
     def test_uncensored_matches_proportions_exactly(self):
         sample = simulate_sample(illness_death_scenario(), CensoringConfig("none"), 200, 3)
@@ -218,7 +248,7 @@ class TestOccupationEstimate:
         after = empirical_counts(event_sample(base + [extra]), 1, 2, 2.0)
         assert abs(after - before) <= max(before, 1.0) / (len(base) + 1)
         grid = estimate(event_sample(base + [extra]), dim=2)
-        np.testing.assert_allclose(transition_at(grid, 1.0).sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(transition_at(grid.times, grid.transition, 1.0).sum(axis=1), 1.0, atol=1e-12)
 
 
 dyadic_time = st.integers(1, 8).map(lambda k: k / 2.0)

@@ -1,7 +1,8 @@
-"""The array sampler, the indexed rule lookup, the bulk CSV reader and the
-array Nelson-Aalen estimator agree exactly with the per-subject, per-row,
-per-jump and rescanning references, and the per-subject censoring walk
-with its rescan."""
+"""The array sampler, the indexed rule lookup, the bulk CSV reader, the
+array Nelson-Aalen estimator and the Aalen-Johansen product-integral sweep
+agree exactly with the per-subject, per-row, per-jump, per-step and
+rescanning references, and the per-subject censoring walk with its
+rescan."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from prodint import (
     EventSample,
     ScenarioConfig,
     TransitionRule,
-    aalen_johansen,
     estimate,
     nelson_aalen,
     read_event_histories,
@@ -56,11 +56,10 @@ def observed_samples(draw, states=3):
 )
 def test_nelson_aalen_matches_rescan(sample, upto, dim):
     fast = nelson_aalen(sample, upto=upto, dim=dim)
-    slow = reference_impl.nelson_aalen_rescan(sample, upto=upto, dim=dim)
-    assert (fast.dim, fast.n, fast.times) == (slow.dim, slow.n, slow.times)
-    assert len(fast.hazard_steps) == len(slow.hazard_steps)
-    for a, b in zip(fast.hazard_steps, slow.hazard_steps):
-        assert np.array_equal(a, b)
+    times, steps = reference_impl.nelson_aalen_rescan(sample, upto=upto, dim=dim)
+    assert fast.times == times
+    assert fast.jumps.shape == steps.shape
+    assert np.array_equal(fast.jumps, steps)
 
 
 def outcome(fn, *args, **kwargs):
@@ -75,6 +74,15 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def per_jump_estimate(sample, upto, dim):
+    """The parts of ``estimate``'s grid, from the per-jump, per-step and
+    per-subject references."""
+    times, steps = reference_impl.nelson_aalen_per_jump(sample, upto=upto, dim=dim)
+    transition = reference_impl.aalen_johansen_per_step(times, steps)
+    p0, occupation = reference_impl.occupation_per_subject(sample, transition)
+    return {"times": times, "hazard_steps": steps, "transition": transition, "p0": p0, "occupation": occupation}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([3, 11]).flatmap(observed_samples),
@@ -83,21 +91,19 @@ def same_bits(a, b):
 )
 def test_estimate_matches_per_jump_reference(sample, upto, dim):
     # eleven states put more than eight entries in a row, where numpy sums
-    # pairwise; a dimension below the largest state must raise alike
+    # pairwise; a dimension below the largest state must raise alike.  The
+    # transition part is aalen_johansen's product-integral sweep against the
+    # running matrix product.
     fast = outcome(estimate, sample, upto=upto, dim=dim)
-    grid = outcome(reference_impl.nelson_aalen_per_jump, sample, upto=upto, dim=dim)
-    if isinstance(grid, tuple):
-        assert fast == grid
-        return
-    slow = outcome(reference_impl.occupation_per_subject, sample, aalen_johansen(grid))
+    slow = outcome(per_jump_estimate, sample, upto, dim)
     if isinstance(slow, tuple):
         assert fast == slow
         return
-    assert (fast.dim, fast.n, fast.times) == (slow.dim, slow.n, slow.times)
-    assert same_bits(fast.p0, slow.p0)
+    assert (fast.dim, fast.n, fast.times) == (slow["hazard_steps"].shape[-1], len(sample), slow["times"])
+    assert same_bits(fast.p0, slow["p0"])
     for part in ("hazard_steps", "transition", "occupation"):
-        assert len(getattr(fast, part)) == len(getattr(slow, part))
-        for a, b in zip(getattr(fast, part), getattr(slow, part)):
+        assert len(getattr(fast, part)) == len(slow[part])
+        for a, b in zip(getattr(fast, part), slow[part]):
             assert same_bits(a, b)
 
 
@@ -349,7 +355,7 @@ def test_block_seeding_matches_subject_rng(seed, arm, first, k):
     draws = np.empty((4, k))
     simulation._fill_streams(seed, arm, first, draws)
     for offset, row in enumerate(draws):
-        assert np.array_equal(row, simulation.subject_rng(seed, first + offset, arm).random(k))
+        assert np.array_equal(row, reference_impl.subject_rng(seed, first + offset, arm).random(k))
 
 
 def test_sample_does_not_depend_on_the_block_size(monkeypatch):

@@ -15,14 +15,13 @@ from prodint import (
     load_censoring,
     load_scenario,
     simulate_sample,
-    subject_rng,
 )
 from prodint.checks import close_record
 from prodint.simulation import _tick_states
 
 import oracle_enum
 from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario
-from reference_impl import apply_censoring, sample_path, state_at, state_before
+from reference_impl import apply_censoring, sample_path, state_at, state_before, subject_rng
 
 CORPUS = "src/prodint/corpus"
 ROUNDING_SLACK = "tests/data/rounding_slack.json"
