@@ -32,10 +32,7 @@ from .interval_functions import (
     strict_transform_defect,
     variation_norm,
 )
-from .multistate import (
-    ExtinctionReport,
-    PathSpace,
-)
+from .multistate import PathSpace
 from .estimators import (
     EstimateGrid,
     EstimationError,
@@ -74,7 +71,6 @@ __all__ = [
     "EstimationError",
     "EventHistory",
     "EventSample",
-    "ExtinctionReport",
     "FormatError",
     "GeneralIF",
     "HazardMatrixIF",

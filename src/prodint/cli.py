@@ -160,6 +160,8 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     if args.upto is not None and not math.isfinite(args.upto):
         raise ConfigError(f"--upto must be a finite time, got {args.upto!r}")
+    if args.dim is not None and args.dim < 1:
+        raise ConfigError(f"--dim must be at least 1, got {args.dim}")
     sample = read_event_histories(args.input, max_state=args.dim)
     try:
         grid = estimate(sample, upto=args.upto, dim=args.dim)

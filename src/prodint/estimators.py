@@ -259,6 +259,8 @@ def nelson_aalen(sample: EventSample, upto: float | None = None, dim: int | None
         raise EstimationError("empty sample")
     d = dim if dim is not None else max(sample.max_state, 1)
     _check_dimension(sample, d)
+    if d < 1:  # every subject then stays unobserved
+        raise EstimationError("no subject observed at time 0")
     sources, targets = sample.sources, sample.states
     counted = (sources >= 1) & (targets >= 1)
     if upto is not None:

@@ -589,22 +589,13 @@ class StepFunction:
         return self.between_values[i]
 
     def sup_abs(self, a: Interval) -> float:
-        """Supremum of ``|f|`` over ``a``."""
+        """Supremum of ``|f|`` over ``a``: the values at the breakpoints it
+        holds and on the open segments it meets."""
         if a.is_point:
             return abs(self(a.lo))
-        candidates = []
-        if a.lo_closed:
-            candidates.append(abs(self(a.lo)))
-        if a.hi_closed:
-            candidates.append(abs(self(a.hi)))
-        edges = (-math.inf,) + self.breakpoints + (math.inf,)
-        for i, value in enumerate(self.between_values):
-            if min(edges[i + 1], a.hi) > max(edges[i], a.lo):
-                candidates.append(abs(value))
-        for t, value in zip(self.breakpoints, self.at_values):
-            if a.contains(t):
-                candidates.append(abs(value))
-        return max(candidates)
+        start, stop = index_range(self.breakpoints, a)
+        segments = slice(bisect_right(self.breakpoints, a.lo), bisect_left(self.breakpoints, a.hi) + 1)
+        return max(map(abs, self.at_values[start:stop] + self.between_values[segments]))
 
 
 def kolmogorov_integral(f: StepFunction, mu: AdditiveIF, a: Interval) -> np.ndarray:

@@ -9,7 +9,8 @@ transition probabilities under all four endpoint conventions, expected
 transition counts, expected status indicators, cumulative hazards -- is a
 finite sum that can be evaluated exactly.  The path space therefore acts
 as the brute-force oracle against which both the interval-function
-calculus and the empirical estimators are checked.
+calculus and the empirical estimators are checked.  It returns quantities
+only: whether an identity or a bound holds is decided in ``checks``.
 """
 
 from __future__ import annotations
@@ -25,42 +26,12 @@ import numpy as np
 from .estimators import EventHistory, EventSample
 from .interval_functions import (
     AdditiveIF,
-    BoundCheck,
     GeneralIF,
     HazardMatrixIF,
-    product_integral_sweep,
 )
 from .intervals import Interval
 
 Side = Literal["right", "left"]
-
-
-@dataclass(frozen=True)
-class ExtinctionBoundary:
-    time: float
-    exit_mass: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ExtinctionReport:
-    """Where a state's occupation hits zero, and the exit mass spent there.
-
-    On a finite path space the occupation can only vanish through a jump
-    time at which every remaining occupant leaves, so each boundary must
-    carry total instantaneous exit hazard 1.
-    """
-
-    state: int
-    boundaries: tuple[ExtinctionBoundary, ...]
-
-    @property
-    def has_extinction(self) -> bool:
-        return bool(self.boundaries)
-
-    @property
-    def ok(self) -> bool:
-        return all(b.ok for b in self.boundaries)
 
 
 class _OneStep(NamedTuple):
@@ -92,9 +63,9 @@ class PathSpace:
 
     The one-step tables -- the occupation at every tick and the jump mass
     at every grid time -- are built together on first use, and with them
-    ``event_times``, the expected-count measure (``counting_mean``) and the
-    hazard (``hazard_matrix``), each once per space.  ``jump_mass`` and
-    ``exit_hazard`` read the tables with array operations on every call.
+    ``event_times``, the expected-count measure (``counting_mean``), the
+    hazard (``hazard_matrix``) and the exit hazards (``exit_hazard``), each
+    once per space.  ``jump_mass`` reads the tables on every call.
     Each quantity comes in one form, and a quantity of state pairs as one
     d x d matrix.  An array a query hands out is a copy or read-only.
     """
@@ -325,45 +296,21 @@ class PathSpace:
         )
 
     def exit_hazard(self, j: int) -> AdditiveIF:
-        """Total hazard of leaving state j, as a scalar additive function."""
+        """Total hazard of leaving state j, as a scalar additive function:
+        its atom at a jump time is the mass leaving j there over the
+        occupation of j just before.  Built once per space."""
+        self._check_states(j)
+        return self._exit_hazards[j - 1]
+
+    @cached_property
+    def _exit_hazards(self) -> tuple[AdditiveIF, ...]:
         events = self._one_step.events
-        totals = self._one_step.moves[events, j - 1].sum(axis=1)
+        totals = self._one_step.moves[events].sum(axis=2)  # event x state: the mass leaving it
         leaves = totals != 0.0
-        rates = totals[leaves] / self._one_step.occupation[events[leaves], j - 1]
-        times = [self.grid[i] for i in events[leaves].tolist()]
-        return AdditiveIF(1, tuple((u, [[h]]) for u, h in zip(times, rates.tolist())))
-
-    # -- identities and structural checks ----------------------------------
-
-    def occupation_floors(self, j: int, times) -> list[list[BoundCheck]]:
-        """Occupation of j at t against the survival-style floor from s, for
-        every pair s <= t of the nondecreasing ``times``: row i holds the
-        floors from ``times[i]`` to each of ``times[i:]``.
-
-        The floor is the occupation at s times the product integral of
-        ``1 - exit hazard`` over (s, t]; it is attained exactly when the
-        state gains no mass on the way.  A row is one running survival
-        product, with the same factors in the same order as one product
-        integral per pair."""
-        survival = self.exit_hazard(j).scale(-1.0)
-        rows = []
-        for i, s in enumerate(times):
-            start = self.occupation(j, s)
-            row = []
-            for t, product in zip(times[i:], product_integral_sweep(survival, s, times[i:])):
-                lhs = self.occupation(j, t)
-                rhs = start * float(product[0, 0])
-                row.append(BoundCheck(lhs, rhs, lhs >= rhs - 1e-12))
-            rows.append(row)
-        return rows
-
-    def extinction_report(self, j: int) -> ExtinctionReport:
-        """Scan for times where state j's occupation drops to exactly zero."""
-        occupation, moves = self._one_step.occupation[:, j - 1].tolist(), self._one_step.moves
-        boundaries = []
-        for i in self._one_step.events.tolist():
-            before, after = occupation[i], occupation[i + 1]
-            if before > 0.0 and after == 0.0:
-                exit_mass = float(moves[i, j - 1].sum()) / before
-                boundaries.append(ExtinctionBoundary(self.grid[i], exit_mass, abs(exit_mass - 1.0) <= 1e-12))
-        return ExtinctionReport(j, tuple(boundaries))
+        rates = np.zeros_like(totals)
+        np.divide(totals, self._one_step.occupation[events], out=rates, where=leaves)
+        times = self.event_times
+        return tuple(
+            AdditiveIF(1, tuple((times[e], [[rates[e, j]]]) for e in np.flatnonzero(leaves[:, j]).tolist()))
+            for j in range(self.dim)
+        )

@@ -84,6 +84,13 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "--upto" in err and upto in err
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_is_usage_error(self, tmp_path, capsys, dim):
+        sample = tmp_path / "s.csv"
+        sample.write_text("subject,time,state\n0,0.0,0\n")
+        assert run("estimate", "--input", sample, "--dim", dim) == 2
+        assert f"--dim must be at least 1, got {dim}" in capsys.readouterr().err
+
     def test_state_beyond_dimension_names_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,time,state\n0,0.0,1\n0,1.0,99\n")

@@ -7,6 +7,7 @@ from prodint import (
     PathSpace,
     exact_pathspace,
 )
+from prodint.checks import extinction_checks, occupation_bound_checks
 
 import oracle_enum
 from corpora import forced_exit_scenario, two_state_scenario
@@ -208,6 +209,11 @@ class TestHazard:
         assert exit1(OC(0, 3))[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert exit1(OC(0, 3))[0, 0] == pytest.approx(-lam(OC(0, 3))[0, 0], abs=1e-12)
 
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_exit_hazard_rejects_states_outside_the_space(self, idn_space, j):
+        with pytest.raises(ValueError, match=f"^state {j} outside 1..3$"):
+            idn_space.exit_hazard(j)
+
 
 def iterated_product(ps, s, t, cuts=()):
     """Occupation row at ``s`` pushed forward through the transition matrices
@@ -254,42 +260,40 @@ class TestIteratedProduct:
 
 
 def floor(ps, j, s, t):
-    """The occupation floor of j from s to t, as ``occupation_floors`` gives it."""
-    return ps.occupation_floors(j, (s, t))[0][-1]
+    """The occupation-lower-bound record of j from s to t."""
+    detail = f"instance 0 j={j} on [{s:g},{t:g}]"
+    (record,) = [r for r in occupation_bound_checks([ps]) if r.name == "occupation-lower-bound" and r.detail == detail]
+    return record
 
 
 class TestOccupationLowerBound:
     def test_equality_without_inflow(self, idn_space):
-        lhs, rhs, ok = floor(idn_space, 1, 0.0, 3.0)
-        assert ok
-        assert lhs == pytest.approx(0.25, abs=1e-12)
-        assert rhs == pytest.approx(0.25, abs=1e-12)
+        record = floor(idn_space, 1, 0.0, 3.0)
+        assert record.passed
+        assert record.lhs == pytest.approx(0.25, abs=1e-12)
+        assert record.rhs == pytest.approx(0.25, abs=1e-12)
 
     def test_strict_with_inflow(self, idn_space):
-        lhs, rhs, ok = floor(idn_space, 2, 1.0, 3.0)
-        assert ok
-        assert lhs == pytest.approx(0.3, abs=1e-12)
-        assert rhs == pytest.approx(0.2, abs=1e-12)
+        record = floor(idn_space, 2, 1.0, 3.0)
+        assert record.passed
+        assert record.lhs == pytest.approx(0.3, abs=1e-12)
+        assert record.rhs == pytest.approx(0.2, abs=1e-12)
 
     def test_unoccupied_start(self, idn_space):
-        lhs, rhs, ok = floor(idn_space, 3, 0.0, 2.0)
-        assert ok and rhs == 0.0
+        record = floor(idn_space, 3, 0.0, 2.0)
+        assert record.passed and record.rhs == 0.0
 
 
 class TestExtinction:
     def test_idn_never_extinguishes(self, idn_space):
-        for j in (1, 2, 3):
-            report = idn_space.extinction_report(j)
-            assert not report.has_extinction and report.ok
+        assert extinction_checks([idn_space], corpus=False) == []
 
     def test_forced_exit_boundary(self):
         ps = exact_pathspace(forced_exit_scenario())
-        report = ps.extinction_report(1)
-        assert report.has_extinction
-        boundary = report.boundaries[0]
-        assert boundary.time == 1.0
-        assert boundary.exit_mass == 1.0
-        assert report.ok
+        (record,) = extinction_checks([ps], corpus=False)
+        assert record.detail == "instance 0 j=1 at t=1"
+        assert record.lhs == 1.0
+        assert record.passed
 
 
 class TestTransformAgreesWithProductIntegral:

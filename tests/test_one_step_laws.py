@@ -1,7 +1,8 @@
 """The one-step tables of a path space and the laws derived from them once
-per space -- event times, jump masses, the hazard, exit hazards, counting
-means and occupation floors -- and the hazard-side verify suites built on
-them agree bit for bit with the per-path and per-event-time references,
+per space -- event times, jump masses, the hazard, exit hazards and
+counting means -- and the hazard-side verify suites built on them,
+occupation floors and extinction exit masses included, agree bit for bit
+with the per-path and per-event-time references,
 on the generator's scenarios and on their decimal (non-dyadic)
 counterparts.  An array a query hands out cannot change a later query."""
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from prodint import HazardMatrixIF, exact_pathspace, product_integral
 from prodint.checks import (
+    extinction_checks,
     hazard_integral_checks,
     markov_product_checks,
     occupation_bound_checks,
@@ -69,12 +71,15 @@ def test_one_step_laws_match_per_path_references(ps):
 @given(spaces())
 def test_occupation_floors_match_one_product_integral_per_pair(ps):
     ticks = (0.0,) + ps.grid
+    floors = iter(r for r in occupation_bound_checks([ps]) if r.name == "occupation-lower-bound")
     for j in range(1, ps.dim + 1):
-        floors = ps.occupation_floors(j, ticks)
         for si, s in enumerate(ticks):
-            for t, floor in zip(ticks[si:], floors[si]):
+            for t in ticks[si:]:
+                floor = next(floors)
                 lhs, rhs, ok = reference_impl.occupation_lower_bound(ps, j, s, t)
-                assert bits([floor.lhs, floor.rhs, floor.ok]) == bits([float(lhs), float(rhs), ok])
+                assert floor.detail == f"instance 0 j={j} on [{s:g},{t:g}]"
+                assert bits([floor.lhs, floor.rhs, floor.passed]) == bits([float(lhs), float(rhs), ok])
+    assert next(floors, None) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,6 +158,11 @@ def test_decimal_scenarios_give_laws_whose_weights_sum_to_one(scenario):
     assert np.array_equal(ps.states, exact_pathspace(scenario).states)
 
 
+def state_one_extinctions(ps):
+    """The extinction-exit records of state 1."""
+    return [r for r in extinction_checks([ps], corpus=False) if r.detail.startswith("instance 0 j=1 ")]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_forced_exit_always_empties_state_one(seed, progressive, decimal):
@@ -161,12 +171,11 @@ def test_forced_exit_always_empties_state_one(seed, progressive, decimal):
         scenario = decimal_scenario(scenario)
     ps = exact_pathspace(scenario)
     last = scenario.grid[-1]
-    report = ps.extinction_report(1)
-    assert report.has_extinction and report.ok
+    records = state_one_extinctions(ps)
+    assert records and all(r.passed for r in records)
     assert ps.occupation(1, last) == 0.0
     if ps.occupation(1, last, side="left") > 0.0:
-        final = report.boundaries[-1]
-        assert (final.time, final.exit_mass) == (last, 1.0)
+        assert (records[-1].detail, records[-1].lhs) == (f"instance 0 j=1 at t={last:g}", 1.0)
 
 
 def test_forced_exit_can_empty_state_one_before_the_last_grid_time():
@@ -175,7 +184,7 @@ def test_forced_exit_can_empty_state_one_before_the_last_grid_time():
     scenario = random_scenario(np.random.default_rng(9), forced_exit=True, progressive=True)
     ps = exact_pathspace(scenario)
     assert scenario.grid[-1] == 3.0 and ps.occupation(1, 3.0, side="left") == 0.0
-    assert [(b.time, b.exit_mass) for b in ps.extinction_report(1).boundaries] == [(1.5, 1.0)]
+    assert [(r.detail, r.lhs) for r in state_one_extinctions(ps)] == [("instance 0 j=1 at t=1.5", 1.0)]
 
 
 @pytest.mark.parametrize(
@@ -251,11 +260,4 @@ def test_hazard_checks_raise_at_the_first_bad_atom(case):
 def test_hazard_is_built_once_per_space():
     ps = exact_pathspace(random_scenario(np.random.default_rng(5)))
     assert ps.hazard_matrix() is ps.hazard_matrix()
-
-
-def test_occupation_floors_reject_decreasing_times():
-    ps = exact_pathspace(random_scenario(np.random.default_rng(5)))
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ps.occupation_floors(1, (0.0, ps.grid[-1], ps.grid[0] / 2))
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ps.occupation_floors(1, (ps.grid[0], 0.0))
+    assert all(ps.exit_hazard(j) is ps.exit_hazard(j) for j in range(1, ps.dim + 1))

@@ -6,7 +6,7 @@ rescan."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prodint import (
     CensoringConfig,
@@ -89,6 +89,8 @@ def per_jump_estimate(sample, upto, dim):
     st.none() | st.sampled_from([0.5, 1.25, 2.0, 3.0, 4.0]),
     st.sampled_from([None, 2, 0, 3, 11, 12]),
 )
+# one subject, unobserved throughout: dimension 0 must fail as the reference does
+@example(EventSample([0], [0], [0, 0], [], []), None, 0)
 def test_estimate_matches_per_jump_reference(sample, upto, dim):
     # eleven states put more than eight entries in a row, where numpy sums
     # pairwise; a dimension below the largest state must raise alike.  The

@@ -16,7 +16,7 @@ from prodint import (
     load_scenario,
     simulate_sample,
 )
-from prodint.checks import close_record
+from prodint.checks import close_record, extinction_checks
 from prodint.simulation import _tick_states
 
 import oracle_enum
@@ -109,8 +109,8 @@ class TestExactPathspace:
         assert [(p.jumps, w) for p, w in ps.paths] == [
             (((1.0, 2),), 0.7), (((1.0, 3),), (0.7 + 0.2) - 0.7), (((1.0, 4),), 1.0 - (0.7 + 0.2))
         ]
-        report = ps.extinction_report(1)
-        assert [b.time for b in report.boundaries] == [1.0] and report.ok
+        records = extinction_checks([ps], corpus=False)
+        assert [(r.detail, r.passed) for r in records] == [("instance 0 j=1 at t=1", True)]
 
     def test_rounding_slack_is_spent_once(self):
         # rows summing to 1 + 9e-13, inside the validator's 1e-12: the sampler
