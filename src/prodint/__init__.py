@@ -11,6 +11,11 @@ as the oracle; ``estimators`` the Nelson-Aalen / Aalen-Johansen pipeline
 on observed event histories, built on that calculus; ``simulation`` the
 grid samplers and censoring mechanisms; ``checks`` the verification
 suites; and ``cli`` the command-line harness.
+
+Importing the package loads the calculus, the estimators and the
+samplers.  ``PathSpace``, and the ``multistate`` module behind it, is
+loaded on first access, so ``simulate`` and ``estimate`` never load the
+oracle; ``checks`` is loaded only where it is imported.
 """
 
 from .intervals import Interval
@@ -32,7 +37,6 @@ from .interval_functions import (
     strict_transform_defect,
     variation_norm,
 )
-from .multistate import PathSpace
 from .estimators import (
     EstimateGrid,
     EstimationError,
@@ -60,6 +64,15 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "PathSpace":
+        from .multistate import PathSpace
+
+        return PathSpace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdditiveIF",

@@ -4,12 +4,18 @@ Exit codes: 0 all good, 1 a check failed, 2 usage or configuration error
 (or a transform whose refinement schedule did not settle), 3 I/O error.
 Every run is reproducible from the config digest and the seed printed in
 its report.
+
+``simulate`` and ``estimate`` run only the estimation pipeline
+(``estimators``, ``simulation`` and the calculus beneath them).  The check
+suites (``checks``) and the path-space oracle (``multistate``) are
+imported the first time ``verify`` or ``convergence`` runs, and
+``hashlib`` the first time a report digest is taken.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import io
 import json
 import math
 import os
@@ -20,7 +26,6 @@ from importlib import resources
 
 import numpy as np
 
-from . import checks
 from .estimators import (
     FormatError,
     GridBudgetError,
@@ -69,6 +74,8 @@ class RunReport:
 
 
 def _digest(*documents) -> str:
+    import hashlib  # loads OpenSSL; only the report commands take a digest
+
     canonical = json.dumps(documents, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -162,13 +169,15 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"--upto must be a finite time, got {args.upto!r}")
     if args.dim is not None and args.dim < 1:
         raise ConfigError(f"--dim must be at least 1, got {args.dim}")
-    sample = read_event_histories(args.input, max_state=args.dim)
+    with open(args.input, "rb") as handle:
+        data = handle.read()  # once: a pipe has nothing left to read a second time
+    sample = read_event_histories(io.BytesIO(data), max_state=args.dim)
     try:
         grid = estimate(sample, upto=args.upto, dim=args.dim)
     except GridBudgetError as exc:
         if args.dim is not None:
             raise ConfigError(f"--dim {args.dim}: {exc}") from None
-        line = line_of_state(args.input, sample.max_state)
+        line = line_of_state(data, sample.max_state)
         raise FormatError(f"line {line}: state {sample.max_state}: {exc}") from None
     if args.out_csv:
         write_occupation_csv(args.out_csv, grid)
@@ -198,6 +207,8 @@ def _corpus_scenarios(corpus_dir) -> dict[str, ScenarioConfig]:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     started = time.perf_counter()
     if args.count < 0:
         raise ConfigError(f"--count must be at least 0, got {args.count}")
@@ -250,6 +261,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from . import checks
+
     started = time.perf_counter()
     if not (math.isfinite(args.sup_tol) and args.sup_tol > 0.0):
         raise ConfigError(f"--sup-tol must be a positive finite tolerance, got {args.sup_tol!r}")
@@ -297,6 +310,23 @@ def cmd_convergence(args) -> int:
     return status
 
 
+class _VerifyHelp(argparse.Action):
+    """``verify -h``: the help of ``--only`` names every check suite, so the
+    suites are imported when the help is shown, not when the parser is built."""
+
+    only: argparse.Action  # the --only option
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from . import checks
+
+        self.only.help = f"run a single check suite: {', '.join(checks.SUITES)}"
+        parser.print_help()
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prodint",
@@ -320,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--out-json", help="full estimate grid JSON output")
     est.set_defaults(func=cmd_estimate)
 
-    ver = sub.add_parser("verify", help="run the exact-identity check suites")
+    ver = sub.add_parser("verify", help="run the exact-identity check suites", add_help=False)
+    shows_help = ver.add_argument("-h", "--help", action=_VerifyHelp, help="show this help message and exit")
     ver.add_argument("--corpus", help="corpus directory (default: packaged)")
     ver.add_argument("--scenario", help="verify a single scenario JSON instead of the corpus")
-    ver.add_argument("--only", help=f"run a single check suite: {', '.join(checks.SUITES)}")
+    shows_help.only = ver.add_argument("--only", help="run a single check suite")
     ver.add_argument("--count", type=int, default=100, help="randomized instances per suite (>= 0)")
     ver.add_argument("--seed", type=int, default=7)
     ver.add_argument("--report", help="write a JSON run report here")

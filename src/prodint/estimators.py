@@ -340,15 +340,19 @@ _ROW_DTYPE = np.dtype([("subject", np.int64), ("time", np.float64), ("state", np
 def read_event_histories(path, max_state: int | None = None) -> EventSample:
     """Read `subject,time,state` rows; the time-0 row gives the initial state.
 
-    A file of plain decimal rows is parsed in bulk and validated with array
-    operations.  Any other file, and any file that fails a check, is read
-    row by row, which raises FormatError naming the line of the first
-    malformed row.
+    ``path`` is a file name or a binary file; either is read once, so a
+    pipe works too.  A file of plain decimal rows is parsed in bulk and
+    validated with array operations.  Any other file, and any file that
+    fails a check, is read row by row from the same bytes, which raises
+    FormatError naming the line of the first malformed row.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
+    if hasattr(path, "read"):
+        data = path.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     sample = _read_bulk(data, max_state)
-    return sample if sample is not None else _read_rows(path, max_state)
+    return sample if sample is not None else _read_rows(data, max_state)
 
 
 def _read_bulk(data: bytes, max_state: int | None) -> EventSample | None:
@@ -388,9 +392,10 @@ def _read_bulk(data: bytes, max_state: int | None) -> EventSample | None:
         return None
 
 
-def _rows(path, max_state: int | None = None):
-    """Yield (line, subject, time, state) of each data row, checking each row alone."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+def _rows(data: bytes, max_state: int | None = None):
+    """Yield (line, subject, time, state) of each data row of the CSV's
+    bytes, checking each row alone."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -421,11 +426,11 @@ def _rows(path, max_state: int | None = None):
             raise FormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def _read_rows(path, max_state: int | None) -> EventSample:
+def _read_rows(data: bytes, max_state: int | None) -> EventSample:
     """The row-by-row reader: every row is checked on its own, then against
     the row before it of its subject."""
     rows_by_subject: dict[int, list[tuple[int, float, int]]] = {}
-    for lineno, subject, time, state in _rows(path, max_state):
+    for lineno, subject, time, state in _rows(data, max_state):
         rows_by_subject.setdefault(subject, []).append((lineno, time, state))
     if not rows_by_subject:
         raise FormatError("no subject rows found")
@@ -451,9 +456,10 @@ def _read_rows(path, max_state: int | None) -> EventSample:
     )
 
 
-def line_of_state(path, state: int) -> int:
-    """Line number of the first row of a valid event-history CSV in ``state``."""
-    return next(lineno for lineno, _, _, s in _rows(path) if s == state)
+def line_of_state(data: bytes, state: int) -> int:
+    """Line number of the first row in ``state`` of a valid event-history
+    CSV, given as its bytes."""
+    return next(lineno for lineno, _, _, s in _rows(data) if s == state)
 
 
 def write_event_histories(path, sample: EventSample) -> int:

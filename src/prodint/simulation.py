@@ -28,12 +28,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .estimators import EventSample
-from .multistate import PathSpace
+
+if TYPE_CHECKING:
+    from .multistate import PathSpace
 
 RULE_KINDS = ("markov", "entry_time_dependent", "duration_dependent")
 CENSORING_KINDS = ("none", "independent_right", "state_filtering_conforming", "violating")
@@ -124,9 +126,9 @@ class ScenarioConfig:
         # written so that NaN fails every comparison
         if not all(p >= 0.0 for p in initial) or not abs(sum(initial) - 1.0) <= 1e-12:
             raise ConfigError("initial distribution must be nonnegative and sum to 1")
-        seen = set()
+        seen, ticks = set(), set(grid)
         for rule in self.transitions:
-            if rule.time not in grid:
+            if rule.time not in ticks:
                 raise ConfigError(f"rule time {rule.time} is not a grid time")
             if not 1 <= rule.from_state <= self.dim:
                 raise ConfigError(f"rule state {rule.from_state} out of range")
@@ -409,6 +411,8 @@ def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
     initial distribution is read the same way.
     Raises ConfigError when the enumeration would exceed ``cap`` paths.
     """
+    from .multistate import PathSpace  # the oracle: simulate and estimate never build one
+
     # each row's stay mass and its targets with positive mass; no row or an empty one: all stay
     branches = {(): (1.0, [])}
     for probs, table in scenario._cdf.items():

@@ -1,7 +1,10 @@
 import functools
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,6 +25,14 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_fresh(*args, stdin=None):
+    """A fresh interpreter with this package on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], input=stdin, capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestSimulate:
@@ -124,6 +135,43 @@ class TestEstimate:
         bad.write_text("subject,time,state\n0,0.0,1\n0,zap,2\n")
         assert run("estimate", "--input", bad) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, options, message",
+        [
+            # the bulk parse declines the file, so the row reader reads it
+            ("0,0.0,1\n0,1.0,99\n", ["--dim", "3"], "line 3: state 99 exceeds dimension 3"),
+            # the grid is over budget, so the line of the largest state is looked up
+            ("0,0.0,1\n0,1.0,5000\n", [], "line 3: state 5000: "),
+        ],
+        ids=["beyond-dim", "over-budget"],
+    )
+    def test_piped_input_reads_as_the_file(self, tmp_path, rows, options, message):
+        text = "subject,time,state\n" + rows
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        from_file = run_fresh("-m", "prodint.cli", "estimate", "--input", path, *options)
+        piped = run_fresh("-m", "prodint.cli", "estimate", "--input", "/dev/stdin", *options, stdin=text)
+        assert from_file.returncode == piped.returncode == 2
+        assert message in from_file.stderr
+        assert piped.stderr == from_file.stderr
+
+
+def test_commands_load_only_the_layers_they_run():
+    # a fresh interpreter: simulate and estimate need neither the check
+    # suites, the path-space oracle nor OpenSSL; verify loads them itself
+    script = (
+        "import sys\n"
+        "import prodint.cli\n"
+        "from prodint.simulation import load_scenario\n"
+        "loaded = {'prodint.checks', 'prodint.multistate', 'hashlib', '_hashlib'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "from prodint import PathSpace\n"
+        "sys.exit(prodint.cli.main(['verify', '--count', '0', '--only', 'extinction-exit']))\n"
+    )
+    done = run_fresh("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert "check extinction-exit: PASS" in done.stdout
 
 
 class TestVerify:

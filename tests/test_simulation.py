@@ -88,6 +88,13 @@ class TestScenarioValidation:
                 (TransitionRule(1.5, 1, ((2, 0.5),)),),
             )
 
+    def test_rejects_nan_rule_time(self):
+        with pytest.raises(ConfigError, match="rule time nan is not a grid time"):
+            ScenarioConfig(
+                2, 2.0, (1.0,), "markov", (1.0, 0.0),
+                (TransitionRule(float("nan"), 1, ((2, 0.5),)),),
+            )
+
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ConfigError, match=f"tau must be a positive finite time, got {tau!r}"):
