@@ -5,12 +5,14 @@ The pieces fit together like this: ``intervals`` supplies endpoint-aware
 intervals; ``interval_functions`` the additive interval functions and
 the hazard matrix (``HazardMatrixIF``, formed from transition counts and
 risk sets), the refinement engine, the additive and multiplicative
-transforms along it, product integrals and step-function integrals;
+transforms, defects and variation norms read from its one walk of the
+schedule, product integrals and step-function integrals;
 ``multistate`` an exactly enumerable law of a multi-state process serving
 as the oracle; ``estimators`` the Nelson-Aalen / Aalen-Johansen pipeline
 on observed event histories, built on that calculus; ``simulation`` the
 grid samplers and censoring mechanisms; ``checks`` the verification
-suites; and ``cli`` the command-line harness.
+suites, among them the product-variation bound; and ``cli`` the
+command-line harness.
 
 Importing the package loads the calculus, the estimators and the
 samplers.  ``PathSpace``, and the ``multistate`` module behind it, is
@@ -21,13 +23,11 @@ oracle; ``checks`` is loaded only where it is imported.
 from .intervals import Interval
 from .interval_functions import (
     AdditiveIF,
-    BoundCheck,
     ConvergenceError,
     GeneralIF,
     HazardMatrixIF,
     StepFunction,
     additive_transform,
-    check_product_variation_bound,
     defect_profile,
     kolmogorov_integral,
     matrix_norm,
@@ -76,7 +76,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "AdditiveIF",
-    "BoundCheck",
     "CensoringConfig",
     "ConfigError",
     "ConvergenceError",
@@ -94,7 +93,6 @@ __all__ = [
     "TransitionRule",
     "aalen_johansen",
     "additive_transform",
-    "check_product_variation_bound",
     "defect_profile",
     "empirical_occupancy",
     "estimate",

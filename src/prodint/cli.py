@@ -274,9 +274,12 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"{args.scenario}: scenario grid is empty, so there is no time to compare at")
     conforming = load_censoring(args.censoring)
     violating = load_censoring(args.violating) if args.violating else None
-    ns = [int(x) for x in args.n.split(",") if x]
+    try:
+        ns = [int(x) for x in args.n.split(",") if x]
+    except ValueError:
+        ns = []
     if not ns or any(n < 1 for n in ns):
-        raise ConfigError("need a comma-separated list of positive sample sizes")
+        raise ConfigError(f"--n must be a comma-separated list of positive sample sizes, got {args.n!r}")
     try:
         records, table = checks.convergence_study(
             scenario, conforming, violating, ns, args.seed, args.sup_tol, args.bias_floor

@@ -14,9 +14,11 @@ time window.  This module provides:
   the open cells) given as runs of consecutive cells that hold the same
   support times;
 * additive and multiplicative transforms, computed as limits along that
-  schedule, and the summed defect against a proposed transform.  A
-  step-like function (constant on cells that hold the same support times)
-  is evaluated once per support range, any other on every cell;
+  schedule, the summed defect against a proposed transform and the
+  variation norm, all read from one walk of the schedule that sums (or
+  multiplies) each partition's cell values.  A step-like function
+  (constant on cells that hold the same support times) is evaluated once
+  per support range, any other on every cell;
 * the exact product integral of an additive function (also swept over
   the right endpoints of (lo, t] in one running product), and the
   integral of a regulated step function against an additive function.
@@ -332,21 +334,6 @@ def refinement_runs(
         yield runs
 
 
-def _values(f, step_like: bool, runs, memo: dict) -> list[tuple]:
-    """(value, multiplicity) of each run in cell order.  A ``step_like``
-    ``f`` is evaluated once per support range, memoized in ``memo`` across
-    the partitions of one schedule; any other on every cell."""
-    if not step_like:
-        return [(f(cell), 1) for run in runs for cell in run.cells()]
-    values = []
-    for run in runs:
-        key = (run.start, run.stop)
-        if key not in memo:
-            memo[key] = f(run.cell)
-        values.append((memo[key], run.multiplicity))
-    return values
-
-
 def _cell_sum(values):
     """The builtin ``sum`` of every cell's value, in cell order.  Runs of an
     exact zero are left out: the sum starts from 0, so it never holds -0.0,
@@ -368,15 +355,34 @@ def _cell_product(values) -> np.ndarray:
     return result
 
 
+def _refinement_values(
+    term, step_like: bool, support, a: Interval, depth: int,
+    combine=_cell_sum, trivial: bool = False,
+):
+    """``combine`` of ``term``'s (value, multiplicity) pairs, one per run in
+    cell order, on each partition of ``a``'s schedule over ``support`` up
+    to ``depth`` (after {a} with ``trivial``): the one walk of the schedule
+    that transforms, defects and variation norms read.  A ``step_like``
+    ``term`` is evaluated once per support range across the schedule, any
+    other on every cell."""
+    memo = {}
+    for runs in refinement_runs(support, a, depth, trivial):
+        if not step_like:
+            yield combine([(term(cell), 1) for run in runs for cell in run.cells()])
+            continue
+        for run in runs:
+            if (run.start, run.stop) not in memo:
+                memo[run.start, run.stop] = term(run.cell)
+        yield combine([(memo[run.start, run.stop], run.multiplicity) for run in runs])
+
+
 def _limit_over_refinements(f, a, combine, tol, max_depth, what):
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     previous = None
     change = math.inf
     depth = -1
-    memo = {}
-    for depth, runs in enumerate(refinement_runs(f.support, a, max_depth)):
-        current = combine(_values(f, f.step_like, runs, memo))
+    for depth, current in enumerate(_refinement_values(f, f.step_like, f.support, a, max_depth, combine)):
         if previous is not None:
             change = matrix_norm(current - previous)
             if change < tol:
@@ -436,30 +442,17 @@ def strict_transform_defect(f, target, a: Interval, depth: int = 0, distance=mat
     cell's difference to its term; ``np.abs`` gives every entry's defect at
     once.
     """
-    term, step_like = _distance_term(f, target, a, distance)
-    *_, runs = refinement_runs(f.support, a, depth)
-    return _cell_sum(_values(term, step_like, runs, {}))
+    # sum the deepest partition only: summing every depth's terms, as the
+    # default combine would, costs a count-mean defect about a third more
+    *_, values = _refinement_values(*_distance_term(f, target, a, distance), f.support, a, depth, list)
+    return _cell_sum(values)
 
 
 def defect_profile(f, target, a: Interval, depths: int = 6) -> list[tuple[str, float]]:
     """Defect against ``target`` on the trivial partition and the schedule."""
     term, step_like = _distance_term(f, target, a, matrix_norm)
-    memo = {}
-    defects = [
-        _cell_sum(_values(term, step_like, runs, memo))
-        for runs in refinement_runs(f.support, a, depths, trivial=True)
-    ]
-    return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
-
-
-def _largest_cell_sum(term, step_like: bool, support, a: Interval, depth: int) -> float:
-    """The largest summed cell term over the partitions of the schedule up
-    to ``depth``."""
-    best = 0.0
-    memo = {}
-    for runs in refinement_runs(support, a, depth):
-        best = max(best, _cell_sum(_values(term, step_like, runs, memo)))
-    return best
+    coarse, *defects = _refinement_values(term, step_like, f.support, a, depths, trivial=True)
+    return [("coarse", coarse)] + [(f"depth {d}", v) for d, v in enumerate(defects)]
 
 
 def variation_norm(f, a: Interval, depth: int = 6) -> float:
@@ -473,7 +466,7 @@ def variation_norm(f, a: Interval, depth: int = 6) -> float:
         raise ValueError("depth must be nonnegative")
     if isinstance(f, AdditiveIF):
         return f.variation(a)
-    return _largest_cell_sum(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth)
+    return max(0.0, *_refinement_values(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth))
 
 
 def _density_factor(lam: AdditiveIF, lo: float, hi: float) -> np.ndarray | None:
@@ -618,33 +611,3 @@ def kolmogorov_integral(f: StepFunction, mu: AdditiveIF, a: Interval) -> np.ndar
         for u, v in zip(points, points[1:]):
             total += f(0.5 * (u + v)) * (v - u) * rate
     return total
-
-
-class BoundCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def check_product_variation_bound(
-    mu: AdditiveIF, a: Interval, depths: int = 4
-) -> BoundCheck:
-    """Deviation-from-identity variation of the product integral of ``mu``
-    against the exponential envelope ``exp(V) * V`` with ``V`` the exact
-    variation of ``mu`` on ``a``.
-
-    The left side sweeps the refinement schedule (the Young partition at
-    the support already separates the atoms) and takes the largest summed
-    cell deviation.  Without a density a cell's product integral depends
-    only on the atoms it contains, so each support range is evaluated once;
-    with one, every cell is evaluated.
-    """
-    v = mu.variation(a)
-    rhs = math.exp(v) * v
-    eye = np.eye(mu.dim)
-
-    def deviation(cell):
-        return matrix_norm(product_integral(mu, cell) - eye)
-
-    lhs = _largest_cell_sum(deviation, mu.step_like, mu.support, a, depths)
-    return BoundCheck(lhs, rhs, lhs <= rhs + 1e-12)

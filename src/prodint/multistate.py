@@ -28,6 +28,7 @@ from .interval_functions import (
     AdditiveIF,
     GeneralIF,
     HazardMatrixIF,
+    index_range,
 )
 from .intervals import Interval
 
@@ -108,7 +109,6 @@ class PathSpace:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_ticks", (0.0,) + grid)
         object.__setattr__(self, "_tables", {})
 
     @cached_property
@@ -153,16 +153,11 @@ class PathSpace:
 
     # -- tick columns and their joint tables --------------------------------
 
-    def _column_at(self, t: float) -> int:
-        """Tick column holding every path's state at ``t``."""
-        return max(bisect_right(self._ticks, t) - 1, 0)
-
-    def _column_before(self, t: float) -> int:
-        """Tick column holding every path's state just before ``t``."""
-        return max(bisect_left(self._ticks, t) - 1, 0)
-
     def _occupation_column(self, t: float, side: Side) -> np.ndarray:
-        column = self._column_at(t) if side == "right" else self._column_before(t)
+        """Occupation at ``t`` (right) or just before it (left).  Column c is
+        the state after the first c grid times, so it is the count of grid
+        times at or before ``t`` (right), or strictly before it (left)."""
+        column = bisect_right(self.grid, t) if side == "right" else bisect_left(self.grid, t)
         return self._one_step.occupation[column]
 
     def columns(self, a: Interval) -> tuple[int, int]:
@@ -177,9 +172,7 @@ class PathSpace:
         same ``event_times``: the interval functions built here are
         step-like.
         """
-        left = self._column_before(a.lo) if a.lo_closed else self._column_at(a.lo)
-        right = self._column_at(a.hi) if a.hi_closed else self._column_before(a.hi)
-        return left, right
+        return index_range(self.grid, a)
 
     def _table(self, left: int, right: int) -> _JointTable:
         table = self._tables.get((left, right))
@@ -273,9 +266,9 @@ class PathSpace:
     def jump_mass(self, u: float) -> np.ndarray:
         """Expected j -> k jump mass exactly at ``u``: the (j, k) entry is the
         weight of the paths jumping from j to k there."""
-        i = bisect_left(self._ticks, u)
-        if 0 < i < len(self._ticks) and self._ticks[i] == u:
-            return self._one_step.moves[i - 1].copy()
+        i = bisect_left(self.grid, u)
+        if i < len(self.grid) and self.grid[i] == u:
+            return self._one_step.moves[i].copy()
         return np.zeros((self.dim, self.dim))
 
     def hazard_matrix(self) -> HazardMatrixIF:

@@ -494,7 +494,7 @@ def _feature_classes(scenario, rules, t, members, entered):
     entries = entered[members]
     label_of: dict[tuple, int] = {}
     labels = np.empty(len(ticks), dtype=np.intp)  # class of each entry column
-    for column in np.unique(entries).tolist():
+    for column in np.flatnonzero(np.bincount(entries)).tolist():  # np.unique would load numpy.ma
         row = _select(rules, scenario.feature(t, ticks[column]))
         labels[column] = label_of.setdefault(row, len(label_of))
     if len(label_of) == 1:

@@ -29,12 +29,12 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from prodint import (
     AdditiveIF,
-    BoundCheck,
     CensoringConfig,
     EventHistory,
     EventSample,
@@ -49,6 +49,14 @@ from prodint import (
 from prodint.checks import CheckRecord
 from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error
 from prodint.simulation import _observation_spans
+
+
+class BoundCheck(NamedTuple):
+    """A bound's two sides and whether it holds."""
+
+    lhs: float
+    rhs: float
+    ok: bool
 
 
 # -- trajectory lookups, for any object with initial_state and jumps ----------

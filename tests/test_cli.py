@@ -174,6 +174,20 @@ def test_commands_load_only_the_layers_they_run():
     assert "check extinction-exit: PASS" in done.stdout
 
 
+def test_simulate_does_not_load_numpy_ma(tmp_path):
+    # a fresh interpreter: the sampler's history classes need no masked arrays
+    script = (
+        "import sys\n"
+        "import prodint.cli\n"
+        f"code = prodint.cli.main(['simulate', '--scenario', '{CORPUS}/idn.json', '--n', '200', '--seed', '7',"
+        f" '--out', {str(tmp_path / 's.csv')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    done = run_fresh("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
 class TestVerify:
     def test_small_run_passes(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -498,6 +512,16 @@ class TestConvergence:
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and repr(float(value)) in err
+
+    @pytest.mark.parametrize("sizes", ["100,abc", "100,1e3", ",", "100,0"])
+    def test_bad_sizes_name_the_flag(self, capsys, sizes):
+        code = run(
+            "convergence", "--scenario", f"{CORPUS}/idn.json",
+            "--censoring", f"{CORPUS}/conforming.json", "--n", sizes,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--n must be a comma-separated list of positive sample sizes, got {sizes!r}" in err
 
     def test_gate_failure_sets_exit_code(self, capsys):
         code = run(

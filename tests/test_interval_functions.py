@@ -16,7 +16,6 @@ from prodint import (
     Interval,
     StepFunction,
     additive_transform,
-    check_product_variation_bound,
     defect_profile,
     kolmogorov_integral,
     matrix_norm,
@@ -31,7 +30,7 @@ from prodint.interval_functions import index_range, product_integral_sweep, refi
 
 import oracle_enum
 import reference_impl
-from reference_impl import Partition, outcome, refinement_partitions
+from reference_impl import Partition, bits, outcome, refinement_partitions
 
 OC = Interval.open_closed
 OO = Interval.open_open
@@ -40,6 +39,22 @@ PT = Interval.point
 
 def scalar_atoms(*pairs):
     return AdditiveIF(1, tuple((t, [[v]]) for t, v in pairs))
+
+
+def transform_bound(mu, a, depth=4):
+    """(lhs, rhs, holds) of the product-variation bound as the transform-bound
+    check makes it: the variation of the product integral's deviation from
+    the identity against exp(V) * V, with V the exact variation of ``mu``."""
+    eye = np.eye(mu.dim)
+    deviation = GeneralIF(mu.dim, lambda b: product_integral(mu, b) - eye, mu.support, mu.step_like)
+    lhs = variation_norm(deviation, a, depth)
+    v = mu.variation(a)
+    rhs = math.exp(v) * v
+    return lhs, rhs, lhs <= rhs + 1e-12
+
+
+def reference_bound(mu, a, depth=4):
+    return tuple(reference_impl.check_product_variation_bound(mu, a, depth))
 
 
 def p22_minus_one(ps):
@@ -381,7 +396,7 @@ class TestEngineMatchesIntervalReference:
                 assert_same_as_reference("variation_norm", plus_identity(mu), a, depth)
                 for target in (mu, mu.scale(0.5), other, jumps):
                     assert_same_as_reference("defect_profile", view, target, a, depth)
-                assert_same_as_reference("check_product_variation_bound", mu, a, depth)
+                assert outcome(transform_bound, mu, a, depth) == outcome(reference_bound, mu, a, depth)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -553,21 +568,23 @@ class TestKolmogorovIntegral:
 
 
 class TestProductVariationBound:
+    """The transform-bound quantity: ``variation_norm`` of the product
+    integral's deviation from the identity, against exp(V) * V."""
+
     def test_zero_function(self):
         mu = AdditiveIF(1)
-        lhs, rhs, ok = check_product_variation_bound(mu, OC(0, 1))
-        assert (lhs, rhs, ok) == (0.0, 0.0, True)
+        assert transform_bound(mu, OC(0, 1)) == (0.0, 0.0, True)
 
     def test_single_atom(self):
         mu = scalar_atoms((1.0, 0.5))
-        lhs, rhs, ok = check_product_variation_bound(mu, OC(0, 2))
+        lhs, rhs, ok = transform_bound(mu, OC(0, 2))
         assert lhs == pytest.approx(0.5)
         assert rhs == pytest.approx(0.5 * math.exp(0.5))
         assert ok
 
     def test_idn_hazard(self, idn_space):
         lam = idn_space.hazard_matrix()
-        lhs, rhs, ok = check_product_variation_bound(lam, OC(0, 3))
+        lhs, rhs, ok = transform_bound(lam, OC(0, 3))
         assert ok and lhs <= rhs
 
     @staticmethod
@@ -589,23 +606,19 @@ class TestProductVariationBound:
         rng = np.random.default_rng(seed)
         mu = self.random_measure(rng, with_density)
         for a in (OC(0.0, 4.0), random_subinterval(rng), random_subinterval(rng)):
-            expected = reference_impl.check_product_variation_bound(mu, a, depths)
-            assert check_product_variation_bound(mu, a, depths) == expected
+            assert outcome(transform_bound, mu, a, depths) == outcome(reference_bound, mu, a, depths)
 
     @pytest.mark.parametrize("with_density", [False, True])
-    def test_pure_jump_evaluates_each_atom_range_once(self, monkeypatch, with_density):
-        import prodint.interval_functions as module
-
+    def test_pure_jump_evaluates_each_atom_range_once(self, with_density):
         mu = self.random_measure(np.random.default_rng(5), with_density)
         times = [t for t, _ in mu.atoms]
         cells = []
 
-        def recording(lam, a):
+        def recording(a):
             cells.append(a)
-            return product_integral(lam, a)
+            return product_integral(mu, a) - np.eye(mu.dim)
 
-        monkeypatch.setattr(module, "product_integral", recording)
-        check_product_variation_bound(mu, OC(0.0, 4.0))
+        variation_norm(GeneralIF(mu.dim, recording, mu.support, mu.step_like), OC(0.0, 4.0), 4)
         schedule = sum(len(p) for p in refinement_partitions(mu.support, OC(0.0, 4.0), 4))
         if with_density:
             assert len(cells) == schedule
@@ -616,6 +629,22 @@ class TestProductVariationBound:
             below = sum(t < a.lo or (t == a.lo and not a.lo_closed) for t in times)
             ranges.append((below, below + sum(map(a.contains, times))))
         assert len(set(ranges)) == len(ranges) < schedule
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_verify_records_are_the_reference_bound(self, seed):
+        from prodint.checks import random_jump_function, random_subinterval, transform_duality_checks
+
+        records = transform_duality_checks(np.random.default_rng(seed), count=3, subintervals=2)
+        bounds = [(r.lhs, r.rhs, r.passed) for r in records if r.name == "transform-bound"]
+        replay = np.random.default_rng(seed)
+        expected = []
+        for _ in range(3):
+            mu = random_jump_function(replay)
+            for _ in range(2):
+                random_subinterval(replay)
+            expected.append(reference_bound(mu, OC(0.0, 4.0)))
+        assert bits(bounds) == bits(expected)
 
 
 class TestTransformDuality:
