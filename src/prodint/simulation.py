@@ -5,7 +5,8 @@ transition rule at a grid time may depend on the current state alone
 (markov), on when the current state was entered (entry_time_dependent), or
 on how long it has been occupied (duration_dependent); the latter two
 break the Markov property while keeping the path space small enough to
-enumerate exactly.
+enumerate exactly.  A scenario compiles its rule once, to the arrays of a
+``TransitionKernel``, which the sampler and the exact enumeration both read.
 
 Censoring mechanisms act on sampled paths and produce event histories with
 state 0 marking unobserved spans.  Observation switches only at midpoints
@@ -27,8 +28,9 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,13 +74,6 @@ def _whole(value, what: str) -> int:
     return number
 
 
-def _select(rules: dict, feature: float | None) -> tuple[tuple[int, float], ...]:
-    """The row of ``rules`` for a history feature: its exact match, else the default."""
-    if feature is not None and feature in rules:
-        return rules[feature]
-    return rules.get(None, ())
-
-
 @dataclass(frozen=True)
 class TransitionRule:
     """Outgoing probabilities for one (time, state) pair.
@@ -96,6 +91,24 @@ class TransitionRule:
     def __post_init__(self) -> None:
         # a tuple of pairs, so that a row can key its scenario's tables
         object.__setattr__(self, "probs", tuple((to, p) for to, p in self.probs))
+
+
+class TransitionKernel(NamedTuple):
+    """A scenario's rule compiled to arrays (read-only).
+
+    Each rule kind picks a row from the grid time, the state and the tick
+    column at which the state was entered: ``rows`` holds that row's id.
+    Row 0 is empty: everyone stays.  Every subject is in state 0 before
+    time 0, where its row is the initial distribution.  Column 0 of
+    ``targets`` and ``masses`` is the stay and column 1 + j a row's j-th
+    target: inverse-CDF pick j moves to ``targets[row, 1 + j]``, and the
+    columns past a row's targets hold state 0 (stay) and mass 0.
+    """
+
+    rows: np.ndarray  # (m + 1) x (d + 1) x (m + 1): row id per (tick column, state, entry column)
+    cdf: np.ndarray  # row x width: the row's ``_cumulative`` table, padded with inf
+    targets: np.ndarray  # row x (width + 2): 0, then the row's targets, padded with 0
+    masses: np.ndarray  # row x (width + 2): the stay mass, then each target's step of ``cdf``
 
 
 @dataclass(frozen=True)
@@ -154,30 +167,13 @@ class ScenarioConfig:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        # (time, from_state) -> {when: probs}, so a lookup never scans the rules
-        index: dict[tuple[float, int], dict[float | None, tuple[tuple[int, float], ...]]] = {}
-        for rule in self.transitions:
-            index.setdefault((rule.time, rule.from_state), {})[rule.when] = rule.probs
-        object.__setattr__(self, "_rules", index)
-        # each row's inverse-CDF table, which also fixes its stay mass
-        cdf = {rule.probs: _cumulative([p for _, p in rule.probs]) for rule in self.transitions}
-        object.__setattr__(self, "_cdf", cdf)
         # observation spans of the censoring kinds, shared by every subject
         object.__setattr__(self, "_spans", tuple(_observation_spans(grid, self.tau)))
 
-    def feature(self, t: float, entered_at: float) -> float | None:
-        if self.rule == "markov":
-            return None
-        if self.rule == "entry_time_dependent":
-            return entered_at
-        return t - entered_at
-
-    def outgoing(self, t: float, state: int, entered_at: float) -> tuple[tuple[int, float], ...]:
-        """Effective outgoing probabilities, preferring an exact feature match."""
-        rules = self._rules.get((t, state))
-        if rules is None:
-            return ()
-        return _select(rules, self.feature(t, entered_at))
+    @cached_property
+    def kernel(self) -> TransitionKernel:
+        """The rule compiled to arrays, on first use (``_compile_kernel``)."""
+        return _compile_kernel(self)
 
     def to_json_dict(self) -> dict:
         rules = []
@@ -401,41 +397,31 @@ def _fill_streams(seed: int, arm: int, first: int, draws: np.ndarray) -> None:
 def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
     """Enumerate every positive-probability trajectory with its exact weight.
 
-    Weights multiply along the branching at each grid time and sum to one.
-    A path branches into staying put first, then the row's targets in
-    order, which fixes the order in which queries add the weights.  Every
-    branch's mass is read off the row's ``_cumulative`` table, as the
-    sampler reads it: a target's mass is the step of the table at it, and
-    the stay mass what the table leaves below 1.  So the rounding slack the
-    validator allows in a row's sum is spent once, on its last target; the
-    initial distribution is read the same way.
+    One path in state 0 grows at tick 0 into the initial states, and the
+    paths of each tick grow together, each into staying put first, then
+    its kernel row's targets in order, which fixes the order in which
+    queries add the weights.  A target's mass is the step of the row's
+    ``_cumulative`` table at it and the stay mass what the table leaves
+    below 1, as the sampler reads them, so the rounding slack the validator
+    allows in a row's sum is spent once, on its last target.
     Raises ConfigError when the enumeration would exceed ``cap`` paths.
     """
     from .multistate import PathSpace  # the oracle: simulate and estimate never build one
 
-    # each row's stay mass and its targets with positive mass; no row or an empty one: all stay
-    branches = {(): (1.0, [])}
-    for probs, table in scenario._cdf.items():
-        if probs:
-            steps = zip((to for to, _ in probs), _steps(table))
-            branches[probs] = (1.0 - float(table[-1]), [(to, p) for to, p in steps if p > 0.0])
-    # frontier entries: (states at the ticks so far, entry time of the last state, weight)
-    initial = _steps(_cumulative(scenario.initial))
-    frontier = [((s,), 0.0, p) for s, p in enumerate(initial, start=1) if p > 0.0]
-    for t in scenario.grid:
-        grown: list[tuple[tuple[int, ...], float, float]] = []
-        for row, entered_at, weight in frontier:
-            state = row[-1]
-            stay, moves = branches[scenario.outgoing(t, state, entered_at)]
-            if stay > 0.0:
-                grown.append((row + (state,), entered_at, weight * stay))
-            grown += [(row + (to,), t, weight * p) for to, p in moves]
-            if len(grown) > cap:
-                raise ConfigError(f"path space exceeds the cap of {cap} paths")
-        frontier = grown
-    rows, _, weights = zip(*frontier)
-    states = np.array(rows, dtype=np.min_scalar_type(scenario.dim))
-    return PathSpace(scenario.dim, scenario.tau, scenario.grid, states, np.array(weights))
+    kernel = scenario.kernel
+    paths = np.zeros((1, 1), dtype=np.min_scalar_type(scenario.dim))  # one path, in state 0 before time 0
+    weights, entered = np.ones(1), np.zeros(1, dtype=np.intp)
+    for column in range(len(scenario.grid) + 1):
+        rows = kernel.rows[column][paths[:, -1], entered]
+        masses = kernel.masses[rows]
+        parent, branch = (masses > 0.0).nonzero()
+        if len(parent) > cap:
+            raise ConfigError(f"path space exceeds the cap of {cap} paths")
+        paths, weights = paths[parent], weights[parent] * masses[parent, branch]
+        to = kernel.targets[rows[parent], branch]
+        paths = np.concatenate((paths, np.where(to, to, paths[:, -1])[:, None]), axis=1)
+        entered = np.where(to, column, entered[parent])
+    return PathSpace(scenario.dim, scenario.tau, scenario.grid, paths[:, 1:], weights)
 
 
 def _observation_spans(grid: Sequence[float], tau: float) -> list[tuple[float, float]]:
@@ -480,29 +466,50 @@ def _steps(table: np.ndarray) -> list[float]:
 
 def _inverse_cdf(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: for each uniform, the index of the first entry of
-    the ``_cumulative`` table above it, or len(table) for the stay mass."""
-    return table.searchsorted(u, side="right")
+    the ``_cumulative`` table (one for all, or one row per uniform) above
+    it, or len(table) for the stay mass.  That is the count of entries at or
+    below it: entries below 1 never decrease, and no uniform reaches 1."""
+    return (table <= u[:, None]).sum(axis=1)
 
 
-def _feature_classes(scenario, rules, t, members, entered):
-    """Split the subjects ``members``, all in one state at grid time ``t``,
-    into classes sharing one outgoing row; yields (row, class members)."""
-    if scenario.rule == "markov":
-        yield rules.get(None, ()), members
-        return
-    ticks = (0.0,) + scenario.grid
-    entries = entered[members]
-    label_of: dict[tuple, int] = {}
-    labels = np.empty(len(ticks), dtype=np.intp)  # class of each entry column
-    for column in np.flatnonzero(np.bincount(entries)).tolist():  # np.unique would load numpy.ma
-        row = _select(rules, scenario.feature(t, ticks[column]))
-        labels[column] = label_of.setdefault(row, len(label_of))
-    if len(label_of) == 1:
-        yield next(iter(label_of)), members
-        return
-    member_labels = labels[entries]
-    for row, label in label_of.items():
-        yield row, members[member_labels == label]
+def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
+    """The ``TransitionKernel`` of a scenario; rows are told apart by their
+    (target, probability) pairs.  A (tick, state)'s default rule takes every
+    entry column c, then each feature rule those whose feature, the entry
+    time ``ticks[c]`` or the duration ``t - ticks[c]``, equals its ``when``
+    exactly.  A Markov scenario's ids are broadcast over the entry columns."""
+    start = tuple(enumerate(scenario.initial, start=1))
+    ids = {(): 0, start: 1}
+    for rule in scenario.transitions:
+        ids.setdefault(rule.probs, len(ids))
+    width = max(map(len, ids))
+    cdf = np.full((len(ids), width), np.inf)
+    targets = np.zeros((len(ids), width + 2), np.min_scalar_type(scenario.dim))
+    masses = np.zeros((len(ids), width + 2))
+    masses[0, 0] = 1.0
+    for probs, row in list(ids.items())[1:]:
+        table = _cumulative([p for _, p in probs])
+        cdf[row, : len(probs)] = table
+        targets[row, 1 : len(probs) + 1] = [to for to, _ in probs]
+        masses[row, 1 : len(probs) + 1] = _steps(table)
+        masses[row, 0] = 1.0 - table[-1]
+    m, markov = len(scenario.grid), scenario.rule == "markov"
+    ticks = np.array((0.0,) + scenario.grid)
+    column_of = {t: c for c, t in enumerate(scenario.grid, start=1)}
+    rows = np.zeros((m + 1, scenario.dim + 1, 1 if markov else m + 1), np.min_scalar_type(len(ids) - 1))
+    rows[0, 0] = ids[start]
+    for rule in sorted(scenario.transitions, key=lambda rule: rule.when is not None):  # defaults first
+        column = column_of[rule.time]
+        entries = rows[column, rule.from_state]
+        if rule.when is None:
+            entries[:] = ids[rule.probs]
+        else:
+            entered = ticks[:column]
+            feature = entered if scenario.rule == "entry_time_dependent" else rule.time - entered
+            entries[:column][feature == rule.when] = ids[rule.probs]
+    for array in (cdf, targets, masses):
+        array.setflags(write=False)
+    return TransitionKernel(np.broadcast_to(rows, (m + 1, scenario.dim + 1, m + 1)), cdf, targets, masses)
 
 
 def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
@@ -510,32 +517,20 @@ def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
 
     Row i of ``u`` holds subject i's draws: column 0 picks the initial state,
     column c >= 1 the move at grid[c - 1].  The ticks are walked in order;
-    at each one, every subject of a (state, history feature) class is moved
-    by one inverse-CDF lookup.  States use the narrowest dtype holding 0..d.
+    at each one, every subject is moved at once by an inverse-CDF lookup in
+    the kernel row of its state and entry column (the initial distribution
+    at tick 0).  States use the narrowest dtype holding 0..d.
     """
+    kernel = scenario.kernel
     n, m = len(u), len(scenario.grid)
     states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
-    states[:, 0] = _inverse_cdf(_cumulative(scenario.initial), u[:, 0]) + 1
+    before = np.zeros(n, dtype=states.dtype)  # state 0 before time 0
     entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
-    for column, t in enumerate(scenario.grid, start=1):
-        before = states[:, column - 1]
-        after = states[:, column]
-        after[:] = before
-        for state in range(1, scenario.dim + 1):
-            rules = scenario._rules.get((t, state))
-            if rules is None:
-                continue
-            members = (before == state).nonzero()[0]
-            if not members.size:
-                continue
-            for row, movers in _feature_classes(scenario, rules, t, members, entered):
-                if not row:
-                    continue
-                pick = _inverse_cdf(scenario._cdf[row], u[movers, column])
-                jumped = pick < len(row)
-                movers = movers[jumped]
-                after[movers] = np.array([to for to, _ in row])[pick[jumped]]
-                entered[movers] = column
+    for column in range(m + 1):
+        rows = kernel.rows[column][before, entered]
+        to = kernel.targets[rows, 1 + _inverse_cdf(kernel.cdf[rows], u[:, column])]
+        before = states[:, column] = np.where(to, to, before)
+        entered[to > 0] = column
     return states
 
 
@@ -577,7 +572,7 @@ def _observed_columns(
             # a span holding a transition of the subject is observed less often
             jumped = states[:, 1:] != states[:, :-1]
             seen[:, 1:][jumped] = u[:, 1:][jumped] < censoring.q * (1.0 - censoring.delta)
-        values[~seen[:, slot_span]] = 0
+        values *= seen[:, slot_span]
     elif censoring.kind == "independent_right":
         # category c observes through after[c]'s time, then is cut at the
         # midpoint before the next grid time; the last one, ``never``, is not cut
@@ -591,8 +586,11 @@ def _observed_columns(
         weights = [p for _, p in censoring.after] + [censoring.never]
         category = _inverse_cdf(_cumulative(weights), u[:, 0])
         hide_from = np.array(cut_slot)[category]
-        values[np.arange(2 * m + 1) >= hide_from[:, None]] = 0
-    subjects, slots = np.nonzero(values[:, 1:] != values[:, :-1])
+        values *= np.arange(2 * m + 1) < hide_from[:, None]
+    # the changes in row-major order, as (subject, slot - 1) pairs; the
+    # subjects overwrite the flat indices, so that no third array is held
+    changes = np.flatnonzero(values[:, 1:] != values[:, :-1])
+    subjects, slots = np.divmod(changes, 2 * m, out=(changes, np.empty_like(changes)))
     slots += 1
     observed = values[subjects, slots]
     if cut_index is not None:

@@ -156,7 +156,7 @@ def enumerate_paths(scenario):
     for t in scenario.grid:
         grown = []
         for initial, state, entered_at, jumps, weight in frontier:
-            moves, stay = branch_masses(scenario.outgoing(t, state, entered_at))
+            moves, stay = branch_masses(outgoing_scan(scenario, t, state, entered_at))
             if stay > 0.0:
                 grown.append((initial, state, entered_at, jumps, weight * stay))
             for to, p in moves:
@@ -197,7 +197,7 @@ def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> EventHist
     entered_at = 0.0
     jumps = []
     for t in scenario.grid:
-        to = _draw(rng, scenario.outgoing(t, state, entered_at))
+        to = _draw(rng, outgoing_scan(scenario, t, state, entered_at))
         if to is not None:
             jumps.append((t, to))
             state = to
@@ -280,14 +280,27 @@ def simulate_sample_per_subject(scenario, censoring, n, seed, arm=0):
     return event_sample(sample)
 
 
+def feature(scenario, t, entered_at):
+    """The history feature a rule's ``when`` is matched against at grid time
+    ``t``, for a state entered at ``entered_at``: None for a Markov rule."""
+    if scenario.rule == "markov":
+        return None
+    if scenario.rule == "entry_time_dependent":
+        return entered_at
+    return t - entered_at
+
+
 def outgoing_scan(scenario, t, state, entered_at):
-    """ScenarioConfig.outgoing by a scan over every rule."""
-    feature = scenario.feature(t, entered_at)
+    """The outgoing (target, probability) pairs at grid time ``t`` of a
+    state entered at ``entered_at``, by a scan over every rule: the rule
+    whose ``when`` equals the feature exactly, else the pair's default,
+    else none."""
+    value = feature(scenario, t, entered_at)
     fallback = ()
     for rule in scenario.transitions:
         if rule.time != t or rule.from_state != state:
             continue
-        if rule.when == feature and rule.when is not None:
+        if rule.when == value and rule.when is not None:
             return rule.probs
         if rule.when is None:
             fallback = rule.probs

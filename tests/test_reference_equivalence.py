@@ -246,15 +246,65 @@ def history_scenarios(draw):
     return ScenarioConfig(dim, GRID[-1], GRID, rule, initial, tuple(rules))
 
 
-@settings(max_examples=100, deadline=None)
-@given(history_scenarios())
-def test_outgoing_matches_rule_scan(scenario):
-    for t in GRID:
-        for state in range(1, scenario.dim + 1):
-            for entered_at in (0.0,) + GRID:
-                assert scenario.outgoing(t, state, entered_at) == reference_impl.outgoing_scan(
-                    scenario, t, state, entered_at
-                )
+# a duration on the decimal grid rounds: 0.7 - 0.3 is 0.39999999999999997,
+# so a rule for 0.4 never matches it, while one for 0.7 - 0.3 does
+KERNEL_GRIDS = (GRID, (0.1, 0.3, 0.7))
+
+
+@st.composite
+def kernel_scenarios(draw):
+    """Scenarios of every rule kind whose (time, state) pairs get no rule,
+    only a default, only feature rules or both, with rows of one or two
+    targets; some features never occur."""
+    rule = draw(st.sampled_from(simulation.RULE_KINDS))
+    grid = draw(st.sampled_from(KERNEL_GRIDS))
+    dim = draw(st.integers(2, 3))
+    rules = []
+    for t in grid:
+        entries = [0.0] + [g for g in grid if g < t]
+        features = entries if rule == "entry_time_dependent" else [t - e for e in entries]
+        for state in range(1, dim + 1):
+            targets = draw(st.permutations([s for s in range(1, dim + 1) if s != state]))
+            has_default, has_features = draw(st.booleans()), rule != "markov" and draw(st.booleans())
+            whens = [None] * has_default + sorted(
+                draw(st.frozensets(st.sampled_from(features + [0.4, 0.5, 9.0]), min_size=1, max_size=3))
+                if has_features else ()
+            )
+            for when in whens:
+                probs = [draw(st.sampled_from([0.0, 0.2, 0.5, 0.7])), draw(st.sampled_from([0.0, 0.1, 0.3]))]
+                row = tuple(zip(targets, probs[: draw(st.integers(1, len(targets)))]))
+                rules.append(TransitionRule(t, state, row, when=when))
+    rules = draw(st.permutations(rules))
+    # 0.7 + 0.2 + 0.1 adds up to 1 only within rounding
+    initial = draw(st.sampled_from({2: [(1.0, 0.0), (0.3, 0.7)], 3: [(1.0, 0.0, 0.0), (0.7, 0.2, 0.1)]}[dim]))
+    return ScenarioConfig(dim, grid[-1], grid, rule, initial, tuple(rules))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_scenarios())
+def test_kernel_rows_match_rule_scan(scenario):
+    # every (tick, state, entry column) reads the tables of the row the scan
+    # picks; at tick column 0 every subject leaves state 0 by the initial law
+    kernel = scenario.kernel
+    width = kernel.cdf.shape[1]
+    ticks = (0.0,) + scenario.grid
+    for column, t in enumerate(ticks):
+        for state in range(1, scenario.dim + 1) if column else (0,):
+            for entry in range(max(column, 1)):
+                if column:
+                    probs = reference_impl.outgoing_scan(scenario, t, state, ticks[entry])
+                else:
+                    probs = tuple(enumerate(scenario.initial, start=1))
+                row = kernel.rows[column, state, entry]
+                pad = width - len(probs)
+                targets = kernel.targets[row].tolist()
+                assert targets == [0] + [to for to, _ in probs] + [0] * (pad + 1)
+                table = simulation._cumulative([p for _, p in probs]).tolist()
+                assert kernel.cdf[row].tolist() == table + [np.inf] * pad
+                moves, stay = reference_impl.branch_masses(probs)
+                masses = kernel.masses[row].tolist()
+                assert masses[0] == stay
+                assert [(to, p) for to, p in zip(targets[1:], masses[1:]) if p > 0.0] == moves
 
 
 @st.composite

@@ -16,7 +16,7 @@ from prodint import (
     load_scenario,
     simulate_sample,
 )
-from prodint.checks import close_record, extinction_checks
+from prodint.checks import close_record, extinction_checks, random_scenario
 from prodint.simulation import _tick_states
 
 import oracle_enum
@@ -260,6 +260,30 @@ class TestCensoring:
             assert observable_ratio(conforming, u, j, k, 0) == pytest.approx(truth, abs=0.03)
             biased = observable_ratio(violating, u, j, k, 1)
             assert abs(biased - truth) >= delta * truth / 2
+
+
+def joint_law_scenarios():
+    """The three corpus scenarios and 20 generator scenarios at seed 3."""
+    rng = np.random.default_rng(3)
+    corpus = [load_scenario(f"{CORPUS}/{name}.json") for name in ("idn", "surv", "forced_exit")]
+    return corpus + [random_scenario(rng) for _ in range(20)]
+
+
+def test_sampler_matches_the_exact_joint_law_of_every_tick_pair():
+    # the bound, 5 binomial standard errors per cell, was fixed before the test was run
+    n = 2 * 10**4
+    for scenario in joint_law_scenarios():
+        ps = exact_pathspace(scenario)
+        sample = simulate_sample(scenario, CensoringConfig("none"), n, seed=7)
+        ticks = np.array([sample.states_at(t) for t in (0.0,) + scenario.grid], dtype=np.intp) - 1
+        d = scenario.dim
+        for left in range(len(ticks)):
+            for right in range(left + 1, len(ticks)):
+                counts = np.bincount(ticks[left] * d + ticks[right], minlength=d * d).reshape(d, d)
+                mass = ps._table(left, right).joint
+                assert not counts[mass == 0.0].any(), (scenario, left, right)
+                se = np.sqrt(mass * (1.0 - mass) / n)
+                assert (np.abs(counts / n - mass) <= 5.0 * se).all(), (scenario, left, right)
 
 
 class TestReproducibility:
