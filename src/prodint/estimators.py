@@ -378,8 +378,9 @@ def _read_bulk(data: bytes, max_state: int | None) -> EventSample | None:
     subjects, times, states = rows["subject"], rows["time"], rows["state"]
     if max_state is not None and (states > max_state).any():
         return None
-    order = np.argsort(subjects, kind="stable")  # keeps each subject's rows in file order
-    subjects, times, states = subjects[order], times[order], states[order]
+    if (subjects[1:] < subjects[:-1]).any():
+        order = np.argsort(subjects, kind="stable")  # keeps each subject's rows in file order
+        subjects, times, states = subjects[order], times[order], states[order]
     heads = np.flatnonzero(np.r_[True, subjects[1:] != subjects[:-1]])
     if not (times[heads] == 0.0).all():
         return None
@@ -466,17 +467,30 @@ def write_event_histories(path, sample: EventSample) -> int:
     """Write the CSV form, ordered by subject; returns the number of data rows.
 
     The rows are those ``csv.writer`` writes: numbers as ``str`` gives them,
-    lines ending in CRLF.
+    lines ending in CRLF.  A jump row is its subject's id before the text of
+    its (time, state) cell, one of (distinct times) x (distinct states),
+    each used cell's text made once.  Where the cells are no more than the
+    jumps, as on every grid sample, the used ones are marked in a mask over
+    all of them; otherwise they are found by sorting the jumps' cell codes,
+    so that memory stays in proportion to the jumps.
     """
-    # a jump row is its subject's id before one of a few (time, state) texts
     times, time_of = np.unique(sample.times, return_inverse=True)
     states, state_of = np.unique(sample.states, return_inverse=True)
     width = len(states)
-    pairs, pair_of = np.unique(time_of * width + state_of, return_inverse=True)
+    code = time_of * width + state_of
+    if len(times) * width <= len(code):
+        used = np.zeros(len(times) * width, dtype=bool)
+        used[code] = True
+        cells = slots = np.flatnonzero(used)
+        text_of = np.empty(len(used), dtype=object)
+    else:
+        cells, code = np.unique(code, return_inverse=True)
+        slots = slice(None)
+        text_of = np.empty(len(cells), dtype=object)
     time_text = [repr(t) for t in times.tolist()]
     state_text = [str(s) for s in states.tolist()]
-    pair_text = [f"{time_text[p // width]},{state_text[p % width]}\r\n" for p in pairs.tolist()]
-    tails = np.array(pair_text, dtype=object)[pair_of].tolist()
+    text_of[slots] = [f"{time_text[c // width]},{state_text[c % width]}\r\n" for c in cells.tolist()]
+    tails = text_of[code].tolist()
     offsets = sample.offsets.tolist()
     chunks = [",".join(CSV_HEADER) + "\r\n"]
     for i, (subject, initial) in enumerate(zip(sample.subjects.tolist(), sample.initial.tolist())):

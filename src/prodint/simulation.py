@@ -103,12 +103,16 @@ class TransitionKernel(NamedTuple):
     ``targets`` and ``masses`` is the stay and column 1 + j a row's j-th
     target: inverse-CDF pick j moves to ``targets[row, 1 + j]``, and the
     columns past a row's targets hold state 0 (stay) and mass 0.
+    ``moves_below`` is the last entry of a row's table (0 for row 0): a
+    uniform below it picks one of the row's targets, and one at or above it
+    counts every entry of the table, which picks the stay column past them.
     """
 
     rows: np.ndarray  # (m + 1) x (d + 1) x (m + 1): row id per (tick column, state, entry column)
     cdf: np.ndarray  # row x width: the row's ``_cumulative`` table, padded with inf
     targets: np.ndarray  # row x (width + 2): 0, then the row's targets, padded with 0
     masses: np.ndarray  # row x (width + 2): the stay mass, then each target's step of ``cdf``
+    moves_below: np.ndarray  # row: the last entry of the row's ``_cumulative`` table, 0 if empty
 
 
 @dataclass(frozen=True)
@@ -486,12 +490,14 @@ def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
     cdf = np.full((len(ids), width), np.inf)
     targets = np.zeros((len(ids), width + 2), np.min_scalar_type(scenario.dim))
     masses = np.zeros((len(ids), width + 2))
+    moves_below = np.zeros(len(ids))
     masses[0, 0] = 1.0
     for probs, row in list(ids.items())[1:]:
         table = _cumulative([p for _, p in probs])
         cdf[row, : len(probs)] = table
         targets[row, 1 : len(probs) + 1] = [to for to, _ in probs]
         masses[row, 1 : len(probs) + 1] = _steps(table)
+        moves_below[row] = table[-1]
         masses[row, 0] = 1.0 - table[-1]
     m, markov = len(scenario.grid), scenario.rule == "markov"
     ticks = np.array((0.0,) + scenario.grid)
@@ -507,30 +513,39 @@ def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
             entered = ticks[:column]
             feature = entered if scenario.rule == "entry_time_dependent" else rule.time - entered
             entries[:column][feature == rule.when] = ids[rule.probs]
-    for array in (cdf, targets, masses):
+    for array in (cdf, targets, masses, moves_below):
         array.setflags(write=False)
-    return TransitionKernel(np.broadcast_to(rows, (m + 1, scenario.dim + 1, m + 1)), cdf, targets, masses)
+    rows = np.broadcast_to(rows, (m + 1, scenario.dim + 1, m + 1))
+    return TransitionKernel(rows, cdf, targets, masses, moves_below)
 
 
 def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
     """Every subject's state at the ticks (0,) + grid, drawn from its uniforms.
 
     Row i of ``u`` holds subject i's draws: column 0 picks the initial state,
-    column c >= 1 the move at grid[c - 1].  The ticks are walked in order;
-    at each one, every subject is moved at once by an inverse-CDF lookup in
-    the kernel row of its state and entry column (the initial distribution
-    at tick 0).  States use the narrowest dtype holding 0..d.
+    column c >= 1 the move at grid[c - 1].  The ticks are walked in order.
+    At each one, every subject reads the kernel row of its state and entry
+    column (the initial distribution at tick 0) and that row's
+    ``moves_below``; the subjects whose uniform lies below it are the ones
+    that move, and only they take an inverse-CDF lookup in their row.  The
+    others stay, as the lookup would have them.  States use the narrowest
+    dtype holding 0..d.
     """
     kernel = scenario.kernel
     n, m = len(u), len(scenario.grid)
     states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
-    before = np.zeros(n, dtype=states.dtype)  # state 0 before time 0
+    current = np.zeros(n, dtype=states.dtype)  # state 0 before time 0
     entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
     for column in range(m + 1):
-        rows = kernel.rows[column][before, entered]
-        to = kernel.targets[rows, 1 + _inverse_cdf(kernel.cdf[rows], u[:, column])]
-        before = states[:, column] = np.where(to, to, before)
-        entered[to > 0] = column
+        rows = kernel.rows[column][current, entered]
+        draws = u[:, column]
+        # np.take gathers by the narrow row ids several times faster than indexing does
+        movers = np.flatnonzero(draws < np.take(kernel.moves_below, rows))
+        rows = rows[movers]
+        picks = _inverse_cdf(np.take(kernel.cdf, rows, axis=0), draws[movers])
+        current[movers] = kernel.targets[rows, 1 + picks]
+        entered[movers] = column
+        states[:, column] = current
     return states
 
 

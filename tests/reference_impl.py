@@ -1,10 +1,11 @@
 """Rescanning and per-subject reference versions of the sampler (with
-each subject's own stream, ``subject_rng``), the censoring mechanisms, the
-event-history CSV reader, the Nelson-Aalen estimator, the Aalen-Johansen
-product as one checked matrix product per event time, the path-space
-queries, the hazard laws of a path space (its
-one-step tables, event times, hazard atoms, exit hazards and occupation
-floors), the hazard-side verify suites one record at a time, the
+each subject's own stream, ``subject_rng``), the grid sampler's tick walk
+with a lookup for every subject at every tick, the censoring mechanisms,
+the event-history CSV writer and reader, the Nelson-Aalen estimator, the
+Aalen-Johansen product as one checked matrix product per event time, the
+path-space queries, the hazard laws of a path space (its one-step
+tables, event times, hazard atoms, exit hazards and occupation floors),
+the hazard-side verify suites one record at a time, the
 refinement schedule as partitions of ``Interval`` cells (with the interval
 length and intersection) and the transforms, variation norms and defects
 that walk it one cell at a time, the count-mean defect suite and the
@@ -15,13 +16,13 @@ hand-drawn trajectories through those lookups, and the ``EventSample`` of
 a list of histories.
 
 These are the straightforward scans and scalar walks the library replaced
-with an indexed lookup, an array walk over all subjects at once, a bulk
-parse, array counts and risk sets, memoized tick-pair tables, one-step
-tables with the laws derived from them once per path space, running
-product integrals, a one-pass defect sum and a refinement engine that
-evaluates step-like functions once per support range.  They stay here,
-outside the package, so that tests can require the fast versions to agree
-with them exactly.
+with an indexed lookup, an array walk over all subjects at once that
+looks up only the subjects that move, a bulk parse, array counts and risk
+sets, memoized tick-pair tables, one-step tables with the laws derived
+from them once per path space, running product integrals, a one-pass
+defect sum and a refinement engine that evaluates step-like functions
+once per support range.  They stay here, outside the package, so that
+tests can require the fast versions to agree with them exactly.
 """
 
 import csv
@@ -48,7 +49,7 @@ from prodint import (
 )
 from prodint.checks import CheckRecord
 from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error
-from prodint.simulation import _observation_spans
+from prodint.simulation import _inverse_cdf, _observation_spans
 
 
 class BoundCheck(NamedTuple):
@@ -278,6 +279,23 @@ def simulate_sample_per_subject(scenario, censoring, n, seed, arm=0):
         path = sample_path(rng, scenario)
         sample.append(apply_censoring(rng, path, scenario, censoring, subject))
     return event_sample(sample)
+
+
+def tick_states_full_width(scenario, u):
+    """``_tick_states`` as a walk that looks every subject up at every tick:
+    each one's inverse-CDF pick in the kernel row of its state and entry
+    column, a pick past the row's targets reading the stay column's 0."""
+    kernel = scenario.kernel
+    n, m = len(u), len(scenario.grid)
+    states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
+    before = np.zeros(n, dtype=states.dtype)  # state 0 before time 0
+    entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
+    for column in range(m + 1):
+        rows = kernel.rows[column][before, entered]
+        to = kernel.targets[rows, 1 + _inverse_cdf(kernel.cdf[rows], u[:, column])]
+        before = states[:, column] = np.where(to, to, before)
+        entered[to > 0] = column
+    return states
 
 
 def feature(scenario, t, entered_at):

@@ -1,12 +1,14 @@
-"""The array sampler, the indexed rule lookup, the bulk CSV reader, the
-array Nelson-Aalen estimator and the Aalen-Johansen product-integral sweep
-agree exactly with the per-subject, per-row, per-jump, per-step and
+"""The array sampler, its movers-only tick walk, the indexed rule lookup,
+the CSV writer, the bulk CSV reader, the array Nelson-Aalen estimator and
+the Aalen-Johansen product-integral sweep agree exactly with the
+per-subject, full-width, csv.writer, per-row, per-jump, per-step and
 rescanning references, and the per-subject censoring walk with its
 rescan."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prodint import (
     CensoringConfig,
@@ -197,6 +199,8 @@ def test_reader_matches_per_subject_reference(tmp_path, text, max_state):
         "0,-0.0,1\n0,0.5,1\n",
         "0,1.0,1\n",
         "7,0.0,1\n3,0.0,2\n7,2.0,3\n3,1.0,1\n7,1.0,2\n",
+        # subjects in descending order, each one's rows in order: the bulk reader sorts them
+        "5,0.0,1\n5,1.0,2\n2,0.0,2\n2,0.5,1\n2,1.5,3\n0,0.0,1\n",
     ],
 )
 def test_reader_matches_per_subject_reference_on_edge_texts(tmp_path, body):
@@ -204,6 +208,14 @@ def test_reader_matches_per_subject_reference_on_edge_texts(tmp_path, body):
     path.write_bytes(("subject,time,state\n" + body).encode())
     got = outcome(read_event_histories, path)
     assert got == outcome(reference_impl.read_event_histories_per_subject, path)
+
+
+def test_bulk_reader_sorts_subjects_that_come_out_of_order():
+    # the subjects descending, each one's rows in order: the bulk reader
+    # itself must read them, without falling back to the row reader
+    data = b"subject,time,state\n5,0.0,1\n5,1.0,2\n2,0.0,2\n2,0.5,1\n2,1.5,3\n0,0.0,1\n"
+    expected = EventSample([0, 2, 5], [1, 2, 1], [0, 0, 2, 3], [0.5, 1.5, 1.0], [1, 3, 2])
+    assert estimators._read_bulk(data, None) == expected
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -214,6 +226,40 @@ def test_written_sample_reads_back_in_bulk(tmp_path, sample):
     data = path.read_bytes()
     assert estimators._read_bulk(data, None) == sample
     assert data == reference_impl.csv_writer_text(sample).encode()
+
+
+def hundred_tick_scenario():
+    """Three states on the grid 1, ..., 100, each leaving for either other
+    state with probability 0.02 at every tick."""
+    grid = tuple(float(t) for t in range(1, 101))
+    rules = tuple(
+        TransitionRule(t, state, tuple((to, 0.02) for to in (1, 2, 3) if to != state))
+        for t in grid
+        for state in (1, 2, 3)
+    )
+    return ScenarioConfig(3, 100.0, grid, "markov", (0.5, 0.3, 0.2), rules)
+
+
+def continuous_sample(rng, n=40):
+    """Subjects in states 0 to 3, each jumping four times at continuous times."""
+    initial = rng.integers(0, 4, n)
+    times = np.sort(rng.uniform(0.0, 10.0, (n, 4)), axis=1)
+    states = (initial[:, None] + np.cumsum(rng.integers(1, 4, (n, 4)), axis=1)) % 4
+    return EventSample(np.arange(n) * 3, initial, np.arange(n + 1) * 4, times.ravel(), states.ravel())
+
+
+def test_writer_matches_csv_writer_on_both_sides_of_its_cell_guard(tmp_path):
+    # a grid sample has fewer (time, state) cells than jumps, and the writer
+    # marks its used cells in a mask; continuous times give more cells than
+    # jumps, and the writer sorts the jumps' cell codes instead
+    grid = simulate_sample(hundred_tick_scenario(), CensoringConfig("state_filtering_conforming", q=0.7), 200, 5)
+    continuous = continuous_sample(np.random.default_rng(5))
+    for sample, masked in ((grid, True), (continuous, False)):
+        cells = len(np.unique(sample.times)) * len(np.unique(sample.states))
+        assert (cells <= len(sample.times)) == masked
+        path = tmp_path / "sample.csv"
+        assert write_event_histories(path, sample) == len(sample) + len(sample.times)
+        assert path.read_bytes() == reference_impl.csv_writer_text(sample).encode()
 
 
 GRID = (1.0, 2.0, 3.0, 4.0)
@@ -429,6 +475,53 @@ class ChosenUniforms:
 
 
 TOP = 1.0 - 2.0**-53  # the largest value random() returns
+
+
+def boundary_uniforms(kernel):
+    """0.0, TOP, and every entry of the kernel's cumulative tables below 1
+    with the float just below each: the uniforms at which a pick changes,
+    or a move turns into a stay."""
+    entries = kernel.cdf[np.isfinite(kernel.cdf)]
+    values = np.concatenate(([0.0, TOP], entries, np.nextafter(entries, 0.0)))
+    return sorted({v for v in values.tolist() if 0.0 <= v <= TOP})
+
+
+@st.composite
+def walks(draw):
+    """A kernel scenario and a matrix of its boundary uniforms, a row per
+    subject and a column per tick."""
+    scenario = draw(kernel_scenarios())
+    shape = (draw(st.integers(1, 30)), 1 + len(scenario.grid))
+    return scenario, draw(arrays(float, shape, elements=st.sampled_from(boundary_uniforms(scenario.kernel))))
+
+
+def _certain_and_null_moves():
+    """Rows whose table reads exactly 1, so that everyone moves, and rows
+    with zero-probability entries, with every tuple of boundary uniforms."""
+    scenario = ScenarioConfig(
+        3, 2.0, (1.0, 2.0), "markov", (0.7, 0.2, 0.1),
+        (
+            TransitionRule(1.0, 1, ((2, 0.0), (3, 1.0))),
+            TransitionRule(1.0, 2, ((1, 0.7), (3, 0.3))),
+            TransitionRule(2.0, 3, ((1, 0.0), (2, 0.5))),
+        ),
+    )
+    values = boundary_uniforms(scenario.kernel)
+    rows = [[a, b, c] for a in values for b in values for c in values]
+    return scenario, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walks())
+@example(_certain_and_null_moves())
+def test_movers_walk_matches_the_full_width_walk(walk):
+    # only the subjects whose uniform lies below their row's last cumulative
+    # entry are looked up; the others must stay as the full-width lookup has them
+    scenario, u = walk
+    got = _tick_states(scenario, u)
+    expected = reference_impl.tick_states_full_width(scenario, u)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
 
 
 def assert_core_matches_reference(scenario, rows):

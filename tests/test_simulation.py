@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -284,6 +285,56 @@ def test_sampler_matches_the_exact_joint_law_of_every_tick_pair():
                 assert not counts[mass == 0.0].any(), (scenario, left, right)
                 se = np.sqrt(mass * (1.0 - mass) / n)
                 assert (np.abs(counts / n - mass) <= 5.0 * se).all(), (scenario, left, right)
+
+
+def test_censoring_follows_its_law_on_the_sampled_paths():
+    # the bound, 5 binomial standard errors per share, was fixed before the test was run
+    n = 2 * 10**4
+    conforming, violating, right = (
+        load_censoring(f"{CORPUS}/{name}.json") for name in ("conforming", "violating", "right_censoring")
+    )
+
+    def assert_share(hits, size, p):
+        assert abs(np.count_nonzero(hits) / size - p) <= 5.0 * math.sqrt(p * (1.0 - p) / size)
+
+    for name in ("idn", "surv", "forced_exit"):
+        scenario = load_scenario(f"{CORPUS}/{name}.json")
+        ticks = (0.0,) + scenario.grid
+
+        def tick_states(censoring):
+            sample = simulate_sample(scenario, censoring, n, seed=7)
+            return np.array([sample.states_at(t) for t in ticks])
+
+        # the censoring draws follow the path draws in each subject's
+        # stream, so the uncensored sample of the seed holds the true paths
+        paths = tick_states(CensoringConfig("none"))
+        assert (paths > 0).all()
+        jumped = np.vstack([np.zeros(n, dtype=bool), paths[1:] != paths[:-1]])
+        seen = {}
+        for censoring in (conforming, violating, right):
+            states = tick_states(censoring)
+            seen[censoring.kind] = states != 0
+            assert np.array_equal(states[states != 0], paths[states != 0])
+        for column in seen["state_filtering_conforming"]:
+            assert_share(column, n, conforming.q)
+        q, delta = violating.q, violating.delta
+        for column, jumps in zip(seen["violating"], jumped):
+            for group, p in ((jumps, q * (1.0 - delta)), (~jumps, q)):
+                if group.any():
+                    assert_share(column[group], np.count_nonzero(group), p)
+        # a category cut after time t hides its subjects from the tick of
+        # the first grid time past t on; one cut at or after the last grid
+        # time, like ``never``, hides nobody (column len(ticks))
+        weights = {}
+        for t, p in right.after + ((math.inf, right.never),):
+            column = 1 + bisect_right(scenario.grid, t)
+            weights[column] = weights.get(column, 0.0) + p
+        observed = seen["independent_right"]
+        assert (observed[1:] <= observed[:-1]).all()  # nobody re-enters observation
+        first_hidden = np.where(observed.all(axis=0), len(ticks), observed.argmin(axis=0))
+        assert set(np.unique(first_hidden).tolist()) <= set(weights)
+        for column, p in weights.items():
+            assert_share(first_hidden == column, n, p)
 
 
 class TestReproducibility:
