@@ -44,7 +44,6 @@ from .estimators import (
     EventSample,
     FormatError,
     aalen_johansen,
-    empirical_occupancy,
     estimate,
     nelson_aalen,
     occupation_estimate,
@@ -94,7 +93,6 @@ __all__ = [
     "aalen_johansen",
     "additive_transform",
     "defect_profile",
-    "empirical_occupancy",
     "estimate",
     "exact_pathspace",
     "illness_death_scenario",

@@ -379,21 +379,12 @@ def _positivity_blocks(ps: PathSpace, j: int) -> list[tuple[float, float]]:
     return [(lo, hi) for lo, hi in blocks if hi > lo]
 
 
-def left_occupation_reciprocal(ps: PathSpace, j: int, label: str = "") -> StepFunction:
-    """The step function t -> 1 / occupation(j, t-), zero where undefined.
-
-    Left-continuous: the value at an event time is the value of the
-    segment below it.  An occupation so small that its reciprocal overflows
-    raises a ``ValueError`` that names ``label``, the state and the time.
-    """
+def _left_occupation(ps: PathSpace, j: int) -> StepFunction:
+    """The step function t -> occupation(j, t-).  Left-continuous: the value
+    at an event time is the value of the segment below it."""
     times = ps.event_times
-    betweens = []
-    for tick in (0.0,) + times:
-        value = ps.occupation(j, tick)
-        betweens.append(1.0 / value if value > 0.0 else 0.0)
-        if not np.isfinite(betweens[-1]):
-            raise ValueError(f"{label}: 1/occupation of state {j} at t={tick:g} overflows (occupation {value!r})")
-    return StepFunction(times, tuple(betweens[: len(times)]), tuple(betweens))
+    betweens = tuple(ps.occupation(j, tick) for tick in (0.0,) + times)
+    return StepFunction(times, betweens[: len(times)], betweens)
 
 
 def _block_shapes(lo: float, hi: float) -> list[Interval]:
@@ -408,35 +399,35 @@ def _block_shapes(lo: float, hi: float) -> list[Interval]:
 
 
 def hazard_integral_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
-    """The hazard as the integral of 1/occupation-just-before against the
-    expected-count measure, on subintervals of the positivity windows, and
-    the sup-bound of the integral.
+    """The expected counts as the integral of the occupation just before
+    against the hazard, N(a) = int_a p_j(u-) dL(u), on subintervals of the
+    positivity windows, and the sup-bound of the integral.
 
     For each state j and shape, row j of ``kolmogorov_integral`` is taken
     once; the hazard and the counts do not depend on j, so each is taken
-    once per distinct shape.  The counts are nonnegative, so their
-    variation on a shape is their value there.  Records go out in
+    once per distinct shape.  The hazard's off-diagonals are nonnegative,
+    so their variation on a shape is their value there.  Records go out in
     (j, k, shape) order.
     """
     records = []
     hazard, counts = ps.hazard_matrix(), ps.counting_mean()
     laws = {}  # shape -> (hazard, counts) there
     for j in range(1, ps.dim + 1):
-        reciprocal = left_occupation_reciprocal(ps, j, label)
+        occupation = _left_occupation(ps, j)
         rows = []  # (shape, sup of the integrand, then row j of the integral, the hazard and the counts)
         for lo, hi in _positivity_blocks(ps, j):
             for a in _block_shapes(lo, hi):
                 if a not in laws:
                     laws[a] = (hazard(a), counts(a))
-                values = (kolmogorov_integral(reciprocal, counts, a), *laws[a])
-                rows.append((str(a), reciprocal.sup_abs(a), *(v[j - 1].tolist() for v in values)))
+                values = (kolmogorov_integral(occupation, hazard, a), *laws[a])
+                rows.append((str(a), occupation.sup_abs(a), *(v[j - 1].tolist() for v in values)))
         for k in range(1, ps.dim + 1):
             if k == j:
                 continue
-            for shape, sup, integral, steps, variation in rows:
+            for shape, sup, integral, steps, means in rows:
                 detail = f"{label} ({j},{k}) on {shape}"
-                records.append(close_record("hazard-integral", integral[k - 1], steps[k - 1], 1e-12, detail))
-                norm, envelope = abs(integral[k - 1]), sup * variation[k - 1]
+                records.append(close_record("hazard-integral", integral[k - 1], means[k - 1], 1e-12, detail))
+                norm, envelope = abs(integral[k - 1]), sup * steps[k - 1]
                 records.append(
                     CheckRecord(
                         "integral-bound",
@@ -572,7 +563,7 @@ def uncensored_identity_checks(
         probe_times = (0.0,) + grid.times
         for t in probe_times:
             estimated = grid.occupation_at(t) if t > 0.0 else grid.p0
-            # the fraction of subjects observed in each state, as empirical_occupancy
+            # the fraction of subjects observed in each state
             observed = np.bincount(sample.states_at(t), minlength=grid.dim + 1)[1:] / n
             worst = max(worst, float(np.abs(estimated - observed).max()))
         records.append(

@@ -189,15 +189,6 @@ def _check_dimension(sample: EventSample, d: int) -> None:
     raise EstimationError(f"subject {sample.subjects[i]} visits state {top[i]} beyond dimension {d}")
 
 
-def empirical_occupancy(sample: EventSample, j: int, t: float, side: Side = "right") -> float:
-    """Fraction of subjects observed in state j at t (or just before t)."""
-    if not len(sample):
-        raise EstimationError("empty sample")
-    if j < 1:
-        raise ValueError("occupancy is tracked for observable states >= 1")
-    return int(np.count_nonzero(sample.states_at(t, side) == j)) / len(sample)
-
-
 @dataclass(frozen=True)
 class EstimateGrid:
     """Estimates at the pooled observed transition times, built whole by

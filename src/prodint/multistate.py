@@ -290,20 +290,16 @@ class PathSpace:
 
     def exit_hazard(self, j: int) -> AdditiveIF:
         """Total hazard of leaving state j, as a scalar additive function:
-        its atom at a jump time is the mass leaving j there over the
-        occupation of j just before.  Built once per space."""
+        minus the j-th diagonal of the hazard, with an atom wherever that is
+        nonzero.  Built once per space."""
         self._check_states(j)
         return self._exit_hazards[j - 1]
 
     @cached_property
     def _exit_hazards(self) -> tuple[AdditiveIF, ...]:
-        events = self._one_step.events
-        totals = self._one_step.moves[events].sum(axis=2)  # event x state: the mass leaving it
-        leaves = totals != 0.0
-        rates = np.zeros_like(totals)
-        np.divide(totals, self._one_step.occupation[events], out=rates, where=leaves)
-        times = self.event_times
+        hazard = self._hazard
+        exits = -np.diagonal(hazard.jumps, axis1=1, axis2=2)  # atom x state
         return tuple(
-            AdditiveIF(1, tuple((times[e], [[rates[e, j]]]) for e in np.flatnonzero(leaves[:, j]).tolist()))
+            AdditiveIF(1, tuple((hazard.times[e], [[exits[e, j]]]) for e in np.flatnonzero(exits[:, j]).tolist()))
             for j in range(self.dim)
         )

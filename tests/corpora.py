@@ -1,7 +1,8 @@
 """Path-space corpora the tests draw from: the three packaged scenarios,
-batches of generator spaces, the generator's scenarios as a hypothesis
-strategy, their decimal (non-dyadic) counterparts, and a scenario whose
-exit row sums to 1 only up to float rounding."""
+batches of generator spaces, the generator's scenarios and scenarios of
+every rule-table layout as hypothesis strategies, the generator's decimal
+(non-dyadic) counterparts, and a scenario whose exit row sums to 1 only up
+to float rounding."""
 
 from decimal import Decimal
 
@@ -78,6 +79,40 @@ def random_scenarios(draw):
     while scenario.rule != kind:
         scenario = random_scenario(rng, **flags)
     return scenario
+
+
+# a duration on the decimal grid rounds: 0.7 - 0.3 is 0.39999999999999997,
+# so a rule for 0.4 never matches it, while one for 0.7 - 0.3 does
+KERNEL_GRIDS = ((1.0, 2.0, 3.0, 4.0), (0.1, 0.3, 0.7))
+
+
+@st.composite
+def kernel_scenarios(draw):
+    """Scenarios of every rule kind whose (time, state) pairs get no rule,
+    only a default, only feature rules or both, with rows of one or two
+    targets; some features never occur."""
+    rule = draw(st.sampled_from(RULE_KINDS))
+    grid = draw(st.sampled_from(KERNEL_GRIDS))
+    dim = draw(st.integers(2, 3))
+    rules = []
+    for t in grid:
+        entries = [0.0] + [g for g in grid if g < t]
+        features = entries if rule == "entry_time_dependent" else [t - e for e in entries]
+        for state in range(1, dim + 1):
+            targets = draw(st.permutations([s for s in range(1, dim + 1) if s != state]))
+            has_default, has_features = draw(st.booleans()), rule != "markov" and draw(st.booleans())
+            whens = [None] * has_default + sorted(
+                draw(st.frozensets(st.sampled_from(features + [0.4, 0.5, 9.0]), min_size=1, max_size=3))
+                if has_features else ()
+            )
+            for when in whens:
+                probs = [draw(st.sampled_from([0.0, 0.2, 0.5, 0.7])), draw(st.sampled_from([0.0, 0.1, 0.3]))]
+                row = tuple(zip(targets, probs[: draw(st.integers(1, len(targets)))]))
+                rules.append(TransitionRule(t, state, row, when=when))
+    rules = draw(st.permutations(rules))
+    # 0.7 + 0.2 + 0.1 adds up to 1 only within rounding
+    initial = draw(st.sampled_from({2: [(1.0, 0.0), (0.3, 0.7)], 3: [(1.0, 0.0, 0.0), (0.7, 0.2, 0.1)]}[dim]))
+    return ScenarioConfig(dim, grid[-1], grid, rule, initial, tuple(rules))
 
 
 # the generator's dyadic grid times, each moved to a decimal time

@@ -5,7 +5,9 @@ the event-history CSV writer and reader, the Nelson-Aalen estimator, the
 Aalen-Johansen product as one checked matrix product per event time, the
 path-space queries, the hazard laws of a path space (its one-step
 tables, event times, hazard atoms, exit hazards and occupation floors),
-the hazard-side verify suites one record at a time, the
+the hazard-side verify suites one record at a time (with their own
+record type, and the occupation just before, the positivity blocks and
+the sup of the hazard integral read path by path), the
 refinement schedule as partitions of ``Interval`` cells (with the interval
 length and intersection) and the transforms, variation norms and defects
 that walk it one cell at a time, the count-mean defect suite and the
@@ -44,12 +46,12 @@ from prodint import (
     Interval,
     PathSpace,
     ScenarioConfig,
+    StepFunction,
     matrix_norm,
     product_integral,
 )
-from prodint.checks import CheckRecord
 from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error
-from prodint.simulation import _inverse_cdf, _observation_spans
+from prodint.simulation import _observation_spans
 
 
 class BoundCheck(NamedTuple):
@@ -58,6 +60,23 @@ class BoundCheck(NamedTuple):
     lhs: float
     rhs: float
     ok: bool
+
+
+class CheckRecord(NamedTuple):
+    """A verify record's fields, in the suites' order."""
+
+    name: str
+    lhs: float
+    rhs: float
+    tol: float
+    passed: bool
+    detail: str = ""
+    kind: str = "equality"
+
+
+def check_record(name, lhs, rhs, tol, passed, detail="", kind="equality"):
+    """A ``CheckRecord`` with float sides and tolerance, as the suites make them."""
+    return CheckRecord(name, float(lhs), float(rhs), float(tol), bool(passed), detail, kind)
 
 
 # -- trajectory lookups, for any object with initial_state and jumps ----------
@@ -284,7 +303,8 @@ def simulate_sample_per_subject(scenario, censoring, n, seed, arm=0):
 def tick_states_full_width(scenario, u):
     """``_tick_states`` as a walk that looks every subject up at every tick:
     each one's inverse-CDF pick in the kernel row of its state and entry
-    column, a pick past the row's targets reading the stay column's 0."""
+    column, the count of cumulative entries at or below its uniform, a
+    pick past the row's targets reading the stay column's 0."""
     kernel = scenario.kernel
     n, m = len(u), len(scenario.grid)
     states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
@@ -292,7 +312,7 @@ def tick_states_full_width(scenario, u):
     entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
     for column in range(m + 1):
         rows = kernel.rows[column][before, entered]
-        to = kernel.targets[rows, 1 + _inverse_cdf(kernel.cdf[rows], u[:, column])]
+        to = kernel.targets[rows, 1 + (kernel.cdf[rows] <= u[:, column, None]).sum(axis=1)]
         before = states[:, column] = np.where(to, to, before)
         entered[to > 0] = column
     return states
@@ -487,6 +507,15 @@ def empirical_counts(sample, j, k, t):
     return total / len(sample)
 
 
+def empirical_occupancy(sample, j, t, side="right"):
+    """Fraction of subjects observed in state j at t (or just before t)."""
+    if not len(sample):
+        raise EstimationError("empty sample")
+    if j < 1:
+        raise ValueError("occupancy is tracked for observable states >= 1")
+    return int(np.count_nonzero(sample.states_at(t, side) == j)) / len(sample)
+
+
 def transition_at(times, transition, t):
     """The Aalen-Johansen estimate P(0, t) from its values at ``times``, a
     step function of t."""
@@ -676,13 +705,10 @@ def hazard_atoms(ps):
 
 
 def exit_hazard(ps, j):
-    """The total exit hazard of state j, one event time at a time."""
-    atoms = []
-    for u in event_times(ps):
-        total = jump_mass(ps, u)[j - 1].sum()
-        if total != 0.0:
-            atoms.append((u, [[total / occupation(ps, j, u, side="left")]]))
-    return AdditiveIF(1, tuple(atoms))
+    """The total exit hazard of state j: minus the j-th diagonal of the
+    hazard's atoms, wherever that is nonzero."""
+    diagonal = [(u, step[j - 1, j - 1]) for u, step in hazard_atoms(ps)]
+    return AdditiveIF(1, tuple((u, [[-rate]]) for u, rate in diagonal if rate != 0.0))
 
 
 def occupation_lower_bound(ps, j, s, t):
@@ -709,43 +735,87 @@ def occupation_identity_checks(ps, label=""):
         lhs = p0 @ product_integral(hazard, Interval.open_closed(0.0, t))
         rhs = ps.occupation_vector(t)
         gap = float(np.abs(lhs - rhs).max())
-        records.append(CheckRecord("occupation-identity", gap, 0.0, 1e-10, gap <= 1e-10, f"{label} t={t:g}"))
+        records.append(check_record("occupation-identity", gap, 0.0, 1e-10, gap <= 1e-10, f"{label} t={t:g}"))
     return records
 
 
-def hazard_integral_checks(ps, label=""):
-    """Every record with its own Kolmogorov integral, hazard entry, variation
-    and norms, and the positivity blocks recomputed per pair."""
-    from prodint import kolmogorov_integral
-    from prodint.checks import _positivity_blocks, left_occupation_reciprocal
+def positivity_blocks(ps, j):
+    """The maximal (lo, hi) with occupation(j, u-) > 0 for every u in
+    (lo, hi]: each run of ticks at which j is occupied, up to the tick that
+    ends it (or tau), read path by path."""
+    ticks = (0.0,) + ps.grid
+    occupied = [occupation(ps, j, t) > 0.0 for t in ticks]
+    blocks = []
+    for i, tick in enumerate(ticks):
+        if occupied[i] and (i == 0 or not occupied[i - 1]):
+            ends = [ticks[e] for e in range(i + 1, len(ticks)) if not occupied[e]]
+            blocks.append((tick, ends[0] if ends else ps.tau))
+    return [(lo, hi) for lo, hi in blocks if hi > lo]
 
-    records = []
-    hazard = ps.hazard_matrix()
+
+def block_shapes(lo, hi):
+    """The subintervals of a positivity block the hazard integral is checked on."""
+    shapes = [Interval.open_closed(lo, hi), Interval.open_open(lo, hi)]
+    if lo > 0.0:
+        shapes += [Interval.closed(lo, hi), Interval.closed_open(lo, hi)]
+    mid = 0.5 * (lo + hi)
+    if lo < mid < hi:
+        shapes += [Interval.open_closed(lo, mid), Interval.open_closed(mid, hi)]
+    return shapes
+
+
+def hazard_integral_cases(ps):
+    """The (j, k, shape) of every hazard-integral record, in record order."""
     for j in range(1, ps.dim + 1):
-        reciprocal = left_occupation_reciprocal(ps, j)
         for k in range(1, ps.dim + 1):
-            if k == j:
-                continue
-            counts = counting_mean_if(ps, j, k)
-            for lo, hi in _positivity_blocks(ps, j):
-                shapes = [Interval.open_closed(lo, hi), Interval.open_open(lo, hi)]
-                if lo > 0.0:
-                    shapes += [Interval.closed(lo, hi), Interval.closed_open(lo, hi)]
-                mid = 0.5 * (lo + hi)
-                if lo < mid < hi:
-                    shapes += [Interval.open_closed(lo, mid), Interval.open_closed(mid, hi)]
-                for a in shapes:
-                    integral = kolmogorov_integral(reciprocal, counts, a)
-                    lhs, rhs = integral[0, 0], hazard(a)[j - 1, k - 1]
-                    detail = f"{label} ({j},{k}) on {a}"
-                    records.append(CheckRecord("hazard-integral", lhs, rhs, 1e-12, abs(lhs - rhs) <= 1e-12, detail))
-                    envelope = reciprocal.sup_abs(a) * counts.variation(a)
-                    records.append(
-                        CheckRecord(
-                            "integral-bound", matrix_norm(integral), envelope, 1e-12,
-                            matrix_norm(integral) <= envelope + 1e-12, detail, kind="bound",
-                        )
-                    )
+            if k != j:
+                for lo, hi in positivity_blocks(ps, j):
+                    for a in block_shapes(lo, hi):
+                        yield j, k, a
+
+
+def left_occupation(ps, j):
+    """The step function t -> occupation(j, t-), read path by path: at each
+    event time, and on each segment after one (or after 0)."""
+    times = ps.event_times
+    ats = [occupation(ps, j, u, side="left") for u in times]
+    return StepFunction(times, ats, [occupation(ps, j, t) for t in (0.0,) + times])
+
+
+def left_occupation_sup(ps, j, a):
+    """The largest occupation(j, u-) over u in ``a``: at the event times in
+    ``a``, at its closed ends and inside each open piece between them."""
+    if a.is_point:
+        return occupation(ps, j, a.lo, side="left")
+    inside = [u for u in ps.event_times if a.lo < u < a.hi]
+    edges = [a.lo] + inside + [a.hi]
+    points = inside + [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+    points += [end for end, closed in ((a.lo, a.lo_closed), (a.hi, a.hi_closed)) if closed]
+    return max(occupation(ps, j, u, side="left") for u in points)
+
+
+def hazard_integral_checks(ps, label=""):
+    """Every record with its own integral of the occupation just before
+    against the hazard entry, its own counts, hazard entry and sup, read
+    path by path and one atom at a time."""
+    records = []
+    hazard = hazard_atoms(ps)
+    for j, k, a in hazard_integral_cases(ps):
+        integral = steps = 0.0
+        for u, step in hazard:
+            if a.contains(u):
+                integral += occupation(ps, j, u, side="left") * step[j - 1, k - 1]
+                steps += step[j - 1, k - 1]
+        means = 0.0
+        for u, mass in counting_mean_if(ps, j, k).atoms:
+            if a.contains(u):
+                means += mass[0, 0]
+        detail = f"{label} ({j},{k}) on {a}"
+        records.append(check_record("hazard-integral", integral, means, 1e-12, abs(integral - means) <= 1e-12, detail))
+        envelope = left_occupation_sup(ps, j, a) * steps
+        records.append(
+            check_record("integral-bound", abs(integral), envelope, 1e-12, abs(integral) <= envelope + 1e-12, detail, "bound")
+        )
     return records
 
 
@@ -760,10 +830,10 @@ def occupation_bound_checks(spaces, labels):
                 for t in ticks[si:]:
                     lhs, rhs, ok = occupation_lower_bound(ps, j, s, t)
                     where = f"{label} j={j} on [{s:g},{t:g}]"
-                    records.append(CheckRecord("occupation-lower-bound", lhs, rhs, 1e-12, ok, where, kind="bound"))
+                    records.append(check_record("occupation-lower-bound", lhs, rhs, 1e-12, ok, where, kind="bound"))
                     if not inflow[j]:
                         records.append(
-                            CheckRecord(
+                            check_record(
                                 "occupation-bound-equality", lhs, rhs, 1e-12,
                                 abs(lhs - rhs) <= 1e-12, f"{where} (no inflow)",
                             )
@@ -771,10 +841,10 @@ def occupation_bound_checks(spaces, labels):
     return records
 
 
-def markov_product_checks(rng, count, subintervals):
+def markov_product_checks(rng, count, subintervals, random_scenario, random_subinterval):
     """Each subinterval drawn after its space is built and checked on its
-    own: one transition matrix, product integral and norm per record."""
-    from prodint.checks import random_scenario, random_subinterval
+    own: one transition matrix, product integral and norm per record.  The
+    instances come from the suite's generators, passed in."""
     from prodint.simulation import exact_pathspace
 
     records = []
@@ -783,7 +853,7 @@ def markov_product_checks(rng, count, subintervals):
         for _ in range(subintervals):
             a = random_subinterval(rng, tau=ps.tau)
             gap = matrix_norm(ps.transition_matrix(a) - product_integral(ps.hazard_matrix(), a))
-            records.append(CheckRecord("markov-product", gap, 0.0, 1e-10, gap <= 1e-10, f"instance {i} on {a}"))
+            records.append(check_record("markov-product", gap, 0.0, 1e-10, gap <= 1e-10, f"instance {i} on {a}"))
     return records
 
 
@@ -1016,7 +1086,7 @@ def count_mean_defect_checks(ps, depths=6, label=""):
             profile = defect_profile(indicator, counting_mean_if(ps, j, k), window, depths)
             final = profile[-1][1]
             records.append(
-                CheckRecord(
+                check_record(
                     "count-mean-defect", final, 0.0, 1e-10, passed=final < 1e-10,
                     detail=f"{label} pair ({j},{k})",
                 )

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from prodint import checks, cli, empirical_occupancy, exact_pathspace, multiplicative_transform, read_event_histories
+from prodint import checks, cli, exact_pathspace, multiplicative_transform, read_event_histories
 from prodint.checks import CheckRecord
 from prodint.cli import RunReport, _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json
 
 from corpora import float_sum_exit_scenario
+from reference_impl import empirical_occupancy
 
 CORPUS = "src/prodint/corpus"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -816,18 +817,15 @@ class TestEscapesFound:
         assert run("verify", "--scenario", path, "--count", 0) == 0
 
     def test_overflowing_reciprocal_occupation_names_scenario_state_and_time(self, tmp_path, capsys):
-        # a valid law whose state 2 holds 1e-320 after t = 1: 1/occupation overflows
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps({
-            "d": 2, "tau": 3.0, "grid": [1.0, 2.0], "rule": "markov", "initial": [1.0, 0.0],
-            "transitions": [
-                {"time": 1.0, "from": 1, "probs": {"2": 1e-320}},
-                {"time": 2.0, "from": 2, "probs": {"1": 0.5}},
-            ],
-        }))
-        assert run("verify", "--scenario", path, "--count", 0) == 2
-        err = capsys.readouterr().err
-        assert err == "error: tiny.json: 1/occupation of state 2 at t=1 overflows (occupation 1e-320)\n"
+        # a valid law whose state 2 holds 1e-320 after t = 1, whose 1/occupation
+        # overflows: the hazard-integral suite multiplies by the occupation
+        # instead of storing its reciprocal, so the law verifies
+        report = tmp_path / "report.json"
+        assert run("verify", "--scenario", "tests/data/tiny_occupation.json", "--count", 0, "--report", report) == 0
+        assert capsys.readouterr().err == ""
+        records = json.loads(report.read_text())["records"]
+        assert any(r["name"] == "hazard-integral" for r in records)
+        assert all(r["passed"] for r in records)
 
     def test_malformed_censoring_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "censoring.json"

@@ -11,7 +11,6 @@ from prodint import (
     HazardMatrixIF,
     Interval,
     aalen_johansen,
-    empirical_occupancy,
     estimate,
     illness_death_scenario,
     nelson_aalen,
@@ -24,7 +23,7 @@ from prodint import estimators
 from prodint.cli import main
 from prodint.estimators import write_occupation_csv
 
-from reference_impl import empirical_counts, event_sample, transition_at
+from reference_impl import empirical_counts, empirical_occupancy, event_sample, transition_at
 
 
 def subject(i, init, *jumps):

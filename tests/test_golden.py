@@ -16,7 +16,7 @@ CORPUS = "src/prodint/corpus"
 SAMPLE_SHA256 = "cfd35a3dc4a140fabd2679e48a0c9e1abd380fb31d3f6d095809af1a529d202f"
 GRID_SHA256 = "d9f1644d3649917648be629c4bafedabf1a21c483bb4c58e3835879f060f6a3d"
 # (name, lhs, rhs, tol, passed, detail) of every `verify --count 10 --seed 7` record
-VERIFY_RECORDS_SHA256 = "1459d0c7ef681e087defe4e7ddedf3fdc672b09a22fa5e001e29ef0c3a30b204"
+VERIFY_RECORDS_SHA256 = "03944b218adeff2d9f29c70aa99605a486a56ec2978ebf3ef38ab17487bdabe6"
 
 
 def sha256(path):

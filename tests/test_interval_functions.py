@@ -543,11 +543,18 @@ class TestKolmogorovIntegral:
 
     def test_reciprocal_occupation_times_counts_gives_hazard(self, idn_space):
         # two ill entries: 0.5 weighted at occupation 1, 0.25 at occupation 1/2
-        from prodint.checks import left_occupation_reciprocal
+        occupation = reference_impl.left_occupation(idn_space, 1)
 
-        f = left_occupation_reciprocal(idn_space, 1)
-        got = kolmogorov_integral(f, idn_space.counting_mean(), OC(0, 3))
+        def inverse(values):
+            return [1.0 / v if v else 0.0 for v in values]
+
+        reciprocal = StepFunction(occupation.breakpoints, inverse(occupation.at_values), inverse(occupation.between_values))
+        got = kolmogorov_integral(reciprocal, idn_space.counting_mean(), OC(0, 3))
         assert got[0, 1] == pytest.approx(1.0, abs=1e-12)
+        # multiplied through, as hazard-integral checks it: the occupation
+        # against the hazard gives the counts, 0.5 + 0.25
+        got = kolmogorov_integral(occupation, idn_space.hazard_matrix(), OC(0, 3))
+        assert got[0, 1] == pytest.approx(0.75, abs=1e-12)
 
     def test_density_splits_at_breakpoints(self):
         f = StepFunction((1.0,), (5.0,), (2.0, 4.0))
@@ -556,14 +563,12 @@ class TestKolmogorovIntegral:
         assert got == pytest.approx(2.0 * 1.0 + 4.0 * 1.0, abs=1e-12)
 
     def test_sup_bound(self, idn_space):
-        from prodint.checks import left_occupation_reciprocal
-
-        f = left_occupation_reciprocal(idn_space, 2)
-        mu = idn_space.counting_mean()
+        f = reference_impl.left_occupation(idn_space, 2)
+        mu = idn_space.hazard_matrix()
         for a in (OC(0, 3), OC(1, 3), OO(1, 3), PT(3.0)):
             value = matrix_norm(kolmogorov_integral(f, mu, a))
             assert value <= f.sup_abs(a) * mu.variation(a) + 1e-12
-            # the counts are nonnegative, so entry (2, 3) of their variation is their value
+            # the hazard's off-diagonals are nonnegative, so entry (2, 3) of their variation is their value
             assert abs(kolmogorov_integral(f, mu, a)[1, 2]) <= f.sup_abs(a) * mu(a)[1, 2] + 1e-12
 
 

@@ -24,7 +24,7 @@ from prodint.checks import (
 )
 from prodint.interval_functions import index_range
 
-from corpora import decimal_scenario, random_scenarios
+from corpora import decimal_scenario, kernel_scenarios, random_scenarios
 import reference_impl
 from reference_impl import bits
 
@@ -96,13 +96,31 @@ def test_hazard_suites_match_per_record_references(ps):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(kernel_scenarios())
+def test_exit_hazard_is_the_hazard_diagonal_and_occupation_times_hazard_is_counts(scenario):
+    # every rule kind, on a whole-number grid and a decimal one
+    ps = exact_pathspace(scenario)
+    atoms = ps.hazard_matrix().atoms
+    for j in range(1, ps.dim + 1):
+        diagonal = [(t, -step[j - 1, j - 1]) for t, step in atoms if step[j - 1, j - 1] != 0.0]
+        assert bits([(t, m[0, 0]) for t, m in ps.exit_hazard(j).atoms]) == bits(diagonal)
+    cases = list(reference_impl.hazard_integral_cases(ps))
+    records = [r for r in hazard_integral_checks(ps, "x") if r.name == "hazard-integral"]
+    assert [r.detail for r in records] == [f"x ({j},{k}) on {a}" for j, k, a in cases]
+    for r, (j, k, a) in zip(records, cases):
+        assert abs(r.lhs - reference_impl.counting_mean(ps, j, k, a)) <= 1e-15
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
 def test_markov_product_matches_one_subinterval_at_a_time(seed, subintervals):
     # the suite draws an instance's subintervals before building its space and
     # takes all of its gaps as one array norm
     got = markov_product_checks(np.random.default_rng(seed), count=3, subintervals=subintervals)
-    expected = reference_impl.markov_product_checks(np.random.default_rng(seed), 3, subintervals)
+    expected = reference_impl.markov_product_checks(
+        np.random.default_rng(seed), 3, subintervals, random_scenario, random_subinterval
+    )
     assert record_bits(got) == record_bits(expected) and len(got) == 3 * subintervals
 
 

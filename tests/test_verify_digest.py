@@ -12,7 +12,7 @@ import json
 from prodint.cli import main
 
 # (name, lhs, rhs, tol, passed, detail) of every record
-VERIFY_100_RECORDS_SHA256 = "ea2568c2d341a7df6851671014673b06615a1913fb38bc38d46874110c9325be"
+VERIFY_100_RECORDS_SHA256 = "6827eecbe07bee4eb651ec11af4ac4902f30f6015143fd0bbb749dce3dfc03f7"
 
 
 def test_verify_count_100_records_are_pinned(tmp_path):
