@@ -11,8 +11,8 @@ schedule, product integrals and step-function integrals;
 as the oracle; ``estimators`` the Nelson-Aalen / Aalen-Johansen pipeline
 on observed event histories, built on that calculus; ``simulation`` the
 grid samplers and censoring mechanisms; ``checks`` the verification
-suites, among them the product-variation bound; and ``cli`` the
-command-line harness.
+suites, among them transform-duality with its transform-bound record;
+and ``cli`` the command-line harness.
 
 Importing the package loads the calculus, the estimators and the
 samplers.  ``PathSpace``, and the ``multistate`` module behind it, is

@@ -10,6 +10,10 @@ its report.
 suites (``checks``) and the path-space oracle (``multistate``) are
 imported the first time ``verify`` or ``convergence`` runs, and
 ``hashlib`` the first time a report digest is taken.
+
+The JSON documents, the ``verify``/``convergence`` run report and the
+``estimate --out-json`` grid, are written by ``estimators.write_json``;
+this module only names the report's keys, in ``_write_report``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -29,12 +32,12 @@ import numpy as np
 from .estimators import (
     FormatError,
     GridBudgetError,
-    _json_float,
     estimate,
     line_of_state,
     read_event_histories,
     write_event_histories,
     write_grid_json,
+    write_json,
     write_occupation_csv,
 )
 from .interval_functions import ConvergenceError
@@ -51,28 +54,6 @@ from .simulation import (
 CORPUS_SCENARIOS = ("idn.json", "surv.json", "forced_exit.json")
 
 
-@dataclass
-class RunReport:
-    command: str
-    config_digest: str
-    seed: int | None
-    records: list = field(default_factory=list)
-    table: list = field(default_factory=list)
-    elapsed_s: float = 0.0
-    suites: list = field(default_factory=list)  # verify: name, records and wall_s per suite
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "suites": self.suites,
-            "records": [r._asdict() for r in self.records],  # name, lhs, rhs, tol, passed, detail, kind
-            "table": self.table,
-            "elapsed_s": self.elapsed_s,
-        }
-
-
 def _digest(*documents) -> str:
     import hashlib  # loads OpenSSL; only the report commands take a digest
 
@@ -80,48 +61,18 @@ def _digest(*documents) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-# one record of ``RunReport.to_json_dict()`` as ``json.dump(..., indent=2)`` lays it out
-_RECORD = (
-    '\n    {\n      "name": %s,\n      "lhs": %s,\n      "rhs": %s,\n      "tol": %s,'
-    '\n      "passed": %s,\n      "detail": %s,\n      "kind": %s\n    }'
-)
-
-
-def _write_report(report: RunReport, path) -> None:
-    """``json.dump(report.to_json_dict(), handle, indent=2)`` and a newline,
-    written one record at a time instead of one token at a time.  Each
-    distinct name and kind is encoded once, and a finite float is its repr."""
-    if not path:
-        return
-    text = json.encoder.encode_basestring_ascii
-    labels: dict[str, str] = {}
-    number, inf = float.__repr__, math.inf
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            f'{{\n  "command": {text(report.command)},\n  "config_digest": '
-            f'{text(report.config_digest)},\n  "seed": {json.dumps(report.seed)},\n  "suites": '
-            f'{_nested(report.suites)},\n  "records": '
-        )
-        for i, (name, lhs, rhs, tol, passed, detail, kind) in enumerate(report.records):
-            handle.write(("[" if i == 0 else ",") + _RECORD % (
-                labels.get(name) or labels.setdefault(name, text(name)),
-                number(lhs) if -inf < lhs < inf else _json_float(lhs),
-                number(rhs) if -inf < rhs < inf else _json_float(rhs),
-                number(tol) if -inf < tol < inf else _json_float(tol),
-                "true" if passed else "false",
-                text(detail),
-                labels.get(kind) or labels.setdefault(kind, text(kind)),
-            ))
-        handle.write("\n  ]" if report.records else "[]")
-        handle.write(
-            f',\n  "table": {_nested(report.table)},\n  "elapsed_s": {json.dumps(report.elapsed_s)}\n}}\n'
-        )
-
-
-def _nested(rows) -> str:
-    """A short list of rows as ``json.dump(..., indent=2)`` lays it out one
-    level down (json.dumps lays it out at depth 0)."""
-    return json.dumps(rows, indent=2).replace("\n", "\n  ")
+def _write_report(path, *, command, config_digest, seed, suites=(), records, table=(), elapsed_s) -> None:
+    """The JSON run report, its keys in this order; no path, no file."""
+    if path:
+        write_json(path, {
+            "command": command,
+            "config_digest": config_digest,
+            "seed": seed,
+            "suites": suites,  # verify: name, records and wall_s per suite
+            "records": records,  # name, lhs, rhs, tol, passed, detail, kind
+            "table": table,
+            "elapsed_s": elapsed_s,
+        })
 
 
 def _slack(record) -> float:
@@ -248,15 +199,15 @@ def cmd_verify(args) -> int:
             print(f"  {label:>8}: {value:.3e}")
 
     status = _summarize(records)
-    report = RunReport(
+    _write_report(
+        args.report,
         command="verify",
         config_digest=_digest({k: v.to_json_dict() for k, v in scenarios.items()}, args.count),
         seed=args.seed,
+        suites=suites,
         records=records,
         elapsed_s=time.perf_counter() - started,
-        suites=suites,
     )
-    _write_report(report, args.report)
     return status
 
 
@@ -296,7 +247,8 @@ def cmd_convergence(args) -> int:
                 handle.write(f"{row['arm']},{row['n']},{row['sup_error']}\n")
         print(f"wrote table to {args.out}")
     status = _summarize(records)
-    report = RunReport(
+    _write_report(
+        args.report,
         command="convergence",
         config_digest=_digest(
             scenario.to_json_dict(),
@@ -309,7 +261,6 @@ def cmd_convergence(args) -> int:
         table=table,
         elapsed_s=time.perf_counter() - started,
     )
-    _write_report(report, args.report)
     return status
 
 

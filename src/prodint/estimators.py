@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -220,17 +221,6 @@ class EstimateGrid:
     def occupation_at(self, t: float) -> np.ndarray:
         i = bisect_right(self.times, t) - 1
         return self.p0 if i < 0 else self.occupation[i]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.dim,
-            "n": self.n,
-            "p0": list(self.p0),
-            "times": list(self.times),
-            "hazard_steps": [step.tolist() for step in self.hazard_steps],
-            "transition": [mat.tolist() for mat in self.transition],
-            "occupation": [row.tolist() for row in self.occupation],
-        }
 
 
 def nelson_aalen(sample: EventSample, upto: float | None = None, dim: int | None = None) -> HazardMatrixIF:
@@ -502,21 +492,23 @@ def write_occupation_csv(path, grid: EstimateGrid) -> None:
             writer.writerow([t] + list(row))
 
 
-def _json_float(value: float) -> str:
-    """``value`` as ``json`` writes a float: its repr, or NaN, Infinity, -Infinity."""
-    if value != value:
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
+# -- JSON documents ---------------------------------------------------------
+
+_text = json.encoder.encode_basestring_ascii
+_RECORDS_PER_WRITE = 512  # the text in flight stays a few hundred KiB however many records
 
 
-def _write_json_array(handle, array: np.ndarray, depth: int, text) -> None:
+def _dumps(value, depth: int) -> str:
+    """``value`` as ``json.dump(..., indent=2)`` lays it out at nesting ``depth``."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _write_array(handle, array: np.ndarray, depth: int, text) -> None:
     """A float array laid out as ``json.dump(..., indent=2)`` lays out its
-    nested lists at nesting ``depth``, one innermost row per write; ``text``
+    ``tolist()`` at nesting ``depth``, one innermost row per write; ``text``
     spells one float."""
-    if not len(array):
-        handle.write("[]")
+    if not array.ndim or not len(array):
+        handle.write(text(array.item()) if not array.ndim else "[]")
         return
     pad = "\n" + "  " * (depth + 1)
     if array.ndim == 1:
@@ -524,24 +516,49 @@ def _write_json_array(handle, array: np.ndarray, depth: int, text) -> None:
     else:
         for i, inner in enumerate(array):
             handle.write(("[" if i == 0 else ",") + pad)
-            _write_json_array(handle, inner, depth + 1, text)
+            _write_array(handle, inner, depth + 1, text)
     handle.write("\n" + "  " * depth + "]")
 
 
-def write_grid_json(path, grid: EstimateGrid) -> None:
-    """``json.dump(grid.to_json_dict(), handle, indent=2)`` and a newline,
-    written one row at a time instead of one token at a time."""
+def _column_text(column: tuple):
+    """The JSON text of each value of one column of records (nesting 3)."""
+    kinds = set(map(type, column))
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    if kinds == {str}:
+        return map(_text, column)
+    if kinds == {bool}:
+        return map({True: "true", False: "false"}.__getitem__, column)
+    return [_dumps(value, 3) for value in column]
+
+
+def write_json(path, document: dict) -> None:
+    """What ``json.dump(document, handle, indent=2)`` and a newline write for
+    a dict with string keys, a row or a chunk of records per write: a float
+    ndarray stands for its ``tolist()``, a list of named tuples of one type
+    for their ``_asdict()``s (one ``%`` template per record, each column of a
+    chunk encoded in one pass), and ``json.dumps`` lays out any other value."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f'{{\n  "d": {grid.dim!r},\n  "n": {grid.n!r}')
-        for key, values in (
-            ("p0", grid.p0),
-            ("times", grid.times),
-            ("hazard_steps", grid.hazard_steps),
-            ("transition", grid.transition),
-            ("occupation", grid.occupation),
-        ):
-            array = np.asarray(values, dtype=float)
-            text = float.__repr__ if np.isfinite(array).all() else _json_float
-            handle.write(f',\n  "{key}": ')
-            _write_json_array(handle, array, 1, text)
-        handle.write("\n}\n")
+        for i, (key, value) in enumerate(document.items()):
+            handle.write(("{" if i == 0 else ",") + f"\n  {_text(key)}: ")
+            if isinstance(value, np.ndarray):
+                _write_array(handle, value, 1, float.__repr__ if np.isfinite(value).all() else json.dumps)
+            elif (isinstance(value, list) and value and getattr(value[0], "_fields", None)
+                  and len(set(map(type, value))) == 1):
+                fields = ",".join(f"\n      {_text(name)}: %s" for name in value[0]._fields)
+                template = "\n    {" + fields + "\n    }"
+                for start in range(0, len(value), _RECORDS_PER_WRITE):
+                    columns = [_column_text(column) for column in zip(*value[start : start + _RECORDS_PER_WRITE])]
+                    handle.write(("[" if start == 0 else ",") + ",".join(map(template.__mod__, zip(*columns))))
+                handle.write("\n  ]")
+            else:
+                handle.write(_dumps(value, 1))
+        handle.write("\n}\n" if document else "{}\n")
+
+
+def write_grid_json(path, grid: EstimateGrid) -> None:
+    """The estimate grid as a JSON document (``write_json``): the dimension,
+    the sample size, p0, the event times, and the hazard steps, transition
+    products and occupation rows at those times."""
+    arrays = ("p0", "times", "hazard_steps", "transition", "occupation")
+    write_json(path, {"d": grid.dim, "n": grid.n, **{k: np.asarray(getattr(grid, k), dtype=float) for k in arrays}})

@@ -206,9 +206,8 @@ class ScenarioConfig:
                 TransitionRule(
                     time=float(entry["time"]),
                     from_state=_whole(entry["from"], "rule state 'from'"),
-                    probs=tuple(
-                        (int(to), float(p)) for to, p in sorted(entry["probs"].items())
-                    ),
+                    # by target state: as strings, "10" would come before "2"
+                    probs=tuple(sorted((int(to), float(p)) for to, p in entry["probs"].items())),
                     when=float(entry["when"]) if "when" in entry else None,
                 )
                 for entry in data["transitions"]

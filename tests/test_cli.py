@@ -6,22 +6,26 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from prodint import checks, cli, exact_pathspace, multiplicative_transform, read_event_histories
+from prodint import checks, cli, estimators, exact_pathspace, multiplicative_transform, read_event_histories
 from prodint.checks import CheckRecord
-from prodint.cli import RunReport, _summarize, _write_report, main
-from prodint.estimators import EstimateGrid, write_grid_json
+from prodint.cli import _summarize, _write_report, main
+from prodint.estimators import EstimateGrid, write_grid_json, write_json
 
 from corpora import float_sum_exit_scenario
 from reference_impl import empirical_occupancy
 
-CORPUS = "src/prodint/corpus"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "prodint" / "corpus"
+DATA = ROOT / "tests" / "data"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def run(*argv):
@@ -247,7 +251,7 @@ class TestVerify:
 
     def test_rounding_slack_scenario_passes(self, capsys):
         # rows that sum to 1 + 9e-13 once stopped the enumeration: "path weights sum to 1.0000000000026998"
-        assert run("verify", "--scenario", "tests/data/rounding_slack.json", "--count", 0) == 0
+        assert run("verify", "--scenario", DATA / "rounding_slack.json", "--count", 0) == 0
         assert "FAIL" not in capsys.readouterr().out
 
     def test_unbuildable_law_names_the_scenario(self, monkeypatch, capsys):
@@ -383,11 +387,21 @@ class TestSummary:
         assert _summarize(records) == 1
         assert capsys.readouterr().out.startswith("check floor: FAIL (1/2, min slack -5.000e-01)\n")
 
-    def test_report_records_hold_every_field_in_order(self):
+    def test_report_records_hold_every_field_in_order(self, tmp_path):
         records = [CheckRecord("eq", 1.0, 2.0, 0.0, False, "d"), CheckRecord("b", 1, 2, 0, True, kind="bound")]
-        dumped = RunReport("verify", "digest", 7, records).to_json_dict()["records"]
+        path = tmp_path / "report.json"
+        _write_report(path, command="verify", config_digest="digest", seed=7, records=records, elapsed_s=0.5)
+        report = json.loads(path.read_text())
+        assert list(report) == ["command", "config_digest", "seed", "suites", "records", "table", "elapsed_s"]
+        dumped = report["records"]
         assert [list(r) for r in dumped] == [["name", "lhs", "rhs", "tol", "passed", "detail", "kind"]] * 2
         assert [list(r.values()) for r in dumped] == [list(r) for r in records]
+
+    def test_no_report_path_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_report(None, command="verify", config_digest="digest", seed=7, records=[], elapsed_s=0.5)
+        assert run("verify", "--count", 0, "--only", "extinction-exit") == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_records_coerce_their_numbers_and_are_immutable(self):
         record = CheckRecord("eq", 1, np.float64(2.5), np.int64(0), np.bool_(True))
@@ -401,15 +415,96 @@ JSON_FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), -
 JSON_TEXTS = st.text() | st.sampled_from(['say "hi"', "back\\slash", "na\u00efve \u2603 \U0001f600", "\x00\n\t"])
 
 
-def json_dump_text(path, document):
-    with open(path, "w", encoding="utf-8") as handle:
+def assert_json_dump_text(path, document):
+    """The file at ``path`` holds what json.dump(document, handle, indent=2)
+    and a newline write.  A mismatch names its first differing character:
+    pytest's own diff of two long texts takes minutes, once per shrink step."""
+    dumped = path.with_name("expected.json")
+    with open(dumped, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
-    return path.read_text(encoding="utf-8")
+    text, expected = path.read_text(encoding="utf-8"), dumped.read_text(encoding="utf-8")
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        window = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"differs from json.dump at character {at}: {text[window]!r} != {expected[window]!r}")
+
+
+def plain(value):
+    """The value json.dump is given for one of write_json's: a float array's
+    tolist() and a list of named tuples of one type as their _asdict()s."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list) and value and hasattr(value[0], "_fields") and len(set(map(type, value))) == 1:
+        return [record._asdict() for record in value]
+    return value
+
+
+RECORD_TYPES = [
+    namedtuple("One", ["value"]),
+    namedtuple("Three", ["name", "na\u00efve", "x_1"]),
+    namedtuple("Five", ["a", "b", "c", "d", "e"]),
+]
+COLUMNS = [
+    JSON_FLOATS,
+    JSON_TEXTS,
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.none() | st.booleans() | st.integers(-5, 5) | JSON_FLOATS | JSON_TEXTS,
+    st.lists(st.integers(0, 3), max_size=2) | st.dictionaries(JSON_TEXTS, st.integers(), max_size=2),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | JSON_TEXTS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXTS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+CHUNK = estimators._RECORDS_PER_WRITE
+
+
+@st.composite
+def record_lists(draw, sizes):
+    """Records of one named-tuple type, each column drawn from one strategy
+    of ``COLUMNS``: a filler record repeated, with drawn records put in at
+    drawn places."""
+    kind = draw(st.sampled_from(RECORD_TYPES))
+    columns = [draw(st.sampled_from(COLUMNS)) for _ in kind._fields]
+    record = st.builds(kind, *columns)
+    size = draw(sizes)
+    if not size:
+        return []
+    records = [draw(record)] * size
+    for _ in range(draw(st.integers(0, 4))):
+        records[draw(st.integers(0, size - 1))] = draw(record)
+    return records
+
+
+FLOAT_ARRAYS = arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3), elements=JSON_FLOATS)
 
 
 class TestJsonWriters:
-    """The report and grid writers write what json.dump(..., indent=2) writes."""
+    """write_json, and the report and grid documents built on it, write
+    what json.dump(..., indent=2) writes of their plain form."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(JSON_TEXTS, record_lists(st.integers(0, 3)) | FLOAT_ARRAYS | JSON_VALUES, max_size=4))
+    def test_write_json_matches_json_dump(self, tmp_path, document):
+        write_json(tmp_path / "document.json", document)
+        assert_json_dump_text(tmp_path / "document.json", {k: plain(v) for k, v in document.items()})
+
+    # a separate property, so that a failure on short lists shrinks fast
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(record_lists(st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])))
+    def test_records_across_chunk_boundaries_match_json_dump(self, tmp_path, records):
+        write_json(tmp_path / "document.json", {"records": records})
+        assert_json_dump_text(tmp_path / "document.json", {"records": plain(records)})
+
+    def test_named_tuples_of_two_types_are_written_as_json_dump_writes_them(self, tmp_path):
+        Pair, Other = namedtuple("Pair", ["a", "b"]), namedtuple("Other", ["a", "b"])
+        document = {"rows": [Pair(1.5, "x"), Other(2, None)], "empty": []}
+        write_json(tmp_path / "document.json", document)
+        assert_json_dump_text(tmp_path / "document.json", document)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -432,10 +527,19 @@ class TestJsonWriters:
         ),
     )
     def test_report_matches_json_dump(self, tmp_path, records, table, seed, elapsed, suites):
-        report = RunReport("verify", "0123abcd", seed, records, table, elapsed, suites)
-        _write_report(report, tmp_path / "report.json")
-        expected = json_dump_text(tmp_path / "expected.json", report.to_json_dict())
-        assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+        _write_report(
+            tmp_path / "report.json", command="verify", config_digest="0123abcd", seed=seed,
+            suites=suites, records=records, table=table, elapsed_s=elapsed,
+        )
+        assert_json_dump_text(tmp_path / "report.json", {
+            "command": "verify",
+            "config_digest": "0123abcd",
+            "seed": seed,
+            "suites": suites,
+            "records": [r._asdict() for r in records],
+            "table": table,
+            "elapsed_s": elapsed,
+        })
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(1, 3), st.integers(0, 3), st.data())
@@ -451,8 +555,15 @@ class TestJsonWriters:
             floats(dim), tuple(floats(dim) for _ in times),
         )
         write_grid_json(tmp_path / "grid.json", grid)
-        expected = json_dump_text(tmp_path / "expected.json", grid.to_json_dict())
-        assert (tmp_path / "grid.json").read_text(encoding="utf-8") == expected
+        assert_json_dump_text(tmp_path / "grid.json", {
+            "d": grid.dim,
+            "n": grid.n,
+            "p0": grid.p0.tolist(),
+            "times": list(grid.times),
+            "hazard_steps": [step.tolist() for step in grid.hazard_steps],
+            "transition": [mat.tolist() for mat in grid.transition],
+            "occupation": [row.tolist() for row in grid.occupation],
+        })
 
 
 class TestConvergence:
@@ -816,12 +927,12 @@ class TestEscapesFound:
         path = self.write_idn(tmp_path, d=3.0, transitions=[{"time": 1.0, "from": 1.0, "probs": {"2": 0.5}}])
         assert run("verify", "--scenario", path, "--count", 0) == 0
 
-    def test_overflowing_reciprocal_occupation_names_scenario_state_and_time(self, tmp_path, capsys):
+    def test_law_with_overflowing_reciprocal_occupation_verifies(self, tmp_path, capsys):
         # a valid law whose state 2 holds 1e-320 after t = 1, whose 1/occupation
         # overflows: the hazard-integral suite multiplies by the occupation
         # instead of storing its reciprocal, so the law verifies
         report = tmp_path / "report.json"
-        assert run("verify", "--scenario", "tests/data/tiny_occupation.json", "--count", 0, "--report", report) == 0
+        assert run("verify", "--scenario", DATA / "tiny_occupation.json", "--count", 0, "--report", report) == 0
         assert capsys.readouterr().err == ""
         records = json.loads(report.read_text())["records"]
         assert any(r["name"] == "hazard-integral" for r in records)

@@ -9,10 +9,11 @@ matrix products.
 
 import hashlib
 import json
+from pathlib import Path
 
 from prodint.cli import main
 
-CORPUS = "src/prodint/corpus"
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "prodint" / "corpus"
 SAMPLE_SHA256 = "cfd35a3dc4a140fabd2679e48a0c9e1abd380fb31d3f6d095809af1a529d202f"
 GRID_SHA256 = "d9f1644d3649917648be629c4bafedabf1a21c483bb4c58e3835879f060f6a3d"
 # (name, lhs, rhs, tol, passed, detail) of every `verify --count 10 --seed 7` record

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ import oracle_enum
 from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario
 from reference_impl import apply_censoring, sample_path, state_at, state_before, subject_rng
 
-CORPUS = "src/prodint/corpus"
-ROUNDING_SLACK = "tests/data/rounding_slack.json"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "src" / "prodint" / "corpus"
+ROUNDING_SLACK = ROOT / "tests" / "data" / "rounding_slack.json"
 
 
 def sampler_agreement_checks(rng, scenario, draws=10**5, tol=0.01):
@@ -369,6 +371,14 @@ class TestJsonConfigs:
     def test_scenario_round_trip(self):
         scenario = illness_death_scenario()
         assert ScenarioConfig.from_json_dict(scenario.to_json_dict()) == scenario
+
+    def test_scenario_round_trip_orders_targets_by_state(self):
+        # with ten states, targets ordered as strings would put "10" before "2"
+        rule = TransitionRule(1.0, 1, ((2, 0.25), (10, 0.5)))
+        scenario = ScenarioConfig(10, 1.0, (1.0,), "markov", (1.0,) + (0.0,) * 9, (rule,))
+        loaded = ScenarioConfig.from_json_dict(scenario.to_json_dict())
+        assert loaded == scenario
+        np.testing.assert_array_equal(loaded.kernel.targets, scenario.kernel.targets)
 
     def test_censoring_round_trip(self):
         for cfg in (
