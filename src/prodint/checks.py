@@ -482,15 +482,17 @@ def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
 
     The floor of j from s to t is the occupation at s times the product
     integral of ``1 - exit hazard`` over (s, t]; it is attained exactly when
-    the state gains no mass on the way.  One running survival product per
+    the state gains no mass on the way.  Its factors are 1 plus the nonzero
+    (j, j) entries of the hazard's atoms; one running survival product per
     state and start tick gives the floors at every later tick."""
     records = []
     labels = labels or [f"instance {i}" for i in range(len(spaces))]
     for ps, label in zip(spaces, labels):
         inflow = ps.counting_mean().jumps.any(axis=(0, 1))
+        atoms = ps.hazard_matrix().atoms
         ticks = [0.0] + list(ps.grid)
         for j in range(1, ps.dim + 1):
-            survival = ps.exit_hazard(j).scale(-1.0)
+            survival = AdditiveIF(1, tuple((u, [[m[j - 1, j - 1]]]) for u, m in atoms if m[j - 1, j - 1] != 0.0))
             for si, s in enumerate(ticks):
                 start = ps.occupation(j, s)
                 for t, product in zip(ticks[si:], product_integral_sweep(survival, s, ticks[si:])):
@@ -519,7 +521,8 @@ def extinction_checks(spaces, labels=None, corpus: bool = True) -> list[CheckRec
 
     On a finite path space the occupation can only vanish at a jump time at
     which every remaining occupant leaves, so the exit-hazard atom after
-    which the state is empty is its exit mass, and must be one.  On a
+    which the state is empty, minus the (j, j) entry of the hazard's atom
+    there, is its exit mass, and must be one.  On a
     ``corpus`` (the packaged scenarios plus random ones), finding no
     extinction at all is a failed coverage record: the corpus is built to
     hold one.  A single scenario need not.
@@ -527,11 +530,12 @@ def extinction_checks(spaces, labels=None, corpus: bool = True) -> list[CheckRec
     records = []
     labels = labels or [f"instance {i}" for i in range(len(spaces))]
     for ps, label in zip(spaces, labels):
+        atoms = ps.hazard_matrix().atoms
         for j in range(1, ps.dim + 1):
-            for u, mass in ps.exit_hazard(j).atoms:
-                if ps.occupation(j, u) == 0.0:
+            for u, step in atoms:
+                if step[j - 1, j - 1] != 0.0 and ps.occupation(j, u) == 0.0:
                     detail = f"{label} j={j} at t={u:g}"
-                    records.append(close_record("extinction-exit", mass[0, 0], 1.0, 1e-12, detail=detail))
+                    records.append(close_record("extinction-exit", -step[j - 1, j - 1], 1.0, 1e-12, detail=detail))
     if corpus and not records:
         records.append(
             CheckRecord(

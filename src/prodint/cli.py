@@ -8,8 +8,8 @@ its report.
 ``simulate`` and ``estimate`` run only the estimation pipeline
 (``estimators``, ``simulation`` and the calculus beneath them).  The check
 suites (``checks``) and the path-space oracle (``multistate``) are
-imported the first time ``verify`` or ``convergence`` runs, and
-``hashlib`` the first time a report digest is taken.
+imported the first time ``verify`` or ``convergence`` runs.  Only a report
+holds the config digest, so it is taken only when one is written.
 
 The JSON documents, the ``verify``/``convergence`` run report and the
 ``estimate --out-json`` grid, are written by ``estimators.write_json``;
@@ -55,7 +55,7 @@ CORPUS_SCENARIOS = ("idn.json", "surv.json", "forced_exit.json")
 
 
 def _digest(*documents) -> str:
-    import hashlib  # loads OpenSSL; only the report commands take a digest
+    import hashlib  # loads OpenSSL, which simulate and estimate do not need
 
     canonical = json.dumps(documents, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -202,7 +202,8 @@ def cmd_verify(args) -> int:
     _write_report(
         args.report,
         command="verify",
-        config_digest=_digest({k: v.to_json_dict() for k, v in scenarios.items()}, args.count),
+        config_digest=_digest({k: v.to_json_dict() for k, v in scenarios.items()}, args.count)
+        if args.report else None,
         seed=args.seed,
         suites=suites,
         records=records,
@@ -255,7 +256,7 @@ def cmd_convergence(args) -> int:
             conforming.to_json_dict(),
             violating.to_json_dict() if violating else None,
             ns,
-        ),
+        ) if args.report else None,
         seed=args.seed,
         records=records,
         table=table,
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (ConfigError, ConvergenceError, FormatError, json.JSONDecodeError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:  # ConfigError, FormatError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -59,17 +59,6 @@ class GridBudgetError(EstimationError):
     """The estimate would hold more than ``MAX_GRID_ENTRIES`` entries per part."""
 
 
-def _jump_error(previous_time: float, previous_state: int, t: float, s: int) -> str | None:
-    """Why a jump to ``s`` at ``t`` cannot follow the previous one, or None if it can."""
-    if not t > previous_time:  # also rejects NaN
-        return "jump times must be strictly increasing and positive"
-    if s == previous_state:
-        return "consecutive states must differ"
-    if s < 0:
-        return "states are numbered from 0"
-    return None
-
-
 class EventHistory(NamedTuple):
     """One subject of an ``EventSample``, as iterating the sample yields it:
     the subject id, its state at time 0 and its (time, state) jumps.
@@ -322,10 +311,11 @@ def read_event_histories(path, max_state: int | None = None) -> EventSample:
     """Read `subject,time,state` rows; the time-0 row gives the initial state.
 
     ``path`` is a file name or a binary file; either is read once, so a
-    pipe works too.  A file of plain decimal rows is parsed in bulk and
-    validated with array operations.  Any other file, and any file that
-    fails a check, is read row by row from the same bytes, which raises
-    FormatError naming the line of the first malformed row.
+    pipe works too.  A file of plain decimal rows is parsed in bulk, any
+    other file row by row; either way the rows are put together and
+    checked as arrays (``_assemble``).  A file the bulk parse declines or
+    that fails a check is read row by row from the same bytes, which
+    raises FormatError naming the line of the first malformed row.
     """
     if hasattr(path, "read"):
         data = path.read()
@@ -356,22 +346,42 @@ def _read_bulk(data: bytes, max_state: int | None) -> EventSample | None:
         )
     except (ValueError, OverflowError):
         return None
-    subjects, times, states = rows["subject"], rows["time"], rows["state"]
-    if max_state is not None and (states > max_state).any():
+    if max_state is not None and (rows["state"] > max_state).any():
         return None
+    return _assemble(rows["subject"], rows["time"], rows["state"])
+
+
+def _assemble(subjects, times, states, lines=None) -> EventSample | None:
+    """The sample of the rows held in columns, each subject's rows in file
+    order: sorted by subject, a subject's first row gives its time-0 state
+    and each later row a jump.  Where a subject's first row is not at time
+    0, or a row is not later than the one before it or repeats its state,
+    raise FormatError naming the ``lines`` entry of the first such row,
+    subject by subject; without ``lines``, return None."""
     if (subjects[1:] < subjects[:-1]).any():
         order = np.argsort(subjects, kind="stable")  # keeps each subject's rows in file order
         subjects, times, states = subjects[order], times[order], states[order]
+        lines = lines if lines is None else lines[order]
     heads = np.flatnonzero(np.r_[True, subjects[1:] != subjects[:-1]])
-    if not (times[heads] == 0.0).all():
-        return None
-    jumps = np.ones(len(rows), dtype=bool)
+    jumps = np.ones(len(subjects), dtype=bool)
     jumps[heads] = False
-    offsets = np.append(heads - np.arange(len(heads)), len(rows) - len(heads))
-    try:
-        return EventSample(subjects[heads], states[heads], offsets, times[jumps], states[jumps])
-    except ValueError:
+    if (times[heads] == 0.0).all():
+        offsets = np.append(heads - np.arange(len(heads)), len(subjects) - len(heads))
+        try:
+            return EventSample(subjects[heads], states[heads], offsets, times[jumps], states[jumps])
+        except ValueError:
+            pass
+    if lines is None:
         return None
+    unstarted = ~jumps & (times != 0.0)
+    late = jumps & np.r_[False, ~(times[1:] > times[:-1])]  # also flags NaN
+    repeated = jumps & np.r_[False, states[1:] == states[:-1]]
+    k = int(np.argmax(unstarted | late | repeated))
+    if unstarted[k]:
+        raise FormatError(f"line {lines[k]}: subject {subjects[k]} must start with a time-0 row")
+    if late[k]:
+        raise FormatError(f"line {lines[k]}: jump times must be strictly increasing and positive")
+    raise FormatError(f"line {lines[k]}: consecutive states must differ")
 
 
 def _rows(data: bytes, max_state: int | None = None):
@@ -409,33 +419,12 @@ def _rows(data: bytes, max_state: int | None = None):
 
 
 def _read_rows(data: bytes, max_state: int | None) -> EventSample:
-    """The row-by-row reader: every row is checked on its own, then against
-    the row before it of its subject."""
-    rows_by_subject: dict[int, list[tuple[int, float, int]]] = {}
-    for lineno, subject, time, state in _rows(data, max_state):
-        rows_by_subject.setdefault(subject, []).append((lineno, time, state))
-    if not rows_by_subject:
+    """The row reader: each row is checked on its own as it is read, then
+    the rows together by ``_assemble``, which names the faulty row's line."""
+    rows = np.array(list(_rows(data, max_state)), dtype=[("line", np.int64), *_ROW_DTYPE.descr])
+    if not len(rows):
         raise FormatError("no subject rows found")
-    subjects = sorted(rows_by_subject)
-    for subject in subjects:
-        rows = rows_by_subject[subject]
-        first_line, previous_time, previous_state = rows[0]
-        if previous_time != 0.0:
-            raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
-        for lineno, time, state in rows[1:]:
-            error = _jump_error(previous_time, previous_state, time, state)
-            if error is not None:
-                raise FormatError(f"line {lineno}: {error}")
-            previous_time, previous_state = time, state
-    ordered = [rows_by_subject[subject] for subject in subjects]
-    jumps = [row for rows in ordered for row in rows[1:]]
-    return EventSample(
-        subjects,
-        [rows[0][2] for rows in ordered],
-        np.cumsum([0] + [len(rows) - 1 for rows in ordered]),
-        [time for _, time, _ in jumps],
-        [state for _, _, state in jumps],
-    )
+    return _assemble(rows["subject"], rows["time"], rows["state"], rows["line"])
 
 
 def line_of_state(data: bytes, state: int) -> int:

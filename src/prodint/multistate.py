@@ -64,11 +64,13 @@ class PathSpace:
 
     The one-step tables -- the occupation at every tick and the jump mass
     at every grid time -- are built together on first use, and with them
-    ``event_times``, the expected-count measure (``counting_mean``), the
-    hazard (``hazard_matrix``) and the exit hazards (``exit_hazard``), each
-    once per space.  ``jump_mass`` reads the tables on every call.
-    Each quantity comes in one form, and a quantity of state pairs as one
-    d x d matrix.  An array a query hands out is a copy or read-only.
+    ``event_times``, the expected-count measure (``counting_mean``) and the
+    hazard (``hazard_matrix``), each once per space; the exit hazard of j
+    is minus the (j, j) entry of the hazard.  ``jump_mass`` reads the
+    tables on every call; nothing in the package calls it, and it stays
+    because perfbench reads it.  Each quantity comes in one form, and a
+    quantity of state pairs as one d x d matrix.  An array a query hands
+    out is a copy or read-only.
     """
 
     dim: int
@@ -286,20 +288,4 @@ class PathSpace:
         events = self._one_step.events  # the tick before each event time holds its occupation
         return HazardMatrixIF.from_counts(
             self.event_times, self._one_step.moves[events], self._one_step.occupation[events]
-        )
-
-    def exit_hazard(self, j: int) -> AdditiveIF:
-        """Total hazard of leaving state j, as a scalar additive function:
-        minus the j-th diagonal of the hazard, with an atom wherever that is
-        nonzero.  Built once per space."""
-        self._check_states(j)
-        return self._exit_hazards[j - 1]
-
-    @cached_property
-    def _exit_hazards(self) -> tuple[AdditiveIF, ...]:
-        hazard = self._hazard
-        exits = -np.diagonal(hazard.jumps, axis1=1, axis2=2)  # atom x state
-        return tuple(
-            AdditiveIF(1, tuple((hazard.times[e], [[exits[e, j]]]) for e in np.flatnonzero(exits[:, j]).tolist()))
-            for j in range(self.dim)
         )

@@ -171,8 +171,6 @@ class ScenarioConfig:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        # observation spans of the censoring kinds, shared by every subject
-        object.__setattr__(self, "_spans", tuple(_observation_spans(grid, self.tau)))
 
     @cached_property
     def kernel(self) -> TransitionKernel:
@@ -206,8 +204,8 @@ class ScenarioConfig:
                 TransitionRule(
                     time=float(entry["time"]),
                     from_state=_whole(entry["from"], "rule state 'from'"),
-                    # by target state: as strings, "10" would come before "2"
-                    probs=tuple(sorted((int(to), float(p)) for to, p in entry["probs"].items())),
+                    # in the document's order, which fixes the inverse-CDF order of the draws
+                    probs=tuple((int(to), float(p)) for to, p in entry["probs"].items()),
                     when=float(entry["when"]) if "when" in entry else None,
                 )
                 for entry in data["transitions"]
@@ -427,22 +425,6 @@ def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
     return PathSpace(scenario.dim, scenario.tau, scenario.grid, paths[:, 1:], weights)
 
 
-def _observation_spans(grid: Sequence[float], tau: float) -> list[tuple[float, float]]:
-    """Half-open spans delimited by the midpoints between grid times.
-
-    Span 0 covers time 0 only; span i >= 1 covers grid time i-1.  Every
-    grid time sits strictly inside its span, so observation status agrees
-    just before and at each grid time.
-    """
-    edges = [0.0]
-    previous = 0.0
-    for t in grid:
-        edges.append(0.5 * (previous + t))
-        previous = t
-    edges.append(max(tau, previous) + 1.0)
-    return list(zip(edges, edges[1:]))
-
-
 def _cumulative(probs: Sequence[float]) -> np.ndarray:
     """Inverse-CDF table of ``probs``: the cumulative sums, added left to
     right like a scalar walk over the pairs.
@@ -563,8 +545,10 @@ def _observed_columns(
     (initial states, jump counts, jump times, jump states) columns.
 
     Row i of ``u`` holds subject i's censoring draws (``_censoring_draws``
-    of them).  Observation can only change at a span start, and the path
-    only at a grid tick, so the observed state is read at the slots
+    of them).  Span 0 covers time 0 only, and span i >= 1 grid time g_i:
+    it starts at start_i, the midpoint between g_i and the grid time
+    before it (or 0).  Observation can only change at a span start, and the
+    path only at a grid tick, so the observed state is read at the slots
     0, start_1, g_1, start_2, g_2, ..., start_m, g_m: the path's state there
     where its span is observed, 0 where it is not.  A history keeps a slot
     only where the observed state differs from the previous slot's.  The
@@ -576,9 +560,10 @@ def _observed_columns(
     doubled = np.repeat(np.arange(m + 1), 2)
     slot_span = doubled[1:]  # 0, 1, 1, 2, 2, ..., m, m
     values = states[:, doubled[:-1]]  # tick columns 0, 0, 1, 1, ..., m - 1, m - 1, m
-    slot_times = [0.0]
-    for (start, _), t in zip(scenario._spans[1:], scenario.grid):
-        slot_times += (start, t)
+    slot_times, previous = [0.0], 0.0
+    for t in scenario.grid:
+        slot_times += (0.5 * (previous + t), t)
+        previous = t
     cut_index = None
     if censoring.kind in ("state_filtering_conforming", "violating"):
         seen = u < censoring.q

@@ -4,7 +4,8 @@ with a lookup for every subject at every tick, the censoring mechanisms,
 the event-history CSV writer and reader, the Nelson-Aalen estimator, the
 Aalen-Johansen product as one checked matrix product per event time, the
 path-space queries, the hazard laws of a path space (its one-step
-tables, event times, hazard atoms, exit hazards and occupation floors),
+tables, event times, hazard atoms, exit hazards -- which the library
+reads off its hazard's diagonal -- and occupation floors),
 the hazard-side verify suites one record at a time (with their own
 record type, and the occupation just before, the positivity blocks and
 the sup of the hazard integral read path by path), the
@@ -16,6 +17,13 @@ does not use, the trajectory lookups (state at a time, just before it,
 jump at it) of an ``EventHistory``, a ``PathSpace`` built from
 hand-drawn trajectories through those lookups, and the ``EventSample`` of
 a list of histories.
+
+The censoring mechanisms and the reader keep their own copies of the
+observation spans (``observation_spans``) and of the check of a row
+against the one before it of its subject (``jump_error``); the library
+computes the spans' starts where it reads them and checks every row at
+once in its array assembly, so nothing here is imported from the code it
+checks beyond its public types and the CSV header.
 
 These are the straightforward scans and scalar walks the library replaced
 with an indexed lookup, an array walk over all subjects at once that
@@ -50,8 +58,7 @@ from prodint import (
     matrix_norm,
     product_integral,
 )
-from prodint.estimators import CSV_HEADER, EstimationError, FormatError, _jump_error
-from prodint.simulation import _observation_spans
+from prodint.estimators import CSV_HEADER, EstimationError, FormatError
 
 
 class BoundCheck(NamedTuple):
@@ -225,6 +232,22 @@ def sample_path(rng: np.random.Generator, scenario: ScenarioConfig) -> EventHist
     return EventHistory(0, initial, tuple(jumps))
 
 
+def observation_spans(grid, tau):
+    """Half-open spans delimited by the midpoints between grid times.
+
+    Span 0 covers time 0 only; span i >= 1 covers grid time i-1.  Every
+    grid time sits strictly inside its span, so observation status agrees
+    just before and at each grid time.
+    """
+    edges = [0.0]
+    previous = 0.0
+    for t in grid:
+        edges.append(0.5 * (previous + t))
+        previous = t
+    edges.append(max(tau, previous) + 1.0)
+    return list(zip(edges, edges[1:]))
+
+
 def apply_censoring(
     rng: np.random.Generator,
     path: EventHistory,
@@ -259,7 +282,7 @@ def apply_censoring(
     state = path.initial_state
     cursor = 0
     changes: list[tuple[float, int]] = []
-    for i, (start, end) in enumerate(scenario._spans):
+    for i, (start, end) in enumerate(observation_spans(scenario.grid, scenario.tau)):
         p_obs = censoring.q
         if i >= 1 and scenario.grid[i - 1] in jump_times:
             p_obs = censoring.q * (1.0 - censoring.delta)
@@ -347,7 +370,7 @@ def outgoing_scan(scenario, t, state, entered_at):
 
 def filtering_censoring_rescan(rng, path, scenario, censoring, subject=0):
     """apply_censoring for the two filtering kinds, rescanning the path per span."""
-    spans = _observation_spans(scenario.grid, scenario.tau)
+    spans = observation_spans(scenario.grid, scenario.tau)
     observed = []
     for i, _ in enumerate(spans):
         p_obs = censoring.q
@@ -528,6 +551,17 @@ def transition_at(times, transition, t):
 # -- the per-subject event-history CSV reader ------------------------------------
 
 
+def jump_error(previous_time, previous_state, t, s):
+    """Why a jump to ``s`` at ``t`` cannot follow the previous one, or None if it can."""
+    if not t > previous_time:  # also rejects NaN
+        return "jump times must be strictly increasing and positive"
+    if s == previous_state:
+        return "consecutive states must differ"
+    if s < 0:
+        return "states are numbered from 0"
+    return None
+
+
 def read_event_histories_per_subject(path, max_state=None):
     """Read the CSV row by row, validating each subject's rows in turn, into
     one EventHistory per subject, returned as their sample."""
@@ -567,7 +601,7 @@ def read_event_histories_per_subject(path, max_state=None):
             raise FormatError(f"line {first_line}: subject {subject} must start with a time-0 row")
         _, previous_time, previous_state = rows[0]
         for lineno, time, state in rows[1:]:
-            error = _jump_error(previous_time, previous_state, time, state)
+            error = jump_error(previous_time, previous_state, time, state)
             if error is not None:
                 raise FormatError(f"line {lineno}: {error}")
             previous_time, previous_state = time, state

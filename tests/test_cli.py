@@ -398,9 +398,16 @@ class TestSummary:
         assert [list(r.values()) for r in dumped] == [list(r) for r in records]
 
     def test_no_report_path_writes_no_file(self, tmp_path, monkeypatch):
+        # nor takes the config digest, which only a report holds
+        def no_digest(*documents):
+            raise AssertionError("a config digest taken without a report")
+
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_digest", no_digest)
         _write_report(None, command="verify", config_digest="digest", seed=7, records=[], elapsed_s=0.5)
         assert run("verify", "--count", 0, "--only", "extinction-exit") == 0
+        convergence = ("convergence", "--scenario", CORPUS / "surv.json", "--censoring", CORPUS / "conforming.json")
+        assert run(*convergence, "--n", 50) in (0, 1)
         assert list(tmp_path.iterdir()) == []
 
     def test_records_coerce_their_numbers_and_are_immutable(self):

@@ -203,16 +203,16 @@ class TestHazard:
         assert len(lam.atoms) == 1
         assert lam.atoms[0][1][0, 1] == 0.5
 
-    def test_exit_hazard_totals_rows(self, idn_space):
-        lam = idn_space.hazard_matrix()
-        exit1 = idn_space.exit_hazard(1)
-        assert exit1(OC(0, 3))[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert exit1(OC(0, 3))[0, 0] == pytest.approx(-lam(OC(0, 3))[0, 0], abs=1e-12)
+    def test_hazard_diagonal_is_minus_the_exit_total(self, idn_space):
+        # the exit hazard of state 1 over (0, 3]: all of its mass leaves
+        total = idn_space.hazard_matrix()(OC(0, 3))
+        assert -total[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert -total[0, 0] == pytest.approx(total[0, 1:].sum(), abs=1e-12)
 
     @pytest.mark.parametrize("j", [0, 4])
-    def test_exit_hazard_rejects_states_outside_the_space(self, idn_space, j):
+    def test_occupation_rejects_states_outside_the_space(self, idn_space, j):
         with pytest.raises(ValueError, match=f"^state {j} outside 1..3$"):
-            idn_space.exit_hazard(j)
+            idn_space.occupation(j, 1.0)
 
 
 def iterated_product(ps, s, t, cuts=()):

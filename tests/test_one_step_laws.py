@@ -1,6 +1,6 @@
 """The one-step tables of a path space and the laws derived from them once
-per space -- event times, jump masses, the hazard, exit hazards and
-counting means -- and the hazard-side verify suites built on them,
+per space -- event times, jump masses, the hazard and counting means --
+and the hazard-side verify suites built on them,
 occupation floors and extinction exit masses included, agree bit for bit
 with the per-path and per-event-time references,
 on the generator's scenarios and on their decimal (non-dyadic)
@@ -58,8 +58,6 @@ def test_one_step_laws_match_per_path_references(ps):
     for u in sorted(set(PROBE_TIMES + ps.grid)):
         assert bits(ps.jump_mass(u)) == bits(reference_impl.jump_mass(ps, u))
     assert atom_bits(ps.hazard_matrix()) == bits(reference_impl.hazard_atoms(ps))
-    for j in range(1, ps.dim + 1):
-        assert atom_bits(ps.exit_hazard(j)) == atom_bits(reference_impl.exit_hazard(ps, j))
     counts = ps.counting_mean()
     assert [t for t, _ in counts.atoms] == list(ps.event_times)
     assert not np.diagonal(counts.jumps, axis1=1, axis2=2).any()
@@ -98,13 +96,17 @@ def test_hazard_suites_match_per_record_references(ps):
 
 @settings(max_examples=200, deadline=None)
 @given(kernel_scenarios())
-def test_exit_hazard_is_the_hazard_diagonal_and_occupation_times_hazard_is_counts(scenario):
-    # every rule kind, on a whole-number grid and a decimal one
+def test_extinction_exits_and_hazard_integral_counts_match_references(scenario):
+    # every rule kind, on a whole-number grid and a decimal one; the suite
+    # reads each exit mass off the hazard's diagonal
     ps = exact_pathspace(scenario)
-    atoms = ps.hazard_matrix().atoms
-    for j in range(1, ps.dim + 1):
-        diagonal = [(t, -step[j - 1, j - 1]) for t, step in atoms if step[j - 1, j - 1] != 0.0]
-        assert bits([(t, m[0, 0]) for t, m in ps.exit_hazard(j).atoms]) == bits(diagonal)
+    expected = [
+        (f"x j={j} at t={u:g}", bits(float(m[0, 0])))
+        for j in range(1, ps.dim + 1)
+        for u, m in reference_impl.exit_hazard(ps, j).atoms
+        if reference_impl.occupation(ps, j, u) == 0.0
+    ]
+    assert [(r.detail, bits(r.lhs)) for r in extinction_checks([ps], ["x"], corpus=False)] == expected
     cases = list(reference_impl.hazard_integral_cases(ps))
     records = [r for r in hazard_integral_checks(ps, "x") if r.name == "hazard-integral"]
     assert [r.detail for r in records] == [f"x ({j},{k}) on {a}" for j, k, a in cases]
@@ -148,8 +150,7 @@ def test_returned_arrays_cannot_change_later_queries(ps, seed):
     queries += [lambda t=t: ps.occupation_vector(t) for t in PROBE_TIMES]
     queries += [lambda t=t, side=side: ps.occupation_vector(t, side) for t in ps.grid for side in ("left", "right")]
     queries += [lambda u=u: ps.jump_mass(u) for u in ps.grid]
-    laws = [ps.hazard_matrix()] + [ps.exit_hazard(j) for j in range(1, ps.dim + 1)]
-    laws += [ps.counting_mean()]
+    laws = [ps.hazard_matrix(), ps.counting_mean()]
     queries += [lambda f=f: f(a) for f in laws]
     for query in queries:
         before = bits(query())
@@ -278,4 +279,3 @@ def test_hazard_checks_raise_at_the_first_bad_atom(case):
 def test_hazard_is_built_once_per_space():
     ps = exact_pathspace(random_scenario(np.random.default_rng(5)))
     assert ps.hazard_matrix() is ps.hazard_matrix()
-    assert all(ps.exit_hazard(j) is ps.exit_hazard(j) for j in range(1, ps.dim + 1))

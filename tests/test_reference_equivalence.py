@@ -201,6 +201,11 @@ def test_reader_matches_per_subject_reference(tmp_path, text, max_state):
         "7,0.0,1\n3,0.0,2\n7,2.0,3\n3,1.0,1\n7,1.0,2\n",
         # subjects in descending order, each one's rows in order: the bulk reader sorts them
         "5,0.0,1\n5,1.0,2\n2,0.0,2\n2,0.5,1\n2,1.5,3\n0,0.0,1\n",
+        # a row fault comes first in file order: the negative state, not the number after it
+        "0,0.0,1\n0,1.0,-2\n0,2..0,3\n",
+        # faults in two subjects listed out of subject order: the lower subject's is named
+        "7,0.0,1\n7,1.0,1\n3,0.0,2\n3,0.5,2\n",
+        "7,0.0,1\n7,0.0,2\n3,1.0,2\n",
     ],
 )
 def test_reader_matches_per_subject_reference_on_edge_texts(tmp_path, body):

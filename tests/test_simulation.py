@@ -373,12 +373,17 @@ class TestJsonConfigs:
         assert ScenarioConfig.from_json_dict(scenario.to_json_dict()) == scenario
 
     def test_scenario_round_trip_orders_targets_by_state(self):
-        # with ten states, targets ordered as strings would put "10" before "2"
-        rule = TransitionRule(1.0, 1, ((2, 0.25), (10, 0.5)))
-        scenario = ScenarioConfig(10, 1.0, (1.0,), "markov", (1.0,) + (0.0,) * 9, (rule,))
-        loaded = ScenarioConfig.from_json_dict(scenario.to_json_dict())
-        assert loaded == scenario
-        np.testing.assert_array_equal(loaded.kernel.targets, scenario.kernel.targets)
+        # a loaded rule keeps its targets in the document's order, which fixes
+        # the inverse-CDF order of the draws: ordered as strings, "10" would come
+        # before "2", and sorted, a descending rule would draw another sample
+        none = CensoringConfig("none")
+        for probs in (((2, 0.25), (10, 0.5)), ((3, 0.5), (2, 0.25))):
+            rule = TransitionRule(1.0, 1, probs)
+            scenario = ScenarioConfig(10, 1.0, (1.0,), "markov", (1.0,) + (0.0,) * 9, (rule,))
+            loaded = ScenarioConfig.from_json_dict(scenario.to_json_dict())
+            assert loaded == scenario
+            np.testing.assert_array_equal(loaded.kernel.targets, scenario.kernel.targets)
+            assert simulate_sample(loaded, none, 200, seed=3) == simulate_sample(scenario, none, 200, seed=3)
 
     def test_censoring_round_trip(self):
         for cfg in (
