@@ -4,10 +4,12 @@ Each suite compares an implemented quantity against an independently
 computed reference and emits one record per comparison.  ``SUITES``
 registers the suites ``prodint verify`` runs, under their command-line
 names; the front end aggregates their records, and the acceptance tests
-assert on them directly.  This module alone decides pass or fail: the
-path-space oracle returns quantities, and each suite makes its records
-from them.  Randomized generators draw their probabilities
-from sixteenths so that enumerated path weights stay exact binary floats.
+assert on them directly.  A suite over the exact laws checks one space;
+its registry entry runs it over every space.  This module alone decides
+pass or fail: the path-space oracle returns quantities, and each suite
+makes its records from them.  Randomized generators draw their
+probabilities from sixteenths so that enumerated path weights stay exact
+binary floats.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .estimators import estimate
+from .estimators import EstimationError, estimate
 from .interval_functions import (
     AdditiveIF,
     GeneralIF,
@@ -260,7 +262,7 @@ def hazard_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> lis
 
 
 def chapman_kolmogorov_checks(ps: PathSpace | None = None) -> list[CheckRecord]:
-    """The non-Markov witness on the illness-death oracle.
+    """The non-Markov witness on the illness-death oracle, the packaged ``idn.json``.
 
     The direct conditional probability of staying ill over (1, 3] is 0.2,
     while the multiplicative transform of the transition function (equal to
@@ -477,7 +479,7 @@ def markov_product_checks(
     return records
 
 
-def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
+def occupation_bound_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """Occupation floors on all grid pairs; equality where no mass flows in.
 
     The floor of j from s to t is the occupation at s times the product
@@ -486,73 +488,55 @@ def occupation_bound_checks(spaces, labels=None) -> list[CheckRecord]:
     (j, j) entries of the hazard's atoms; one running survival product per
     state and start tick gives the floors at every later tick."""
     records = []
-    labels = labels or [f"instance {i}" for i in range(len(spaces))]
-    for ps, label in zip(spaces, labels):
-        inflow = ps.counting_mean().jumps.any(axis=(0, 1))
-        atoms = ps.hazard_matrix().atoms
-        ticks = [0.0] + list(ps.grid)
-        for j in range(1, ps.dim + 1):
-            survival = AdditiveIF(1, tuple((u, [[m[j - 1, j - 1]]]) for u, m in atoms if m[j - 1, j - 1] != 0.0))
-            for si, s in enumerate(ticks):
-                start = ps.occupation(j, s)
-                for t, product in zip(ticks[si:], product_integral_sweep(survival, s, ticks[si:])):
-                    lhs, rhs = ps.occupation(j, t), start * float(product[0, 0])
-                    detail = f"{label} j={j} on [{s:g},{t:g}]"
-                    records.append(
-                        CheckRecord(
-                            "occupation-lower-bound",
-                            lhs,
-                            rhs,
-                            1e-12,
-                            passed=lhs >= rhs - 1e-12,
-                            detail=detail,
-                            kind="bound",
-                        )
+    inflow = ps.counting_mean().jumps.any(axis=(0, 1))
+    atoms = ps.hazard_matrix().atoms
+    ticks = [0.0] + list(ps.grid)
+    for j in range(1, ps.dim + 1):
+        survival = AdditiveIF(1, tuple((u, [[m[j - 1, j - 1]]]) for u, m in atoms if m[j - 1, j - 1] != 0.0))
+        for si, s in enumerate(ticks):
+            start = ps.occupation(j, s)
+            for t, product in zip(ticks[si:], product_integral_sweep(survival, s, ticks[si:])):
+                lhs, rhs = ps.occupation(j, t), start * float(product[0, 0])
+                detail = f"{label} j={j} on [{s:g},{t:g}]"
+                records.append(
+                    CheckRecord(
+                        "occupation-lower-bound",
+                        lhs,
+                        rhs,
+                        1e-12,
+                        passed=lhs >= rhs - 1e-12,
+                        detail=detail,
+                        kind="bound",
                     )
-                    if not inflow[j - 1]:
-                        records.append(
-                            close_record("occupation-bound-equality", lhs, rhs, 1e-12, detail=f"{detail} (no inflow)")
-                        )
+                )
+                if not inflow[j - 1]:
+                    records.append(
+                        close_record("occupation-bound-equality", lhs, rhs, 1e-12, detail=f"{detail} (no inflow)")
+                    )
     return records
 
 
-def extinction_checks(spaces, labels=None, corpus: bool = True) -> list[CheckRecord]:
+def extinction_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """Wherever an occupation hits zero the exit atoms there must total one.
 
     On a finite path space the occupation can only vanish at a jump time at
     which every remaining occupant leaves, so the exit-hazard atom after
     which the state is empty, minus the (j, j) entry of the hazard's atom
-    there, is its exit mass, and must be one.  On a
-    ``corpus`` (the packaged scenarios plus random ones), finding no
-    extinction at all is a failed coverage record: the corpus is built to
-    hold one.  A single scenario need not.
+    there, is its exit mass, and must be one.  A single space need not hold
+    an extinction; the ``extinction-exit`` entry of ``SUITES`` asks the
+    corpus to hold one.
     """
     records = []
-    labels = labels or [f"instance {i}" for i in range(len(spaces))]
-    for ps, label in zip(spaces, labels):
-        atoms = ps.hazard_matrix().atoms
-        for j in range(1, ps.dim + 1):
-            for u, step in atoms:
-                if step[j - 1, j - 1] != 0.0 and ps.occupation(j, u) == 0.0:
-                    detail = f"{label} j={j} at t={u:g}"
-                    records.append(close_record("extinction-exit", -step[j - 1, j - 1], 1.0, 1e-12, detail=detail))
-    if corpus and not records:
-        records.append(
-            CheckRecord(
-                "extinction-exit",
-                0.0,
-                0.0,
-                0.0,
-                passed=False,
-                detail="no extinction boundary found in the corpus",
-            )
-        )
+    atoms = ps.hazard_matrix().atoms
+    for j in range(1, ps.dim + 1):
+        for u, step in atoms:
+            if step[j - 1, j - 1] != 0.0 and ps.occupation(j, u) == 0.0:
+                detail = f"{label} j={j} at t={u:g}"
+                records.append(close_record("extinction-exit", -step[j - 1, j - 1], 1.0, 1e-12, detail=detail))
     return records
 
 
-def uncensored_identity_checks(
-    rng: np.random.Generator, count: int = 1000
-) -> list[CheckRecord]:
+def uncensored_identity_checks(rng: np.random.Generator, count: int) -> list[CheckRecord]:
     """On fully observed samples the derived occupation curve must equal the
     raw observed proportions at every event time."""
     none = CensoringConfig("none")
@@ -583,7 +567,9 @@ def uncensored_identity_checks(
 class SuiteInputs:
     """What a suite of ``prodint verify`` draws on: the exact laws with their
     labels, the generator of the randomized suites, ``--count``, and whether
-    the laws are the corpus or one ``--scenario``."""
+    the laws are the corpus or one ``--scenario``.  A corpus is built to hold
+    an extinction boundary, so on a corpus the ``extinction-exit`` suite
+    fails when no space gives one."""
 
     spaces: Sequence[PathSpace]
     labels: Sequence[str]
@@ -594,6 +580,14 @@ class SuiteInputs:
 
 def _each_space(check, inputs: SuiteInputs) -> list[CheckRecord]:
     return [r for ps, label in zip(inputs.spaces, inputs.labels) for r in check(ps, label=label)]
+
+
+def _extinction_suite(run: SuiteInputs) -> list[CheckRecord]:
+    records = _each_space(extinction_checks, run)
+    if run.corpus and not records:
+        detail = "no extinction boundary found in the corpus"
+        records.append(CheckRecord("extinction-exit", 0.0, 0.0, 0.0, False, detail))
+    return records
 
 
 # Every suite of ``prodint verify``, in the order it runs them.  The order
@@ -609,8 +603,8 @@ SUITES: dict[str, Callable[[SuiteInputs], list[CheckRecord]]] = {
     "transform-duality": lambda run: transform_duality_checks(run.rng, count=run.count),
     "hazard-integral": lambda run: _each_space(hazard_integral_checks, run),
     "markov-product": lambda run: markov_product_checks(run.rng, count=max(50, run.count // 2)),
-    "occupation-lower-bound": lambda run: occupation_bound_checks(run.spaces, run.labels),
-    "extinction-exit": lambda run: extinction_checks(run.spaces, run.labels, run.corpus),
+    "occupation-lower-bound": lambda run: _each_space(occupation_bound_checks, run),
+    "extinction-exit": _extinction_suite,
     "uncensored-identity": lambda run: uncensored_identity_checks(run.rng, count=run.count),
 }
 
@@ -621,31 +615,32 @@ def convergence_study(
     violating: CensoringConfig | None,
     ns,
     seed: int,
-    sup_tol: float = 0.02,
-    bias_floor: float = 0.05,
+    sup_tol: float,
+    bias_floor: float,
 ) -> tuple[list[CheckRecord], list[dict]]:
     """Sup-norm error of the estimated occupation curve against the exact one.
 
     Runs the conforming arm at each sample size (errors must strictly
     decrease and end below ``sup_tol``) and the violating arm at the
-    largest size (its error must exceed ``bias_floor``).
+    largest size (its error must exceed ``bias_floor``).  A sample the
+    estimators cannot take raises an ``EstimationError`` that names its
+    arm, size and seed.
     """
     oracle = exact_pathspace(scenario)
     truth = {t: oracle.occupation_vector(t) for t in scenario.grid}
-
-    def sup_error(sample) -> float:
-        grid = estimate(sample, dim=scenario.dim, upto=scenario.tau)
-        return max(
-            float(np.abs(grid.occupation_at(t) - truth[t]).max()) for t in scenario.grid
-        )
-
     table = []
-    errors = []
-    for n in ns:
-        sample = simulate_sample(scenario, conforming, int(n), seed, arm=0)
-        err = sup_error(sample)
-        errors.append(err)
-        table.append({"arm": "conforming", "n": int(n), "sup_error": err})
+
+    def sup_error(name: str, censoring: CensoringConfig, n: int, arm: int) -> float:
+        sample = simulate_sample(scenario, censoring, n, seed, arm=arm)
+        try:
+            grid = estimate(sample, dim=scenario.dim, upto=scenario.tau)
+        except EstimationError as exc:
+            raise EstimationError(f"{name} arm at n={n}, seed {seed}: {exc}") from None
+        error = max(float(np.abs(grid.occupation_at(t) - truth[t]).max()) for t in scenario.grid)
+        table.append({"arm": name, "n": n, "sup_error": error})
+        return error
+
+    errors = [sup_error("conforming", conforming, int(n), 0) for n in ns]
 
     records = []
     if len(ns) > 1:
@@ -673,9 +668,7 @@ def convergence_study(
         )
     )
     if violating is not None:
-        sample = simulate_sample(scenario, violating, int(ns[-1]), seed, arm=1)
-        biased = sup_error(sample)
-        table.append({"arm": "violating", "n": int(ns[-1]), "sup_error": biased})
+        biased = sup_error("violating", violating, int(ns[-1]), 1)
         records.append(
             CheckRecord(
                 "violation-bias",

@@ -25,11 +25,11 @@ import math
 import os
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
 from .estimators import (
+    EstimationError,
     FormatError,
     GridBudgetError,
     estimate,
@@ -48,6 +48,7 @@ from .simulation import (
     exact_pathspace,
     load_censoring,
     load_scenario,
+    packaged_scenario,
     simulate_sample,
 )
 
@@ -142,19 +143,9 @@ def cmd_estimate(args) -> int:
 
 
 def _corpus_scenarios(corpus_dir) -> dict[str, ScenarioConfig]:
-    scenarios = {}
-    if corpus_dir:
-        for name in CORPUS_SCENARIOS:
-            path = os.path.join(corpus_dir, name)
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"corpus file missing: {path}")
-            scenarios[name] = load_scenario(path)
-    else:
-        package_corpus = resources.files("prodint") / "corpus"
-        for name in CORPUS_SCENARIOS:
-            with resources.as_file(package_corpus / name) as path:
-                scenarios[name] = load_scenario(path)
-    return scenarios
+    if corpus_dir:  # a missing file is an OSError that names its path
+        return {name: load_scenario(os.path.join(corpus_dir, name)) for name in CORPUS_SCENARIOS}
+    return {name: packaged_scenario(name) for name in CORPUS_SCENARIOS}
 
 
 def cmd_verify(args) -> int:
@@ -236,7 +227,9 @@ def cmd_convergence(args) -> int:
         records, table = checks.convergence_study(
             scenario, conforming, violating, ns, args.seed, args.sup_tol, args.bias_floor
         )
-    except ValueError as exc:  # the scenario's law or a sample of it, named as verify names it
+    except EstimationError:  # a drawn sample, which the study names by its arm, size and seed
+        raise
+    except ValueError as exc:  # the scenario's law, named as verify names it
         raise ConfigError(f"{args.scenario}: {exc}") from None
     print(f"{'arm':>12} {'n':>8} {'sup_error':>12}")
     for row in table:

@@ -148,13 +148,6 @@ class AdditiveIF:
                 total += overlap * matrix_norm(rate)
         return total
 
-    def scale(self, factor: float) -> "AdditiveIF":
-        return AdditiveIF(
-            self.dim,
-            tuple((t, factor * m) for t, m in self.atoms),
-            tuple((s, e, factor * r) for s, e, r in self.density),
-        )
-
 
 def first_failure(times, checks) -> str | None:
     """"<message> at <time>" for the first of ``times`` that fails one of

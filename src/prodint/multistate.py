@@ -80,6 +80,8 @@ class PathSpace:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be a positive finite time, got {self.tau!r}")
         grid = tuple(float(t) for t in self.grid)
         for earlier, later in zip(grid, grid[1:]):
             if not earlier < later:

@@ -29,6 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import resources
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -641,26 +642,20 @@ def simulate_sample(
 # -- canonical scenarios ------------------------------------------------------
 
 
+def packaged_scenario(name: str) -> ScenarioConfig:
+    """The scenario of the file ``name`` in the packaged corpus, ``prodint/corpus``."""
+    with resources.as_file(resources.files(__package__) / "corpus" / name) as path:
+        return load_scenario(path)
+
+
 def illness_death_scenario() -> ScenarioConfig:
     """Three-state illness-death scenario whose death hazard remembers the
     illness entry time, which breaks the Markov property with only five
-    distinct trajectories.
+    distinct trajectories: the packaged ``idn.json``.
 
     Everyone starts healthy (state 1).  At t=1 and t=2 a healthy subject
     falls ill (state 2) with probability one half.  At t=3 an ill subject
     dies (state 3) with probability 0.8 if it fell ill at t=1 and 0.2 if
     at t=2.
     """
-    return ScenarioConfig(
-        dim=3,
-        tau=3.0,
-        grid=(1.0, 2.0, 3.0),
-        rule="entry_time_dependent",
-        initial=(1.0, 0.0, 0.0),
-        transitions=(
-            TransitionRule(1.0, 1, ((2, 0.5),)),
-            TransitionRule(2.0, 1, ((2, 0.5),)),
-            TransitionRule(3.0, 2, ((3, 0.8),), when=1.0),
-            TransitionRule(3.0, 2, ((3, 0.2),), when=2.0),
-        ),
-    )
+    return packaged_scenario("idn.json")

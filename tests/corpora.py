@@ -17,33 +17,19 @@ from prodint import (
     illness_death_scenario,
 )
 from prodint.checks import random_scenario
-from prodint.simulation import RULE_KINDS
+from prodint.simulation import RULE_KINDS, packaged_scenario
 
 
 def two_state_scenario() -> ScenarioConfig:
     """Single binary branch: one 1 -> 2 transition at t=1 with probability
     1/2 (the packaged surv.json)."""
-    return ScenarioConfig(
-        dim=2,
-        tau=2.0,
-        grid=(1.0,),
-        rule="markov",
-        initial=(1.0, 0.0),
-        transitions=(TransitionRule(1.0, 1, ((2, 0.5),)),),
-    )
+    return packaged_scenario("surv.json")
 
 
 def forced_exit_scenario() -> ScenarioConfig:
     """State 1 empties with certainty at t=1; exercises the extinction
     checks (the packaged forced_exit.json)."""
-    return ScenarioConfig(
-        dim=2,
-        tau=2.0,
-        grid=(1.0,),
-        rule="markov",
-        initial=(1.0, 0.0),
-        transitions=(TransitionRule(1.0, 1, ((2, 1.0),)),),
-    )
+    return packaged_scenario("forced_exit.json")
 
 
 def default_corpus() -> dict[str, PathSpace]:

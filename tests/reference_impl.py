@@ -5,7 +5,8 @@ the event-history CSV writer and reader, the Nelson-Aalen estimator, the
 Aalen-Johansen product as one checked matrix product per event time, the
 path-space queries, the hazard laws of a path space (its one-step
 tables, event times, hazard atoms, exit hazards -- which the library
-reads off its hazard's diagonal -- and occupation floors),
+reads off its hazard's diagonal -- and occupation floors, with the
+scaling of an additive function that negates an exit hazard there),
 the hazard-side verify suites one record at a time (with their own
 record type, and the occupation just before, the positivity blocks and
 the sup of the hazard integral read path by path), the
@@ -738,6 +739,15 @@ def hazard_atoms(ps):
     return atoms
 
 
+def scaled(f, factor):
+    """The additive function ``factor * f``: every atom and every density rate scaled."""
+    return AdditiveIF(
+        f.dim,
+        tuple((t, factor * m) for t, m in f.atoms),
+        tuple((s, e, factor * r) for s, e, r in f.density),
+    )
+
+
 def exit_hazard(ps, j):
     """The total exit hazard of state j: minus the j-th diagonal of the
     hazard's atoms, wherever that is nonzero."""
@@ -752,7 +762,7 @@ def occupation_lower_bound(ps, j, s, t):
     start = occupation(ps, j, s)
     survival = 1.0
     if t > s:
-        survival = product_integral(exit_hazard(ps, j).scale(-1.0), Interval.open_closed(s, t))[0, 0]
+        survival = product_integral(scaled(exit_hazard(ps, j), -1.0), Interval.open_closed(s, t))[0, 0]
     rhs = start * survival
     return BoundCheck(lhs, rhs, lhs >= rhs - 1e-12)
 
@@ -853,25 +863,24 @@ def hazard_integral_checks(ps, label=""):
     return records
 
 
-def occupation_bound_checks(spaces, labels):
+def occupation_bound_checks(ps, label=""):
     """One occupation floor, with its own product integral, per (j, s, t)."""
     records = []
-    for ps, label in zip(spaces, labels):
-        inflow = {k: any(jump_mass(ps, u)[:, k - 1].any() for u in ps.grid) for k in range(1, ps.dim + 1)}
-        ticks = [0.0] + list(ps.grid)
-        for j in range(1, ps.dim + 1):
-            for si, s in enumerate(ticks):
-                for t in ticks[si:]:
-                    lhs, rhs, ok = occupation_lower_bound(ps, j, s, t)
-                    where = f"{label} j={j} on [{s:g},{t:g}]"
-                    records.append(check_record("occupation-lower-bound", lhs, rhs, 1e-12, ok, where, kind="bound"))
-                    if not inflow[j]:
-                        records.append(
-                            check_record(
-                                "occupation-bound-equality", lhs, rhs, 1e-12,
-                                abs(lhs - rhs) <= 1e-12, f"{where} (no inflow)",
-                            )
+    inflow = {k: any(jump_mass(ps, u)[:, k - 1].any() for u in ps.grid) for k in range(1, ps.dim + 1)}
+    ticks = [0.0] + list(ps.grid)
+    for j in range(1, ps.dim + 1):
+        for si, s in enumerate(ticks):
+            for t in ticks[si:]:
+                lhs, rhs, ok = occupation_lower_bound(ps, j, s, t)
+                where = f"{label} j={j} on [{s:g},{t:g}]"
+                records.append(check_record("occupation-lower-bound", lhs, rhs, 1e-12, ok, where, kind="bound"))
+                if not inflow[j]:
+                    records.append(
+                        check_record(
+                            "occupation-bound-equality", lhs, rhs, 1e-12,
+                            abs(lhs - rhs) <= 1e-12, f"{where} (no inflow)",
                         )
+                    )
     return records
 
 

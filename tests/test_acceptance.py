@@ -18,10 +18,11 @@ from prodint import (
     product_integral,
 )
 from prodint.checks import (
+    SUITES,
+    SuiteInputs,
     chapman_kolmogorov_checks,
     convergence_study,
     count_mean_defect_checks,
-    extinction_checks,
     hazard_defect_table,
     hazard_integral_checks,
     markov_product_checks,
@@ -152,7 +153,7 @@ def test_criterion_08_occupation_floor(corpus):
     golden, mixed, progressive, _ = corpus
     spaces = list(golden.values()) + mixed + progressive
     assert len(spaces) >= 100
-    records = occupation_bound_checks(spaces)
+    records = [r for i, ps in enumerate(spaces) for r in occupation_bound_checks(ps, f"instance {i}")]
     floors = [r for r in records if r.name == "occupation-lower-bound"]
     equalities = [r for r in records if r.name == "occupation-bound-equality"]
     assert floors and equalities
@@ -166,7 +167,8 @@ def test_criterion_08_occupation_floor(corpus):
 def test_criterion_09_extinction_exit_mass(corpus):
     golden, mixed, progressive, extinguishing = corpus
     spaces = list(golden.values()) + mixed + progressive + extinguishing
-    records = extinction_checks(spaces)
+    labels = [f"instance {i}" for i in range(len(spaces))]
+    records = SUITES["extinction-exit"](SuiteInputs(spaces, labels, np.random.default_rng(SEED), 0, corpus=True))
     assert all_passed(records), [r for r in records if not r.passed][:3]
     assert len(records) >= 30
     report("extinction-exit", f"{len(records)} boundaries, all exit masses 1 to 1e-12")

@@ -651,6 +651,16 @@ class TestConvergence:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [6, 8])
+    def test_unusable_sample_is_named_by_its_arm_size_and_seed(self, capsys, seed):
+        # q = 0.7 can leave the one subject unobserved at time 0: the sample is at fault, not the scenario
+        code = run(
+            "convergence", "--scenario", f"{CORPUS}/idn.json",
+            "--censoring", f"{CORPUS}/conforming.json", "--n", 1, "--seed", seed,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: conforming arm at n=1, seed {seed}: no subject observed at time 0\n"
+
 
 # -- no exception escapes main ----------------------------------------------------
 

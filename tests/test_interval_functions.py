@@ -394,7 +394,7 @@ class TestEngineMatchesIntervalReference:
                 assert_same_as_reference("multiplicative_transform", shifted, a, max_depth=depth)
                 assert_same_as_reference("variation_norm", view, a, depth)
                 assert_same_as_reference("variation_norm", plus_identity(mu), a, depth)
-                for target in (mu, mu.scale(0.5), other, jumps):
+                for target in (mu, reference_impl.scaled(mu, 0.5), other, jumps):
                     assert_same_as_reference("defect_profile", view, target, a, depth)
                 assert outcome(transform_bound, mu, a, depth) == outcome(reference_bound, mu, a, depth)
 
@@ -408,7 +408,7 @@ class TestEngineMatchesIntervalReference:
     def test_strict_defect_is_the_last_profile_row(self, ends, support, depth, seed):
         windows, support = schedule_windows(ends, support, True, False)
         jumps, density, other = self.measures(seed, support, 2)
-        for f, target in ((jumps, jumps.scale(0.25)), (density, jumps), (jumps, other)):
+        for f, target in ((jumps, reference_impl.scaled(jumps, 0.25)), (density, jumps), (jumps, other)):
             for a in windows:
                 expected = outcome(lambda: reference_impl.defect_profile(f, target, a, depth)[-1][1])
                 assert outcome(strict_transform_defect, f, target, a, depth) == expected

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from prodint import (
     PathSpace,
     exact_pathspace,
 )
-from prodint.checks import extinction_checks, occupation_bound_checks
+from prodint.checks import SUITES, SuiteInputs, extinction_checks, occupation_bound_checks
 
 import oracle_enum
 from corpora import forced_exit_scenario, two_state_scenario
@@ -82,6 +84,12 @@ class TestPathSpaceValidation:
     def test_rejects_non_positive_or_non_finite_weight(self, bad):
         with pytest.raises(ValueError, match=f"weight 1 is {bad!r}"):
             PathSpace(3, 1.0, (), np.array([[1], [2], [3]]), np.array([1.0, bad, 0.5]))
+
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_rejects_bad_tau(self, tau):
+        # with no grid time to bound, a bad tau once surfaced only inside a suite
+        with pytest.raises(ValueError, match=re.escape(f"tau must be a positive finite time, got {tau!r}")):
+            PathSpace(2, tau, (), np.array([[1], [2]]), np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("grid", [(1.0, 1.0), (1.5, 1.0), (0.0,), (3.0,), (float("nan"),)])
     def test_rejects_bad_grid(self, grid):
@@ -262,7 +270,8 @@ class TestIteratedProduct:
 def floor(ps, j, s, t):
     """The occupation-lower-bound record of j from s to t."""
     detail = f"instance 0 j={j} on [{s:g},{t:g}]"
-    (record,) = [r for r in occupation_bound_checks([ps]) if r.name == "occupation-lower-bound" and r.detail == detail]
+    records = occupation_bound_checks(ps, label="instance 0")
+    (record,) = [r for r in records if r.name == "occupation-lower-bound" and r.detail == detail]
     return record
 
 
@@ -286,14 +295,26 @@ class TestOccupationLowerBound:
 
 class TestExtinction:
     def test_idn_never_extinguishes(self, idn_space):
-        assert extinction_checks([idn_space], corpus=False) == []
+        assert extinction_checks(idn_space) == []
 
     def test_forced_exit_boundary(self):
         ps = exact_pathspace(forced_exit_scenario())
-        (record,) = extinction_checks([ps], corpus=False)
+        (record,) = extinction_checks(ps, label="instance 0")
         assert record.detail == "instance 0 j=1 at t=1"
         assert record.lhs == 1.0
         assert record.passed
+
+    @pytest.mark.parametrize("corpus", [True, False])
+    def test_coverage_record_only_on_a_corpus(self, idn_space, corpus):
+        # neither idn nor surv empties a state: a corpus of them lacks its extinction
+        spaces = [idn_space, exact_pathspace(two_state_scenario())]
+        inputs = SuiteInputs(spaces, ["idn.json", "surv.json"], np.random.default_rng(0), 0, corpus=corpus)
+        records = SUITES["extinction-exit"](inputs)
+        if corpus:
+            (record,) = records
+            assert not record.passed and record.detail == "no extinction boundary found in the corpus"
+        else:
+            assert records == []
 
 
 class TestTransformAgreesWithProductIntegral:

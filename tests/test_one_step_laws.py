@@ -69,7 +69,7 @@ def test_one_step_laws_match_per_path_references(ps):
 @given(spaces())
 def test_occupation_floors_match_one_product_integral_per_pair(ps):
     ticks = (0.0,) + ps.grid
-    floors = iter(r for r in occupation_bound_checks([ps]) if r.name == "occupation-lower-bound")
+    floors = iter(r for r in occupation_bound_checks(ps, label="instance 0") if r.name == "occupation-lower-bound")
     for j in range(1, ps.dim + 1):
         for si, s in enumerate(ticks):
             for t in ticks[si:]:
@@ -89,9 +89,7 @@ def test_hazard_suites_match_per_record_references(ps):
     assert record_bits(hazard_integral_checks(ps, "x")) == record_bits(
         reference_impl.hazard_integral_checks(ps, "x")
     )
-    assert record_bits(occupation_bound_checks([ps], ["x"])) == record_bits(
-        reference_impl.occupation_bound_checks([ps], ["x"])
-    )
+    assert record_bits(occupation_bound_checks(ps, "x")) == record_bits(reference_impl.occupation_bound_checks(ps, "x"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +104,7 @@ def test_extinction_exits_and_hazard_integral_counts_match_references(scenario):
         for u, m in reference_impl.exit_hazard(ps, j).atoms
         if reference_impl.occupation(ps, j, u) == 0.0
     ]
-    assert [(r.detail, bits(r.lhs)) for r in extinction_checks([ps], ["x"], corpus=False)] == expected
+    assert [(r.detail, bits(r.lhs)) for r in extinction_checks(ps, "x")] == expected
     cases = list(reference_impl.hazard_integral_cases(ps))
     records = [r for r in hazard_integral_checks(ps, "x") if r.name == "hazard-integral"]
     assert [r.detail for r in records] == [f"x ({j},{k}) on {a}" for j, k, a in cases]
@@ -179,7 +177,7 @@ def test_decimal_scenarios_give_laws_whose_weights_sum_to_one(scenario):
 
 def state_one_extinctions(ps):
     """The extinction-exit records of state 1."""
-    return [r for r in extinction_checks([ps], corpus=False) if r.detail.startswith("instance 0 j=1 ")]
+    return [r for r in extinction_checks(ps, label="instance 0") if r.detail.startswith("instance 0 j=1 ")]
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,8 @@ from prodint import (
     simulate_sample,
 )
 from prodint.checks import close_record, extinction_checks, random_scenario
-from prodint.simulation import _tick_states
+from prodint.cli import CORPUS_SCENARIOS
+from prodint.simulation import _tick_states, packaged_scenario
 
 import oracle_enum
 from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario
@@ -119,7 +120,7 @@ class TestExactPathspace:
         assert [(p.jumps, w) for p, w in ps.paths] == [
             (((1.0, 2),), 0.7), (((1.0, 3),), (0.7 + 0.2) - 0.7), (((1.0, 4),), 1.0 - (0.7 + 0.2))
         ]
-        records = extinction_checks([ps], corpus=False)
+        records = extinction_checks(ps, label="instance 0")
         assert [(r.detail, r.passed) for r in records] == [("instance 0 j=1 at t=1", True)]
 
     def test_rounding_slack_is_spent_once(self):
@@ -395,9 +396,10 @@ class TestJsonConfigs:
             assert CensoringConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
     def test_packaged_corpus_matches_builders(self):
-        assert load_scenario(f"{CORPUS}/idn.json") == illness_death_scenario()
-        assert load_scenario(f"{CORPUS}/surv.json") == two_state_scenario()
-        assert load_scenario(f"{CORPUS}/forced_exit.json") == forced_exit_scenario()
+        # verify's packaged corpus and a --corpus directory of the same files read the same laws
+        for name in CORPUS_SCENARIOS:
+            assert packaged_scenario(name) == load_scenario(CORPUS / name)
+        assert illness_death_scenario() == load_scenario(CORPUS / "idn.json")
         conforming = load_censoring(f"{CORPUS}/conforming.json")
         assert conforming.kind == "state_filtering_conforming" and conforming.q == 0.7
         violating = load_censoring(f"{CORPUS}/violating.json")
