@@ -40,6 +40,7 @@ from .intervals import Interval
 from .multistate import PathSpace
 from .simulation import (
     CensoringConfig,
+    ConfigError,
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
@@ -193,12 +194,12 @@ def random_jump_function(
     dim = int(rng.integers(1, max_dim + 1))
     n_atoms = int(rng.integers(1, max_atoms + 1))
     times = sorted(_sample(rng, _ATOM_TIMES, n_atoms))
-    atoms = []
-    for t in times:
+    jumps = []
+    for _ in times:
         raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
         target = max_norm * rng.uniform(0.1, 1.0)
-        atoms.append((float(t), raw * (target / matrix_norm(raw))))
-    return AdditiveIF(dim, tuple(atoms))
+        jumps.append(raw * (target / matrix_norm(raw)))
+    return AdditiveIF(dim, times, jumps)
 
 
 def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
@@ -462,10 +463,9 @@ def markov_product_checks(
         shapes = [random_subinterval(rng, tau=scenario.tau) for _ in range(subintervals)]
         ps = exact_pathspace(scenario)
         hazard = ps.hazard_matrix()
-        atom_times = [t for t, _ in hazard.atoms]
         products, expected = {}, []
         for a in shapes:
-            span = index_range(atom_times, a)
+            span = index_range(hazard.times, a)
             if span not in products:
                 products[span] = product_integral(hazard, a)
             expected.append(products[span])
@@ -485,30 +485,23 @@ def occupation_bound_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]
     The floor of j from s to t is the occupation at s times the product
     integral of ``1 - exit hazard`` over (s, t]; it is attained exactly when
     the state gains no mass on the way.  Its factors are 1 plus the nonzero
-    (j, j) entries of the hazard's atoms; one running survival product per
+    (j, j) entries of the hazard's jumps; one running survival product per
     state and start tick gives the floors at every later tick."""
     records = []
     inflow = ps.counting_mean().jumps.any(axis=(0, 1))
-    atoms = ps.hazard_matrix().atoms
+    hazard = ps.hazard_matrix()
     ticks = [0.0] + list(ps.grid)
     for j in range(1, ps.dim + 1):
-        survival = AdditiveIF(1, tuple((u, [[m[j - 1, j - 1]]]) for u, m in atoms if m[j - 1, j - 1] != 0.0))
+        exits = hazard.jumps[:, j - 1, j - 1]
+        held = exits != 0.0
+        survival = AdditiveIF(1, np.compress(held, hazard.times), exits[held])
         for si, s in enumerate(ticks):
             start = ps.occupation(j, s)
             for t, product in zip(ticks[si:], product_integral_sweep(survival, s, ticks[si:])):
                 lhs, rhs = ps.occupation(j, t), start * float(product[0, 0])
                 detail = f"{label} j={j} on [{s:g},{t:g}]"
-                records.append(
-                    CheckRecord(
-                        "occupation-lower-bound",
-                        lhs,
-                        rhs,
-                        1e-12,
-                        passed=lhs >= rhs - 1e-12,
-                        detail=detail,
-                        kind="bound",
-                    )
-                )
+                floor = CheckRecord("occupation-lower-bound", lhs, rhs, 1e-12, lhs >= rhs - 1e-12, detail, "bound")
+                records.append(floor)
                 if not inflow[j - 1]:
                     records.append(
                         close_record("occupation-bound-equality", lhs, rhs, 1e-12, detail=f"{detail} (no inflow)")
@@ -527,12 +520,12 @@ def extinction_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     corpus to hold one.
     """
     records = []
-    atoms = ps.hazard_matrix().atoms
+    hazard = ps.hazard_matrix()
     for j in range(1, ps.dim + 1):
-        for u, step in atoms:
-            if step[j - 1, j - 1] != 0.0 and ps.occupation(j, u) == 0.0:
+        for u, exit_rate in zip(hazard.times, hazard.jumps[:, j - 1, j - 1]):
+            if exit_rate != 0.0 and ps.occupation(j, u) == 0.0:
                 detail = f"{label} j={j} at t={u:g}"
-                records.append(close_record("extinction-exit", -step[j - 1, j - 1], 1.0, 1e-12, detail=detail))
+                records.append(close_record("extinction-exit", -exit_rate, 1.0, 1e-12, detail=detail))
     return records
 
 
@@ -579,7 +572,13 @@ class SuiteInputs:
 
 
 def _each_space(check, inputs: SuiteInputs) -> list[CheckRecord]:
-    return [r for ps, label in zip(inputs.spaces, inputs.labels) for r in check(ps, label=label)]
+    records = []
+    for ps, label in zip(inputs.spaces, inputs.labels):
+        try:
+            records += check(ps, label=label)
+        except ValueError as exc:  # named by the space's label: its file name, or "random i"
+            raise ValueError(f"{label}: {exc}") from None
+    return records
 
 
 def _extinction_suite(run: SuiteInputs) -> list[CheckRecord]:
@@ -623,18 +622,18 @@ def convergence_study(
     Runs the conforming arm at each sample size (errors must strictly
     decrease and end below ``sup_tol``) and the violating arm at the
     largest size (its error must exceed ``bias_floor``).  A sample the
-    estimators cannot take raises an ``EstimationError`` that names its
-    arm, size and seed.
+    sampler refuses to draw or the estimators cannot take raises an
+    ``EstimationError`` that names its arm, size and seed.
     """
     oracle = exact_pathspace(scenario)
     truth = {t: oracle.occupation_vector(t) for t in scenario.grid}
     table = []
 
     def sup_error(name: str, censoring: CensoringConfig, n: int, arm: int) -> float:
-        sample = simulate_sample(scenario, censoring, n, seed, arm=arm)
         try:
+            sample = simulate_sample(scenario, censoring, n, seed, arm=arm)
             grid = estimate(sample, dim=scenario.dim, upto=scenario.tau)
-        except EstimationError as exc:
+        except (ConfigError, EstimationError) as exc:
             raise EstimationError(f"{name} arm at n={n}, seed {seed}: {exc}") from None
         error = max(float(np.abs(grid.occupation_at(t) - truth[t]).max()) for t in scenario.grid)
         table.append({"arm": name, "n": n, "sup_error": error})
@@ -644,41 +643,13 @@ def convergence_study(
 
     records = []
     if len(ns) > 1:
-        smallest_drop = min(a - b for a, b in zip(errors, errors[1:]))
-        records.append(
-            CheckRecord(
-                "convergence-decreasing",
-                smallest_drop,
-                0.0,
-                0.0,
-                passed=smallest_drop > 0.0,
-                detail="errors " + " ".join(f"{e:.4f}" for e in errors),
-                kind="bound",
-            )
-        )
-    records.append(
-        CheckRecord(
-            "convergence-final",
-            errors[-1],
-            sup_tol,
-            0.0,
-            passed=errors[-1] < sup_tol,
-            detail=f"n={ns[-1]}",
-            kind="bound",
-        )
-    )
+        drop = min(a - b for a, b in zip(errors, errors[1:]))
+        detail = "errors " + " ".join(f"{e:.4f}" for e in errors)
+        records.append(CheckRecord("convergence-decreasing", drop, 0.0, 0.0, drop > 0.0, detail, "bound"))
+    final, detail = errors[-1], f"n={ns[-1]}"
+    records.append(CheckRecord("convergence-final", final, sup_tol, 0.0, final < sup_tol, detail, "bound"))
     if violating is not None:
         biased = sup_error("violating", violating, int(ns[-1]), 1)
-        records.append(
-            CheckRecord(
-                "violation-bias",
-                biased,
-                bias_floor,
-                0.0,
-                passed=biased > bias_floor,
-                detail=f"n={ns[-1]}",
-                kind="bound",
-            )
-        )
+        records.append(CheckRecord("violation-bias", biased, bias_floor, 0.0, biased > bias_floor, detail, "bound"))
     return records, table
 

@@ -72,10 +72,15 @@ class EventHistory(NamedTuple):
     jumps: tuple[tuple[float, int], ...]
 
 
-def _column(values, dtype) -> np.ndarray:
-    column = np.array(values, dtype=dtype)
+def _column(values, dtype, name: str) -> np.ndarray:
+    column = np.asarray(values)
     if column.ndim != 1:
         raise ValueError("sample columns must be one-dimensional")
+    if dtype is np.int64 and column.dtype.kind == "f":  # a fractional value is refused, not truncated
+        whole = (np.trunc(column) == column) & (np.abs(column) < 2.0**63)  # NaN and inf are not
+        if not whole.all():
+            raise ValueError(f"{name} must be whole numbers, got {float(column[~whole][0])!r}")
+    column = column.astype(dtype)
     column.setflags(write=False)
     return column
 
@@ -87,19 +92,21 @@ class EventSample:
     time 0 and makes the jumps ``offsets[i]:offsets[i + 1]`` of ``times`` and
     ``states``.  Within a subject, jump times are positive and strictly
     increasing and consecutive states differ; states are numbered from 0,
-    which marks an unobserved span.  The columns are validated once, when
-    the sample is made, and are read-only.  ``sources[k]`` is the state
-    jump k leaves and ``max_state`` the largest state of the sample (0 when
-    it has none).  The estimators read these columns; iteration yields
-    each subject's ``EventHistory`` view of them.
+    which marks an unobserved span.  Ids, states and offsets may be given
+    as whole floats (2.0); a fractional one raises ``ValueError`` naming
+    its column.  The columns are validated once, when the sample is made,
+    and are read-only.  ``sources[k]`` is the state jump k leaves and
+    ``max_state`` the largest state of the sample (0 when it has none).
+    The estimators read these columns; iteration yields each subject's
+    ``EventHistory`` view of them.
     """
 
     def __init__(self, subjects, initial, offsets, times, states) -> None:
-        self.subjects = _column(subjects, np.int64)
-        self.initial = _column(initial, np.int64)
-        self.offsets = _column(offsets, np.int64)
-        self.times = _column(times, np.float64)
-        self.states = _column(states, np.int64)
+        self.subjects = _column(subjects, np.int64, "subject ids")
+        self.initial = _column(initial, np.int64, "initial states")
+        self.offsets = _column(offsets, np.int64, "jump offsets")
+        self.times = _column(times, np.float64, "jump times")
+        self.states = _column(states, np.int64, "jump states")
         n, size = len(self.subjects), len(self.times)
         if len(self.initial) != n or len(self.offsets) != n + 1 or len(self.states) != size:
             raise ValueError("sample columns have inconsistent lengths")
@@ -179,13 +186,13 @@ def _check_dimension(sample: EventSample, d: int) -> None:
     raise EstimationError(f"subject {sample.subjects[i]} visits state {top[i]} beyond dimension {d}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateGrid:
     """Estimates at the pooled observed transition times, built whole by
     ``estimate``.
 
     ``hazard_steps[i]`` is the Nelson-Aalen increment matrix at
-    ``times[i]`` (the atoms of ``nelson_aalen``'s ``HazardMatrixIF``);
+    ``times[i]`` (the ``jumps`` of ``nelson_aalen``'s ``HazardMatrixIF``);
     ``transition[i]`` the Aalen-Johansen product P(0, times[i]), the
     product integral of that hazard over (0, times[i]]; ``p0`` the
     renormalized observed initial distribution and ``occupation[i]`` the

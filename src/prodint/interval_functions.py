@@ -61,55 +61,52 @@ class ConvergenceError(RuntimeError):
         self.depth = depth
 
 
-def _frozen_stack(matrices, dim: int) -> np.ndarray:
+def _frozen_stack(matrices, count: int, dim: int) -> np.ndarray:
     """``matrices`` as one read-only (count x dim x dim) array of finite floats."""
-    if not matrices:
-        stack = np.zeros((0, dim, dim))
-    else:
-        stack = np.array(matrices, dtype=float).reshape((len(matrices), dim, dim))
-        if not np.isfinite(stack).all():
-            raise ValueError("matrix entries must be finite")
+    stack = np.array(matrices, dtype=float).reshape((count, dim, dim))
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix entries must be finite")
     stack.setflags(write=False)
     return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditiveIF:
     """Finitely additive interval function in canonical form.
 
-    ``atoms`` is a sorted tuple of ``(time, matrix)`` jumps; ``density`` is
-    a tuple of ``(start, end, rate_matrix)`` pieces with disjoint
+    The atoms are ``times``, strictly increasing floats, and ``jumps``,
+    their matrices as one read-only (atom x dim x dim) array; the atoms an
+    interval holds are one slice of both, found by bisection.  ``density``
+    is a tuple of ``(start, end, rate_matrix)`` pieces with disjoint
     increasing spans.  The value on an interval is the sum of the atoms it
     contains plus the density integrated over it, so additivity holds by
-    construction and the variation norm is exact.  The atoms' times are
-    ``times`` and their matrices views of ``jumps``, one read-only (atom x
-    dim x dim) array; the atoms an interval holds are found by bisection.
+    construction and the variation norm is exact.  It holds arrays, so it
+    equals only itself.
     """
 
     dim: int
-    atoms: tuple = ()
+    times: tuple = ()
+    jumps: np.ndarray = ()
     density: tuple = ()
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        atoms, pieces = tuple(self.atoms), ()
-        jumps = _frozen_stack([m for _, m in atoms], self.dim)
-        times = tuple([float(t) for t, _ in atoms])
+        times, pieces = tuple([float(t) for t in self.times]), ()
+        jumps = _frozen_stack(self.jumps, len(times), self.dim)
         if not all(earlier < later for earlier, later in zip(times, times[1:])):
             raise ValueError("atom times must be strictly increasing")
         if self.density:
             density = tuple(self.density)
-            rates = _frozen_stack([r for _, _, r in density], self.dim)
+            rates = _frozen_stack([r for _, _, r in density], len(density), self.dim)
             pieces = tuple((float(s), float(e), r) for (s, e, _), r in zip(density, rates))
             if not all(s < e for s, e, _ in pieces):
                 raise ValueError("density pieces must have positive width")
             if any(e1 > s2 for (_, e1, _), (s2, _, _) in zip(pieces, pieces[1:])):
                 raise ValueError("density pieces must be disjoint and ordered")
-        object.__setattr__(self, "atoms", tuple(zip(times, jumps)))
-        object.__setattr__(self, "density", pieces)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "density", pieces)
 
     @property
     def step_like(self) -> bool:
@@ -123,13 +120,9 @@ class AdditiveIF:
         edges = [edge for start, end, _ in self.density for edge in (start, end)]
         return tuple(sorted({*self.times, *edges}))
 
-    def _atoms_in(self, a: Interval) -> tuple:
-        """The atoms ``a`` holds, in time order."""
-        return self.atoms[slice(*index_range(self.times, a))]
-
     def __call__(self, a: Interval) -> np.ndarray:
         total = np.zeros((self.dim, self.dim))
-        for _, jump in self._atoms_in(a):
+        for jump in self.jumps[slice(*index_range(self.times, a))]:
             total += jump
         for start, end, rate in self.density:
             overlap = min(a.hi, end) - max(a.lo, start)
@@ -140,7 +133,7 @@ class AdditiveIF:
     def variation(self, a: Interval) -> float:
         """Exact variation norm on ``a``: atom norms plus density norm mass."""
         total = 0.0
-        for _, jump in self._atoms_in(a):
+        for jump in self.jumps[slice(*index_range(self.times, a))]:
             total += matrix_norm(jump)
         for start, end, rate in self.density:
             overlap = min(a.hi, end) - max(a.lo, start)
@@ -161,7 +154,7 @@ def first_failure(times, checks) -> str | None:
     return f"{next(message for flags, (_, message) in zip(failed, checks) if flags[i])} at {times[i]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HazardMatrixIF(AdditiveIF):
     """Additive hazard matrix: nonnegative off-diagonals, zero row sums.
 
@@ -173,12 +166,11 @@ class HazardMatrixIF(AdditiveIF):
         super().__post_init__()
         if self.density:
             raise ValueError("hazard matrices are pure-jump")
-        steps = self.jumps
-        off = steps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
+        off = self.jumps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
         failure = first_failure(self.times, (
             (off < 0.0, "negative off-diagonal hazard"),
             (off.sum(axis=2) > 1.0 + 1e-12, "instantaneous exit mass above 1"),
-            (np.abs(steps.sum(axis=2)) > 1e-12, "hazard rows must sum to zero"),
+            (np.abs(self.jumps.sum(axis=2)) > 1e-12, "hazard rows must sum to zero"),
         ))
         if failure:
             raise ValueError(failure)
@@ -191,6 +183,7 @@ class HazardMatrixIF(AdditiveIF):
         or occupation of j just before), with minus its sum on the diagonal.
         A row without counts is all zeros; counts out of a state with
         nobody at risk raise ``ValueError`` naming the state and the time.
+        The steps array is the hazard's ``jumps``, passed whole.
         """
         counts = np.asarray(counts, dtype=float)
         at_risk = np.asarray(at_risk)
@@ -202,7 +195,7 @@ class HazardMatrixIF(AdditiveIF):
         size, d = leaving.shape
         steps = np.divide(counts, at_risk[:, :, None], out=np.zeros_like(counts), where=leaving[:, :, None])
         steps.reshape(size, d * d)[:, :: d + 1] = np.where(leaving, -steps.sum(axis=2), 0.0)
-        return cls(d, tuple(zip(times, steps)))
+        return cls(d, times, steps)
 
 
 @dataclass(frozen=True)
@@ -489,7 +482,8 @@ def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
     eye = np.eye(lam.dim)
     result = eye
     cursor = a.lo
-    for t, jump in lam._atoms_in(a):
+    held = slice(*index_range(lam.times, a))
+    for t, jump in zip(lam.times[held], lam.jumps[held]):
         if t > cursor:
             factor = _density_factor(lam, cursor, t)
             if factor is not None:
@@ -516,20 +510,19 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
     ``times``, all at or after ``lo`` (the identity at ``t == lo``), from one
     running product.
 
-    ``lam`` must be pure-jump.  Each value multiplies the same
-    ``identity + jump`` factors in the same order as its own product
-    integral, so the two agree bit for bit.
+    ``lam`` must be pure-jump; its ``times`` and ``jumps`` are walked by
+    index.  Each value multiplies the same ``identity + jump`` factors in
+    the same order as its own product integral, so the two agree bit for bit.
     """
     if lam.density:
         raise ValueError("the product integral sweep takes a pure-jump function")
     eye = np.eye(lam.dim)
-    atoms = lam.atoms[bisect_right(lam.times, lo) :]
-    result, i, previous = eye, 0, lo
+    result, i, previous = eye, bisect_right(lam.times, lo), lo
     for t in times:
         if t < previous:
             raise ValueError(f"sweep times must be nondecreasing from {lo}, got {t} after {previous}")
-        while i < len(atoms) and atoms[i][0] <= t:
-            result = result @ (eye + atoms[i][1])
+        while i < len(lam.times) and lam.times[i] <= t:
+            result = result @ (eye + lam.jumps[i])
             i += 1
         previous = t
         yield result
@@ -593,7 +586,8 @@ def kolmogorov_integral(f: StepFunction, mu: AdditiveIF, a: Interval) -> np.ndar
     ``matrix_norm(result) <= f.sup_abs(a) * mu.variation(a)``.
     """
     total = np.zeros((mu.dim, mu.dim))
-    for t, jump in mu._atoms_in(a):
+    held = slice(*index_range(mu.times, a))
+    for t, jump in zip(mu.times[held], mu.jumps[held]):
         total += f(t) * jump
     for start, end, rate in mu.density:
         lo = max(start, a.lo)

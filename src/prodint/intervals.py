@@ -70,3 +70,19 @@ class Interval:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo:g}, {self.hi:g}{right}"
+
+
+def window_grid(tau: float, grid, error=ValueError) -> tuple[float, ...]:
+    """``grid`` as floats, checked to rise strictly inside the window (0, tau]
+    of a positive finite tau below 2**1023, where no sum of two times
+    overflows; a broken rule raises ``error``."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise error(f"tau must be a positive finite time, got {tau!r}")
+    if not tau < 2.0**1023:
+        raise error(f"tau must be below 2**1023, where a midpoint of two times could overflow, got {tau!r}")
+    grid = tuple(float(t) for t in grid)
+    if not all(earlier < later for earlier, later in zip(grid, grid[1:])):
+        raise error("grid times must be strictly increasing")
+    if grid and not (0.0 < grid[0] and grid[-1] <= tau):  # also rejects NaN
+        raise error("grid times must lie in (0, tau]")
+    return grid

@@ -30,7 +30,7 @@ from .interval_functions import (
     HazardMatrixIF,
     index_range,
 )
-from .intervals import Interval
+from .intervals import Interval, window_grid
 
 Side = Literal["right", "left"]
 
@@ -80,14 +80,7 @@ class PathSpace:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError(f"tau must be a positive finite time, got {self.tau!r}")
-        grid = tuple(float(t) for t in self.grid)
-        for earlier, later in zip(grid, grid[1:]):
-            if not earlier < later:
-                raise ValueError("grid times must be strictly increasing")
-        if grid and not (0.0 < grid[0] and grid[-1] <= self.tau):  # also rejects NaN
-            raise ValueError("grid times must lie in (0, tau]")
+        grid = window_grid(self.tau, self.grid)
         states = np.array(self.states)
         if states.ndim != 2 or not np.issubdtype(states.dtype, np.integer):
             raise ValueError("states must be a 2-D integer array (path x tick)")
@@ -247,7 +240,7 @@ class PathSpace:
 
     @cached_property
     def _counts(self) -> AdditiveIF:
-        return AdditiveIF(self.dim, tuple(zip(self.event_times, self._one_step.moves[self._one_step.events])))
+        return AdditiveIF(self.dim, self.event_times, self._one_step.moves[self._one_step.events])
 
     def indicator_matrix(self, a: Interval) -> np.ndarray:
         """Probability of status j at the left of ``a`` and k at its right,

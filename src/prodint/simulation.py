@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .estimators import EventSample
+from .intervals import window_grid
 
 if TYPE_CHECKING:
     from .multistate import PathSpace
@@ -130,14 +131,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown rule kind {self.rule!r}")
         if self.dim < 1:
             raise ConfigError("dimension must be at least 1")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ConfigError(f"tau must be a positive finite time, got {self.tau!r}")
-        grid = tuple(float(t) for t in self.grid)
-        for earlier, later in zip(grid, grid[1:]):
-            if not earlier < later:
-                raise ConfigError("grid times must be strictly increasing")
-        if grid and not (0.0 < grid[0] and grid[-1] <= self.tau):  # also rejects NaN
-            raise ConfigError("grid times must lie in (0, tau]")
+        grid = window_grid(self.tau, self.grid, ConfigError)
         initial = tuple(float(p) for p in self.initial)
         if len(initial) != self.dim:
             raise ConfigError("initial distribution length must equal the dimension")

@@ -689,21 +689,23 @@ def counting_mean(ps, j, k, a):
 
 
 def counting_mean_if(ps, j, k):
-    atoms = []
+    times, masses = [], []
     for u in ps.event_times:
         mass = 0.0
         for path, w in ps.paths:
             if jump_at(path, u) == (j, k):
                 mass += w
         if mass != 0.0:
-            atoms.append((u, [[mass]]))
-    return AdditiveIF(1, tuple(atoms))
+            times.append(u)
+            masses.append(mass)
+    return AdditiveIF(1, times, masses)
 
 
 def entry_if(f, j, k):
     """Entry (j, k) of the additive ``f`` as a scalar additive function, with
     an atom wherever that entry is nonzero, as ``counting_mean_if`` keeps them."""
-    return AdditiveIF(1, tuple((t, [[m[j - 1, k - 1]]]) for t, m in f.atoms if m[j - 1, k - 1] != 0.0))
+    kept = [(t, m[j - 1, k - 1]) for t, m in zip(f.times, f.jumps) if m[j - 1, k - 1] != 0.0]
+    return AdditiveIF(1, [t for t, _ in kept], [v for _, v in kept])
 
 
 def event_times(ps):
@@ -743,7 +745,8 @@ def scaled(f, factor):
     """The additive function ``factor * f``: every atom and every density rate scaled."""
     return AdditiveIF(
         f.dim,
-        tuple((t, factor * m) for t, m in f.atoms),
+        f.times,
+        [factor * m for m in f.jumps],
         tuple((s, e, factor * r) for s, e, r in f.density),
     )
 
@@ -751,8 +754,8 @@ def scaled(f, factor):
 def exit_hazard(ps, j):
     """The total exit hazard of state j: minus the j-th diagonal of the
     hazard's atoms, wherever that is nonzero."""
-    diagonal = [(u, step[j - 1, j - 1]) for u, step in hazard_atoms(ps)]
-    return AdditiveIF(1, tuple((u, [[-rate]]) for u, rate in diagonal if rate != 0.0))
+    kept = [(u, -step[j - 1, j - 1]) for u, step in hazard_atoms(ps) if step[j - 1, j - 1] != 0.0]
+    return AdditiveIF(1, [u for u, _ in kept], [rate for _, rate in kept])
 
 
 def occupation_lower_bound(ps, j, s, t):
@@ -851,7 +854,8 @@ def hazard_integral_checks(ps, label=""):
                 integral += occupation(ps, j, u, side="left") * step[j - 1, k - 1]
                 steps += step[j - 1, k - 1]
         means = 0.0
-        for u, mass in counting_mean_if(ps, j, k).atoms:
+        means_if = counting_mean_if(ps, j, k)
+        for u, mass in zip(means_if.times, means_if.jumps):
             if a.contains(u):
                 means += mass[0, 0]
         detail = f"{label} ({j},{k}) on {a}"

@@ -661,6 +661,17 @@ class TestConvergence:
         assert code == 2
         assert capsys.readouterr().err == f"error: conforming arm at n=1, seed {seed}: no subject observed at time 0\n"
 
+    def test_refused_sample_size_is_named_by_its_arm_size_and_seed(self, capsys):
+        # the sampler's refusal once named the scenario file, which is not at fault
+        code = run(
+            "convergence", "--scenario", f"{CORPUS}/idn.json",
+            "--censoring", f"{CORPUS}/conforming.json", "--n", 5_000_000_000,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: conforming arm at n=5000000000, seed 7: subject ids must be below 2**32, got 5000000000 subjects\n"
+        )
+
 
 # -- no exception escapes main ----------------------------------------------------
 
@@ -870,6 +881,34 @@ class TestEscapesFound:
         assert message in capsys.readouterr().err
         assert run("convergence", "--scenario", path, "--censoring", f"{CORPUS}/conforming.json") == 2
         assert message in capsys.readouterr().err
+
+    def test_tau_where_midpoints_overflow_is_rejected_by_name(self, tmp_path, capsys):
+        # simulate once wrote rows at time inf, and verify named neither the cause nor the file
+        path = self.write_idn(tmp_path, tau=1.7e308, grid=[1e308, 1.5e308], transitions=[])
+        message = f"error: {path}: tau must be below 2**1023"
+        assert self.simulate(tmp_path, path) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert run("verify", "--scenario", path, "--count", 0) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_largest_accepted_tau_keeps_every_time_finite(self, tmp_path, capsys):
+        tau = float(np.nextafter(2.0**1023, 0.0))
+        transitions = [{"time": tau / 2, "from": 1, "probs": {"2": 0.5}}]
+        path = self.write_idn(tmp_path, d=2, tau=tau, grid=[tau / 2, tau], initial=[1.0, 0.0], transitions=transitions)
+        assert self.simulate(tmp_path, path) == 0
+        assert np.isfinite(read_event_histories(tmp_path / "sample.csv").times).all()
+        assert run("verify", "--scenario", path, "--count", 0) == 0
+        capsys.readouterr()
+
+    def test_suite_error_names_its_space(self, tmp_path, capsys):
+        # no float lies strictly between 0 and 5e-324, so the gap (0, 5e-324) cannot be halved
+        path = tmp_path / "tiny_gap.json"
+        path.write_text(json.dumps({
+            "d": 2, "tau": 1.0, "grid": [5e-324], "rule": "markov", "initial": [1.0, 0.0],
+            "transitions": [{"time": 5e-324, "from": 1, "probs": {"2": 0.5}}],
+        }))
+        assert run("verify", "--scenario", path, "--count", 0) == 2
+        assert capsys.readouterr().err == "error: tiny_gap.json: a cell is too narrow to halve: its midpoint is an endpoint\n"
 
     @pytest.mark.parametrize(
         "document, message",

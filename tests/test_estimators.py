@@ -67,6 +67,25 @@ class TestEventSample:
         with pytest.raises(ValueError, match=message):
             EventSample(*columns)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0.5, 1], [1, 2], [0, 1, 1], [1.0], [3]), "subject ids must be whole numbers, got 0.5"),
+            (([0, 1], [1.7, 2.2], [0, 1, 1], [1.0], [2]), "initial states must be whole numbers, got 1.7"),
+            (([0, 1], [1, 2], [0, 0.5, 1], [1.0], [2]), "jump offsets must be whole numbers, got 0.5"),
+            (([0, 1], [1, 2], [0, 1, 1], [1.0], [2.9]), "jump states must be whole numbers, got 2.9"),
+        ],
+    )
+    def test_fractional_values_are_rejected_by_column(self, columns, message):
+        # once truncated: initial states [1.7, 2.2] were read as [1, 2] and offsets [0, 0.5] as [0, 0]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EventSample(*columns)
+
+    def test_whole_floats_are_accepted(self):
+        sample = EventSample([0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 1.0], [1.0], [2.0])
+        assert sample == EventSample([0, 1], [1, 2], [0, 1, 1], [1.0], [2])
+        assert sample.initial.dtype == sample.states.dtype == np.int64
+
 
 class TestEmpiricalMeans:
     def test_direct_count(self):
@@ -174,7 +193,7 @@ class TestInvariantChecks:
     @staticmethod
     def bad_hazard():
         step = np.array([[0.5, -0.5], [0.0, 0.0]])  # negative off-diagonal increment
-        return HazardMatrixIF(2, ((1.0, step),))
+        return HazardMatrixIF(2, (1.0,), (step,))
 
     def test_negative_increment_raises(self):
         with pytest.raises(ValueError, match="negative off-diagonal hazard at 1.0"):
@@ -191,7 +210,7 @@ class TestInvariantChecks:
         # each step's rows sum to 9e-13, inside the hazard's tolerance; their
         # product's rows drift from 1 by more than 1e-12 at the second time
         step = np.array([[-0.5, 0.5 + 9e-13], [0.0, 0.0]])
-        hazard = HazardMatrixIF(2, ((1.0, step), (2.0, step), (3.0, step)))
+        hazard = HazardMatrixIF(2, (1.0, 2.0, 3.0), (step, step, step))
         with pytest.raises(EstimationError, match="^row sums drift at 2.0$"):
             aalen_johansen(hazard)
 
@@ -233,6 +252,13 @@ class TestOccupationEstimate:
         )
         grid = estimate(sample, dim=3)
         np.testing.assert_allclose(grid.occupation_at(3.0), [0.25, 0.30, 0.45], atol=0.02)
+
+    def test_grid_compares_and_hashes_by_identity(self):
+        # it holds arrays, so a value comparison would raise for d >= 2
+        sample = sample_of(subject(0, 1, (1.0, 2)), subject(1, 2))
+        grid, again = estimate(sample, dim=2), estimate(sample, dim=2)
+        assert grid == grid and grid != again and hash(grid) == hash(grid)
+        assert len({grid, again}) == 2
 
     def test_step_evaluation_extends_constantly(self):
         sample = sample_of(subject(0, 1, (1.0, 2)))

@@ -98,6 +98,6 @@ def test_jump_functions_are_drawn_as_before(seed):
     before, now = twin(seed)
     dim, atoms = jump_function_by_choice(before)
     mu = random_jump_function(now)
-    assert mu.dim == dim and [t for t, _ in mu.atoms] == [t for t, _ in atoms]
-    assert all(np.array_equal(m, expected) for (_, m), (_, expected) in zip(mu.atoms, atoms))
+    assert mu.dim == dim and list(mu.times) == [t for t, _ in atoms]
+    assert all(np.array_equal(m, expected) for m, (_, expected) in zip(mu.jumps, atoms))
     assert same_state(before, now)

@@ -13,6 +13,7 @@ from prodint import (
     AdditiveIF,
     ConvergenceError,
     GeneralIF,
+    HazardMatrixIF,
     Interval,
     StepFunction,
     additive_transform,
@@ -38,7 +39,7 @@ PT = Interval.point
 
 
 def scalar_atoms(*pairs):
-    return AdditiveIF(1, tuple((t, [[v]]) for t, v in pairs))
+    return AdditiveIF(1, [t for t, _ in pairs], [v for _, v in pairs])
 
 
 def transform_bound(mu, a, depth=4):
@@ -93,12 +94,12 @@ class TestAdditiveIF:
         assert mu(OC(0, 1))[0, 0] == 0.5
 
     def test_density_integrates_length(self):
-        mu = AdditiveIF(1, (), ((0.0, 2.0, [[0.25]]),))
+        mu = AdditiveIF(1, density=((0.0, 2.0, [[0.25]]),))
         assert mu(OC(0.5, 1.5))[0, 0] == pytest.approx(0.25)
         assert mu.variation(OC(0, 2)) == pytest.approx(0.5)
 
     def test_upper_continuity_at_empty(self):
-        mu = AdditiveIF(1, ((1.0, [[0.5]]),), ((0.0, 3.0, [[0.125]]),))
+        mu = AdditiveIF(1, (1.0,), [[[0.5]]], ((0.0, 3.0, [[0.125]]),))
         values = [abs(mu(OO(1.0, 1.0 + eps))[0, 0]) for eps in (1.0, 0.5, 0.25, 0.125)]
         assert values == sorted(values, reverse=True)
         assert values[-1] < 0.02
@@ -111,13 +112,14 @@ class TestAdditiveIF:
     @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2), st.integers(0, 2**32 - 1))
     def test_atoms_and_rates_are_read_only_copies(self, dim, n_atoms, n_pieces, seed):
         rng = np.random.default_rng(seed)
-        given_atoms = [(0.5 * (i + 1), rng.uniform(-1.0, 1.0, size=(dim, dim))) for i in range(n_atoms)]
+        given_times = [0.5 * (i + 1) for i in range(n_atoms)]
+        given_jumps = [rng.uniform(-1.0, 1.0, size=(dim, dim)) for _ in range(n_atoms)]
         given_pieces = [(i + 0.0, i + 0.5, rng.uniform(-1.0, 1.0, size=(dim, dim))) for i in range(n_pieces)]
-        mu = AdditiveIF(dim, tuple(given_atoms), tuple(given_pieces))
+        mu = AdditiveIF(dim, given_times, given_jumps, tuple(given_pieces))
         assert mu.jumps.shape == (n_atoms, dim, dim) and not mu.jumps.flags.writeable
-        assert [t for t, _ in mu.atoms] == [t for t, _ in given_atoms]
-        for (_, matrix), (_, original), jump in zip(mu.atoms, given_atoms, mu.jumps):
-            assert np.array_equal(matrix, original) and np.array_equal(matrix, jump)
+        assert list(mu.times) == given_times
+        for matrix, original in zip(mu.jumps, given_jumps):
+            assert np.array_equal(matrix, original)
             original[...] = 9.0  # the function keeps its own copy
             assert not np.array_equal(matrix, original)
             with pytest.raises(ValueError):
@@ -126,12 +128,26 @@ class TestAdditiveIF:
             with pytest.raises(ValueError):
                 rate[...] = 7.0
 
+    def test_rejects_a_count_of_jumps_other_than_of_times(self):
+        with pytest.raises(ValueError):
+            AdditiveIF(2, (1.0, 2.0), [np.eye(2)])
+        with pytest.raises(ValueError):
+            AdditiveIF(1, (), [[[0.5]]])
+
+    @pytest.mark.parametrize("cls", [AdditiveIF, HazardMatrixIF])
+    def test_compares_and_hashes_by_identity(self, cls):
+        # it holds arrays, so a value comparison would raise for d >= 2
+        step = [[-0.5, 0.5], [0.0, 0.0]]
+        f, g = cls(2, (1.0,), [step]), cls(2, (1.0,), [step])
+        assert f == f and f != g and hash(f) == hash(f)
+        assert len({f, g}) == 2
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_matrices(self, bad):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            AdditiveIF(2, ((1.0, [[0.0, 0.5], [0.0, 0.0]]), (2.0, [[0.0, bad], [0.0, 0.0]])))
+            AdditiveIF(2, (1.0, 2.0), ([[0.0, 0.5], [0.0, 0.0]], [[0.0, bad], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            AdditiveIF(1, (), ((0.0, 1.0, [[bad]]),))
+            AdditiveIF(1, density=((0.0, 1.0, [[bad]]),))
 
 
 class TestAdditiveTransform:
@@ -187,7 +203,7 @@ class TestMultiplicativeTransform:
         assert matrix_norm(whole - split) < 1e-10
 
     def test_density_converges_to_exponential(self):
-        lam = AdditiveIF(1, (), ((0.0, 1.0, [[0.2]]),))
+        lam = AdditiveIF(1, density=((0.0, 1.0, [[0.2]]),))
         got = multiplicative_transform(plus_identity(lam), OC(0, 1), tol=1e-6, max_depth=20)
         assert got[0, 0] == pytest.approx(math.exp(0.2), abs=1e-4)
 
@@ -356,15 +372,15 @@ class TestEngineMatchesIntervalReference:
         density pieces, and a pure-jump one with atoms elsewhere."""
         rng = np.random.default_rng(seed)
         times = sorted(set(support))
-        atoms = tuple((t, rng.uniform(-0.6, 0.6, size=(dim, dim))) for t in times)
-        jumps = AdditiveIF(dim, atoms)
+        steps = [rng.uniform(-0.6, 0.6, size=(dim, dim)) for _ in times]
+        jumps = AdditiveIF(dim, times, steps)
         lo, hi = (times[0], times[-1]) if times else (0.0, 1.0)
         lo, hi = min(lo, 0.0), max(hi, 4.0)
         # rates of total mass below one, so that exp(variation) stays finite
         rates = rng.uniform(-0.5, 0.5, size=(2, dim, dim)) / (hi - lo)
         pieces = ((lo, 0.5 * (lo + hi), rates[0]), (0.75 * hi + 0.25 * lo, hi, rates[1]))
-        density = AdditiveIF(dim, atoms, pieces)
-        other = AdditiveIF(dim, ((0.5 * (lo + hi) + 0.125, rng.uniform(-0.6, 0.6, size=(dim, dim))),))
+        density = AdditiveIF(dim, times, steps, pieces)
+        other = AdditiveIF(dim, (0.5 * (lo + hi) + 0.125,), (rng.uniform(-0.6, 0.6, size=(dim, dim)),))
         return jumps, density, other
 
     @settings(max_examples=150, deadline=None)
@@ -431,7 +447,7 @@ class TestProductIntegral:
         np.testing.assert_allclose(got[0], [0.25, 0.30, 0.45], atol=1e-12)
 
     def test_constant_density_exponentiates(self):
-        lam = AdditiveIF(1, (), ((0.0, 1.0, [[0.7]]),))
+        lam = AdditiveIF(1, density=((0.0, 1.0, [[0.7]]),))
         assert product_integral(lam, OC(0, 1))[0, 0] == pytest.approx(math.exp(0.7), abs=1e-12)
 
     def test_scipy_is_imported_only_for_a_density(self):
@@ -442,7 +458,7 @@ class TestProductIntegral:
             "import prodint.cli\n"
             "assert 'scipy.linalg' not in sys.modules\n"
             "from prodint import AdditiveIF, Interval, product_integral\n"
-            "lam = AdditiveIF(1, (), ((0.0, 1.0, [[0.7]]),))\n"
+            "lam = AdditiveIF(1, density=((0.0, 1.0, [[0.7]]),))\n"
             "print(float(product_integral(lam, Interval.open_closed(0.0, 1.0))[0, 0]))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -453,18 +469,15 @@ class TestProductIntegral:
         assert float(done.stdout) == pytest.approx(math.exp(0.7), abs=1e-12)
 
     def test_atom_density_interleaving(self):
-        lam = AdditiveIF(1, ((1.0, [[0.5]]),), ((0.0, 2.0, [[0.25]]),))
+        lam = AdditiveIF(1, (1.0,), [[[0.5]]], ((0.0, 2.0, [[0.25]]),))
         expected = math.exp(0.25) * 1.5 * math.exp(0.25)
         assert product_integral(lam, OC(0, 2))[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_multiplicative_across_splits(self, rng):
         for _ in range(50):
             d = int(rng.integers(1, 4))
-            atoms = tuple(
-                (float(t), rng.uniform(-0.4, 0.4, size=(d, d)))
-                for t in sorted(rng.choice(np.arange(1, 12) * 0.25, size=3, replace=False))
-            )
-            lam = AdditiveIF(d, atoms)
+            times = sorted(rng.choice(np.arange(1, 12) * 0.25, size=3, replace=False))
+            lam = AdditiveIF(d, times, [rng.uniform(-0.4, 0.4, size=(d, d)) for _ in times])
             cut = 1.5
             whole = product_integral(lam, OC(0, 3))
             split = product_integral(lam, OC(0, cut)) @ product_integral(lam, OC(cut, 3))
@@ -490,7 +503,7 @@ class TestProductIntegralSweep:
 
     def test_rejects_a_density_and_decreasing_times(self):
         with pytest.raises(ValueError, match="pure-jump"):
-            list(product_integral_sweep(AdditiveIF(1, (), ((0.0, 1.0, [[0.7]]),)), 0.0, [1.0]))
+            list(product_integral_sweep(AdditiveIF(1, density=((0.0, 1.0, [[0.7]]),)), 0.0, [1.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
             list(product_integral_sweep(scalar_atoms((1.0, 0.5)), 0.0, [2.0, 1.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -558,7 +571,7 @@ class TestKolmogorovIntegral:
 
     def test_density_splits_at_breakpoints(self):
         f = StepFunction((1.0,), (5.0,), (2.0, 4.0))
-        mu = AdditiveIF(1, (), ((0.0, 2.0, [[1.0]]),))
+        mu = AdditiveIF(1, density=((0.0, 2.0, [[1.0]]),))
         got = kolmogorov_integral(f, mu, OC(0, 2))[0, 0]
         assert got == pytest.approx(2.0 * 1.0 + 4.0 * 1.0, abs=1e-12)
 
@@ -601,7 +614,7 @@ class TestProductVariationBound:
         if not with_density:
             return mu
         rates = rng.uniform(-0.5, 0.5, size=(2, mu.dim, mu.dim))
-        return AdditiveIF(mu.dim, mu.atoms, ((0.3, 1.75, rates[0]), (2.5, 4.0, rates[1])))
+        return AdditiveIF(mu.dim, mu.times, mu.jumps, ((0.3, 1.75, rates[0]), (2.5, 4.0, rates[1])))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 4))
@@ -616,7 +629,7 @@ class TestProductVariationBound:
     @pytest.mark.parametrize("with_density", [False, True])
     def test_pure_jump_evaluates_each_atom_range_once(self, with_density):
         mu = self.random_measure(np.random.default_rng(5), with_density)
-        times = [t for t, _ in mu.atoms]
+        times = mu.times
         cells = []
 
         def recording(a):

@@ -91,6 +91,10 @@ class TestPathSpaceValidation:
         with pytest.raises(ValueError, match=re.escape(f"tau must be a positive finite time, got {tau!r}")):
             PathSpace(2, tau, (), np.array([[1], [2]]), np.array([0.5, 0.5]))
 
+    def test_rejects_tau_where_midpoints_overflow(self):
+        with pytest.raises(ValueError, match=r"^tau must be below 2\*\*1023, .* got 1\.7e\+308$"):
+            PathSpace(2, 1.7e308, (1e308,), np.array([[1, 1], [1, 2]]), np.array([0.5, 0.5]))
+
     @pytest.mark.parametrize("grid", [(1.0, 1.0), (1.5, 1.0), (0.0,), (3.0,), (float("nan"),)])
     def test_rejects_bad_grid(self, grid):
         with pytest.raises(ValueError, match="grid times"):
@@ -191,11 +195,11 @@ class TestCountingAndIndicatorMeans:
 class TestHazard:
     def test_idn_atoms(self, idn_space):
         lam = idn_space.hazard_matrix()
-        atoms = dict((t, m) for t, m in lam.atoms)
+        atoms = dict(zip(lam.times, lam.jumps))
         assert atoms[1.0][0, 1] == pytest.approx(0.5, abs=1e-12)
         assert atoms[2.0][0, 1] == pytest.approx(0.5, abs=1e-12)
         assert atoms[3.0][1, 2] == pytest.approx(0.6, abs=1e-12)
-        for t, matrix in lam.atoms:
+        for t, matrix in zip(lam.times, lam.jumps):
             np.testing.assert_allclose(matrix.sum(axis=1), 0.0, atol=1e-15)
             assert matrix[1, 2] == pytest.approx(
                 oracle_enum.hazard_atom(oracle_enum.IDN_PATHS, 2, 3, t), abs=1e-15
@@ -203,13 +207,13 @@ class TestHazard:
 
     def test_no_jumps_means_zero_hazard(self):
         ps = PathSpace(2, 1.0, (), np.array([[1], [2]]), np.array([0.5, 0.5]))
-        assert ps.hazard_matrix().atoms == ()
+        assert ps.hazard_matrix().times == () and ps.hazard_matrix().jumps.shape == (0, 2, 2)
 
     def test_two_state_atom(self):
         ps = exact_pathspace(two_state_scenario())
         lam = ps.hazard_matrix()
-        assert len(lam.atoms) == 1
-        assert lam.atoms[0][1][0, 1] == 0.5
+        assert len(lam.times) == 1
+        assert lam.jumps[0][0, 1] == 0.5
 
     def test_hazard_diagonal_is_minus_the_exit_total(self, idn_space):
         # the exit hazard of state 1 over (0, 3]: all of its mass leaves

@@ -36,8 +36,13 @@ def spaces():
     return (random_scenarios() | random_scenarios().map(decimal_scenario)).map(exact_pathspace)
 
 
+def atom_pairs(f):
+    """The (time, matrix) atoms of the additive ``f``, in time order."""
+    return list(zip(f.times, f.jumps))
+
+
 def atom_bits(f):
-    return bits(list(f.atoms))
+    return bits(atom_pairs(f))
 
 
 def record_bits(records):
@@ -59,7 +64,7 @@ def test_one_step_laws_match_per_path_references(ps):
         assert bits(ps.jump_mass(u)) == bits(reference_impl.jump_mass(ps, u))
     assert atom_bits(ps.hazard_matrix()) == bits(reference_impl.hazard_atoms(ps))
     counts = ps.counting_mean()
-    assert [t for t, _ in counts.atoms] == list(ps.event_times)
+    assert counts.times == ps.event_times
     assert not np.diagonal(counts.jumps, axis1=1, axis2=2).any()
     for j, k in off_diagonal_pairs(ps.dim):
         assert atom_bits(reference_impl.entry_if(counts, j, k)) == atom_bits(reference_impl.counting_mean_if(ps, j, k))
@@ -101,7 +106,7 @@ def test_extinction_exits_and_hazard_integral_counts_match_references(scenario):
     expected = [
         (f"x j={j} at t={u:g}", bits(float(m[0, 0])))
         for j in range(1, ps.dim + 1)
-        for u, m in reference_impl.exit_hazard(ps, j).atoms
+        for u, m in atom_pairs(reference_impl.exit_hazard(ps, j))
         if reference_impl.occupation(ps, j, u) == 0.0
     ]
     assert [(r.detail, bits(r.lhs)) for r in extinction_checks(ps, "x")] == expected
@@ -129,7 +134,7 @@ def test_markov_product_matches_one_subinterval_at_a_time(seed, subintervals):
 def test_product_integral_depends_only_on_the_atoms_held(ps, seed):
     # markov-product computes one product integral per range of atoms
     hazard = ps.hazard_matrix()
-    times = [t for t, _ in hazard.atoms]
+    times = list(hazard.times)
     rng = np.random.default_rng(seed)
     by_range = {}
     for a in [random_subinterval(rng, ps.tau) for _ in range(16)]:
@@ -155,7 +160,7 @@ def test_returned_arrays_cannot_change_later_queries(ps, seed):
         query()[...] = 7.0
         assert bits(query()) == before
     for f in laws:
-        for _, matrix in f.atoms:
+        for matrix in f.jumps:
             with pytest.raises(ValueError):
                 matrix[...] = 7.0
     for table in ps._one_step:
@@ -215,10 +220,10 @@ def test_forced_exit_can_empty_state_one_before_the_last_grid_time():
 def test_hazard_matrix_checks_name_the_first_bad_atom(second, message):
     good = [[-0.5, 0.5], [0.0, 0.0]]
     with pytest.raises(ValueError, match=f"^{message}$"):
-        HazardMatrixIF(2, ((1.0, good), (2.0, second), (3.0, [[-2.0, 2.0], [0.0, 0.0]])))
+        HazardMatrixIF(2, (1.0, 2.0, 3.0), (good, second, [[-2.0, 2.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="pure-jump"):
-        HazardMatrixIF(2, ((1.0, good),), ((0.0, 1.0, good),))
-    assert HazardMatrixIF(2, ((1.0, good),)).atoms[0][0] == 1.0
+        HazardMatrixIF(2, (1.0,), (good,), ((0.0, 1.0, good),))
+    assert HazardMatrixIF(2, (1.0,), (good,)).times[0] == 1.0
 
 
 HAZARD_MESSAGES = (
@@ -267,11 +272,11 @@ def test_hazard_checks_raise_at_the_first_bad_atom(case):
     dim, atoms = case
     expected = first_hazard_failure(atoms)
     if expected is None:
-        hazard = HazardMatrixIF(dim, tuple(atoms))
-        assert all(np.array_equal(m, step) and not m.flags.writeable for (_, m), (_, step) in zip(hazard.atoms, atoms))
+        hazard = HazardMatrixIF(dim, [t for t, _ in atoms], [step for _, step in atoms])
+        assert all(np.array_equal(m, step) and not m.flags.writeable for m, (_, step) in zip(hazard.jumps, atoms))
     else:
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            HazardMatrixIF(dim, tuple(atoms))
+            HazardMatrixIF(dim, [t for t, _ in atoms], [step for _, step in atoms])
 
 
 def test_hazard_is_built_once_per_space():

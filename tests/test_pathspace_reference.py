@@ -125,8 +125,8 @@ def test_queries_match_per_path_scans(ps, seed):
         if j == k:
             continue
         fast, slow = reference_impl.entry_if(counts, j, k), reference_impl.counting_mean_if(ps, j, k)
-        assert [t for t, _ in fast.atoms] == [t for t, _ in slow.atoms]
-        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(fast.atoms, slow.atoms))
+        assert fast.times == slow.times
+        assert all(np.array_equal(x, y) for x, y in zip(fast.jumps, slow.jumps))
 
 
 @settings(max_examples=100, deadline=None)

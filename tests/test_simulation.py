@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_right
 from pathlib import Path
 
@@ -103,6 +104,12 @@ class TestScenarioValidation:
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ConfigError, match=f"tau must be a positive finite time, got {tau!r}"):
             ScenarioConfig(2, tau, (), "markov", (1.0, 0.0), ())
+
+    @pytest.mark.parametrize("tau", [2.0**1023, 1.7e308])
+    def test_rejects_tau_where_midpoints_overflow(self, tau):
+        # a span start 0.5 * (1e308 + 1.5e308) was once sampled as inf
+        with pytest.raises(ConfigError, match=rf"^tau must be below 2\*\*1023, .* got {re.escape(repr(tau))}$"):
+            ScenarioConfig(2, tau, (1e308, 1.5e308), "markov", (1.0, 0.0), ())
 
     def test_rejects_nan_grid_time(self):
         with pytest.raises(ConfigError, match="grid times"):
