@@ -9,16 +9,17 @@ time window.  This module provides:
   transition counts and risk sets in one place (``from_counts``);
 * ``GeneralIF`` -- an arbitrary evaluator together with its declared
   candidate discontinuity times;
-* the refinement engine (``refinement_runs``): the canonical schedule of a
-  window (Young partition at the declared support, then repeated halving of
-  the open cells) given as runs of consecutive cells that hold the same
-  support times;
+* the refinement engine: the canonical schedule of a window is the Young
+  partition at the declared support, then repeated halving of the open
+  cells, so that at depth k each gap is 2**(k + 1) - 1 cells that hold no
+  support time;
 * additive and multiplicative transforms, computed as limits along that
   schedule, the summed defect against a proposed transform and the
   variation norm, all read from one walk of the schedule that sums (or
   multiplies) each partition's cell values.  A step-like function
   (constant on cells that hold the same support times) is evaluated once
-  per support range, any other on every cell;
+  per Young cell and each gap's value counted once per cell it stands for,
+  so no cell is halved; any other is evaluated on every cell;
 * the exact product integral of an additive function (also swept over
   the right endpoints of (lo, t] in one running product), and the
   integral of a regulated step function against an additive function.
@@ -35,7 +36,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -231,24 +232,6 @@ def plus_identity(f) -> GeneralIF:
 # -- the refinement engine ---------------------------------------------------
 
 
-class Run(NamedTuple):
-    """``multiplicity`` consecutive cells of one partition, each holding
-    exactly the support times ``times[start:stop]`` (``times`` being the
-    sorted support times inside the window).  They are the Young cell
-    ``cell`` halved ``depth`` times, so ``cell`` holds the same support
-    times and stands for all of them."""
-
-    start: int
-    stop: int
-    multiplicity: int
-    cell: Interval
-    depth: int
-
-    def cells(self) -> list[Interval]:
-        """The run's cells in order."""
-        return _halvings(self.cell, self.depth)
-
-
 def _halvings(cell: Interval, depth: int) -> list[Interval]:
     """``cell`` halved ``depth`` times, in order: each halving turns (a, b)
     into (a, m), [m, m], (m, b) with m = 0.5 * (a + b)."""
@@ -264,60 +247,20 @@ def _halvings(cell: Interval, depth: int) -> list[Interval]:
     )
 
 
-def _young_runs(times, a: Interval) -> list[Run]:
+def _young_cells(times, a: Interval) -> list[tuple[int, int, Interval]]:
     """The Young partition of ``a`` at ``times`` (sorted, inside ``a``): a
-    point at each time and the gaps between, one run per cell."""
-    runs = []
+    point at each time and the gaps between, as ``(start, stop, cell)``
+    with ``times[start:stop]`` the times ``cell`` holds."""
+    cells = []
     lo, lo_closed = a.lo, a.lo_closed
     for i, t in enumerate(times):
         if t > lo:
-            runs.append(Run(i, i, 1, Interval(lo, t, lo_closed, False), 0))
-        runs.append(Run(i, i + 1, 1, Interval.point(t), 0))
+            cells.append((i, i, Interval(lo, t, lo_closed, False)))
+        cells.append((i, i + 1, Interval.point(t)))
         lo, lo_closed = t, False
-    if lo < a.hi:
-        runs.append(Run(len(times), len(times), 1, Interval(lo, a.hi, lo_closed, a.hi_closed), 0))
-    elif not runs:
-        runs.append(Run(0, 0, 1, Interval.point(a.lo), 0))
-    return runs
-
-
-def _halved(run: Run) -> Run:
-    """A gap's run one depth further down."""
-    gap, depth = run.cell, run.depth
-    # A float midpoint lies within one ulp of the largest endpoint (u) of the
-    # exact midpoint of its float cell, so the depth-k cells are at least
-    # width / 2**k - 2k u wide, and a cell wider than 2 u has its float
-    # midpoint strictly inside.  The extra 6 u cover the rounding of the width.
-    # Closer to the float resolution, halve the cells one by one, which raises
-    # where one of them is too narrow (or a sum of endpoints could overflow).
-    largest = max(abs(gap.lo), abs(gap.hi))
-    margin = 2.0**depth * (2 * depth + 8) * math.ulp(largest)
-    if not (largest < 2.0**1022 and gap.hi - gap.lo > margin):
-        _halvings(gap, depth + 1)
-    return Run(run.start, run.stop, 2 * run.multiplicity + 1, gap, depth + 1)
-
-
-def refinement_runs(
-    support, a: Interval, max_depth: int, trivial: bool = False
-) -> Iterator[list[Run]]:
-    """The canonical refinement schedule of ``a``: one partition per depth
-    0..``max_depth``, each given lazily as its runs in cell order.
-
-    Depth 0 is the Young partition at the support times inside ``a``, and
-    each depth halves every cell that is not a point.  The halvings of a gap
-    hold no support time, so each gap stays one run of 2**(depth + 1) - 1
-    cells: a partition over E support times is at most 2E + 1 runs at any
-    depth.  With ``trivial`` the partition {a} comes first.  Reaching a
-    depth at which a cell is too narrow to halve raises ``ValueError``.
-    """
-    times = sorted({t for t in support if a.contains(t)})
-    if trivial:
-        yield [Run(0, len(times), 1, a, 0)]
-    runs = _young_runs(times, a)
-    yield runs
-    for _ in range(max_depth):
-        runs = [run if run.cell.is_point else _halved(run) for run in runs]
-        yield runs
+    if lo < a.hi or not cells:  # the last gap, or a point window that holds no time
+        cells.append((len(times), len(times), Interval(lo, a.hi, lo_closed, a.hi_closed)))
+    return cells
 
 
 def _cell_sum(values):
@@ -345,29 +288,40 @@ def _refinement_values(
     term, step_like: bool, support, a: Interval, depth: int,
     combine=_cell_sum, trivial: bool = False,
 ):
-    """``combine`` of ``term``'s (value, multiplicity) pairs, one per run in
-    cell order, on each partition of ``a``'s schedule over ``support`` up
-    to ``depth`` (after {a} with ``trivial``): the one walk of the schedule
-    that transforms, defects and variation norms read.  A ``step_like``
-    ``term`` is evaluated once per support range across the schedule, any
-    other on every cell."""
+    """``combine`` of ``term``'s (value, multiplicity) pairs in cell order
+    on each partition of ``a``'s schedule over ``support`` up to ``depth``
+    (after {a} with ``trivial``): the one walk of the schedule that
+    transforms, defects and variation norms read.  A ``step_like`` ``term``
+    is evaluated once per Young cell, a gap's value counted
+    2**(k + 1) - 1 times at depth k; any other on every cell, and a depth
+    with a cell too narrow to halve raises ``ValueError``."""
+    times = sorted({t for t in support if a.contains(t)})
+    young = _young_cells(times, a)
     memo = {}
-    for runs in refinement_runs(support, a, depth, trivial):
-        if not step_like:
-            yield combine([(term(cell), 1) for run in runs for cell in run.cells()])
-            continue
-        for run in runs:
-            if (run.start, run.stop) not in memo:
-                memo[run.start, run.stop] = term(run.cell)
-        yield combine([(memo[run.start, run.stop], run.multiplicity) for run in runs])
+    if trivial:
+        memo[0, len(times)] = term(a)
+        yield combine([(memo[0, len(times)], 1)])
+    for start, stop, cell in young if step_like else ():
+        if (start, stop) not in memo:
+            memo[start, stop] = term(cell)
+    for k in range(depth + 1):
+        if step_like:
+            yield combine([(memo[i, j], 1 if cell.is_point else 2 ** (k + 1) - 1) for i, j, cell in young])
+        else:
+            cells = [c for _, _, cell in young for c in ([cell] if cell.is_point else _halvings(cell, k))]
+            yield combine([(term(c), 1) for c in cells])
+
+
+def _check_arguments(depth: int, tol: float = DEFAULT_TOL) -> None:
+    """The engine's one rule for its arguments, written so that NaN breaks it."""
+    if not (depth >= 0 and tol > 0):
+        raise ValueError(f"depth must be nonnegative and tolerance positive, got depth {depth!r}, tol {tol!r}")
 
 
 def _limit_over_refinements(f, a, combine, tol, max_depth, what):
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_arguments(max_depth, tol)
     previous = None
     change = math.inf
-    depth = -1
     for depth, current in enumerate(_refinement_values(f, f.step_like, f.support, a, max_depth, combine)):
         if previous is not None:
             change = matrix_norm(current - previous)
@@ -428,6 +382,7 @@ def strict_transform_defect(f, target, a: Interval, depth: int = 0, distance=mat
     cell's difference to its term; ``np.abs`` gives every entry's defect at
     once.
     """
+    _check_arguments(depth)
     # sum the deepest partition only: summing every depth's terms, as the
     # default combine would, costs a count-mean defect about a third more
     *_, values = _refinement_values(*_distance_term(f, target, a, distance), f.support, a, depth, list)
@@ -436,6 +391,7 @@ def strict_transform_defect(f, target, a: Interval, depth: int = 0, distance=mat
 
 def defect_profile(f, target, a: Interval, depths: int = 6) -> list[tuple[str, float]]:
     """Defect against ``target`` on the trivial partition and the schedule."""
+    _check_arguments(depths)
     term, step_like = _distance_term(f, target, a, matrix_norm)
     coarse, *defects = _refinement_values(term, step_like, f.support, a, depths, trivial=True)
     return [("coarse", coarse)] + [(f"depth {d}", v) for d, v in enumerate(defects)]
@@ -448,8 +404,7 @@ def variation_norm(f, a: Interval, depth: int = 6) -> float:
     norms over the refinement schedule up to ``depth``, which is a monotone
     nondecreasing lower bound for the true variation.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    _check_arguments(depth)
     if isinstance(f, AdditiveIF):
         return f.variation(a)
     return max(0.0, *_refinement_values(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth))

@@ -530,9 +530,36 @@ def _censoring_draws(censoring: CensoringConfig, m: int) -> int:
     return {"none": 0, "independent_right": 1}.get(censoring.kind, m + 1)
 
 
+def _slot_times(grid, censoring: CensoringConfig) -> tuple[list[float], list[int], list[float]]:
+    """The times of ``_observed_columns``'s slots; and per censoring
+    category, its first hidden slot (2m + 1 for none) and its cut time.
+    Every switch of observation (a filter's span start, a cut) must lie
+    strictly between the ticks around it, or ``ConfigError`` names them."""
+    m, ticks = len(grid), (0.0, *grid)
+    slot_times = [0.0]
+    for before, t in zip(ticks, grid):
+        slot_times += (0.5 * (before + t), t)
+    cut_slot, cut_times = [2 * m + 1] * (len(censoring.after) + 1), [0.0] * (len(censoring.after) + 1)
+    switches = []  # (tick before, switch time, tick after)
+    if censoring.kind in ("state_filtering_conforming", "violating"):
+        switches = list(zip(ticks, slot_times[1::2], grid))
+    elif censoring.kind == "independent_right":
+        # category c observes through after[c]'s time, then is cut at the
+        # midpoint before the next grid time; the last one, ``never``, is not cut
+        for c, (cut_after, _) in enumerate(censoring.after):
+            j = bisect_right(grid, cut_after)
+            if j < m:
+                cut_slot[c], cut_times[c] = 2 * j + 1, 0.5 * (cut_after + grid[j])
+                switches.append((ticks[j], cut_times[c], grid[j]))
+    for before, switch, after in switches:
+        if not before < switch < after:
+            raise ConfigError(f"no time lies strictly between {before!r} and {after!r} for an observation switch")
+    return slot_times, cut_slot, cut_times
+
+
 def _observed_columns(
-    scenario: ScenarioConfig,
     censoring: CensoringConfig,
+    slot_table: tuple[list[float], list[int], list[float]],
     states: np.ndarray,
     u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -548,18 +575,14 @@ def _observed_columns(
     where its span is observed, 0 where it is not.  A history keeps a slot
     only where the observed state differs from the previous slot's.  The
     observed state is the path's or 0; it never reports a state the path is
-    not in.
+    not in.  ``slot_table`` is ``_slot_times`` of the grid and censoring.
     """
+    slot_times, cut_slot, cut_times = slot_table
     n, width = states.shape
     m = width - 1
     doubled = np.repeat(np.arange(m + 1), 2)
     slot_span = doubled[1:]  # 0, 1, 1, 2, 2, ..., m, m
     values = states[:, doubled[:-1]]  # tick columns 0, 0, 1, 1, ..., m - 1, m - 1, m
-    slot_times, previous = [0.0], 0.0
-    for t in scenario.grid:
-        slot_times += (0.5 * (previous + t), t)
-        previous = t
-    cut_index = None
     if censoring.kind in ("state_filtering_conforming", "violating"):
         seen = u < censoring.q
         if censoring.kind == "violating":
@@ -568,15 +591,6 @@ def _observed_columns(
             seen[:, 1:][jumped] = u[:, 1:][jumped] < censoring.q * (1.0 - censoring.delta)
         values *= seen[:, slot_span]
     elif censoring.kind == "independent_right":
-        # category c observes through after[c]'s time, then is cut at the
-        # midpoint before the next grid time; the last one, ``never``, is not cut
-        cut_slot = [2 * m + 1] * (len(censoring.after) + 1)
-        cut_index = [0] * len(cut_slot)  # where in ``slot_times`` each cut time sits
-        for c, (cut_after, _) in enumerate(censoring.after):
-            j = bisect_right(scenario.grid, cut_after)
-            if j < m:
-                cut_slot[c], cut_index[c] = 2 * j + 1, len(slot_times)
-                slot_times.append(0.5 * (cut_after + scenario.grid[j]))
         weights = [p for _, p in censoring.after] + [censoring.never]
         category = _inverse_cdf(_cumulative(weights), u[:, 0])
         hide_from = np.array(cut_slot)[category]
@@ -587,11 +601,11 @@ def _observed_columns(
     subjects, slots = np.divmod(changes, 2 * m, out=(changes, np.empty_like(changes)))
     slots += 1
     observed = values[subjects, slots]
-    if cut_index is not None:
+    times = np.array(slot_times)[slots]
+    if censoring.kind == "independent_right":
         # a cut subject's first hidden slot is read at its cut time
         at_cut = slots == hide_from[subjects]
-        slots[at_cut] = np.array(cut_index)[category[subjects[at_cut]]]
-    times = np.array(slot_times)[slots]
+        times[at_cut] = np.array(cut_times)[category[subjects[at_cut]]]
     return values[:, 0], np.bincount(subjects, minlength=n), times, observed
 
 
@@ -623,12 +637,13 @@ def simulate_sample(
     m = len(scenario.grid)
     k = 1 + m + _censoring_draws(censoring, m)
     size = max(1, _BLOCK_DRAWS // k)
+    slot_table = _slot_times(scenario.grid, censoring)
     blocks = []
     for first in range(0, n, size):
         draws = np.empty((min(size, n - first), k))
         _fill_streams(seed, arm, first, draws)
         states = _tick_states(scenario, draws[:, : 1 + m])
-        blocks.append(_observed_columns(scenario, censoring, states, draws[:, 1 + m :]))
+        blocks.append(_observed_columns(censoring, slot_table, states, draws[:, 1 + m :]))
     initial, counts, times, states = (np.concatenate(column) for column in zip(*blocks))
     return EventSample(np.arange(n), initial, np.append(0, np.cumsum(counts)), times, states)
 

@@ -1037,14 +1037,27 @@ def refinement_partitions(support, a, max_depth):
         yield part
 
 
-def _limit_over_refinements(f, a, combine, tol, max_depth, what):
+def notional_partitions(support, a, max_depth):
+    """The schedule as a step-like function sees it: at depth k, the Young
+    partition at the support times inside ``a`` with each gap repeated
+    2**(k + 1) - 1 times, standing for its halvings.  A step-like function
+    takes one value on every cell that holds the same support times, so its
+    cell values in cell order are those of ``refinement_partitions``, and
+    no float need lie inside a gap.  Yields ``max_depth + 1`` lists."""
+    times = sorted({t for t in support if a.contains(t)})
+    young = young_partition(times, a).cells
+    for depth in range(max_depth + 1):
+        yield [cell for cell in young for _ in range(1 if cell.is_point else 2 ** (depth + 1) - 1)]
+
+
+def _limit_over_refinements(f, a, combine, tol, max_depth, what, partitions):
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     previous = None
     change = math.inf
     depth = -1
-    for depth, part in enumerate(refinement_partitions(f.support, a, max_depth)):
-        current = combine([f(cell) for cell in part.cells])
+    for depth, part in enumerate(partitions(f.support, a, max_depth)):
+        current = combine([f(cell) for cell in part])
         if previous is not None:
             change = matrix_norm(current - previous)
             if change < tol:
@@ -1058,8 +1071,8 @@ def _limit_over_refinements(f, a, combine, tol, max_depth, what):
     )
 
 
-def additive_transform(f, a, tol=1e-10, max_depth=24):
-    return _limit_over_refinements(f, a, sum, tol, max_depth, "additive transform")
+def additive_transform(f, a, tol=1e-10, max_depth=24, partitions=refinement_partitions):
+    return _limit_over_refinements(f, a, sum, tol, max_depth, "additive transform", partitions)
 
 
 def _ordered_product(values):
@@ -1069,8 +1082,10 @@ def _ordered_product(values):
     return result
 
 
-def multiplicative_transform(f, a, tol=1e-10, max_depth=24):
-    return _limit_over_refinements(f, a, _ordered_product, tol, max_depth, "multiplicative transform")
+def multiplicative_transform(f, a, tol=1e-10, max_depth=24, partitions=refinement_partitions):
+    return _limit_over_refinements(
+        f, a, _ordered_product, tol, max_depth, "multiplicative transform", partitions
+    )
 
 
 def strict_transform_defect(f, target, cells, distance=matrix_norm):
@@ -1078,18 +1093,18 @@ def strict_transform_defect(f, target, cells, distance=matrix_norm):
     return sum(distance(f(cell) - target(cell)) for cell in cells)
 
 
-def defect_profile(f, target, a, depths=6):
+def defect_profile(f, target, a, depths=6, partitions=refinement_partitions):
     """Defect against ``target`` on the trivial partition and the schedule."""
-    partitions = [Partition((a,))] + list(refinement_partitions(f.support, a, depths))
+    partitions = [Partition((a,))] + list(partitions(f.support, a, depths))
     defects = [strict_transform_defect(f, target, p) for p in partitions]
     return [("coarse", defects[0])] + [(f"depth {d}", v) for d, v in enumerate(defects[1:])]
 
 
-def variation_norm(f, a, depth=6):
+def variation_norm(f, a, depth=6, partitions=refinement_partitions):
     """The largest summed cell norm of ``f`` over the schedule up to ``depth``."""
     best = 0.0
-    for part in refinement_partitions(f.support, a, depth):
-        best = max(best, sum(matrix_norm(f(cell)) for cell in part.cells))
+    for part in partitions(f.support, a, depth):
+        best = max(best, sum(matrix_norm(f(cell)) for cell in part))
     return best
 
 
@@ -1141,13 +1156,13 @@ def count_mean_defect_checks(ps, depths=6, label=""):
     return records
 
 
-def check_product_variation_bound(mu, a, depths=4):
+def check_product_variation_bound(mu, a, depths=4, partitions=refinement_partitions):
     """The product-variation bound with one product integral per cell."""
     v = mu.variation(a)
     rhs = math.exp(v) * v
     eye = np.eye(mu.dim)
     lhs = 0.0
-    for part in refinement_partitions(mu.support, a, depths):
-        total = sum(matrix_norm(product_integral(mu, cell) - eye) for cell in part.cells)
+    for part in partitions(mu.support, a, depths):
+        total = sum(matrix_norm(product_integral(mu, cell) - eye) for cell in part)
         lhs = max(lhs, total)
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-12)

@@ -900,15 +900,46 @@ class TestEscapesFound:
         assert run("verify", "--scenario", path, "--count", 0) == 0
         capsys.readouterr()
 
-    def test_suite_error_names_its_space(self, tmp_path, capsys):
-        # no float lies strictly between 0 and 5e-324, so the gap (0, 5e-324) cannot be halved
-        path = tmp_path / "tiny_gap.json"
+    @pytest.mark.parametrize("grid", [[5e-324], [1.0, 1.0000000000000002]])
+    def test_grid_with_no_float_between_its_times_verifies(self, tmp_path, capsys, grid):
+        # no float lies strictly inside the gap (0, 5e-324) or (1.0, 1.0000000000000002);
+        # the schedule once raised "a cell is too narrow to halve" for a gap no suite halves
+        path = tmp_path / "close.json"
         path.write_text(json.dumps({
-            "d": 2, "tau": 1.0, "grid": [5e-324], "rule": "markov", "initial": [1.0, 0.0],
-            "transitions": [{"time": 5e-324, "from": 1, "probs": {"2": 0.5}}],
+            "d": 2, "tau": 2.0, "grid": grid, "rule": "markov", "initial": [1.0, 0.0],
+            "transitions": [{"time": grid[0], "from": 1, "probs": {"2": 0.5}}],
         }))
-        assert run("verify", "--scenario", path, "--count", 0) == 2
-        assert capsys.readouterr().err == "error: tiny_gap.json: a cell is too narrow to halve: its midpoint is an endpoint\n"
+        for scenario in (path, DATA / "close_grid.json"):
+            report = tmp_path / "report.json"
+            assert run("verify", "--scenario", scenario, "--count", 0, "--report", report) == 0
+            assert capsys.readouterr().err == ""
+            records = json.loads(report.read_text())["records"]
+            assert records and all(r["passed"] for r in records)
+
+    def test_suite_error_names_its_space(self, monkeypatch, capsys):
+        def failing(ps, label=""):
+            raise ValueError("the law is out of reach")
+
+        monkeypatch.setattr(checks, "hazard_defect_checks", failing)
+        assert run("verify", "--scenario", DATA / "close_grid.json", "--count", 0) == 2
+        assert capsys.readouterr().err == "error: close_grid.json: the law is out of reach\n"
+        assert run("verify", "--count", 0) == 2
+        assert capsys.readouterr().err == "error: idn.json: the law is out of reach\n"
+
+    @pytest.mark.parametrize("censoring", ["conforming.json", "violating.json", "right_censoring.json"])
+    def test_observation_switch_with_no_room_is_refused_by_its_times(self, tmp_path, capsys, censoring):
+        # 0.5 * (1.0 + 1.0000000000000002) == 1.0, so a span start or cut time
+        # there once gave a history whose times do not rise, blamed on a subject
+        message = "no time lies strictly between 1.0 and 1.0000000000000002 for an observation switch"
+        assert self.simulate(tmp_path, DATA / "close_grid.json", f"{CORPUS}/{censoring}") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        argv = ["--scenario", DATA / "close_grid.json", "--censoring", f"{CORPUS}/{censoring}", "--n", 50]
+        assert run("convergence", *argv, "--seed", 7) == 2
+        assert capsys.readouterr().err == f"error: conforming arm at n=50, seed 7: {message}\n"
+        # fully observed, the same grid samples
+        out = tmp_path / "full.csv"
+        assert run("simulate", "--scenario", DATA / "close_grid.json", "--n", 50, "--seed", 7, "--out", out) == 0
+        assert len(read_event_histories(out)) == 50
 
     @pytest.mark.parametrize(
         "document, message",

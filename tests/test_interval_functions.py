@@ -6,7 +6,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prodint
 from prodint import (
@@ -27,7 +27,7 @@ from prodint import (
     variation_norm,
 )
 from prodint.checks import random_jump_function, random_subinterval
-from prodint.interval_functions import index_range, product_integral_sweep, refinement_runs
+from prodint.interval_functions import _refinement_values, index_range, product_integral_sweep
 
 import oracle_enum
 import reference_impl
@@ -54,8 +54,8 @@ def transform_bound(mu, a, depth=4):
     return lhs, rhs, lhs <= rhs + 1e-12
 
 
-def reference_bound(mu, a, depth=4):
-    return tuple(reference_impl.check_product_variation_bound(mu, a, depth))
+def reference_bound(mu, a, depth=4, partitions=reference_impl.refinement_partitions):
+    return tuple(reference_impl.check_product_variation_bound(mu, a, depth, partitions))
 
 
 def p22_minus_one(ps):
@@ -290,25 +290,54 @@ def partitions_until_narrow(schedule):
 
 
 class TestRefinementCells:
-    """The engine's runs are the ``Interval`` schedule of the reference, cell
-    by cell, and raise where it raises."""
+    """The engine walks the ``Interval`` schedule of the reference: a general
+    term sees every cell and raises where the reference raises; a step-like
+    term is evaluated once per support range, counted once per cell that
+    holds it, and halves no cell."""
 
     @staticmethod
-    def assert_runs_are_the_schedule(support, a, depths):
-        runs, runs_raised = partitions_until_narrow(refinement_runs(support, a, depths, trivial=True))
+    def engine_walk(support, a, depths, step_like):
+        """The (cell, multiplicity) pairs the engine combines on each
+        partition, after {a}, and whether it raised; and the cells the term
+        was evaluated on."""
+        evaluated = []
+
+        def term(cell):
+            evaluated.append(cell)
+            return cell
+
+        values = _refinement_values(term, step_like, support, a, depths, combine=list, trivial=True)
+        return (*partitions_until_narrow(values), evaluated)
+
+    @classmethod
+    def assert_walks_the_schedule(cls, support, a, depths):
         parts, raised = partitions_until_narrow(
             chain([Partition((a,))], refinement_partitions(support, a, depths))
         )
-        assert (len(runs), runs_raised) == (len(parts), raised)
+        general, general_raised, _ = cls.engine_walk(support, a, depths, False)
+        assert (len(general), general_raised) == (len(parts), raised)
+        for pairs, part in zip(general, parts):
+            assert pairs == [(cell, 1) for cell in part.cells]
         times = sorted({t for t in support if a.contains(t)})
-        for partition, part in zip(runs, parts):
-            assert [cell for run in partition for cell in run.cells()] == list(part.cells)
-            assert len(partition) <= 2 * len(times) + 1
-            for run in partition:
-                cells = run.cells()
-                assert len(cells) == run.multiplicity
-                for cell in cells + [run.cell]:
-                    assert [t for t in times if cell.contains(t)] == times[run.start : run.stop]
+
+        def support_range(cell):
+            """(support times before ``cell``, support times before or in it)."""
+            before = sum(t < cell.lo or (t == cell.lo and not cell.lo_closed) for t in times)
+            return before, before + sum(map(cell.contains, times))
+
+        notional = [[a]] + list(reference_impl.notional_partitions(support, a, depths))
+        step, step_raised, evaluated = cls.engine_walk(support, a, depths, True)
+        assert (len(step), step_raised) == (depths + 2, False)
+        ranges = list(map(support_range, evaluated))
+        assert len(ranges) == len(set(ranges)) <= 2 * len(times) + 2
+        for depth, pairs in enumerate(step):
+            assert len(pairs) <= 2 * len(times) + 1
+            # a cell the term read for the trivial partition stands for any
+            # cell that holds the same support times
+            cells = [support_range(cell) for cell, n in pairs for _ in range(n)]
+            assert cells == list(map(support_range, notional[depth]))
+            if depth < len(parts):
+                assert cells == list(map(support_range, parts[depth].cells))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -321,7 +350,7 @@ class TestRefinementCells:
     def test_equals_the_interval_schedule(self, ends, support, on_lo, on_hi, depths):
         windows, support = schedule_windows(ends, support, on_lo, on_hi)
         for a in windows:
-            self.assert_runs_are_the_schedule(support, a, depths)
+            self.assert_walks_the_schedule(support, a, depths)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -339,26 +368,37 @@ class TestRefinementCells:
             return
         support = [lo, hi] + [0.5 * (lo + hi)] * inside
         for a in schedule_windows([lo, hi], support, False, False)[0]:
-            self.assert_runs_are_the_schedule(support, a, depths)
+            self.assert_walks_the_schedule(support, a, depths)
 
     def test_narrow_cell_is_rejected_like_the_interval_schedule(self):
         a = OC(1.0, math.nextafter(1.0, 2.0))
         with pytest.raises(ValueError):
             list(refinement_partitions((), a, 1))
-        with pytest.raises(ValueError):
-            list(refinement_runs((), a, 1))
-        # the Young partition and the trivial one come before the depth that raises
-        schedule = refinement_runs((), a, 1, trivial=True)
-        assert [run.cell for run in next(schedule)] == [a]
-        assert [run.cell for run in next(schedule)] == [a]
-        with pytest.raises(ValueError):
-            next(schedule)
+        # the trivial partition and the Young one come before the depth that raises
+        general, raised, _ = self.engine_walk((), a, 1, False)
+        assert (general, raised) == ([[(a, 1)], [(a, 1)]], True)
+        # a step-like term reads the one gap, counted once per cell it stands for
+        step, raised, evaluated = self.engine_walk((), a, 1, True)
+        assert (step, raised, evaluated) == ([[(a, 1)], [(a, 1)], [(a, 3)]], False, [a])
 
 
-def assert_same_as_reference(name, *args, **kwargs):
-    """The library's ``name`` and the reference's give the same bits."""
+def assert_same_as_reference(name, *args, step_like=False, **kwargs):
+    """The library's ``name`` and the reference's give the same bits; where
+    the reference's schedule holds a cell too narrow to halve, a
+    ``step_like`` call gives the bits of the notional walk instead."""
     got = outcome(getattr(prodint, name), *args, **kwargs)
-    assert got == outcome(getattr(reference_impl, name), *args, **kwargs), name
+    expected = outcome(getattr(reference_impl, name), *args, **kwargs)
+    if expected == "narrow" and step_like:
+        expected = outcome(
+            getattr(reference_impl, name), *args, partitions=reference_impl.notional_partitions, **kwargs
+        )
+    assert got == expected, name
+
+
+def step_like_defect(f, target, a):
+    """Whether the engine reads the defect of ``f`` against ``target`` on
+    ``a`` once per support range of ``f``."""
+    return f.step_like and target.step_like and {t for t in target.support if a.contains(t)} <= set(f.support)
 
 
 class TestEngineMatchesIntervalReference:
@@ -393,6 +433,7 @@ class TestEngineMatchesIntervalReference:
         st.integers(1, 3),
         st.integers(0, 2**32 - 1),
     )
+    @example(ends=[0.0, 5e-324], support=[], on_lo=False, on_hi=False, depth=2, dim=2, seed=0)
     def test_bit_equal_to_the_interval_walk(self, ends, support, on_lo, on_hi, depth, dim, seed):
         windows, support = schedule_windows(ends, support, on_lo, on_hi)
         jumps, density, other = self.measures(seed, support, dim)
@@ -402,17 +443,22 @@ class TestEngineMatchesIntervalReference:
             view = GeneralIF(dim, mu, support=mu.support, step_like=mu.step_like)
             # half the identity on every gap cell, so every factor and term counts
             shifted = GeneralIF(dim, lambda b, mu=mu: half + mu(b), support=mu.support, step_like=mu.step_like)
+            step = {"step_like": mu.step_like}
             for a in windows:
-                assert_same_as_reference("additive_transform", mu, a, max_depth=depth)
-                assert_same_as_reference("additive_transform", view, a, max_depth=depth)
-                assert_same_as_reference("additive_transform", shifted, a, max_depth=depth)
-                assert_same_as_reference("multiplicative_transform", plus_identity(mu), a, max_depth=depth)
-                assert_same_as_reference("multiplicative_transform", shifted, a, max_depth=depth)
-                assert_same_as_reference("variation_norm", view, a, depth)
-                assert_same_as_reference("variation_norm", plus_identity(mu), a, depth)
+                assert_same_as_reference("additive_transform", mu, a, max_depth=depth, **step)
+                assert_same_as_reference("additive_transform", view, a, max_depth=depth, **step)
+                assert_same_as_reference("additive_transform", shifted, a, max_depth=depth, **step)
+                assert_same_as_reference("multiplicative_transform", plus_identity(mu), a, max_depth=depth, **step)
+                assert_same_as_reference("multiplicative_transform", shifted, a, max_depth=depth, **step)
+                assert_same_as_reference("variation_norm", view, a, depth, **step)
+                assert_same_as_reference("variation_norm", plus_identity(mu), a, depth, **step)
                 for target in (mu, reference_impl.scaled(mu, 0.5), other, jumps):
-                    assert_same_as_reference("defect_profile", view, target, a, depth)
-                assert outcome(transform_bound, mu, a, depth) == outcome(reference_bound, mu, a, depth)
+                    step_defect = step_like_defect(view, target, a)
+                    assert_same_as_reference("defect_profile", view, target, a, depth, step_like=step_defect)
+                expected = outcome(reference_bound, mu, a, depth)
+                if expected == "narrow" and mu.step_like:
+                    expected = outcome(reference_bound, mu, a, depth, reference_impl.notional_partitions)
+                assert outcome(transform_bound, mu, a, depth) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -421,20 +467,50 @@ class TestEngineMatchesIntervalReference:
         st.integers(0, 4),
         st.integers(0, 2**32 - 1),
     )
+    @example(ends=[0.0, 5e-324], support=[], depth=2, seed=0)
     def test_strict_defect_is_the_last_profile_row(self, ends, support, depth, seed):
         windows, support = schedule_windows(ends, support, True, False)
         jumps, density, other = self.measures(seed, support, 2)
         for f, target in ((jumps, reference_impl.scaled(jumps, 0.25)), (density, jumps), (jumps, other)):
             for a in windows:
-                expected = outcome(lambda: reference_impl.defect_profile(f, target, a, depth)[-1][1])
+                partitions = reference_impl.refinement_partitions
+                if step_like_defect(f, target, a) and partitions_until_narrow(partitions(f.support, a, depth))[1]:
+                    partitions = reference_impl.notional_partitions
+                profile = reference_impl.defect_profile
+                expected = outcome(lambda: profile(f, target, a, depth, partitions)[-1][1])
                 assert outcome(strict_transform_defect, f, target, a, depth) == expected
 
                 def entries():
-                    *_, part = refinement_partitions(f.support, a, depth)
+                    *_, part = partitions(f.support, a, depth)
                     return reference_impl.strict_transform_defect(f, target, part, distance=np.abs)
 
                 got = outcome(strict_transform_defect, f, target, a, depth, distance=np.abs)
                 assert got == outcome(entries)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, a: additive_transform(f, a, max_depth=-1),
+        lambda f, a: additive_transform(f, a, tol=math.nan),
+        lambda f, a: additive_transform(f, a, tol=0.0),
+        lambda f, a: multiplicative_transform(plus_identity(f), a, max_depth=-1),
+        lambda f, a: multiplicative_transform(plus_identity(f), a, tol=math.nan),
+        lambda f, a: strict_transform_defect(f, f, a, depth=-1),
+        lambda f, a: defect_profile(f, f, a, depths=-3),
+        lambda f, a: variation_norm(f, a, depth=-1),
+    ],
+    ids=[
+        "additive-depth", "additive-nan-tol", "additive-zero-tol", "multiplicative-depth",
+        "multiplicative-nan-tol", "strict-defect-depth", "defect-profile-depth", "variation-depth",
+    ],
+)
+def test_engine_refuses_a_negative_depth_or_a_tolerance_not_above_zero(call):
+    # a negative depth once gave the depth-0 value or a row named "depth 0",
+    # and a NaN tolerance walked all 24 depths before it raised
+    f = scalar_atoms((1.0, 0.5))
+    with pytest.raises(ValueError, match="depth must be nonnegative and tolerance positive"):
+        call(GeneralIF(1, f, f.support, True), OC(0.0, 2.0))
 
 
 class TestProductIntegral:

@@ -18,14 +18,14 @@ from prodint.checks import (
     hazard_defect_checks,
     hazard_defect_table,
     random_subinterval,
+    transform_duality_checks,
 )
 import prodint
 from prodint import interval_functions
-from prodint.interval_functions import refinement_runs
 
 from corpora import forced_exit_scenario, random_corpus, random_scenarios
 import reference_impl
-from reference_impl import bits, outcome
+from reference_impl import Partition, bits, outcome, refinement_partitions
 
 # ticks of the generator's grid, points between them (dyadic and not), 0 and tau
 PROBE_TIMES = (0.0, 0.25, 0.3, 0.5, 1.0, 1.25, 1.7, 2.0, 2.5, 3.0, 3.5, 3.9, 4.0)
@@ -201,13 +201,13 @@ def test_defect_suites_evaluate_each_support_range_once(monkeypatch):
     monkeypatch.setattr(PathSpace, "indicator_matrix", recording(PathSpace.indicator_matrix))
     for ps in spaces:
         window = Interval.open_closed(0.0, ps.tau)
-        schedule = list(refinement_runs(ps.event_times, window, 6, trivial=True))
+        schedule = [Partition((window,)), *refinement_partitions(ps.event_times, window, 6)]
         # the hazard profile reads every partition, the count-mean suite the deepest
         suites = ((hazard_defect_checks, schedule), (count_mean_defect_checks, schedule[-1:]))
         for suite, partitions in suites:
             seen.clear()
             suite(ps)
-            ranges = {support_range(ps, cell) for runs in partitions for run in runs for cell in run.cells()}
+            ranges = {support_range(ps, cell) for part in partitions for cell in part}
             assert len(seen) == len(set(seen)) and set(seen) == ranges
 
 
@@ -215,24 +215,28 @@ def test_defect_suites_build_one_schedule_per_space(monkeypatch):
     spaces = [exact_pathspace(illness_death_scenario()), exact_pathspace(forced_exit_scenario())]
     spaces += random_corpus(np.random.default_rng(4), 6)
     built = []
-    runs = interval_functions.refinement_runs
+    walk = interval_functions._refinement_values
 
-    def counting(support, a, depths, trivial=False):
-        built.append((depths, trivial))
-        return runs(support, a, depths, trivial)
+    def counting(term, step_like, support, a, depth, combine=interval_functions._cell_sum, trivial=False):
+        built.append((step_like, depth, trivial))
+        return walk(term, step_like, support, a, depth, combine, trivial)
 
     def per_cell(*args):
-        raise AssertionError("the defect suites halve no cell one by one")
+        raise AssertionError("no step-like term has a cell halved")
 
-    monkeypatch.setattr(interval_functions, "refinement_runs", counting)
+    monkeypatch.setattr(interval_functions, "_refinement_values", counting)
     monkeypatch.setattr(interval_functions, "_halvings", per_cell)
     for ps in spaces:
         built.clear()
         hazard_defect_checks(ps)
         count_mean_defect_checks(ps)
-        # one run schedule per suite and space, to the default depth; the
-        # hazard profile starts from the trivial partition
-        assert built == [(6, True), (6, False)]
+        # one step-like schedule per suite and space, to the default depth;
+        # the hazard profile starts from the trivial partition
+        assert built == [(True, 6, True), (True, 6, False)]
+    # the transforms and the product-variation bound of pure-jump measures
+    records = transform_duality_checks(np.random.default_rng(5), count=20)
+    assert records and all(record.passed for record in records)
+    assert built[2:] and all(step_like for step_like, _, _ in built[2:])
 
 
 def schedule_windows(ps, seed):
@@ -249,12 +253,11 @@ def test_cells_of_one_support_range_read_equal_tables(ps, depths, seed):
     # quiet ticks give cells of one range distinct column pairs, yet the
     # columns hold the same states
     for window in schedule_windows(ps, seed):
-        for runs in refinement_runs(ps.event_times, window, depths, trivial=True):
-            for run in runs:
-                first = bits([ps.transition_matrix(run.cell), ps.indicator_matrix(run.cell)])
-                for cell in run.cells():
-                    assert support_range(ps, cell) == support_range(ps, run.cell)
-                    assert bits([ps.transition_matrix(cell), ps.indicator_matrix(cell)]) == first
+        first = {}
+        for part in [Partition((window,)), *refinement_partitions(ps.event_times, window, depths)]:
+            for cell in part:
+                tables = bits([ps.transition_matrix(cell), ps.indicator_matrix(cell)])
+                assert first.setdefault(support_range(ps, cell), tables) == tables
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,7 +24,7 @@ from prodint import (
 )
 from prodint import estimators, simulation
 from prodint.checks import random_scenario
-from prodint.simulation import _observed_columns, _tick_states
+from prodint.simulation import _observed_columns, _slot_times, _tick_states
 
 from corpora import float_sum_exit_scenario, kernel_scenarios
 import reference_impl
@@ -573,7 +573,7 @@ def test_censoring_core_at_the_observation_boundaries(censoring):
         for row in rows:
             row = row[:width]
             initial, count, times, states = _observed_columns(
-                scenario, censoring, path_states[None, :], np.array([row])
+                censoring, _slot_times(scenario.grid, censoring), path_states[None, :], np.array([row])
             )
             [got] = EventSample([9], initial, np.append(0, count), times, states)
             assert got == apply_censoring(ChosenUniforms(row), path, scenario, censoring, 9)

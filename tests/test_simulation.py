@@ -251,6 +251,28 @@ class TestCensoring:
                     reentered = True
         assert reentered
 
+    @pytest.mark.parametrize(
+        "grid, censoring, times",
+        [
+            ((5e-324,), CensoringConfig("state_filtering_conforming", q=0.5), "0.0 and 5e-324"),
+            ((1.0, 1.0000000000000002), CensoringConfig("violating", q=0.5, delta=0.5), "1.0 and 1.0000000000000002"),
+            ((0.5, 1.0, 1.0000000000000002), CensoringConfig("independent_right", after=((0.5, 0.5),), never=0.5), None),
+            ((0.5, 1.0, 1.0000000000000002), CensoringConfig("independent_right", after=((1.0, 0.5),), never=0.5),
+             "1.0 and 1.0000000000000002"),
+        ],
+    )
+    def test_switch_times_lie_strictly_between_their_ticks(self, grid, censoring, times):
+        # a span start or cut time equal to a tick once gave histories whose
+        # times do not rise; a cut that falls elsewhere still samples
+        scenario = ScenarioConfig(2, 2.0, grid, "markov", (1.0, 0.0), (TransitionRule(grid[-1], 1, ((2, 0.5),)),))
+        if times is None:
+            assert len(simulate_sample(scenario, censoring, 200, seed=3)) == 200
+            return
+        message = f"no time lies strictly between {times} for an observation switch"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            simulate_sample(scenario, censoring, 5, seed=3)
+        assert len(simulate_sample(scenario, CensoringConfig("none"), 5, seed=3)) == 5
+
     def test_violating_mechanism_biases_hazard(self):
         scenario = illness_death_scenario()
         oracle = exact_pathspace(scenario)
