@@ -2,11 +2,13 @@
 multi-state event histories.
 
 The pieces fit together like this: ``intervals`` supplies endpoint-aware
-intervals; ``interval_functions`` the additive interval functions and
-the hazard matrix (``HazardMatrixIF``, formed from transition counts and
-risk sets), the refinement engine, the additive and multiplicative
-transforms, defects and variation norms read from its one walk of the
-schedule, product integrals and step-function integrals;
+intervals; ``interval_functions`` the pure-jump additive interval
+functions and the hazard matrix (``HazardMatrixIF``, formed from
+transition counts and risk sets), general ones given by an evaluator (a
+continuous part enters as one), the refinement engine, the additive and
+multiplicative transforms, defects and variation norms read from its one
+walk of the schedule, exact product integrals and step-function
+integrals of additive functions;
 ``multistate`` an exactly enumerable law of a multi-state process serving
 as the oracle; ``estimators`` the Nelson-Aalen / Aalen-Johansen pipeline
 on observed event histories, built on that calculus; ``simulation`` the

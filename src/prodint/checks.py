@@ -348,7 +348,7 @@ def transform_duality_checks(
                 )
             )
         eye = np.eye(mu.dim)
-        # step-like as mu is: without a density, a cell's product integral depends only on the atoms it holds
+        # step-like as mu is: a cell's product integral depends only on the atoms it holds
         deviation = GeneralIF(mu.dim, lambda a: product_integral(mu, a) - eye, mu.support, mu.step_like)
         lhs = variation_norm(deviation, window, 4)
         v = mu.variation(window)

@@ -110,7 +110,10 @@ def _summarize(records) -> int:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     censoring = load_censoring(args.censoring) if args.censoring else CensoringConfig("none")
-    sample = simulate_sample(scenario, censoring, args.n, args.seed)
+    try:
+        sample = simulate_sample(scenario, censoring, args.n, args.seed)
+    except ConfigError as exc:  # the rule table, an observation switch or the sample size
+        raise ConfigError(f"{args.scenario}: {exc}") from None
     rows = write_event_histories(args.out, sample)
     print(f"wrote {len(sample)} subjects ({rows} rows, {len(sample.times)} jumps) to {args.out}")
     return 0

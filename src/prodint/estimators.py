@@ -90,12 +90,12 @@ class EventSample:
 
     Subject ``subjects[i]`` (strictly increasing) starts in ``initial[i]`` at
     time 0 and makes the jumps ``offsets[i]:offsets[i + 1]`` of ``times`` and
-    ``states``.  Within a subject, jump times are positive and strictly
-    increasing and consecutive states differ; states are numbered from 0,
-    which marks an unobserved span.  Ids, states and offsets may be given
-    as whole floats (2.0); a fractional one raises ``ValueError`` naming
-    its column.  The columns are validated once, when the sample is made,
-    and are read-only.  ``sources[k]`` is the state jump k leaves and
+    ``states``.  Within a subject, jump times are positive, finite and
+    strictly increasing and consecutive states differ; states are numbered
+    from 0, which marks an unobserved span.  Ids, states and offsets may be
+    given as whole floats (2.0); a fractional one raises ``ValueError``
+    naming its column.  The columns are validated once, when the sample is
+    made, and are read-only.  ``sources[k]`` is the state jump k leaves and
     ``max_state`` the largest state of the sample (0 when it has none).
     The estimators read these columns; iteration yields each subject's
     ``EventHistory`` view of them.
@@ -117,10 +117,12 @@ class EventSample:
             raise ValueError("subject ids must be strictly increasing")
         if (self.initial < 0).any() or (self.states < 0).any():
             raise ValueError("states are numbered from 0")
-        bad = ~(self.times > self._previous(self.times, np.zeros(n)))  # also rejects NaN
+        infinite = self.times == np.inf
+        bad = ~(self.times > self._previous(self.times, np.zeros(n))) | infinite  # also flags NaN
         if bad.any():
-            subject = self._subject_of_jump(bad.argmax())
-            raise ValueError(f"subject {subject}: jump times must be strictly increasing and positive")
+            k = int(bad.argmax())
+            rule = "finite" if infinite[k] else "strictly increasing and positive"
+            raise ValueError(f"subject {self._subject_of_jump(k)}: jump times must be {rule}")
         self.sources = self._previous(self.states, self.initial)
         self.sources.setflags(write=False)
         repeated = self.states == self.sources
@@ -362,9 +364,9 @@ def _assemble(subjects, times, states, lines=None) -> EventSample | None:
     """The sample of the rows held in columns, each subject's rows in file
     order: sorted by subject, a subject's first row gives its time-0 state
     and each later row a jump.  Where a subject's first row is not at time
-    0, or a row is not later than the one before it or repeats its state,
-    raise FormatError naming the ``lines`` entry of the first such row,
-    subject by subject; without ``lines``, return None."""
+    0, or a row is not later than the one before it, is at an infinite time
+    or repeats its state, raise FormatError naming the ``lines`` entry of
+    the first such row, subject by subject; without ``lines``, return None."""
     if (subjects[1:] < subjects[:-1]).any():
         order = np.argsort(subjects, kind="stable")  # keeps each subject's rows in file order
         subjects, times, states = subjects[order], times[order], states[order]
@@ -382,19 +384,29 @@ def _assemble(subjects, times, states, lines=None) -> EventSample | None:
         return None
     unstarted = ~jumps & (times != 0.0)
     late = jumps & np.r_[False, ~(times[1:] > times[:-1])]  # also flags NaN
+    infinite = times == np.inf
     repeated = jumps & np.r_[False, states[1:] == states[:-1]]
-    k = int(np.argmax(unstarted | late | repeated))
+    k = int(np.argmax(unstarted | late | infinite | repeated))
     if unstarted[k]:
         raise FormatError(f"line {lines[k]}: subject {subjects[k]} must start with a time-0 row")
     if late[k]:
         raise FormatError(f"line {lines[k]}: jump times must be strictly increasing and positive")
+    if infinite[k]:
+        raise FormatError(f"line {lines[k]}: jump times must be finite")
     raise FormatError(f"line {lines[k]}: consecutive states must differ")
 
 
 def _rows(data: bytes, max_state: int | None = None):
     """Yield (line, subject, time, state) of each data row of the CSV's
-    bytes, checking each row alone."""
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as handle:
+    bytes, checking each row alone; bytes that are not UTF-8 raise
+    FormatError naming their line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # counted as the csv reader counts them: lines end at \n, \r or \r\n
+        line = len(io.StringIO(data[: exc.start].decode("utf-8") + "?", newline="").readlines())
+        raise FormatError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

@@ -3,12 +3,13 @@
 An interval function assigns a d-by-d matrix to every subinterval of the
 time window.  This module provides:
 
-* ``AdditiveIF`` -- the canonical finitely additive representative (jump
-  atoms plus a piecewise-constant matrix density), with an exact variation
-  norm, and its pure-jump ``HazardMatrixIF``, whose steps are formed from
-  transition counts and risk sets in one place (``from_counts``);
+* ``AdditiveIF`` -- the canonical finitely additive representative, a
+  finite set of jump atoms with an exact variation norm, and its
+  ``HazardMatrixIF``, whose steps are formed from transition counts and
+  risk sets in one place (``from_counts``);
 * ``GeneralIF`` -- an arbitrary evaluator together with its declared
-  candidate discontinuity times;
+  candidate discontinuity times; a continuous part of a function enters
+  as one that is not step-like, and its transforms are the limits below;
 * the refinement engine: the canonical schedule of a window is the Young
   partition at the declared support, then repeated halving of the open
   cells, so that at depth k each gap is 2**(k + 1) - 1 cells that hold no
@@ -20,9 +21,10 @@ time window.  This module provides:
   (constant on cells that hold the same support times) is evaluated once
   per Young cell and each gap's value counted once per cell it stands for,
   so no cell is halved; any other is evaluated on every cell;
-* the exact product integral of an additive function (also swept over
-  the right endpoints of (lo, t] in one running product), and the
-  integral of a regulated step function against an additive function.
+* the exact product integral of an additive function, a finite product
+  over its atoms (also swept over the right endpoints of (lo, t] in one
+  running product), and the integral of a regulated step function against
+  an additive function.
 
 All inequality checks use the maximum absolute row-sum norm, which is
 submultiplicative (``norm(x @ y) <= norm(x) * norm(y)``); the max-entry
@@ -62,84 +64,54 @@ class ConvergenceError(RuntimeError):
         self.depth = depth
 
 
-def _frozen_stack(matrices, count: int, dim: int) -> np.ndarray:
-    """``matrices`` as one read-only (count x dim x dim) array of finite floats."""
-    stack = np.array(matrices, dtype=float).reshape((count, dim, dim))
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix entries must be finite")
-    stack.setflags(write=False)
-    return stack
-
-
 @dataclass(frozen=True, eq=False)
 class AdditiveIF:
-    """Finitely additive interval function in canonical form.
+    """Finitely additive pure-jump interval function in canonical form.
 
     The atoms are ``times``, strictly increasing floats, and ``jumps``,
-    their matrices as one read-only (atom x dim x dim) array; the atoms an
-    interval holds are one slice of both, found by bisection.  ``density``
-    is a tuple of ``(start, end, rate_matrix)`` pieces with disjoint
-    increasing spans.  The value on an interval is the sum of the atoms it
-    contains plus the density integrated over it, so additivity holds by
-    construction and the variation norm is exact.  It holds arrays, so it
+    their finite matrices as one read-only (atom x dim x dim) array; the
+    atoms an interval holds are one slice of both, found by bisection.  The
+    value on an interval is the sum of the atoms it holds, so additivity
+    holds by construction, the variation norm is exact and the function is
+    step-like with its atom times as support.  It holds arrays, so it
     equals only itself.
     """
 
     dim: int
     times: tuple = ()
     jumps: np.ndarray = ()
-    density: tuple = ()
+
+    step_like = True  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        times, pieces = tuple([float(t) for t in self.times]), ()
-        jumps = _frozen_stack(self.jumps, len(times), self.dim)
+        times = tuple([float(t) for t in self.times])
+        jumps = np.array(self.jumps, dtype=float).reshape((len(times), self.dim, self.dim))
+        if not np.isfinite(jumps).all():
+            raise ValueError("matrix entries must be finite")
         if not all(earlier < later for earlier, later in zip(times, times[1:])):
             raise ValueError("atom times must be strictly increasing")
-        if self.density:
-            density = tuple(self.density)
-            rates = _frozen_stack([r for _, _, r in density], len(density), self.dim)
-            pieces = tuple((float(s), float(e), r) for (s, e, _), r in zip(density, rates))
-            if not all(s < e for s, e, _ in pieces):
-                raise ValueError("density pieces must have positive width")
-            if any(e1 > s2 for (_, e1, _), (s2, _, _) in zip(pieces, pieces[1:])):
-                raise ValueError("density pieces must be disjoint and ordered")
+        jumps.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "density", pieces)
-
-    @property
-    def step_like(self) -> bool:
-        """Without a density, the value on a cell is the sum of the atoms it
-        holds."""
-        return not self.density
 
     @property
     def support(self) -> tuple[float, ...]:
-        """Candidate discontinuity times: atom times and density edges."""
-        edges = [edge for start, end, _ in self.density for edge in (start, end)]
-        return tuple(sorted({*self.times, *edges}))
+        """Candidate discontinuity times: the atom times."""
+        return self.times
 
     def __call__(self, a: Interval) -> np.ndarray:
         total = np.zeros((self.dim, self.dim))
         for jump in self.jumps[slice(*index_range(self.times, a))]:
             total += jump
-        for start, end, rate in self.density:
-            overlap = min(a.hi, end) - max(a.lo, start)
-            if overlap > 0:
-                total += overlap * rate
         return total
 
     def variation(self, a: Interval) -> float:
-        """Exact variation norm on ``a``: atom norms plus density norm mass."""
+        """Exact variation norm on ``a``: the sum of its atoms' norms."""
         total = 0.0
         for jump in self.jumps[slice(*index_range(self.times, a))]:
             total += matrix_norm(jump)
-        for start, end, rate in self.density:
-            overlap = min(a.hi, end) - max(a.lo, start)
-            if overlap > 0:
-                total += overlap * matrix_norm(rate)
         return total
 
 
@@ -159,14 +131,12 @@ def first_failure(times, checks) -> str | None:
 class HazardMatrixIF(AdditiveIF):
     """Additive hazard matrix: nonnegative off-diagonals, zero row sums.
 
-    Pure-jump by construction; each atom's off-diagonal row mass is at most
-    one (a state cannot expect to leave more than once instantaneously).
+    Each atom's off-diagonal row mass is at most one (a state cannot expect
+    to leave more than once instantaneously).
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.density:
-            raise ValueError("hazard matrices are pure-jump")
         off = self.jumps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
         failure = first_failure(self.times, (
             (off < 0.0, "negative off-diagonal hazard"),
@@ -323,6 +293,8 @@ def _limit_over_refinements(f, a, combine, tol, max_depth, what):
     previous = None
     change = math.inf
     for depth, current in enumerate(_refinement_values(f, f.step_like, f.support, a, max_depth, combine)):
+        if not np.isfinite(current).all():  # it cannot settle, and deeper partitions cost twice as much
+            raise ConvergenceError(f"{what} over {a} is not finite at depth {depth}", current, change, depth)
         if previous is not None:
             change = matrix_norm(current - previous)
             if change < tol:
@@ -342,7 +314,7 @@ def additive_transform(
     """Limit of the cell sums of ``f`` along the refinement schedule.
 
     For step-like functions the sums are exact once the schedule separates
-    the support times, so the limit terminates; a density part converges
+    the support times, so the limit terminates; a continuous part converges
     geometrically and doubles the work per depth step.
     """
     return _limit_over_refinements(f, a, _cell_sum, tol, max_depth, "additive transform")
@@ -410,45 +382,13 @@ def variation_norm(f, a: Interval, depth: int = 6) -> float:
     return max(0.0, *_refinement_values(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth))
 
 
-def _density_factor(lam: AdditiveIF, lo: float, hi: float) -> np.ndarray | None:
-    """exp of the density integrated over (lo, hi), or None where there is none."""
-    total = None
-    for start, end, rate in lam.density:
-        overlap = min(hi, end) - max(lo, start)
-        if overlap > 0:
-            total = overlap * rate if total is None else total + overlap * rate
-    if total is None:
-        return None
-    # imported here: only a density needs it, and importing it takes about as
-    # long as importing the rest of the package
-    from scipy.linalg import expm
-
-    return expm(total)
-
-
 def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
-    """Exact product integral of ``identity + lam`` over ``a``.
-
-    Multiplies ``identity + jump`` factors over the atoms in ``a`` in time
-    order, interleaved with matrix exponentials of the density integrated
-    over the open gaps.  For a pure-jump input this is a finite matrix
-    product.
-    """
-    eye = np.eye(lam.dim)
-    result = eye
-    cursor = a.lo
-    held = slice(*index_range(lam.times, a))
-    for t, jump in zip(lam.times[held], lam.jumps[held]):
-        if t > cursor:
-            factor = _density_factor(lam, cursor, t)
-            if factor is not None:
-                result = result @ factor
+    """Exact product integral of ``identity + lam`` over ``a``: the
+    ``identity + jump`` factors of the atoms in ``a``, multiplied in time
+    order."""
+    eye = result = np.eye(lam.dim)
+    for jump in lam.jumps[slice(*index_range(lam.times, a))]:
         result = result @ (eye + jump)
-        cursor = t
-    if a.hi > cursor:
-        factor = _density_factor(lam, cursor, a.hi)
-        if factor is not None:
-            result = result @ factor
     return result
 
 
@@ -465,12 +405,10 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
     ``times``, all at or after ``lo`` (the identity at ``t == lo``), from one
     running product.
 
-    ``lam`` must be pure-jump; its ``times`` and ``jumps`` are walked by
-    index.  Each value multiplies the same ``identity + jump`` factors in
-    the same order as its own product integral, so the two agree bit for bit.
+    ``lam``'s ``times`` and ``jumps`` are walked by index.  Each value
+    multiplies the same ``identity + jump`` factors in the same order as its
+    own product integral, so the two agree bit for bit.
     """
-    if lam.density:
-        raise ValueError("the product integral sweep takes a pure-jump function")
     eye = np.eye(lam.dim)
     result, i, previous = eye, bisect_right(lam.times, lo), lo
     for t in times:
@@ -535,21 +473,11 @@ class StepFunction:
 def kolmogorov_integral(f: StepFunction, mu: AdditiveIF, a: Interval) -> np.ndarray:
     """Integral of the step function ``f`` against the additive ``mu`` on ``a``.
 
-    Atoms contribute ``f(t) * jump``; each density piece contributes the
-    rate scaled by the integral of ``f`` over the overlap, evaluated
-    segment by segment between the breakpoints of ``f``.  Satisfies
+    Each atom in ``a`` contributes ``f(t) * jump``.  Satisfies
     ``matrix_norm(result) <= f.sup_abs(a) * mu.variation(a)``.
     """
     total = np.zeros((mu.dim, mu.dim))
     held = slice(*index_range(mu.times, a))
     for t, jump in zip(mu.times[held], mu.jumps[held]):
         total += f(t) * jump
-    for start, end, rate in mu.density:
-        lo = max(start, a.lo)
-        hi = min(end, a.hi)
-        if hi <= lo:
-            continue
-        points = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
-        for u, v in zip(points, points[1:]):
-            total += f(0.5 * (u + v)) * (v - u) * rate
     return total

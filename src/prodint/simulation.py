@@ -51,6 +51,12 @@ CENSORING_KINDS = ("none", "independent_right", "state_filtering_conforming", "v
 # returned, so larger blocks raise the peak resident memory of a process
 # that samples repeatedly.
 _BLOCK_DRAWS = 2**18
+# Largest rule table, in bytes, that a scenario may compile to: a
+# non-Markov rule kind keeps a row id per (tick, state, entry tick), so a
+# scenario file of a few kilobytes with thousands of grid times and
+# hundreds of states could otherwise ask for more memory than the machine
+# has.  2**28 bytes leaves room for a 5,000-tick, 3-state table (100 MB).
+MAX_RULE_TABLE_BYTES = 2**28
 
 # SeedSequence's entropy mixing (numpy/random/bit_generator.pyx): hash
 # constants and multipliers on uint32 words, and a pool of 4 words.
@@ -457,7 +463,9 @@ def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
     (target, probability) pairs.  A (tick, state)'s default rule takes every
     entry column c, then each feature rule those whose feature, the entry
     time ``ticks[c]`` or the duration ``t - ticks[c]``, equals its ``when``
-    exactly.  A Markov scenario's ids are broadcast over the entry columns."""
+    exactly.  A Markov scenario's ids are broadcast over the entry columns.
+    A table above ``MAX_RULE_TABLE_BYTES`` raises ``ConfigError`` before it
+    is allocated."""
     start = tuple(enumerate(scenario.initial, start=1))
     ids = {(): 0, start: 1}
     for rule in scenario.transitions:
@@ -478,7 +486,14 @@ def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
     m, markov = len(scenario.grid), scenario.rule == "markov"
     ticks = np.array((0.0,) + scenario.grid)
     column_of = {t: c for c, t in enumerate(scenario.grid, start=1)}
-    rows = np.zeros((m + 1, scenario.dim + 1, 1 if markov else m + 1), np.min_scalar_type(len(ids) - 1))
+    shape, dtype = (m + 1, scenario.dim + 1, 1 if markov else m + 1), np.min_scalar_type(len(ids) - 1)
+    size = math.prod(shape) * dtype.itemsize
+    if size > MAX_RULE_TABLE_BYTES:
+        raise ConfigError(
+            f"the {scenario.rule} rule table of {m} grid times and dimension {scenario.dim} would take "
+            f"{size} bytes, above the budget of {MAX_RULE_TABLE_BYTES}"
+        )
+    rows = np.zeros(shape, dtype)
     rows[0, 0] = ids[start]
     for rule in sorted(scenario.transitions, key=lambda rule: rule.when is not None):  # defaults first
         column = column_of[rule.time]

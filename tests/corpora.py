@@ -51,6 +51,15 @@ def float_sum_exit_scenario() -> ScenarioConfig:
     return ScenarioConfig(4, 2.0, (1.0,), "markov", (1.0, 0.0, 0.0, 0.0), (exits,))
 
 
+def wide_grid_scenario(ticks: int, dim: int, rule: str) -> ScenarioConfig:
+    """``ticks`` unit-spaced grid times, ``dim`` states and one rule, a
+    1 -> 2 move with probability 1/2 at t=1: a small document whose
+    non-Markov rule table has (ticks + 1) * (dim + 1) * (ticks + 1) entries."""
+    grid = tuple(float(t) for t in range(1, ticks + 1))
+    move = TransitionRule(1.0, 1, ((2, 0.5),))
+    return ScenarioConfig(dim, float(ticks), grid, rule, (1.0,) + (0.0,) * (dim - 1), (move,))
+
+
 VARIANTS = ("plain", "progressive", "forced_exit")
 
 

@@ -556,6 +556,8 @@ def jump_error(previous_time, previous_state, t, s):
     """Why a jump to ``s`` at ``t`` cannot follow the previous one, or None if it can."""
     if not t > previous_time:  # also rejects NaN
         return "jump times must be strictly increasing and positive"
+    if t == math.inf:
+        return "jump times must be finite"
     if s == previous_state:
         return "consecutive states must differ"
     if s < 0:
@@ -742,13 +744,8 @@ def hazard_atoms(ps):
 
 
 def scaled(f, factor):
-    """The additive function ``factor * f``: every atom and every density rate scaled."""
-    return AdditiveIF(
-        f.dim,
-        f.times,
-        [factor * m for m in f.jumps],
-        tuple((s, e, factor * r) for s, e, r in f.density),
-    )
+    """The additive function ``factor * f``: every atom scaled."""
+    return AdditiveIF(f.dim, f.times, [factor * m for m in f.jumps])
 
 
 def exit_hazard(ps, j):
@@ -1058,6 +1055,8 @@ def _limit_over_refinements(f, a, combine, tol, max_depth, what, partitions):
     depth = -1
     for depth, part in enumerate(partitions(f.support, a, max_depth)):
         current = combine([f(cell) for cell in part])
+        if not np.isfinite(current).all():
+            raise ConvergenceError(f"{what} over {a} is not finite at depth {depth}", current, change, depth)
         if previous is not None:
             change = matrix_norm(current - previous)
             if change < tol:

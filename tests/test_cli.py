@@ -19,7 +19,7 @@ from prodint.checks import CheckRecord
 from prodint.cli import _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json, write_json
 
-from corpora import float_sum_exit_scenario
+from corpora import float_sum_exit_scenario, wide_grid_scenario
 from reference_impl import empirical_occupancy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,6 +177,30 @@ def test_commands_load_only_the_layers_they_run():
     done = run_fresh("-c", script)
     assert done.returncode == 0, done.stderr
     assert "check extinction-exit: PASS" in done.stdout
+
+
+def test_no_module_or_command_loads_scipy(tmp_path):
+    # a fresh interpreter: every module of the package and every command
+    # run on numpy alone, so the package does not depend on scipy
+    sample = str(tmp_path / "s.csv")
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import prodint\n"
+        "for module in pkgutil.iter_modules(prodint.__path__):\n"
+        "    importlib.import_module(f'prodint.{module.name}')\n"
+        "prodint.PathSpace\n"
+        "from prodint.cli import main\n"
+        f"assert main(['simulate', '--scenario', '{CORPUS}/idn.json', '--censoring', '{CORPUS}/conforming.json',"
+        f" '--n', '200', '--seed', '7', '--out', {sample!r}]) == 0\n"
+        f"assert main(['estimate', '--input', {sample!r}]) == 0\n"
+        "assert main(['verify', '--count', '1']) == 0\n"
+        f"assert main(['convergence', '--scenario', '{CORPUS}/idn.json', '--censoring', '{CORPUS}/conforming.json',"
+        f" '--violating', '{CORPUS}/violating.json']) == 0\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    done = run_fresh("-c", script)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_does_not_load_numpy_ma(tmp_path):
@@ -932,7 +956,7 @@ class TestEscapesFound:
         # there once gave a history whose times do not rise, blamed on a subject
         message = "no time lies strictly between 1.0 and 1.0000000000000002 for an observation switch"
         assert self.simulate(tmp_path, DATA / "close_grid.json", f"{CORPUS}/{censoring}") == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {DATA / 'close_grid.json'}: {message}\n"
         argv = ["--scenario", DATA / "close_grid.json", "--censoring", f"{CORPUS}/{censoring}", "--n", 50]
         assert run("convergence", *argv, "--seed", 7) == 2
         assert capsys.readouterr().err == f"error: conforming arm at n=50, seed 7: {message}\n"
@@ -940,6 +964,40 @@ class TestEscapesFound:
         out = tmp_path / "full.csv"
         assert run("simulate", "--scenario", DATA / "close_grid.json", "--n", 50, "--seed", 7, "--out", out) == 0
         assert len(read_event_histories(out)) == 50
+
+    def test_rule_table_over_budget_is_refused_by_the_scenario_file(self, tmp_path, capsys):
+        # 3,000 ticks of 400 states once asked numpy for a 3.36 GiB table: where
+        # memory is limited, a MemoryError traceback that exits 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(wide_grid_scenario(3000, 400, "entry_time_dependent").to_json_dict()))
+        message = (
+            f"error: {path}: the entry_time_dependent rule table of 3000 grid times and dimension 400 "
+            "would take 3611406401 bytes, above the budget of 268435456\n"
+        )
+        for command, *argv in (
+            ("simulate", "--n", 10, "--seed", 1, "--out", tmp_path / "sample.csv"),
+            ("verify", "--count", 0),
+            ("convergence", "--censoring", f"{CORPUS}/conforming.json", "--n", 10),
+        ):
+            assert run(command, "--scenario", path, *argv) == 2
+            assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("time", ["1e999", "inf"])
+    def test_infinite_time_is_refused_by_its_line(self, tmp_path, capsys, time):
+        # once exit 0, with a row at time inf and Infinity, which is not JSON, in the grid
+        path = tmp_path / "sample.csv"
+        path.write_text(f"subject,time,state\n0,0.0,1\n0,{time},2\n")
+        out = tmp_path / "grid.json"
+        assert run("estimate", "--input", path, "--out-csv", tmp_path / "o.csv", "--out-json", out) == 2
+        assert capsys.readouterr().err == "error: line 3: jump times must be finite\n"
+        assert not out.exists()
+
+    def test_undecodable_byte_is_refused_by_its_line(self, tmp_path, capsys):
+        # once "'utf-8' codec can't decode byte 0xff in position 33", an offset into the decoder's chunk
+        path = tmp_path / "sample.csv"
+        path.write_bytes(b"subject,time,state\n0,0.0,1\n0,1.0,\xff\n")
+        assert run("estimate", "--input", path) == 2
+        assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
 
     @pytest.mark.parametrize(
         "document, message",

@@ -81,6 +81,13 @@ class TestEventSample:
         with pytest.raises(ValueError, match=f"^{message}$"):
             EventSample(*columns)
 
+    def test_an_infinite_time_is_refused_by_its_subject(self):
+        # once accepted: the estimate then wrote a row at time inf and Infinity into its JSON grid
+        with pytest.raises(ValueError, match="^subject 0: jump times must be finite$"):
+            EventSample([0], [1], [0, 1], [float("inf")], [2])
+        with pytest.raises(ValueError, match="^subject 4: jump times must be finite$"):
+            EventSample([2, 4], [1, 1], [0, 1, 3], [0.5, 1.0, float("inf")], [2, 2, 1])
+
     def test_whole_floats_are_accepted(self):
         sample = EventSample([0.0, 1.0], [1.0, 2.0], [0.0, 1.0, 1.0], [1.0], [2.0])
         assert sample == EventSample([0, 1], [1, 2], [0, 1, 1], [1.0], [2])
@@ -358,6 +365,21 @@ class TestCsvRoundTrip:
         path.write_text("subject,time,state\n0,0.0,1\n0,nan,2\n")
         with pytest.raises(FormatError, match="line 3: jump times must be strictly increasing"):
             read_event_histories(path)
+
+    @pytest.mark.parametrize("text", ["1e999", "inf"])  # the bulk parse reads the first, the row reader both
+    def test_infinite_time_names_line(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"subject,time,state\n0,0.0,1\n0,{text},2\n")
+        with pytest.raises(FormatError, match="^line 3: jump times must be finite$"):
+            read_event_histories(path)
+
+    def test_undecodable_byte_names_line(self, tmp_path):
+        # once a byte offset into the decoder's chunk: "can't decode byte 0xff in position 33"
+        path = tmp_path / "bad.csv"
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(newline.join([b"subject,time,state", b"0,0.0,1", b"0,1.0,\xff", b""]))
+            with pytest.raises(FormatError, match="^line 3: byte 0xff is not UTF-8"):
+                read_event_histories(path)
 
     def test_valid_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
         sample = simulate_sample(

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 from itertools import chain
 
 import numpy as np
@@ -40,6 +37,24 @@ PT = Interval.point
 
 def scalar_atoms(*pairs):
     return AdditiveIF(1, [t for t, _ in pairs], [v for _, v in pairs])
+
+
+def with_density(mu, pieces):
+    """The atoms of ``mu`` plus, on a cell, each ``(start, end, rate)``
+    piece's rate times its overlap with the cell: a continuous part, so a
+    ``GeneralIF`` that is not step-like, with the piece edges in its
+    support."""
+
+    def evaluator(a):
+        total = mu(a)
+        for start, end, rate in pieces:
+            overlap = min(a.hi, end) - max(a.lo, start)
+            if overlap > 0:
+                total += overlap * np.asarray(rate, dtype=float)
+        return total
+
+    edges = [edge for start, end, _ in pieces for edge in (start, end)]
+    return GeneralIF(mu.dim, evaluator, support=tuple(sorted({*mu.support, *edges})))
 
 
 def transform_bound(mu, a, depth=4):
@@ -93,29 +108,22 @@ class TestAdditiveIF:
         assert mu(OO(0, 1))[0, 0] == 0.0
         assert mu(OC(0, 1))[0, 0] == 0.5
 
-    def test_density_integrates_length(self):
-        mu = AdditiveIF(1, density=((0.0, 2.0, [[0.25]]),))
-        assert mu(OC(0.5, 1.5))[0, 0] == pytest.approx(0.25)
-        assert mu.variation(OC(0, 2)) == pytest.approx(0.5)
-
     def test_upper_continuity_at_empty(self):
-        mu = AdditiveIF(1, (1.0,), [[[0.5]]], ((0.0, 3.0, [[0.125]]),))
+        mu = scalar_atoms((1.0, 0.5), (1.25, 0.25))
         values = [abs(mu(OO(1.0, 1.0 + eps))[0, 0]) for eps in (1.0, 0.5, 0.25, 0.125)]
-        assert values == sorted(values, reverse=True)
-        assert values[-1] < 0.02
+        assert values == [0.25, 0.25, 0.0, 0.0]
 
     def test_rejects_unsorted_atoms(self):
         with pytest.raises(ValueError):
             scalar_atoms((2.0, 0.5), (1.0, 0.5))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2), st.integers(0, 2**32 - 1))
-    def test_atoms_and_rates_are_read_only_copies(self, dim, n_atoms, n_pieces, seed):
+    @given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_atoms_and_rates_are_read_only_copies(self, dim, n_atoms, seed):
         rng = np.random.default_rng(seed)
         given_times = [0.5 * (i + 1) for i in range(n_atoms)]
         given_jumps = [rng.uniform(-1.0, 1.0, size=(dim, dim)) for _ in range(n_atoms)]
-        given_pieces = [(i + 0.0, i + 0.5, rng.uniform(-1.0, 1.0, size=(dim, dim))) for i in range(n_pieces)]
-        mu = AdditiveIF(dim, given_times, given_jumps, tuple(given_pieces))
+        mu = AdditiveIF(dim, given_times, given_jumps)
         assert mu.jumps.shape == (n_atoms, dim, dim) and not mu.jumps.flags.writeable
         assert list(mu.times) == given_times
         for matrix, original in zip(mu.jumps, given_jumps):
@@ -124,9 +132,6 @@ class TestAdditiveIF:
             assert not np.array_equal(matrix, original)
             with pytest.raises(ValueError):
                 matrix[...] = 7.0
-        for _, _, rate in mu.density:
-            with pytest.raises(ValueError):
-                rate[...] = 7.0
 
     def test_rejects_a_count_of_jumps_other_than_of_times(self):
         with pytest.raises(ValueError):
@@ -146,8 +151,6 @@ class TestAdditiveIF:
     def test_rejects_non_finite_matrices(self, bad):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             AdditiveIF(2, (1.0, 2.0), ([[0.0, 0.5], [0.0, 0.0]], [[0.0, bad], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            AdditiveIF(1, density=((0.0, 1.0, [[bad]]),))
 
 
 class TestAdditiveTransform:
@@ -203,9 +206,18 @@ class TestMultiplicativeTransform:
         assert matrix_norm(whole - split) < 1e-10
 
     def test_density_converges_to_exponential(self):
-        lam = AdditiveIF(1, density=((0.0, 1.0, [[0.2]]),))
+        lam = with_density(AdditiveIF(1), ((0.0, 1.0, [[0.2]]),))
         got = multiplicative_transform(plus_identity(lam), OC(0, 1), tol=1e-6, max_depth=20)
         assert got[0, 0] == pytest.approx(math.exp(0.2), abs=1e-4)
+
+    def test_stops_at_the_first_value_that_is_not_finite(self):
+        # the product overflows near depth 10; it once refined on to max_depth,
+        # twice the work per depth, and then reported "still moved by nan"
+        doubling = GeneralIF(1, lambda a: np.array([[2.0]]), support=(1.0,), step_like=True)
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="is not finite at depth") as err:
+            multiplicative_transform(doubling, OC(0.0, 2.0))
+        assert err.value.depth <= 11
+        assert not np.isfinite(err.value.last_value).all()
 
 
 class TestVariationNorm:
@@ -404,22 +416,23 @@ def step_like_defect(f, target, a):
 class TestEngineMatchesIntervalReference:
     """Transforms, variation norms, defect profiles and the product bound on
     the engine equal the one-cell-at-a-time ``Interval`` walk bit for bit,
-    for pure-jump and density functions, every window shape and points."""
+    for pure-jump functions and ones with a continuous part (the general
+    path, on every cell), every window shape and points."""
 
     @staticmethod
     def measures(seed, support, dim):
         """A pure-jump function with atoms at ``support``, the same plus two
-        density pieces, and a pure-jump one with atoms elsewhere."""
+        density pieces (``with_density``), and a pure-jump one with atoms
+        elsewhere."""
         rng = np.random.default_rng(seed)
         times = sorted(set(support))
         steps = [rng.uniform(-0.6, 0.6, size=(dim, dim)) for _ in times]
         jumps = AdditiveIF(dim, times, steps)
         lo, hi = (times[0], times[-1]) if times else (0.0, 1.0)
         lo, hi = min(lo, 0.0), max(hi, 4.0)
-        # rates of total mass below one, so that exp(variation) stays finite
         rates = rng.uniform(-0.5, 0.5, size=(2, dim, dim)) / (hi - lo)
         pieces = ((lo, 0.5 * (lo + hi), rates[0]), (0.75 * hi + 0.25 * lo, hi, rates[1]))
-        density = AdditiveIF(dim, times, steps, pieces)
+        density = with_density(jumps, pieces)
         other = AdditiveIF(dim, (0.5 * (lo + hi) + 0.125,), (rng.uniform(-0.6, 0.6, size=(dim, dim)),))
         return jumps, density, other
 
@@ -452,13 +465,15 @@ class TestEngineMatchesIntervalReference:
                 assert_same_as_reference("multiplicative_transform", shifted, a, max_depth=depth, **step)
                 assert_same_as_reference("variation_norm", view, a, depth, **step)
                 assert_same_as_reference("variation_norm", plus_identity(mu), a, depth, **step)
-                for target in (mu, reference_impl.scaled(mu, 0.5), other, jumps):
+                halved = GeneralIF(dim, lambda b, mu=mu: 0.5 * mu(b), support=mu.support, step_like=mu.step_like)
+                for target in (mu, halved, other, jumps):
                     step_defect = step_like_defect(view, target, a)
                     assert_same_as_reference("defect_profile", view, target, a, depth, step_like=step_defect)
-                expected = outcome(reference_bound, mu, a, depth)
-                if expected == "narrow" and mu.step_like:
-                    expected = outcome(reference_bound, mu, a, depth, reference_impl.notional_partitions)
-                assert outcome(transform_bound, mu, a, depth) == expected
+                if mu is jumps:  # the bound reads the exact product integral, of atoms only
+                    expected = outcome(reference_bound, mu, a, depth)
+                    if expected == "narrow":
+                        expected = outcome(reference_bound, mu, a, depth, reference_impl.notional_partitions)
+                    assert outcome(transform_bound, mu, a, depth) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -522,33 +537,6 @@ class TestProductIntegral:
         got = product_integral(idn_space.hazard_matrix(), OC(0, 3))
         np.testing.assert_allclose(got[0], [0.25, 0.30, 0.45], atol=1e-12)
 
-    def test_constant_density_exponentiates(self):
-        lam = AdditiveIF(1, density=((0.0, 1.0, [[0.7]]),))
-        assert product_integral(lam, OC(0, 1))[0, 0] == pytest.approx(math.exp(0.7), abs=1e-12)
-
-    def test_scipy_is_imported_only_for_a_density(self):
-        # a fresh interpreter: the command-line module alone must not load
-        # scipy.linalg, and the density path must still find expm
-        script = (
-            "import sys\n"
-            "import prodint.cli\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
-            "from prodint import AdditiveIF, Interval, product_integral\n"
-            "lam = AdditiveIF(1, density=((0.0, 1.0, [[0.7]]),))\n"
-            "print(float(product_integral(lam, Interval.open_closed(0.0, 1.0))[0, 0]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert float(done.stdout) == pytest.approx(math.exp(0.7), abs=1e-12)
-
-    def test_atom_density_interleaving(self):
-        lam = AdditiveIF(1, (1.0,), [[[0.5]]], ((0.0, 2.0, [[0.25]]),))
-        expected = math.exp(0.25) * 1.5 * math.exp(0.25)
-        assert product_integral(lam, OC(0, 2))[0, 0] == pytest.approx(expected, abs=1e-12)
-
     def test_multiplicative_across_splits(self, rng):
         for _ in range(50):
             d = int(rng.integers(1, 4))
@@ -578,8 +566,6 @@ class TestProductIntegralSweep:
             assert reference_impl.bits(value) == reference_impl.bits(expected)
 
     def test_rejects_a_density_and_decreasing_times(self):
-        with pytest.raises(ValueError, match="pure-jump"):
-            list(product_integral_sweep(AdditiveIF(1, density=((0.0, 1.0, [[0.7]]),)), 0.0, [1.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
             list(product_integral_sweep(scalar_atoms((1.0, 0.5)), 0.0, [2.0, 1.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
@@ -645,12 +631,6 @@ class TestKolmogorovIntegral:
         got = kolmogorov_integral(occupation, idn_space.hazard_matrix(), OC(0, 3))
         assert got[0, 1] == pytest.approx(0.75, abs=1e-12)
 
-    def test_density_splits_at_breakpoints(self):
-        f = StepFunction((1.0,), (5.0,), (2.0, 4.0))
-        mu = AdditiveIF(1, density=((0.0, 2.0, [[1.0]]),))
-        got = kolmogorov_integral(f, mu, OC(0, 2))[0, 0]
-        assert got == pytest.approx(2.0 * 1.0 + 4.0 * 1.0, abs=1e-12)
-
     def test_sup_bound(self, idn_space):
         f = reference_impl.left_occupation(idn_space, 2)
         mu = idn_space.hazard_matrix()
@@ -681,30 +661,16 @@ class TestProductVariationBound:
         lhs, rhs, ok = transform_bound(lam, OC(0, 3))
         assert ok and lhs <= rhs
 
-    @staticmethod
-    def random_measure(rng, with_density):
-        """A jump function as `verify` draws it, optionally with two density pieces."""
-        from prodint.checks import random_jump_function
-
-        mu = random_jump_function(rng)
-        if not with_density:
-            return mu
-        rates = rng.uniform(-0.5, 0.5, size=(2, mu.dim, mu.dim))
-        return AdditiveIF(mu.dim, mu.times, mu.jumps, ((0.3, 1.75, rates[0]), (2.5, 4.0, rates[1])))
-
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 4))
-    def test_matches_per_cell_reference(self, seed, with_density, depths):
-        from prodint.checks import random_subinterval
-
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_matches_per_cell_reference(self, seed, depths):
         rng = np.random.default_rng(seed)
-        mu = self.random_measure(rng, with_density)
+        mu = random_jump_function(rng)
         for a in (OC(0.0, 4.0), random_subinterval(rng), random_subinterval(rng)):
             assert outcome(transform_bound, mu, a, depths) == outcome(reference_bound, mu, a, depths)
 
-    @pytest.mark.parametrize("with_density", [False, True])
-    def test_pure_jump_evaluates_each_atom_range_once(self, with_density):
-        mu = self.random_measure(np.random.default_rng(5), with_density)
+    def test_pure_jump_evaluates_each_atom_range_once(self):
+        mu = random_jump_function(np.random.default_rng(5))
         times = mu.times
         cells = []
 
@@ -714,9 +680,6 @@ class TestProductVariationBound:
 
         variation_norm(GeneralIF(mu.dim, recording, mu.support, mu.step_like), OC(0.0, 4.0), 4)
         schedule = sum(len(p) for p in refinement_partitions(mu.support, OC(0.0, 4.0), 4))
-        if with_density:
-            assert len(cells) == schedule
-            return
         # (atoms below the cell, atoms below or inside it)
         ranges = []
         for a in cells:

@@ -221,8 +221,6 @@ def test_hazard_matrix_checks_name_the_first_bad_atom(second, message):
     good = [[-0.5, 0.5], [0.0, 0.0]]
     with pytest.raises(ValueError, match=f"^{message}$"):
         HazardMatrixIF(2, (1.0, 2.0, 3.0), (good, second, [[-2.0, 2.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="pure-jump"):
-        HazardMatrixIF(2, (1.0,), (good,), ((0.0, 1.0, good),))
     assert HazardMatrixIF(2, (1.0,), (good,)).times[0] == 1.0
 
 

@@ -24,7 +24,7 @@ from prodint.cli import CORPUS_SCENARIOS
 from prodint.simulation import _tick_states, packaged_scenario
 
 import oracle_enum
-from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario
+from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario, wide_grid_scenario
 from reference_impl import apply_censoring, sample_path, state_at, state_before, subject_rng
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,6 +166,15 @@ class TestExactPathspace:
         scenario = illness_death_scenario()
         with pytest.raises(ConfigError):
             exact_pathspace(scenario, cap=2)
+
+    def test_rule_table_over_budget_is_refused_before_it_is_allocated(self):
+        # 3,000 ticks of 400 states once asked numpy for a 3.36 GiB table
+        wide = wide_grid_scenario(3000, 400, "entry_time_dependent")
+        message = "^the entry_time_dependent rule table of 3000 grid times and dimension 400 would take 3611406401 bytes"
+        with pytest.raises(ConfigError, match=message):
+            exact_pathspace(wide)
+        # 5,000 ticks of 3 states, a 100 MB table, still compile
+        assert wide_grid_scenario(5000, 3, "duration_dependent").kernel.rows.shape == (5001, 4, 5001)
 
 
 class TestSamplePath:
