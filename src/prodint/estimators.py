@@ -31,13 +31,11 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .interval_functions import HazardMatrixIF, first_failure, product_integral_sweep
-
-Side = Literal["right", "left"]
 
 # Largest number of float64 entries, (event times + 1) * d * d, that an
 # estimate may hold in each of its hazard and transition parts: 2**24
@@ -143,10 +141,9 @@ class EventSample:
         previous[self.offsets[:-1][has_jumps]] = heads[has_jumps]
         return previous
 
-    def states_at(self, t: float, side: Side = "right") -> np.ndarray:
-        """Each subject's state at t, or just before t with ``side="left"``."""
-        reached = self.times <= t if side == "right" else self.times < t
-        before = np.concatenate(([0], np.cumsum(reached)))
+    def states_at(self, t: float) -> np.ndarray:
+        """Each subject's state at t."""
+        before = np.concatenate(([0], np.cumsum(self.times <= t)))
         begin = self.offsets[:-1]
         count = before[self.offsets[1:]] - before[begin]
         # jump times rise within a subject, so the jumps it has made by t come first

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .interval_functions import (
     index_range,
 )
 from .intervals import Interval, window_grid
-
-Side = Literal["right", "left"]
 
 
 class _OneStep(NamedTuple):
@@ -66,11 +64,12 @@ class PathSpace:
     at every grid time -- are built together on first use, and with them
     ``event_times``, the expected-count measure (``counting_mean``) and the
     hazard (``hazard_matrix``), each once per space; the exit hazard of j
-    is minus the (j, j) entry of the hazard.  ``jump_mass`` reads the
-    tables on every call; nothing in the package calls it, and it stays
-    because perfbench reads it.  Each quantity comes in one form, and a
-    quantity of state pairs as one d x d matrix.  An array a query hands
-    out is a copy or read-only.
+    is minus the (j, j) entry of the hazard.  A quantity of state pairs
+    comes as one d x d matrix, and an occupation is the value at a time:
+    the value just before a grid time is the one at the tick before it.
+    ``occupation(j, t)``, ``jump_mass`` and ``paths`` have no caller in the
+    package; they stay because perfbench reads them.  An array a query
+    hands out is a copy or read-only.
     """
 
     dim: int
@@ -150,13 +149,6 @@ class PathSpace:
 
     # -- tick columns and their joint tables --------------------------------
 
-    def _occupation_column(self, t: float, side: Side) -> np.ndarray:
-        """Occupation at ``t`` (right) or just before it (left).  Column c is
-        the state after the first c grid times, so it is the count of grid
-        times at or before ``t`` (right), or strictly before it (left)."""
-        column = bisect_right(self.grid, t) if side == "right" else bisect_left(self.grid, t)
-        return self._one_step.occupation[column]
-
     def columns(self, a: Interval) -> tuple[int, int]:
         """The (left, right) tick columns ``a`` reads under its endpoint shape.
 
@@ -187,33 +179,27 @@ class PathSpace:
             table = self._tables[(left, right)] = _JointTable(joint, transition)
         return table
 
-    def _check_states(self, *states: int) -> None:
-        for s in states:
-            if not 1 <= s <= self.dim:
-                raise ValueError(f"state {s} outside 1..{self.dim}")
-
     # -- occupation and transition probabilities --------------------------
 
-    def occupation(self, j: int, t: float, side: Side = "right") -> float:
-        """P(state = j) at time t (right value) or just before t (left)."""
-        self._check_states(j)
-        return float(self._occupation_column(t, side)[j - 1])
+    def occupation(self, j: int, t: float) -> float:
+        """P(state = j) at time t."""
+        if not 1 <= j <= self.dim:
+            raise ValueError(f"state {j} outside 1..{self.dim}")
+        return float(self._one_step.occupation[bisect_right(self.grid, t), j - 1])
 
-    def occupation_vector(self, t: float, side: Side = "right") -> np.ndarray:
-        return self._occupation_column(t, side).copy()
+    def occupation_vector(self, t: float) -> np.ndarray:
+        """Occupation at ``t``.  Tick column c holds the states after the
+        first c grid times, so ``t`` reads the count of grid times up to it."""
+        return self._one_step.occupation[bisect_right(self.grid, t)].copy()
 
-    def transition(self, j: int, k: int, a: Interval) -> float:
-        """Conditional transition probability of ``a`` under its endpoint shape.
+    def transition_matrix(self, a: Interval) -> np.ndarray:
+        """Conditional transition probabilities of ``a`` under its endpoint shape.
 
         A closed left endpoint conditions on the state just before a.lo, an
         open one on the state at a.lo; a closed right endpoint evaluates
-        the state at a.hi, an open one the state just before.  When the
-        conditioning probability is zero the value is 1 if j == k else 0.
+        the state at a.hi, an open one the state just before.  Where the
+        conditioning probability is zero the row is the identity's.
         """
-        self._check_states(j, k)
-        return float(self._table(*self.columns(a)).transition[j - 1, k - 1])
-
-    def transition_matrix(self, a: Interval) -> np.ndarray:
         return self._table(*self.columns(a)).transition.copy()
 
     def transition_if(self) -> GeneralIF:
@@ -246,9 +232,9 @@ class PathSpace:
         """Probability of status j at the left of ``a`` and k at its right,
         for every j != k, with a zero diagonal.
 
-        Same endpoint conventions as ``transition`` but unconditional, so
-        on a singleton this equals the expected count of the instantaneous
-        direct transition.
+        Same endpoint conventions as ``transition_matrix`` but
+        unconditional, so on a singleton this equals the expected count of
+        the instantaneous direct transition.
         """
         out = self._table(*self.columns(a)).joint.copy()
         np.fill_diagonal(out, 0.0)

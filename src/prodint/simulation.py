@@ -57,6 +57,11 @@ _BLOCK_DRAWS = 2**18
 # hundreds of states could otherwise ask for more memory than the machine
 # has.  2**28 bytes leaves room for a 5,000-tick, 3-state table (100 MB).
 MAX_RULE_TABLE_BYTES = 2**28
+# Largest path space, in bytes, that ``exact_pathspace`` may hold: each
+# path's states at the ticks, its weight and its entry column.  2**24 bytes
+# hold 883,011 paths over 3 ticks or 5,561 over 3,001, whose one-step
+# tables (states read as intp, 16 bytes a path and tick) stay below 2**28.
+MAX_PATH_SPACE_BYTES = 2**24
 
 # SeedSequence's entropy mixing (numpy/random/bit_generator.pyx): hash
 # constants and multipliers on uint32 words, and a pool of 4 words.
@@ -396,7 +401,7 @@ def _fill_streams(seed: int, arm: int, first: int, draws: np.ndarray) -> None:
         generator.random(out=row)
 
 
-def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
+def exact_pathspace(scenario: ScenarioConfig) -> PathSpace:
     """Enumerate every positive-probability trajectory with its exact weight.
 
     One path in state 0 grows at tick 0 into the initial states, and the
@@ -405,25 +410,34 @@ def exact_pathspace(scenario: ScenarioConfig, cap: int = 10**6) -> PathSpace:
     queries add the weights.  A target's mass is the step of the row's
     ``_cumulative`` table at it and the stay mass what the table leaves
     below 1, as the sampler reads them, so the rounding slack the validator
-    allows in a row's sum is spent once, on its last target.
-    Raises ConfigError when the enumeration would exceed ``cap`` paths.
+    allows in a row's sum is spent once, on its last target.  Paths never
+    die, so before each tick grows them, their count bounds what the whole
+    space would take; above ``MAX_PATH_SPACE_BYTES`` it raises ConfigError.
     """
     from .multistate import PathSpace  # the oracle: simulate and estimate never build one
 
-    kernel = scenario.kernel
-    paths = np.zeros((1, 1), dtype=np.min_scalar_type(scenario.dim))  # one path, in state 0 before time 0
+    kernel, ticks = scenario.kernel, len(scenario.grid) + 1
+    columns = [np.zeros(1, dtype=np.min_scalar_type(scenario.dim))]  # one path, in state 0 before time 0
     weights, entered = np.ones(1), np.zeros(1, dtype=np.intp)
-    for column in range(len(scenario.grid) + 1):
-        rows = kernel.rows[column][paths[:, -1], entered]
+    for column in range(ticks):
+        rows = kernel.rows[column][columns[-1], entered]
         masses = kernel.masses[rows]
-        parent, branch = (masses > 0.0).nonzero()
-        if len(parent) > cap:
-            raise ConfigError(f"path space exceeds the cap of {cap} paths")
-        paths, weights = paths[parent], weights[parent] * masses[parent, branch]
+        grown = masses > 0.0
+        count = np.count_nonzero(grown)
+        size = count * (ticks * columns[0].itemsize + weights.itemsize + entered.itemsize)
+        if size > MAX_PATH_SPACE_BYTES:
+            raise ConfigError(
+                f"the path space of {count} or more paths over {ticks} ticks would take {size} bytes "
+                f"or more, above the budget of {MAX_PATH_SPACE_BYTES}"
+            )
+        parent, branch = grown.nonzero()
+        if count > len(weights):  # a path branches, so the columns so far follow the parents
+            columns = [states[parent] for states in columns]
+        weights = weights[parent] * masses[parent, branch]
         to = kernel.targets[rows[parent], branch]
-        paths = np.concatenate((paths, np.where(to, to, paths[:, -1])[:, None]), axis=1)
+        columns.append(np.where(to, to, columns[-1]))
         entered = np.where(to, column, entered[parent])
-    return PathSpace(scenario.dim, scenario.tau, scenario.grid, paths[:, 1:], weights)
+    return PathSpace(scenario.dim, scenario.tau, scenario.grid, np.stack(columns[1:], axis=1), weights)
 
 
 def _cumulative(probs: Sequence[float]) -> np.ndarray:
@@ -454,8 +468,9 @@ def _inverse_cdf(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: for each uniform, the index of the first entry of
     the ``_cumulative`` table (one for all, or one row per uniform) above
     it, or len(table) for the stay mass.  That is the count of entries at or
-    below it: entries below 1 never decrease, and no uniform reaches 1."""
-    return (table <= u[:, None]).sum(axis=1)
+    below it: entries below 1 never decrease, and no uniform reaches 1.
+    Each column of the table is compared with the uniforms in turn."""
+    return sum(entry <= u for entry in table.T)
 
 
 def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
@@ -525,7 +540,7 @@ def _tick_states(scenario: ScenarioConfig, u: np.ndarray) -> np.ndarray:
     kernel = scenario.kernel
     n, m = len(u), len(scenario.grid)
     states = np.empty((n, m + 1), dtype=np.min_scalar_type(scenario.dim))
-    current = np.zeros(n, dtype=states.dtype)  # state 0 before time 0
+    current = np.zeros(n, dtype=np.intp)  # state 0 before time 0, as intp to index without a cast
     entered = np.zeros(n, dtype=np.intp)  # tick column where the current state began
     for column in range(m + 1):
         rows = kernel.rows[column][current, entered]

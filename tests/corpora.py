@@ -1,8 +1,8 @@
 """Path-space corpora the tests draw from: the three packaged scenarios,
 batches of generator spaces, the generator's scenarios and scenarios of
 every rule-table layout as hypothesis strategies, the generator's decimal
-(non-dyadic) counterparts, and a scenario whose exit row sums to 1 only up
-to float rounding."""
+(non-dyadic) counterparts, a scenario whose exit row sums to 1 only up
+to float rounding, and long-grid scenarios for the memory budgets."""
 
 from decimal import Decimal
 
@@ -58,6 +58,15 @@ def wide_grid_scenario(ticks: int, dim: int, rule: str) -> ScenarioConfig:
     grid = tuple(float(t) for t in range(1, ticks + 1))
     move = TransitionRule(1.0, 1, ((2, 0.5),))
     return ScenarioConfig(dim, float(ticks), grid, rule, (1.0,) + (0.0,) * (dim - 1), (move,))
+
+
+def branching_scenario(branching: int, ticks: int) -> ScenarioConfig:
+    """A Markov law on ``ticks`` unit-spaced grid times whose first
+    ``branching`` ticks each switch 1 <-> 2 with probability 1/2, so it has
+    2**branching paths, each a row of ticks + 1 states."""
+    grid = tuple(float(t) for t in range(1, ticks + 1))
+    rules = tuple(TransitionRule(t, s, ((3 - s, 0.5),)) for t in grid[:branching] for s in (1, 2))
+    return ScenarioConfig(2, float(ticks), grid, "markov", (1.0, 0.0), rules)
 
 
 VARIANTS = ("plain", "progressive", "forced_exit")

@@ -39,7 +39,7 @@ tests can require the fast versions to agree with them exactly.
 import csv
 import io
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,6 +109,13 @@ def state_before(path, t):
             break
         state = to
     return state
+
+
+def tick_before(grid, t):
+    """The last of the ticks (0,) + grid strictly before ``t``, or 0 at t <= 0:
+    a path that jumps only on the grid is just before ``t`` in the state it
+    holds at that tick."""
+    return ((0.0,) + tuple(grid))[bisect_left(grid, t)]
 
 
 def jump_at(path, t):
@@ -537,7 +544,9 @@ def empirical_occupancy(sample, j, t, side="right"):
         raise EstimationError("empty sample")
     if j < 1:
         raise ValueError("occupancy is tracked for observable states >= 1")
-    return int(np.count_nonzero(sample.states_at(t, side) == j)) / len(sample)
+    if side == "right":
+        return int(np.count_nonzero(sample.states_at(t) == j)) / len(sample)
+    return sum(state_before(eh, t) == j for eh in sample) / len(sample)
 
 
 def transition_at(times, transition, t):

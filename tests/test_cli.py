@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from prodint import checks, cli, estimators, exact_pathspace, multiplicative_transform, read_event_histories
+from prodint import checks, cli, estimators, multiplicative_transform, read_event_histories, simulation
 from prodint.checks import CheckRecord
 from prodint.cli import _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json, write_json
@@ -279,11 +279,9 @@ class TestVerify:
         assert "FAIL" not in capsys.readouterr().out
 
     def test_unbuildable_law_names_the_scenario(self, monkeypatch, capsys):
-        # a cap of 2 paths cannot hold idn's five
-        capped = functools.partial(exact_pathspace, cap=2)
-        monkeypatch.setattr(cli, "exact_pathspace", capped)
-        monkeypatch.setattr(checks, "exact_pathspace", capped)
-        message = "path space exceeds the cap of 2 paths\n"
+        # idn's five paths over four ticks take 100 bytes, one more than the budget
+        monkeypatch.setattr(simulation, "MAX_PATH_SPACE_BYTES", 99)
+        message = "the path space of 5 or more paths over 4 ticks would take 100 bytes or more, above the budget of 99\n"
         assert run("verify", "--scenario", f"{CORPUS}/idn.json", "--count", 0) == 2
         assert capsys.readouterr().err == f"error: {CORPUS}/idn.json: {message}"
         assert run("verify", "--count", 0) == 2

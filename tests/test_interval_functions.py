@@ -76,7 +76,7 @@ def reference_bound(mu, a, depth=4, partitions=reference_impl.refinement_partiti
 def p22_minus_one(ps):
     """Scalar (2,2) entry of the transition function minus one."""
     return GeneralIF(
-        1, lambda a: np.array([[ps.transition(2, 2, a) - 1.0]]), support=ps.event_times
+        1, lambda a: ps.transition_matrix(a)[1:2, 1:2] - 1.0, support=ps.event_times
     )
 
 
@@ -197,7 +197,7 @@ class TestMultiplicativeTransform:
         window = OC(1, 3)
         transform = multiplicative_transform(idn_space.transition_if(), window)
         assert transform[1, 1] == pytest.approx(0.4, abs=1e-12)
-        assert idn_space.transition(2, 2, window) == pytest.approx(0.2, abs=1e-12)
+        assert idn_space.transition_matrix(window)[1, 1] == pytest.approx(0.2, abs=1e-12)
 
     def test_multiplicative_over_ordered_split(self, idn_space):
         f = plus_identity(idn_space.hazard_matrix())

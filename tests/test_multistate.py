@@ -13,7 +13,7 @@ from prodint.checks import SUITES, SuiteInputs, extinction_checks, occupation_bo
 
 import oracle_enum
 from corpora import forced_exit_scenario, two_state_scenario
-from reference_impl import counting_mean, jump_at, state_at, state_before
+from reference_impl import counting_mean, jump_at, state_at, state_before, tick_before
 
 OC = Interval.open_closed
 OO = Interval.open_open
@@ -118,14 +118,13 @@ class TestPathSpaceValidation:
     def test_rejects_state_outside_range(self, idn_space):
         with pytest.raises(ValueError):
             idn_space.occupation(0, 1.0)
-        with pytest.raises(ValueError):
-            idn_space.transition(1, 4, OC(0, 1))
 
 
 class TestOccupation:
     def test_idn_values(self, idn_space):
         assert idn_space.occupation(1, 3.0) == pytest.approx(0.25, abs=1e-12)
-        assert idn_space.occupation(2, 3.0, "left") == pytest.approx(0.75, abs=1e-12)
+        # just before 3.0 is the tick 2.0
+        assert idn_space.occupation(2, 2.0) == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_enumeration_oracle(self, idn_space):
         for j in (1, 2, 3):
@@ -133,7 +132,7 @@ class TestOccupation:
                 assert idn_space.occupation(j, t) == oracle_enum.occupation(
                     oracle_enum.IDN_PATHS, j, t
                 )
-                assert idn_space.occupation(j, t, "left") == oracle_enum.occupation(
+                assert idn_space.occupation(j, tick_before(idn_space.grid, t)) == oracle_enum.occupation(
                     oracle_enum.IDN_PATHS, j, t, left=True
                 )
 
@@ -144,22 +143,23 @@ class TestOccupation:
 
 class TestTransition:
     def test_idn_examples(self, idn_space):
-        assert idn_space.transition(2, 2, OC(1, 3)) == pytest.approx(0.2, abs=1e-12)
-        assert idn_space.transition(2, 2, OC(1, 2)) == 1.0
+        assert idn_space.transition_matrix(OC(1, 3))[1, 1] == pytest.approx(0.2, abs=1e-12)
+        assert idn_space.transition_matrix(OC(1, 2))[1, 1] == 1.0
 
     def test_zero_conditioning_convention(self, idn_space):
         # nothing occupies state 3 before time 3
-        assert idn_space.transition(3, 3, PT(0.5)) == 1.0
-        assert idn_space.transition(3, 1, PT(0.5)) == 0.0
+        row = idn_space.transition_matrix(PT(0.5))[2]
+        assert row[2] == 1.0 and row[0] == 0.0
 
     def test_all_shapes_match_enumeration_oracle(self, idn_space):
         for make in SHAPES:
             for lo, hi in ((0.5, 1.0), (1.0, 2.0), (1.0, 3.0), (2.0, 3.0)):
                 a = make(lo, hi)
                 shape = (lo, hi, a.lo_closed, a.hi_closed)
+                matrix = idn_space.transition_matrix(a)
                 for j in (1, 2, 3):
                     for k in (1, 2, 3):
-                        assert idn_space.transition(j, k, a) == oracle_enum.conditional(
+                        assert matrix[j - 1, k - 1] == oracle_enum.conditional(
                             oracle_enum.IDN_PATHS, j, k, shape
                         )
 

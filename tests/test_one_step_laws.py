@@ -151,7 +151,7 @@ def test_returned_arrays_cannot_change_later_queries(ps, seed):
     a = random_subinterval(rng, ps.tau)
     queries = [lambda: ps.transition_matrix(a), lambda: ps.indicator_matrix(a)]
     queries += [lambda t=t: ps.occupation_vector(t) for t in PROBE_TIMES]
-    queries += [lambda t=t, side=side: ps.occupation_vector(t, side) for t in ps.grid for side in ("left", "right")]
+    queries += [lambda t=t: ps.occupation_vector(t) for t in ps.grid]
     queries += [lambda u=u: ps.jump_mass(u) for u in ps.grid]
     laws = [ps.hazard_matrix(), ps.counting_mean()]
     queries += [lambda f=f: f(a) for f in laws]
@@ -196,7 +196,9 @@ def test_forced_exit_always_empties_state_one(seed, progressive, decimal):
     records = state_one_extinctions(ps)
     assert records and all(r.passed for r in records)
     assert ps.occupation(1, last) == 0.0
-    if ps.occupation(1, last, side="left") > 0.0:
+    before = ps.occupation(1, reference_impl.tick_before(ps.grid, last))
+    assert before == reference_impl.occupation(ps, 1, last, side="left")
+    if before > 0.0:
         assert (records[-1].detail, records[-1].lhs) == (f"instance 0 j=1 at t={last:g}", 1.0)
 
 
@@ -205,7 +207,10 @@ def test_forced_exit_can_empty_state_one_before_the_last_grid_time():
     # one at the last grid time, so the boundary lies at 1.5
     scenario = random_scenario(np.random.default_rng(9), forced_exit=True, progressive=True)
     ps = exact_pathspace(scenario)
-    assert scenario.grid[-1] == 3.0 and ps.occupation(1, 3.0, side="left") == 0.0
+    assert scenario.grid[-1] == 3.0
+    assert ps.occupation(1, reference_impl.tick_before(ps.grid, 3.0)) == 0.0 == reference_impl.occupation(
+        ps, 1, 3.0, side="left"
+    )
     assert [(r.detail, r.lhs) for r in state_one_extinctions(ps)] == [("instance 0 j=1 at t=1.5", 1.0)]
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -20,11 +21,18 @@ from prodint import (
     simulate_sample,
 )
 from prodint.checks import close_record, extinction_checks, random_scenario
+from prodint import simulation
 from prodint.cli import CORPUS_SCENARIOS
 from prodint.simulation import _tick_states, packaged_scenario
 
 import oracle_enum
-from corpora import float_sum_exit_scenario, forced_exit_scenario, two_state_scenario, wide_grid_scenario
+from corpora import (
+    branching_scenario,
+    float_sum_exit_scenario,
+    forced_exit_scenario,
+    two_state_scenario,
+    wide_grid_scenario,
+)
 from reference_impl import apply_censoring, sample_path, state_at, state_before, subject_rng
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,10 +170,27 @@ class TestExactPathspace:
         path, w = ps.paths[0]
         assert w == 1.0 and path.jumps == ((1.0, 2),)
 
-    def test_cap_enforced(self):
-        scenario = illness_death_scenario()
-        with pytest.raises(ConfigError):
-            exact_pathspace(scenario, cap=2)
+    def test_cap_enforced(self, monkeypatch):
+        # idn's five paths over four ticks take 5 * (4 + 8 + 8) bytes
+        monkeypatch.setattr(simulation, "MAX_PATH_SPACE_BYTES", 100)
+        assert len(exact_pathspace(illness_death_scenario()).weights) == 5
+        monkeypatch.setattr(simulation, "MAX_PATH_SPACE_BYTES", 99)
+        message = "^the path space of 5 or more paths over 4 ticks would take 100 bytes or more, above the budget of 99$"
+        with pytest.raises(ConfigError, match=message):
+            exact_pathspace(illness_death_scenario())
+
+    def test_path_space_over_budget_is_refused_before_it_is_allocated(self):
+        # 2**19 paths over 3,001 ticks would be a 1.6 GB state matrix, which a
+        # 25 KB scenario once grew for more than a minute; 2**13 paths are too many
+        scenario = branching_scenario(19, 3000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^the path space of 8192 or more paths over 3001 ticks"):
+                exact_pathspace(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19 * 3001 // 100
 
     def test_rule_table_over_budget_is_refused_before_it_is_allocated(self):
         # 3,000 ticks of 400 states once asked numpy for a 3.36 GiB table
