@@ -10,17 +10,16 @@ time window.  This module provides:
 * ``GeneralIF`` -- an arbitrary evaluator together with its declared
   candidate discontinuity times; a continuous part of a function enters
   as one that is not step-like, and its transforms are the limits below;
-* the refinement engine: the canonical schedule of a window is the Young
-  partition at the declared support, then repeated halving of the open
-  cells, so that at depth k each gap is 2**(k + 1) - 1 cells that hold no
-  support time;
-* additive and multiplicative transforms, computed as limits along that
-  schedule, the summed defect against a proposed transform and the
-  variation norm, all read from one walk of the schedule that sums (or
-  multiplies) each partition's cell values.  A step-like function
-  (constant on cells that hold the same support times) is evaluated once
-  per Young cell and each gap's value counted once per cell it stands for,
-  so no cell is halved; any other is evaluated on every cell;
+* the refinement engine: a window's canonical schedule is the Young
+  partition at the declared support, then repeated open-cell halving;
+* additive and multiplicative transforms, the summed defect against a
+  proposed transform and the variation norm, all read from one walk of the
+  schedule that sums (or multiplies) each partition's cell values.  A
+  function that is not step-like is evaluated on every cell, and its
+  transforms are limits.  A step-like one (constant on cells that hold the
+  same support times) is evaluated once per Young cell, and their
+  combination is its value at every depth if each gap is neutral (0 for a
+  sum, the identity for a product); any other gap is refused at depth 0;
 * the exact product integral of an additive function, a finite product
   over its atoms (also swept over the right endpoints of (lo, t] in one
   running product), and the integral of a regulated step function against
@@ -35,9 +34,10 @@ submultiplicativity.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import reduce
 from typing import Callable, Iterator
 
 import numpy as np
@@ -55,7 +55,8 @@ def matrix_norm(x) -> float:
 
 
 class ConvergenceError(RuntimeError):
-    """A transform's refinement schedule failed to settle within max_depth."""
+    """A transform's refinement schedule failed to settle within max_depth,
+    or a step-like function is not neutral on a gap (depth 0)."""
 
     def __init__(self, message: str, last_value, last_change: float, depth: int):
         super().__init__(message)
@@ -178,7 +179,7 @@ class GeneralIF:
     these times, and the constructors in this package all know their own
     jump times.  Discontinuity detection is not attempted.  ``step_like``
     declares the function constant on cells that hold the same support
-    times, so the refinement engine evaluates it once per support range.
+    times, so the refinement engine evaluates it once per Young cell.
     """
 
     dim: int
@@ -217,69 +218,52 @@ def _halvings(cell: Interval, depth: int) -> list[Interval]:
     )
 
 
-def _young_cells(times, a: Interval) -> list[tuple[int, int, Interval]]:
+def _young_cells(times, a: Interval) -> list[Interval]:
     """The Young partition of ``a`` at ``times`` (sorted, inside ``a``): a
-    point at each time and the gaps between, as ``(start, stop, cell)``
-    with ``times[start:stop]`` the times ``cell`` holds."""
+    point at each time and the gaps between."""
     cells = []
     lo, lo_closed = a.lo, a.lo_closed
-    for i, t in enumerate(times):
+    for t in times:
         if t > lo:
-            cells.append((i, i, Interval(lo, t, lo_closed, False)))
-        cells.append((i, i + 1, Interval.point(t)))
+            cells.append(Interval(lo, t, lo_closed, False))
+        cells.append(Interval.point(t))
         lo, lo_closed = t, False
     if lo < a.hi or not cells:  # the last gap, or a point window that holds no time
-        cells.append((len(times), len(times), Interval(lo, a.hi, lo_closed, a.hi_closed)))
+        cells.append(Interval(lo, a.hi, lo_closed, a.hi_closed))
     return cells
 
 
-def _cell_sum(values):
-    """The builtin ``sum`` of every cell's value, in cell order.  Runs of an
-    exact zero are left out: the sum starts from 0, so it never holds -0.0,
-    and adding a zero changes none of its bits."""
-    kept = [
-        (v, n)
-        for v, n in values
-        if n == 1 or (v.any() if isinstance(v, np.ndarray) else v != 0.0)
-    ]
-    return sum(chain.from_iterable(repeat(v, n) for v, n in kept or values[:1]))
-
-
 def _cell_product(values) -> np.ndarray:
-    """The product of every cell's value, left to right in cell order."""
-    result = None
-    for value, n in values:
-        for _ in range(n):
-            result = value if result is None else result @ value
-    return result
+    """The product of the cell values, left to right in cell order."""
+    return reduce(operator.matmul, values)
 
 
-def _refinement_values(
-    term, step_like: bool, support, a: Interval, depth: int,
-    combine=_cell_sum, trivial: bool = False,
-):
-    """``combine`` of ``term``'s (value, multiplicity) pairs in cell order
-    on each partition of ``a``'s schedule over ``support`` up to ``depth``
-    (after {a} with ``trivial``): the one walk of the schedule that
-    transforms, defects and variation norms read.  A ``step_like`` ``term``
-    is evaluated once per Young cell, a gap's value counted
-    2**(k + 1) - 1 times at depth k; any other on every cell, and a depth
-    with a cell too narrow to halve raises ``ValueError``."""
-    times = sorted({t for t in support if a.contains(t)})
-    young = _young_cells(times, a)
-    memo = {}
-    if trivial:
-        memo[0, len(times)] = term(a)
-        yield combine([(memo[0, len(times)], 1)])
-    for start, stop, cell in young if step_like else ():
-        if (start, stop) not in memo:
-            memo[start, stop] = term(cell)
-    for k in range(depth + 1):
-        if step_like:
-            yield combine([(memo[i, j], 1 if cell.is_point else 2 ** (k + 1) - 1) for i, j, cell in young])
-        else:
-            cells = [c for _, _, cell in young for c in ([cell] if cell.is_point else _halvings(cell, k))]
-            yield combine([(term(c), 1) for c in cells])
+def _refinement_values(term, step_like: bool, support, a: Interval, depth: int, what: str, combine=sum, neutral=0.0):
+    """``combine`` of ``term``'s values in cell order on each partition of
+    ``a``'s schedule over ``support`` up to ``depth``: the one walk that
+    transforms, defects and variation norms read.  A general ``term`` is
+    evaluated on every cell, and a depth with a cell too narrow to halve
+    raises ``ValueError``.  A ``step_like`` one is evaluated once per Young
+    cell, and their combination is its value at every depth: a gap stands
+    for any number of cells, so each must be ``neutral`` for ``combine``,
+    or ``ConvergenceError`` names ``what``, ``a``, the gap and its value at
+    depth 0.  That refuses an idempotent or contracting gap factor too,
+    although its powers converge."""
+    young = _young_cells(sorted({t for t in support if a.contains(t)}), a)
+    if not step_like:
+        for k in range(depth + 1):
+            yield combine([term(c) for cell in young for c in ([cell] if cell.is_point else _halvings(cell, k))])
+        return
+    values = [term(cell) for cell in young]
+    value = combine(values)
+    for cell, gap in zip(young, values):
+        if not (cell.is_point or np.all(gap == neutral)):
+            raise ConvergenceError(
+                f"{what} over {a} is refused at depth 0: the step-like term is {np.asarray(gap).tolist()} "
+                f"on the gap {cell}, not {np.asarray(neutral).tolist()}", value, math.inf, 0,
+            )
+    for _ in range(depth + 1):
+        yield value
 
 
 def _check_arguments(depth: int, tol: float = DEFAULT_TOL) -> None:
@@ -288,13 +272,16 @@ def _check_arguments(depth: int, tol: float = DEFAULT_TOL) -> None:
         raise ValueError(f"depth must be nonnegative and tolerance positive, got depth {depth!r}, tol {tol!r}")
 
 
-def _limit_over_refinements(f, a, combine, tol, max_depth, what):
+def _limit_over_refinements(f, a, combine, neutral, tol, max_depth, what):
     _check_arguments(max_depth, tol)
     previous = None
     change = math.inf
-    for depth, current in enumerate(_refinement_values(f, f.step_like, f.support, a, max_depth, combine)):
+    values = _refinement_values(f, f.step_like, f.support, a, max_depth, what, combine, neutral)
+    for depth, current in enumerate(values):
         if not np.isfinite(current).all():  # it cannot settle, and deeper partitions cost twice as much
             raise ConvergenceError(f"{what} over {a} is not finite at depth {depth}", current, change, depth)
+        if f.step_like:  # the Young value is the same at every depth
+            return current
         if previous is not None:
             change = matrix_norm(current - previous)
             if change < tol:
@@ -313,11 +300,12 @@ def additive_transform(
 ) -> np.ndarray:
     """Limit of the cell sums of ``f`` along the refinement schedule.
 
-    For step-like functions the sums are exact once the schedule separates
-    the support times, so the limit terminates; a continuous part converges
-    geometrically and doubles the work per depth step.
+    For a step-like function it is the sum over the Young partition, which
+    exists only if ``f`` is 0 on every gap between its support times; a
+    continuous part converges geometrically and doubles the work per depth
+    step.
     """
-    return _limit_over_refinements(f, a, _cell_sum, tol, max_depth, "additive transform")
+    return _limit_over_refinements(f, a, sum, 0.0, tol, max_depth, "additive transform")
 
 
 def multiplicative_transform(
@@ -327,9 +315,11 @@ def multiplicative_transform(
 
     Cells enter the product from left to right, matching the forward
     (chronological) product convention used everywhere in this package.
+    For a step-like function it is the product over the Young partition,
+    taken only if ``f`` is the identity on every gap.
     """
     return _limit_over_refinements(
-        f, a, _cell_product, tol, max_depth, "multiplicative transform"
+        f, a, _cell_product, np.eye(f.dim), tol, max_depth, "multiplicative transform"
     )
 
 
@@ -357,29 +347,33 @@ def strict_transform_defect(f, target, a: Interval, depth: int = 0, distance=mat
     _check_arguments(depth)
     # sum the deepest partition only: summing every depth's terms, as the
     # default combine would, costs a count-mean defect about a third more
-    *_, values = _refinement_values(*_distance_term(f, target, a, distance), f.support, a, depth, list)
-    return _cell_sum(values)
+    term, step_like = _distance_term(f, target, a, distance)
+    *_, values = _refinement_values(term, step_like, f.support, a, depth, "transform defect", list)
+    return sum(values)
 
 
 def defect_profile(f, target, a: Interval, depths: int = 6) -> list[tuple[str, float]]:
     """Defect against ``target`` on the trivial partition and the schedule."""
     _check_arguments(depths)
     term, step_like = _distance_term(f, target, a, matrix_norm)
-    coarse, *defects = _refinement_values(term, step_like, f.support, a, depths, trivial=True)
+    coarse = term(a)  # the trivial partition {a}
+    defects = _refinement_values(term, step_like, f.support, a, depths, "defect profile")
     return [("coarse", coarse)] + [(f"depth {d}", v) for d, v in enumerate(defects)]
 
 
 def variation_norm(f, a: Interval, depth: int = 6) -> float:
     """Variation norm of ``f`` on ``a``.
 
-    Exact for an ``AdditiveIF``.  Otherwise the supremum of the summed cell
+    Exact for an ``AdditiveIF``, and the summed Young cell norms for
+    another step-like function.  Otherwise the supremum of the summed cell
     norms over the refinement schedule up to ``depth``, which is a monotone
     nondecreasing lower bound for the true variation.
     """
     _check_arguments(depth)
     if isinstance(f, AdditiveIF):
         return f.variation(a)
-    return max(0.0, *_refinement_values(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth))
+    values = _refinement_values(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth, "variation norm")
+    return max(0.0, *values)
 
 
 def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:

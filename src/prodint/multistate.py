@@ -109,15 +109,17 @@ class PathSpace:
 
     @cached_property
     def _one_step(self) -> _OneStep:
-        # one bincount per tick and per pair of consecutive ticks, each adding
-        # the weights in path order, as ``_table`` does for any column pair
-        d, weights = self.dim, self.weights
-        ticks = self.states.T.astype(np.intp) - 1  # tick x path
-        occupation = np.array([np.bincount(at, weights=weights, minlength=d) for at in ticks])
-        pairs = ticks[:-1] * d + ticks[1:]
-        moves = np.array([np.bincount(pair, weights=weights, minlength=d * d) for pair in pairs])
-        moves = moves.reshape(len(pairs), d, d)
-        moves.reshape(len(pairs), d * d)[:, :: d + 1] = 0.0  # the diagonal: staying put is no jump
+        # one bincount per tick column as stored and per pair of consecutive
+        # columns, each adding the weights in path order, as ``_table`` does
+        # for any column pair; the bins of state 0, which no path holds, go
+        d, weights, ticks = self.dim, self.weights, self.states.T  # tick x path
+        occupation = np.array([np.bincount(at, weights=weights, minlength=d + 1)[1:] for at in ticks])
+        moves = np.array([
+            np.bincount(lo.astype(np.intp) * (d + 1) + hi, weights=weights, minlength=(d + 1) ** 2)
+            .reshape(d + 1, d + 1)[1:, 1:]
+            for lo, hi in zip(ticks[:-1], ticks[1:])
+        ]).reshape(-1, d, d)  # no pair of ticks gives (0, d, d)
+        moves.reshape(len(moves), d * d)[:, :: d + 1] = 0.0  # the diagonal: staying put is no jump
         events = np.flatnonzero(moves.any(axis=(1, 2)))
         for array in (occupation, moves, events):
             array.setflags(write=False)

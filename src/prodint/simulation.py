@@ -410,9 +410,10 @@ def exact_pathspace(scenario: ScenarioConfig) -> PathSpace:
     queries add the weights.  A target's mass is the step of the row's
     ``_cumulative`` table at it and the stay mass what the table leaves
     below 1, as the sampler reads them, so the rounding slack the validator
-    allows in a row's sum is spent once, on its last target.  Paths never
-    die, so before each tick grows them, their count bounds what the whole
-    space would take; above ``MAX_PATH_SPACE_BYTES`` it raises ConfigError.
+    allows in a row's sum is spent once, on its last target.  A path whose
+    weight underflows to 0 is dropped.  Other paths never die, so before
+    each tick grows them, their count bounds what the whole space would
+    take; above ``MAX_PATH_SPACE_BYTES`` it raises ConfigError.
     """
     from .multistate import PathSpace  # the oracle: simulate and estimate never build one
 
@@ -431,9 +432,12 @@ def exact_pathspace(scenario: ScenarioConfig) -> PathSpace:
                 f"or more, above the budget of {MAX_PATH_SPACE_BYTES}"
             )
         parent, branch = grown.nonzero()
-        if count > len(weights):  # a path branches, so the columns so far follow the parents
+        weights, branched = weights[parent] * masses[parent, branch], count > len(weights)
+        if not weights.all():  # a product of positive masses underflowed to 0: that path drops out
+            live = weights > 0.0
+            parent, branch, weights, branched = parent[live], branch[live], weights[live], True
+        if branched:  # the columns so far follow the parents
             columns = [states[parent] for states in columns]
-        weights = weights[parent] * masses[parent, branch]
         to = kernel.targets[rows[parent], branch]
         columns.append(np.where(to, to, columns[-1]))
         entered = np.where(to, column, entered[parent])

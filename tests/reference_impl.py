@@ -31,8 +31,8 @@ with an indexed lookup, an array walk over all subjects at once that
 looks up only the subjects that move, a bulk parse, array counts and risk
 sets, memoized tick-pair tables, one-step tables with the laws derived
 from them once per path space, running product integrals, a one-pass
-defect sum and a refinement engine that evaluates step-like functions
-once per support range.  They stay here, outside the package, so that
+defect sum and a refinement engine that reads a step-like function's
+Young partition once.  They stay here, outside the package, so that
 tests can require the fast versions to agree with them exactly.
 """
 
@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+import prodint
 from prodint import (
     AdditiveIF,
     CensoringConfig,
@@ -1043,17 +1044,15 @@ def refinement_partitions(support, a, max_depth):
         yield part
 
 
-def notional_partitions(support, a, max_depth):
-    """The schedule as a step-like function sees it: at depth k, the Young
-    partition at the support times inside ``a`` with each gap repeated
-    2**(k + 1) - 1 times, standing for its halvings.  A step-like function
-    takes one value on every cell that holds the same support times, so its
-    cell values in cell order are those of ``refinement_partitions``, and
-    no float need lie inside a gap.  Yields ``max_depth + 1`` lists."""
-    times = sorted({t for t in support if a.contains(t)})
-    young = young_partition(times, a).cells
-    for depth in range(max_depth + 1):
-        yield [cell for cell in young for _ in range(1 if cell.is_point else 2 ** (depth + 1) - 1)]
+def young_partitions(support, a, max_depth):
+    """The schedule as a step-like function that is neutral on its gaps (0
+    for a sum, the identity for a product) sees it: the Young partition at
+    the support times inside ``a`` at every depth, since halving a gap only
+    adds cells worth the neutral element, and no float need lie inside a
+    gap.  Yields ``max_depth + 1`` partitions."""
+    young = young_partition(sorted({t for t in support if a.contains(t)}), a)
+    for _ in range(max_depth + 1):
+        yield young
 
 
 def _limit_over_refinements(f, a, combine, tol, max_depth, what, partitions):
@@ -1139,6 +1138,51 @@ def outcome(call, *args, **kwargs):
         return "unsettled", str(exc), bits(exc.last_value), bits(exc.last_change), exc.depth
     except ValueError:
         return "narrow"
+
+
+def engine_readings(f, target, a, depth):
+    """The outcome of each of the library's readers for ``f`` (against
+    ``target`` for the defects) on ``a`` to ``depth``, with "refused" for
+    a ``ConvergenceError`` that refuses a gap at depth 0."""
+    import prodint
+
+    readings = {
+        "additive_transform": lambda: prodint.additive_transform(f, a, max_depth=depth),
+        "multiplicative_transform": lambda: prodint.multiplicative_transform(f, a, max_depth=depth),
+        "variation_norm": lambda: prodint.variation_norm(f, a, depth),
+        "strict_transform_defect": lambda: prodint.strict_transform_defect(f, target, a, depth),
+        "defect_profile": lambda: prodint.defect_profile(f, target, a, depth),
+    }
+    outcomes = {name: outcome(read) for name, read in readings.items()}
+    for name, got in outcomes.items():
+        if got[0] == "unsettled" and got[-1] == 0 and " is refused at depth 0: " in got[1]:
+            outcomes[name] = "refused"
+    return outcomes
+
+
+def young_readings(f, target, a, depth):
+    """What ``engine_readings`` should give for the step-like ``f`` (and
+    ``target``, step-like on the same support): each reader's reading of
+    the Young partition of ``a`` alone, or "refused" where the term of a
+    gap is not the neutral element (0, or the identity for the product)
+    that the reader combines it with."""
+    (young,) = refinement_partitions(f.support, a, 0)
+    gaps = [cell for cell in young if not cell.is_point]
+    zero = all(not f(cell).any() for cell in gaps)
+    identity = all(np.array_equal(f(cell), np.eye(f.dim)) for cell in gaps)
+    exact = all(not (f(cell) - target(cell)).any() for cell in gaps)
+    settled = max(depth, 1)  # the limit compares two depths
+    readings = {
+        "additive_transform": (zero, lambda: additive_transform(f, a, max_depth=settled, partitions=young_partitions)),
+        "multiplicative_transform": (
+            identity,
+            lambda: multiplicative_transform(f, a, max_depth=settled, partitions=young_partitions),
+        ),
+        "variation_norm": (zero, lambda: variation_norm(f, a, depth, young_partitions)),
+        "strict_transform_defect": (exact, lambda: defect_profile(f, target, a, depth, young_partitions)[-1][1]),
+        "defect_profile": (exact, lambda: defect_profile(f, target, a, depth, young_partitions)),
+    }
+    return {name: outcome(read) if neutral else "refused" for name, (neutral, read) in readings.items()}
 
 
 def count_mean_defect_checks(ps, depths=6, label=""):

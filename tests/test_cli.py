@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from prodint import checks, cli, estimators, multiplicative_transform, read_event_histories, simulation
+from prodint import GeneralIF, checks, cli, estimators, multiplicative_transform, read_event_histories, simulation
 from prodint.checks import CheckRecord
 from prodint.cli import _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json, write_json
@@ -322,10 +322,12 @@ class TestVerify:
         assert "check extinction-exit: PASS" in capsys.readouterr().out
 
     def test_unsettled_transform_is_usage_error(self, monkeypatch, capsys):
-        # a schedule cut at depth 0 cannot settle, so the suite raises
-        monkeypatch.setattr(
-            checks, "multiplicative_transform", functools.partial(multiplicative_transform, max_depth=0)
-        )
+        # read as a function that is not step-like, on a schedule cut at
+        # depth 0, the transform cannot settle, so the suite raises
+        def unsettled(f, a):
+            return multiplicative_transform(GeneralIF(f.dim, f, f.support), a, max_depth=0)
+
+        monkeypatch.setattr(checks, "multiplicative_transform", unsettled)
         assert run("verify", "--only", "chapman-kolmogorov", "--count", 0) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: multiplicative transform over (1, 3]")
@@ -1080,6 +1082,27 @@ class TestEscapesFound:
         records = json.loads(report.read_text())["records"]
         assert any(r["name"] == "hazard-integral" for r in records)
         assert all(r["passed"] for r in records)
+
+    def test_law_whose_path_weight_underflows_verifies(self, capsys):
+        # 1 -> 2 at t = 1 and 2 -> 1 at t = 2, each with probability 1e-200:
+        # the path that takes both weighs 1e-400, which underflowed to a
+        # zero weight that the path space refused; it is dropped instead
+        assert run("verify", "--scenario", DATA / "underflow.json", "--count", 0) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_exact_convergence_study_passes(self, tmp_path, capsys):
+        # nobody moves, so the estimate is exact at every size and its
+        # errors, all 0.0, cannot fall: that once failed convergence-decreasing
+        report = tmp_path / "report.json"
+        argv = ["--scenario", DATA / "no_moves.json", "--censoring", f"{CORPUS}/conforming.json"]
+        assert run("convergence", *argv, "--report", report) == 0
+        payload = json.loads(report.read_text())
+        assert [row["sup_error"] for row in payload["table"]] == [0.0, 0.0, 0.0]
+        (decreasing,) = [r for r in payload["records"] if r["name"] == "convergence-decreasing"]
+        assert (decreasing["lhs"], decreasing["passed"]) == (0.0, True)
+        # with the underflow law the errors stay at 1e-200, which must fall
+        assert run("convergence", "--scenario", DATA / "underflow.json", *argv[2:]) == 1
+        assert "FAIL errors 0.0000 0.0000 0.0000" in capsys.readouterr().out
 
     def test_malformed_censoring_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "censoring.json"

@@ -1,5 +1,5 @@
 import math
-from itertools import chain
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from prodint.interval_functions import _refinement_values, index_range, product_
 
 import oracle_enum
 import reference_impl
-from reference_impl import Partition, bits, outcome, refinement_partitions
+from reference_impl import bits, outcome, refinement_partitions
 
 OC = Interval.open_closed
 OO = Interval.open_open
@@ -213,11 +213,79 @@ class TestMultiplicativeTransform:
     def test_stops_at_the_first_value_that_is_not_finite(self):
         # the product overflows near depth 10; it once refined on to max_depth,
         # twice the work per depth, and then reported "still moved by nan"
-        doubling = GeneralIF(1, lambda a: np.array([[2.0]]), support=(1.0,), step_like=True)
+        doubling = GeneralIF(1, lambda a: np.array([[2.0]]), support=(1.0,))
         with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match="is not finite at depth") as err:
             multiplicative_transform(doubling, OC(0.0, 2.0))
         assert err.value.depth <= 11
         assert not np.isfinite(err.value.last_value).all()
+
+
+class TestClosedForm:
+    """A step-like function's transforms, variation norm and defects are
+    read on its Young partition once: the value where each gap is the
+    neutral element of what the reader combines, and a ``ConvergenceError``
+    at depth 0 where one is not."""
+
+    @staticmethod
+    def on_gaps(point, gap):
+        """A step-like function on (0, 2] with support (1.0,): ``point`` at 1
+        and ``gap`` on the cells that do not hold it."""
+        point, gap = np.array(point, dtype=float), np.array(gap, dtype=float)
+        return GeneralIF(len(gap), lambda a: point if a.contains(1.0) else gap, support=(1.0,), step_like=True)
+
+    @pytest.mark.parametrize(
+        "call, point, gap",
+        [
+            # the walk's odd powers of the swap "converged" to the identity
+            (multiplicative_transform, np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
+            # and those of a quarter turn to minus the identity
+            (multiplicative_transform, np.eye(2), [[0.0, -1.0], [1.0, 0.0]]),
+            # sums that grow by 2**(k + 1) * 1e-12 per depth "converged" to 6e-12
+            (additive_transform, [[0.0]], [[1e-12]]),
+            # a turn by 1 radian never settled: 0.16 s to depth 14, minutes to depth 24
+            (multiplicative_transform, np.eye(2), [[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]]),
+        ],
+        ids=["swap", "quarter-turn", "additive-1e-12", "one-radian"],
+    )
+    def test_a_gap_that_is_not_neutral_is_refused_at_depth_0(self, call, point, gap):
+        f = self.on_gaps(point, gap)
+        neutral = np.eye(f.dim).tolist() if call is multiplicative_transform else 0.0
+        message = (
+            f"{call.__name__.replace('_', ' ')} over (0, 2] is refused at depth 0: "
+            f"the step-like term is {np.array(gap).tolist()} on the gap (0, 1), not {neutral}"
+        )
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ConvergenceError) as err:
+                call(f, OC(0.0, 2.0))
+            elapsed.append(time.perf_counter() - start)
+            assert str(err.value) == message and err.value.depth == 0
+        assert min(elapsed) < 0.01
+
+    def test_neutral_gaps_give_the_young_value_at_depth_0(self):
+        # the walk needed a second depth to settle, so max_depth=0 raised
+        f = self.on_gaps(np.eye(2) + 0.25, np.eye(2))
+        assert np.array_equal(multiplicative_transform(f, OC(0.0, 2.0), max_depth=0), np.eye(2) + 0.25)
+        g = self.on_gaps([[0.5]], [[0.0]])
+        assert additive_transform(g, OC(0.0, 2.0), max_depth=0)[0, 0] == 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_every_reader_is_the_young_value_or_refused(self, seed, depth):
+        rng = np.random.default_rng(seed)
+        mu = random_jump_function(rng)
+        half = reference_impl.scaled(mu, 0.5)
+        view = GeneralIF(mu.dim, mu, mu.support, step_like=True)
+        # each is neutral on its gaps for some readers and not for the others
+        shifted = plus_identity(mu)
+        pairs = ((mu, half), (view, half), (view, mu), (shifted, plus_identity(half)), (shifted, half))
+        for a in (OC(0.0, 4.0), random_subinterval(rng), random_subinterval(rng), PT(mu.times[0])):
+            for f, target in pairs:
+                expected = reference_impl.young_readings(f, target, a, depth)
+                if isinstance(f, AdditiveIF):  # its variation norm is exact, not read on cells
+                    expected["variation_norm"] = outcome(mu.variation, a)
+                assert reference_impl.engine_readings(f, target, a, depth) == expected
 
 
 class TestVariationNorm:
@@ -304,52 +372,33 @@ def partitions_until_narrow(schedule):
 class TestRefinementCells:
     """The engine walks the ``Interval`` schedule of the reference: a general
     term sees every cell and raises where the reference raises; a step-like
-    term is evaluated once per support range, counted once per cell that
-    holds it, and halves no cell."""
+    term is evaluated once per Young cell, halves no cell, and gives its
+    Young value at every depth."""
 
     @staticmethod
     def engine_walk(support, a, depths, step_like):
-        """The (cell, multiplicity) pairs the engine combines on each
-        partition, after {a}, and whether it raised; and the cells the term
-        was evaluated on."""
+        """The count of cells the engine combines for each value it yields,
+        and whether it raised; and the cells the term was evaluated on.
+        The term is 0 on every cell, so every gap is neutral."""
         evaluated = []
 
         def term(cell):
             evaluated.append(cell)
-            return cell
+            return 0.0
 
-        values = _refinement_values(term, step_like, support, a, depths, combine=list, trivial=True)
+        values = _refinement_values(term, step_like, support, a, depths, "walk", len)
         return (*partitions_until_narrow(values), evaluated)
 
     @classmethod
     def assert_walks_the_schedule(cls, support, a, depths):
-        parts, raised = partitions_until_narrow(
-            chain([Partition((a,))], refinement_partitions(support, a, depths))
-        )
-        general, general_raised, _ = cls.engine_walk(support, a, depths, False)
-        assert (len(general), general_raised) == (len(parts), raised)
-        for pairs, part in zip(general, parts):
-            assert pairs == [(cell, 1) for cell in part.cells]
-        times = sorted({t for t in support if a.contains(t)})
-
-        def support_range(cell):
-            """(support times before ``cell``, support times before or in it)."""
-            before = sum(t < cell.lo or (t == cell.lo and not cell.lo_closed) for t in times)
-            return before, before + sum(map(cell.contains, times))
-
-        notional = [[a]] + list(reference_impl.notional_partitions(support, a, depths))
+        parts, raised = partitions_until_narrow(refinement_partitions(support, a, depths))
+        general, general_raised, evaluated = cls.engine_walk(support, a, depths, False)
+        assert (general, general_raised) == ([len(part) for part in parts], raised)
+        assert evaluated[: sum(general)] == [cell for part in parts for cell in part.cells]
+        young = parts[0].cells  # the Young partition never halves, so it never raises
         step, step_raised, evaluated = cls.engine_walk(support, a, depths, True)
-        assert (len(step), step_raised) == (depths + 2, False)
-        ranges = list(map(support_range, evaluated))
-        assert len(ranges) == len(set(ranges)) <= 2 * len(times) + 2
-        for depth, pairs in enumerate(step):
-            assert len(pairs) <= 2 * len(times) + 1
-            # a cell the term read for the trivial partition stands for any
-            # cell that holds the same support times
-            cells = [support_range(cell) for cell, n in pairs for _ in range(n)]
-            assert cells == list(map(support_range, notional[depth]))
-            if depth < len(parts):
-                assert cells == list(map(support_range, parts[depth].cells))
+        assert (step, step_raised) == ([len(young)] * (depths + 1), False)
+        assert evaluated == list(young)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -386,25 +435,39 @@ class TestRefinementCells:
         a = OC(1.0, math.nextafter(1.0, 2.0))
         with pytest.raises(ValueError):
             list(refinement_partitions((), a, 1))
-        # the trivial partition and the Young one come before the depth that raises
-        general, raised, _ = self.engine_walk((), a, 1, False)
-        assert (general, raised) == ([[(a, 1)], [(a, 1)]], True)
-        # a step-like term reads the one gap, counted once per cell it stands for
+        # the Young partition comes before the depth that raises
+        general, raised, evaluated = self.engine_walk((), a, 1, False)
+        assert (general, raised, evaluated) == ([1], True, [a])
+        # a step-like term reads the one gap once and halves nothing
         step, raised, evaluated = self.engine_walk((), a, 1, True)
-        assert (step, raised, evaluated) == ([[(a, 1)], [(a, 1)], [(a, 3)]], False, [a])
+        assert (step, raised, evaluated) == ([1, 1], False, [a])
 
 
 def assert_same_as_reference(name, *args, step_like=False, **kwargs):
-    """The library's ``name`` and the reference's give the same bits; where
-    the reference's schedule holds a cell too narrow to halve, a
-    ``step_like`` call gives the bits of the notional walk instead."""
+    """The library's ``name`` and the reference's give the same bits.  A
+    ``step_like`` call is read by the reference on the Young partition at
+    every depth; its transforms settle there at depth 1, so it walks at
+    least that far."""
     got = outcome(getattr(prodint, name), *args, **kwargs)
-    expected = outcome(getattr(reference_impl, name), *args, **kwargs)
-    if expected == "narrow" and step_like:
-        expected = outcome(
-            getattr(reference_impl, name), *args, partitions=reference_impl.notional_partitions, **kwargs
-        )
-    assert got == expected, name
+    if step_like:
+        kwargs["partitions"] = reference_impl.young_partitions
+        if "max_depth" in kwargs:
+            kwargs["max_depth"] = max(kwargs["max_depth"], 1)
+    assert got == outcome(getattr(reference_impl, name), *args, **kwargs), name
+
+
+def young_gaps(support, a):
+    """The gaps of the Young partition of ``a`` at ``support``."""
+    (young,) = refinement_partitions(support, a, 0)
+    return [cell for cell in young if not cell.is_point]
+
+
+def assert_refused_at_depth_0(call, *args, **kwargs):
+    """``call`` raises ``ConvergenceError`` at depth 0, naming a gap."""
+    message = r"is refused at depth 0: the step-like term is .* on the gap [(\[]"
+    with pytest.raises(ConvergenceError, match=message) as err:
+        call(*args, **kwargs)
+    assert err.value.depth == 0 and err.value.last_change == math.inf
 
 
 def step_like_defect(f, target, a):
@@ -456,24 +519,30 @@ class TestEngineMatchesIntervalReference:
             view = GeneralIF(dim, mu, support=mu.support, step_like=mu.step_like)
             # half the identity on every gap cell, so every factor and term counts
             shifted = GeneralIF(dim, lambda b, mu=mu: half + mu(b), support=mu.support, step_like=mu.step_like)
+            halved = GeneralIF(dim, lambda b, mu=mu: 0.5 * mu(b), support=mu.support, step_like=mu.step_like)
             step = {"step_like": mu.step_like}
             for a in windows:
                 assert_same_as_reference("additive_transform", mu, a, max_depth=depth, **step)
                 assert_same_as_reference("additive_transform", view, a, max_depth=depth, **step)
-                assert_same_as_reference("additive_transform", shifted, a, max_depth=depth, **step)
                 assert_same_as_reference("multiplicative_transform", plus_identity(mu), a, max_depth=depth, **step)
-                assert_same_as_reference("multiplicative_transform", shifted, a, max_depth=depth, **step)
                 assert_same_as_reference("variation_norm", view, a, depth, **step)
-                assert_same_as_reference("variation_norm", plus_identity(mu), a, depth, **step)
-                halved = GeneralIF(dim, lambda b, mu=mu: 0.5 * mu(b), support=mu.support, step_like=mu.step_like)
                 for target in (mu, halved, other, jumps):
                     step_defect = step_like_defect(view, target, a)
                     assert_same_as_reference("defect_profile", view, target, a, depth, step_like=step_defect)
                 if mu is jumps:  # the bound reads the exact product integral, of atoms only
-                    expected = outcome(reference_bound, mu, a, depth)
-                    if expected == "narrow":
-                        expected = outcome(reference_bound, mu, a, depth, reference_impl.notional_partitions)
+                    expected = outcome(reference_bound, mu, a, depth, reference_impl.young_partitions)
                     assert outcome(transform_bound, mu, a, depth) == expected
+                # the identity (or its half) on every gap: not neutral for a sum (a product)
+                not_neutral = (
+                    (additive_transform, shifted, {"max_depth": depth}),
+                    (multiplicative_transform, shifted, {"max_depth": depth}),
+                    (variation_norm, plus_identity(mu), {"depth": depth}),
+                )
+                for call, f, kwargs in not_neutral:
+                    if mu.step_like and young_gaps(mu.support, a):
+                        assert_refused_at_depth_0(call, f, a, **kwargs)
+                    else:
+                        assert_same_as_reference(call.__name__, f, a, **kwargs, **step)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -489,8 +558,8 @@ class TestEngineMatchesIntervalReference:
         for f, target in ((jumps, reference_impl.scaled(jumps, 0.25)), (density, jumps), (jumps, other)):
             for a in windows:
                 partitions = reference_impl.refinement_partitions
-                if step_like_defect(f, target, a) and partitions_until_narrow(partitions(f.support, a, depth))[1]:
-                    partitions = reference_impl.notional_partitions
+                if step_like_defect(f, target, a):
+                    partitions = reference_impl.young_partitions
                 profile = reference_impl.defect_profile
                 expected = outcome(lambda: profile(f, target, a, depth, partitions)[-1][1])
                 assert outcome(strict_transform_defect, f, target, a, depth) == expected

@@ -7,6 +7,7 @@ on the generator's scenarios and on their decimal (non-dyadic)
 counterparts.  An array a query hands out cannot change a later query."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from prodint.checks import (
 )
 from prodint.interval_functions import index_range
 
-from corpora import decimal_scenario, kernel_scenarios, random_scenarios
+from corpora import branching_scenario, decimal_scenario, kernel_scenarios, random_scenarios
 import reference_impl
 from reference_impl import bits
 
@@ -51,6 +52,19 @@ def record_bits(records):
 
 def off_diagonal_pairs(dim):
     return [(j, k) for j in range(1, dim + 1) for k in range(1, dim + 1) if j != k]
+
+
+def test_one_step_tables_hold_no_copy_of_the_state_matrix():
+    # the tables once cast the whole path x tick matrix to intp and built
+    # pair codes of the same size, 16 bytes per path and tick against its 1
+    ps = exact_pathspace(branching_scenario(10, 600))
+    tracemalloc.start()
+    try:
+        ps._one_step
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * ps.states.size
 
 
 @settings(max_examples=200, deadline=None)

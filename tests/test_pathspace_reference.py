@@ -1,5 +1,5 @@
 """The tick-indexed path-space queries, the interval functions a path space
-builds and the defect suites, which evaluate one term per support range,
+builds and the defect suites, which evaluate one term per Young cell,
 agree exactly with the per-path and per-cell references."""
 
 import numpy as np
@@ -202,14 +202,14 @@ def test_defect_suites_evaluate_each_support_range_once(monkeypatch):
     monkeypatch.setattr(PathSpace, "indicator_matrix", recording(PathSpace.indicator_matrix))
     for ps in spaces:
         window = Interval.open_closed(0.0, ps.tau)
-        schedule = [Partition((window,)), *refinement_partitions(ps.event_times, window, 6)]
-        # the hazard profile reads every partition, the count-mean suite the deepest
-        suites = ((hazard_defect_checks, schedule), (count_mean_defect_checks, schedule[-1:]))
-        for suite, partitions in suites:
+        (young,) = refinement_partitions(ps.event_times, window, 0)
+        # the hazard profile reads the window, then each Young cell once;
+        # the count-mean suite each Young cell once
+        suites = ((hazard_defect_checks, [window, *young]), (count_mean_defect_checks, young.cells))
+        for suite, cells in suites:
             seen.clear()
             suite(ps)
-            ranges = {support_range(ps, cell) for part in partitions for cell in part}
-            assert len(seen) == len(set(seen)) and set(seen) == ranges
+            assert seen == [support_range(ps, cell) for cell in cells]
 
 
 def test_defect_suites_build_one_schedule_per_space(monkeypatch):
@@ -218,9 +218,9 @@ def test_defect_suites_build_one_schedule_per_space(monkeypatch):
     built = []
     walk = interval_functions._refinement_values
 
-    def counting(term, step_like, support, a, depth, combine=interval_functions._cell_sum, trivial=False):
-        built.append((step_like, depth, trivial))
-        return walk(term, step_like, support, a, depth, combine, trivial)
+    def counting(term, step_like, support, a, depth, *args):
+        built.append((step_like, depth))
+        return walk(term, step_like, support, a, depth, *args)
 
     def per_cell(*args):
         raise AssertionError("no step-like term has a cell halved")
@@ -231,13 +231,12 @@ def test_defect_suites_build_one_schedule_per_space(monkeypatch):
         built.clear()
         hazard_defect_checks(ps)
         count_mean_defect_checks(ps)
-        # one step-like schedule per suite and space, to the default depth;
-        # the hazard profile starts from the trivial partition
-        assert built == [(True, 6, True), (True, 6, False)]
+        # one step-like schedule per suite and space, to the default depth
+        assert built == [(True, 6), (True, 6)]
     # the transforms and the product-variation bound of pure-jump measures
     records = transform_duality_checks(np.random.default_rng(5), count=20)
     assert records and all(record.passed for record in records)
-    assert built[2:] and all(step_like for step_like, _, _ in built[2:])
+    assert built[2:] and all(step_like for step_like, _ in built[2:])
 
 
 def schedule_windows(ps, seed):
@@ -274,12 +273,32 @@ def test_pathspace_functions_match_the_interval_walk(ps, depth, seed):
             ("multiplicative_transform", plus_identity(hazard), window),
             ("variation_norm", deviation, window, depth),
             ("defect_profile", deviation, hazard, window, depth),
-            ("defect_profile", transition, hazard, window, depth),
             ("defect_profile", indicator, counts, window, depth),
         ]
         for name, *args in calls:
             got = outcome(getattr(prodint, name), *args)
             assert got == outcome(getattr(reference_impl, name), *args), name
+        # the transition is the identity on a gap and the hazard 0, so their
+        # defect is 1 there: no limit, and refused where the window has a gap
+        got = reference_impl.engine_readings(transition, hazard, window, depth)["defect_profile"]
+        (young,) = refinement_partitions(ps.event_times, window, 0)
+        if all(cell.is_point for cell in young):
+            assert got == outcome(reference_impl.defect_profile, transition, hazard, window, depth)
+        else:
+            assert got == "refused"
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_spaces() | weighted_spaces(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_every_reader_of_a_pathspace_function_is_its_young_value_or_refused(ps, depth, seed):
+    transition, deviation, hazard = ps.transition_if(), ps.transition_deviation_if(), ps.hazard_matrix()
+    indicator, counts = ps.indicator_if(), ps.counting_mean()
+    # each is neutral on its gaps for some readers and not for the others
+    pairs = ((transition, hazard), (deviation, hazard), (indicator, counts), (plus_identity(hazard), transition))
+    for window in schedule_windows(ps, seed):
+        for f, target in pairs:
+            expected = reference_impl.young_readings(f, target, window, depth)
+            assert reference_impl.engine_readings(f, target, window, depth) == expected
 
 
 def test_zero_conditioning_gives_identity_row():

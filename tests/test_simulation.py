@@ -170,6 +170,12 @@ class TestExactPathspace:
         path, w = ps.paths[0]
         assert w == 1.0 and path.jumps == ((1.0, 2),)
 
+    def test_a_path_whose_weight_underflows_is_dropped(self):
+        # 1e-200 * 1e-200 underflows to 0.0, a weight the path space refuses
+        ps = exact_pathspace(load_scenario(ROOT / "tests" / "data" / "underflow.json"))
+        assert ps.states.tolist() == [[1, 1, 1], [1, 2, 2]]
+        assert ps.weights.tolist() == [1.0, 1e-200]
+
     def test_cap_enforced(self, monkeypatch):
         # idn's five paths over four ticks take 5 * (4 + 8 + 8) bytes
         monkeypatch.setattr(simulation, "MAX_PATH_SPACE_BYTES", 100)
