@@ -1143,9 +1143,8 @@ def outcome(call, *args, **kwargs):
 def engine_readings(f, target, a, depth):
     """The outcome of each of the library's readers for ``f`` (against
     ``target`` for the defects) on ``a`` to ``depth``, with "refused" for
-    a ``ConvergenceError`` that refuses a gap at depth 0."""
-    import prodint
-
+    a ``ConvergenceError`` that refuses a gap: one at depth 0 that has no
+    change to report."""
     readings = {
         "additive_transform": lambda: prodint.additive_transform(f, a, max_depth=depth),
         "multiplicative_transform": lambda: prodint.multiplicative_transform(f, a, max_depth=depth),
@@ -1155,7 +1154,7 @@ def engine_readings(f, target, a, depth):
     }
     outcomes = {name: outcome(read) for name, read in readings.items()}
     for name, got in outcomes.items():
-        if got[0] == "unsettled" and got[-1] == 0 and " is refused at depth 0: " in got[1]:
+        if got[0] == "unsettled" and got[-1] == 0 and got[3] == bits(math.inf):
             outcomes[name] = "refused"
     return outcomes
 
