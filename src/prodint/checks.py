@@ -25,6 +25,7 @@ from .interval_functions import (
     AdditiveIF,
     GeneralIF,
     StepFunction,
+    _identity,
     defect_profile,
     index_range,
     kolmogorov_integral,
@@ -80,12 +81,30 @@ _DYADIC_TIMES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 _ATOM_TIMES = tuple(k * 0.25 for k in range(1, 17))
 
 
+def _choose(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    """The ``k`` of ``range(n)`` that ``Generator.choice`` picks without replacement,
+    in its order and leaving the generator in the same state, from scalar draws.
+    ``choice`` samples a population of at most 10,000 by Floyd's algorithm, one draw
+    in 0..j for j = n - k .. n - 1 (a value already picked takes j), and then
+    shuffles the picks, one draw in 0..i for i = k - 1 .. 1; a draw in 0..0 takes
+    nothing from the generator."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot take {k} of {n} without replacement")
+    draw = rng.integers
+    picked = []
+    for j in range(n - k, n):
+        value = int(draw(0, j, endpoint=True)) if j else 0
+        picked.append(j if value in picked else value)
+    for i in range(k - 1, 0, -1):
+        swap = int(draw(0, i, endpoint=True))
+        picked[i], picked[swap] = picked[swap], picked[i]
+    return picked
+
+
 def _sample(rng: np.random.Generator, items, size: int) -> list:
-    """``list(rng.choice(items, size=size, replace=False))``, the same draws and generator
-    state after, without making ``items`` an array: one item is ``rng.integers(0, len(items))``."""
-    if size == 1:
-        return [items[rng.integers(0, len(items))]]
-    return [items[i] for i in rng.choice(len(items), size=size, replace=False).tolist()]
+    """The ``size`` of ``items`` that ``Generator.choice`` draws without replacement,
+    the same draws and generator state after, without making ``items`` an array."""
+    return [items[i] for i in _choose(rng, len(items), size)]
 
 
 def _sixteenths(rng: np.random.Generator, total_cap: int, count: int) -> list[float]:
@@ -204,7 +223,7 @@ def random_jump_function(
 
 def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
     """Random dyadic subinterval of (0, tau], any of the four shapes."""
-    lo, hi = sorted(rng.choice(int(tau * 4) + 1, size=2, replace=False).tolist())
+    lo, hi = sorted(_choose(rng, int(tau * 4) + 1, 2))
     lo_t, hi_t = lo * 0.25, hi * 0.25
     lo_closed = lo_t > 0.0 and bool(rng.integers(0, 2))
     hi_closed = bool(rng.integers(0, 2))
@@ -347,7 +366,7 @@ def transform_duality_checks(
                     detail=f"instance {i} on {a}",
                 )
             )
-        eye = np.eye(mu.dim)
+        eye = _identity(mu.dim)
         # step-like as mu is: a cell's product integral depends only on the atoms it holds
         deviation = GeneralIF(mu.dim, lambda a: product_integral(mu, a) - eye, mu.support, mu.step_like)
         lhs = variation_norm(deviation, window, 4)

@@ -77,9 +77,10 @@ def _write_report(path, *, command, config_digest, seed, suites=(), records, tab
 
 
 def _slack(record) -> float:
-    """Distance of a bound record from its bound, negative when it failed."""
+    """Distance of a bound record from its bound, negative when it failed; a
+    failure at equality is 0.0, not -0.0."""
     distance = abs(record.lhs - record.rhs)
-    return distance if record.passed else -distance
+    return distance if record.passed else 0.0 - distance
 
 
 def _summarize(records) -> int:

@@ -37,7 +37,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterator
 
 import numpy as np
@@ -52,6 +52,15 @@ def matrix_norm(x) -> float:
     """Maximum absolute row sum; the absolute value for 1x1 input."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     return float(np.abs(x).sum(axis=1).max())
+
+
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only ``dim`` x ``dim`` identity, one per dimension: a
+    result that can be the identity itself is handed out as a copy."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
 
 
 class ConvergenceError(RuntimeError):
@@ -138,7 +147,7 @@ class HazardMatrixIF(AdditiveIF):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        off = self.jumps * (1.0 - np.eye(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
+        off = self.jumps * (1.0 - _identity(self.dim))  # the diagonal zeroed (a -0.0 fails no check)
         failure = first_failure(self.times, (
             (off < 0.0, "negative off-diagonal hazard"),
             (off.sum(axis=2) > 1.0 + 1e-12, "instantaneous exit mass above 1"),
@@ -196,7 +205,7 @@ class GeneralIF:
 
 def plus_identity(f) -> GeneralIF:
     """The interval function ``a -> identity + f(a)``."""
-    eye = np.eye(f.dim)
+    eye = _identity(f.dim)
     return GeneralIF(f.dim, lambda a: eye + f(a), support=tuple(f.support), step_like=f.step_like)
 
 
@@ -319,7 +328,7 @@ def multiplicative_transform(
     taken only if ``f`` is the identity on every gap.
     """
     return _limit_over_refinements(
-        f, a, _cell_product, np.eye(f.dim), tol, max_depth, "multiplicative transform"
+        f, a, _cell_product, _identity(f.dim), tol, max_depth, "multiplicative transform"
     )
 
 
@@ -380,10 +389,10 @@ def product_integral(lam: AdditiveIF, a: Interval) -> np.ndarray:
     """Exact product integral of ``identity + lam`` over ``a``: the
     ``identity + jump`` factors of the atoms in ``a``, multiplied in time
     order."""
-    eye = result = np.eye(lam.dim)
+    eye = result = _identity(lam.dim)
     for jump in lam.jumps[slice(*index_range(lam.times, a))]:
         result = result @ (eye + jump)
-    return result
+    return eye.copy() if result is eye else result
 
 
 def index_range(times, a: Interval) -> tuple[int, int]:
@@ -403,7 +412,7 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
     multiplies the same ``identity + jump`` factors in the same order as its
     own product integral, so the two agree bit for bit.
     """
-    eye = np.eye(lam.dim)
+    eye = _identity(lam.dim)
     result, i, previous = eye, bisect_right(lam.times, lo), lo
     for t in times:
         if t < previous:
@@ -412,7 +421,7 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
             result = result @ (eye + lam.jumps[i])
             i += 1
         previous = t
-        yield result
+        yield eye.copy() if result is eye else result
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .interval_functions import (
     AdditiveIF,
     GeneralIF,
     HazardMatrixIF,
+    _identity,
     index_range,
 )
 from .intervals import Interval, window_grid
@@ -67,9 +68,9 @@ class PathSpace:
     is minus the (j, j) entry of the hazard.  A quantity of state pairs
     comes as one d x d matrix, and an occupation is the value at a time:
     the value just before a grid time is the one at the tick before it.
-    ``occupation(j, t)``, ``jump_mass`` and ``paths`` have no caller in the
-    package; they stay because perfbench reads them.  An array a query
-    hands out is a copy or read-only.
+    ``jump_mass`` and ``paths`` have no caller in the package; they stay
+    because perfbench reads them.  An array a query hands out is a copy or
+    read-only.
     """
 
     dim: int
@@ -174,7 +175,7 @@ class PathSpace:
             joint = np.bincount(lo * d + hi, weights=self.weights, minlength=d * d).reshape(d, d)
             # the one-step occupation adds the same weights in the same path order
             conditioning = self._one_step.occupation[left][:, None]
-            transition = np.eye(d)
+            transition = _identity(d).copy()
             np.divide(joint, conditioning, out=transition, where=conditioning != 0.0)
             for array in (joint, transition):
                 array.setflags(write=False)
@@ -210,7 +211,7 @@ class PathSpace:
 
     def transition_deviation_if(self) -> GeneralIF:
         """Transition matrix minus the identity, as an interval function."""
-        eye = np.eye(self.dim)
+        eye = _identity(self.dim)
         return GeneralIF(
             self.dim,
             lambda a: self.transition_matrix(a) - eye,

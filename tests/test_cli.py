@@ -411,6 +411,11 @@ class TestSummary:
         assert _summarize(records) == 1
         assert capsys.readouterr().out.startswith("check floor: FAIL (1/2, min slack -5.000e-01)\n")
 
+    def test_failed_bound_at_equality_has_zero_slack(self, capsys):
+        records = [CheckRecord("floor", 2.0, 2.0, 0.0, False, "x", kind="bound")]
+        assert _summarize(records) == 1
+        assert capsys.readouterr().out.startswith("check floor: FAIL (0/1, min slack 0.000e+00)\n")
+
     def test_report_records_hold_every_field_in_order(self, tmp_path):
         records = [CheckRecord("eq", 1.0, 2.0, 0.0, False, "d"), CheckRecord("b", 1, 2, 0, True, kind="bound")]
         path = tmp_path / "report.json"
@@ -674,6 +679,14 @@ class TestConvergence:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_flat_errors_fail_the_decrease_with_zero_slack(self, capsys):
+        # errors that stay at 0.0 do not strictly decrease: the bound fails at equality
+        code = run("convergence", "--scenario", DATA / "underflow.json", "--censoring", f"{CORPUS}/conforming.json")
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "check convergence-decreasing: FAIL (0/1, min slack 0.000e+00)\n" in out
+        assert "-0.000e+00" not in out
 
     @pytest.mark.parametrize("seed", [6, 8])
     def test_unusable_sample_is_named_by_its_arm_size_and_seed(self, capsys, seed):

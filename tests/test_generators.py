@@ -1,13 +1,15 @@
-"""The randomized instance generators draw without ``Generator.choice`` on a
-Python sequence, which converts the sequence to an array on every call.
-Each rewritten draw must equal the ``choice`` call it replaces, in the
-values drawn and in the generator state it leaves, because the verify
-digests pin every value the generators draw."""
+"""The randomized instance generators draw without ``Generator.choice``,
+which converts a Python sequence to an array on every call and costs more
+than the scalar ``integers`` draws it makes.  Each rewritten draw must
+equal the ``choice`` call it replaces, in the values drawn and in the
+generator state it leaves, because the verify digests pin every value the
+generators draw."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from prodint.checks import _sample, random_jump_function, random_subinterval
+from prodint.checks import _choose, _sample, random_jump_function, random_subinterval
 from prodint.intervals import Interval
 from prodint.interval_functions import matrix_norm
 
@@ -32,12 +34,28 @@ def same_state(a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(SEEDS, st.lists(st.integers(-5, 40), min_size=1, max_size=20) | st.sampled_from(SEQUENCES), st.data())
+@given(SEEDS, st.lists(st.integers(-5, 40), min_size=1, max_size=64) | st.sampled_from(SEQUENCES), st.data())
 def test_sample_draws_what_choice_without_replacement_draws(seed, items, data):
-    size = data.draw(st.integers(1, len(items)))
+    # up to 9 of 64: Floyd's repeats and shuffles longer than the generators' 6 of 16
+    size = data.draw(st.integers(1, min(9, len(items))))
     by_choice, rewritten = twin(seed)
     expected = list(by_choice.choice(items, size=size, replace=False))
     assert _sample(rewritten, items, size) == expected
+    assert same_state(by_choice, rewritten)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 12), st.data())
+def test_choose_takes_all_none_or_too_many_as_choice_does(seed, n, data):
+    size = data.draw(st.sampled_from([0, n, n + 1]))
+    by_choice, rewritten = twin(seed)
+    if size > n:
+        with pytest.raises(ValueError):
+            by_choice.choice(n, size=size, replace=False)
+        with pytest.raises(ValueError):
+            _choose(rewritten, n, size)
+    else:
+        assert _choose(rewritten, n, size) == by_choice.choice(n, size=size, replace=False).tolist()
     assert same_state(by_choice, rewritten)
 
 

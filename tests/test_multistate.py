@@ -8,8 +8,10 @@ from prodint import (
     EventHistory,
     PathSpace,
     exact_pathspace,
+    product_integral,
 )
 from prodint.checks import SUITES, SuiteInputs, extinction_checks, occupation_bound_checks
+from prodint.interval_functions import product_integral_sweep
 
 import oracle_enum
 from corpora import forced_exit_scenario, two_state_scenario
@@ -162,6 +164,23 @@ class TestTransition:
                         assert matrix[j - 1, k - 1] == oracle_enum.conditional(
                             oracle_enum.IDN_PATHS, j, k, shape
                         )
+
+    def test_shared_identity_never_leaks(self, idn_space):
+        # the calculus shares one identity per dimension; a result that can be
+        # the identity itself is a copy, so writing into it changes no later result
+        eye = np.eye(3)
+        hazard = idn_space.hazard_matrix()  # its first atom is at 1.0
+        for _ in range(2):
+            results = [
+                product_integral(hazard, OC(0.0, 0.5)),  # no atoms
+                *product_integral_sweep(hazard, 0.0, (0.0, 0.5)),  # before the first atom
+            ]
+            for result in results:
+                np.testing.assert_array_equal(result, eye)
+                result += 1.0
+            row = idn_space.transition_matrix(PT(0.5))[2]  # nothing occupies state 3 before 3.0
+            np.testing.assert_array_equal(row, eye[2])
+            row[:] = 5.0
 
     def test_rows_are_stochastic(self, idn_space):
         for a in (OC(0, 3), CC(1, 2), PT(3.0), OO(0.5, 2.5)):
