@@ -58,6 +58,7 @@ from .simulation import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
+    exact_pathspaces,
     illness_death_scenario,
     load_censoring,
     load_scenario,
@@ -97,6 +98,7 @@ __all__ = [
     "defect_profile",
     "estimate",
     "exact_pathspace",
+    "exact_pathspaces",
     "illness_death_scenario",
     "kolmogorov_integral",
     "load_censoring",

@@ -45,6 +45,7 @@ from .simulation import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
+    exact_pathspaces,
     illness_death_scenario,
     simulate_sample,
 )
@@ -474,13 +475,14 @@ def markov_product_checks(
     convention never has to stand in for an actual conditional probability.
     The hazard is pure-jump, so its product integral depends only on the
     range of event times a subinterval holds and is computed once per range.
+    The laws are enumerated in one batch (``exact_pathspaces``).
     """
-    records = []
-    for i in range(count):
-        # nothing below draws from rng, so drawing the subintervals first keeps every draw
-        scenario = random_scenario(rng, markov_only=True, positive_occupation=True)
-        shapes = [random_subinterval(rng, tau=scenario.tau) for _ in range(subintervals)]
-        ps = exact_pathspace(scenario)
+    # nothing below draws from rng, so drawing every law and its subintervals first keeps every draw
+    records, scenarios, drawn = [], [], []
+    for _ in range(count):
+        scenarios.append(random_scenario(rng, markov_only=True, positive_occupation=True))
+        drawn.append([random_subinterval(rng, tau=scenarios[-1].tau) for _ in range(subintervals)])
+    for i, (ps, shapes) in enumerate(zip(exact_pathspaces(scenarios), drawn)):
         hazard = ps.hazard_matrix()
         products, expected = {}, []
         for a in shapes:

@@ -46,6 +46,7 @@ from .simulation import (
     ConfigError,
     ScenarioConfig,
     exact_pathspace,
+    exact_pathspaces,
     load_censoring,
     load_scenario,
     packaged_scenario,
@@ -176,7 +177,7 @@ def cmd_verify(args) -> int:
             spaces.append(exact_pathspace(scenario))
         except ValueError as exc:  # a law the oracle cannot build: weights off 1, too many paths
             raise ConfigError(f"{args.scenario or name}: {exc}") from None
-    spaces += [exact_pathspace(s) for s in mixed]
+    spaces += exact_pathspaces(mixed)
     labels = [*scenarios, *(f"random {i}" for i in range(len(mixed)))]
 
     inputs = checks.SuiteInputs(spaces, labels, rng, args.count, corpus=not args.scenario)

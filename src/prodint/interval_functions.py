@@ -410,7 +410,9 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
 
     ``lam``'s ``times`` and ``jumps`` are walked by index.  Each value
     multiplies the same ``identity + jump`` factors in the same order as its
-    own product integral, so the two agree bit for bit.
+    own product integral, so the two agree bit for bit.  Times with no atom
+    between them share one value, so a value is read-only, or a copy of the
+    identity before the first atom.
     """
     eye = _identity(lam.dim)
     result, i, previous = eye, bisect_right(lam.times, lo), lo
@@ -419,6 +421,7 @@ def product_integral_sweep(lam: AdditiveIF, lo: float, times) -> Iterator[np.nda
             raise ValueError(f"sweep times must be nondecreasing from {lo}, got {t} after {previous}")
         while i < len(lam.times) and lam.times[i] <= t:
             result = result @ (eye + lam.jumps[i])
+            result.setflags(write=False)
             i += 1
         previous = t
         yield eye.copy() if result is eye else result

@@ -402,7 +402,14 @@ def _fill_streams(seed: int, arm: int, first: int, draws: np.ndarray) -> None:
 
 
 def exact_pathspace(scenario: ScenarioConfig) -> PathSpace:
-    """Enumerate every positive-probability trajectory with its exact weight.
+    """Enumerate every positive-probability trajectory with its exact weight:
+    ``exact_pathspaces([scenario])[0]``."""
+    return exact_pathspaces([scenario])[0]
+
+
+def exact_pathspaces(scenarios: Sequence[ScenarioConfig]) -> list[PathSpace]:
+    """Enumerate each scenario's positive-probability trajectories with their
+    exact weights, all in one walk over the ticks.
 
     One path in state 0 grows at tick 0 into the initial states, and the
     paths of each tick grow together, each into staying put first, then
@@ -412,36 +419,66 @@ def exact_pathspace(scenario: ScenarioConfig) -> PathSpace:
     below 1, as the sampler reads them, so the rounding slack the validator
     allows in a row's sum is spent once, on its last target.  A path whose
     weight underflows to 0 is dropped.  Other paths never die, so before
-    each tick grows them, their count bounds what the whole space would
-    take; above ``MAX_PATH_SPACE_BYTES`` it raises ConfigError.
+    each tick grows them, a law's count of paths bounds what its whole space
+    would take, over its own ticks and in its own state dtype; above
+    ``MAX_PATH_SPACE_BYTES`` it raises ConfigError.
+
+    The laws walk side by side, longest grid first, each one's paths a
+    block of the path arrays that reads its own kernel; a law leaves the
+    walk after its last tick.  Every law's paths, states (values and dtype)
+    and weights are those it has when enumerated alone.
     """
     from .multistate import PathSpace  # the oracle: simulate and estimate never build one
 
-    kernel, ticks = scenario.kernel, len(scenario.grid) + 1
-    columns = [np.zeros(1, dtype=np.min_scalar_type(scenario.dim))]  # one path, in state 0 before time 0
-    weights, entered = np.ones(1), np.zeros(1, dtype=np.intp)
-    for column in range(ticks):
-        rows = kernel.rows[column][columns[-1], entered]
-        masses = kernel.masses[rows]
-        grown = masses > 0.0
-        count = np.count_nonzero(grown)
-        size = count * (ticks * columns[0].itemsize + weights.itemsize + entered.itemsize)
-        if size > MAX_PATH_SPACE_BYTES:
-            raise ConfigError(
-                f"the path space of {count} or more paths over {ticks} ticks would take {size} bytes "
-                f"or more, above the budget of {MAX_PATH_SPACE_BYTES}"
-            )
-        parent, branch = grown.nonzero()
-        weights, branched = weights[parent] * masses[parent, branch], count > len(weights)
+    if not scenarios:
+        return []
+    order = sorted(range(len(scenarios)), key=lambda i: -len(scenarios[i].grid))
+    laws = [scenarios[i] for i in order]
+    kernels = [law.kernel for law in laws]
+    ticks = [len(law.grid) + 1 for law in laws]
+    first_of = {t: ticks.index(t) for t in ticks}  # the first of the laws that end after t ticks
+    dtypes = [np.min_scalar_type(law.dim) for law in laws]
+    # a path's states at its law's ticks, its weight and its entry column
+    path_bytes = [t * dtype.itemsize + 16 for t, dtype in zip(ticks, dtypes)]
+    width = max(kernel.masses.shape[1] for kernel in kernels)
+    columns = [np.zeros(len(laws), dtype=np.result_type(*dtypes))]  # a path a law, in state 0 before time 0
+    weights, entered = np.ones(len(laws)), np.zeros(len(laws), dtype=np.intp)
+    edges = list(range(len(laws) + 1))  # the paths of the i-th law walking are edges[i]:edges[i + 1]
+    spaces = [None] * len(laws)
+    for column in range(ticks[0]):
+        masses = np.zeros((len(weights), width))
+        targets = np.zeros((len(weights), width), columns[0].dtype)
+        for kernel, lo, hi in zip(kernels, edges, edges[1:]):
+            rows, w = kernel.rows[column][columns[-1][lo:hi], entered[lo:hi]], kernel.masses.shape[1]
+            masses[lo:hi, :w], targets[lo:hi, :w] = kernel.masses[rows], kernel.targets[rows]
+        parent, branch = (masses > 0.0).nonzero()
+        edges = np.searchsorted(parent, edges).tolist()  # each law's block of the grown paths
+        for lo, hi, law_ticks, per_path in zip(edges, edges[1:], ticks, path_bytes):
+            if (hi - lo) * per_path > MAX_PATH_SPACE_BYTES:
+                raise ConfigError(
+                    f"the path space of {hi - lo} or more paths over {law_ticks} ticks would take "
+                    f"{(hi - lo) * per_path} bytes or more, above the budget of {MAX_PATH_SPACE_BYTES}"
+                )
+        weights, branched = weights[parent] * masses[parent, branch], len(parent) > len(weights)
         if not weights.all():  # a product of positive masses underflowed to 0: that path drops out
             live = weights > 0.0
+            edges = np.searchsorted(np.flatnonzero(live), edges).tolist()
             parent, branch, weights, branched = parent[live], branch[live], weights[live], True
         if branched:  # the columns so far follow the parents
             columns = [states[parent] for states in columns]
-        to = kernel.targets[rows[parent], branch]
+        to = targets[parent, branch]
         columns.append(np.where(to, to, columns[-1]))
         entered = np.where(to, column, entered[parent])
-    return PathSpace(scenario.dim, scenario.tau, scenario.grid, np.stack(columns[1:], axis=1), weights)
+        if column + 1 in first_of:  # the laws that end at this tick walk last: their paths leave the walk
+            first = first_of[column + 1]
+            cut = edges[first]
+            block = np.stack([states[cut:] for states in columns[1:]], axis=1)
+            for i, lo, hi in zip(range(first, len(laws)), edges[first:], edges[first + 1 :]):
+                states = block[lo - cut : hi - cut].astype(dtypes[i], copy=False)
+                spaces[order[i]] = PathSpace(laws[i].dim, laws[i].tau, laws[i].grid, states, weights[lo:hi])
+            columns = [states[:cut] for states in columns]
+            weights, entered, edges = weights[:cut], entered[:cut], edges[: first + 1]
+    return spaces
 
 
 def _cumulative(probs: Sequence[float]) -> np.ndarray:

@@ -640,6 +640,21 @@ class TestProductIntegralSweep:
             expected = np.eye(lam.dim) if t == lo else product_integral(lam, OC(lo, t))
             assert reference_impl.bits(value) == reference_impl.bits(expected)
 
+    def test_a_write_into_one_value_changes_no_other(self):
+        # 1.5 and 1.75 have no atom between them, so the sweep yields one value twice
+        lam = AdditiveIF(1, (1.0,), [[[-0.5]]])
+        times = (0.0, 0.5, 0.5, 1.0, 1.5, 1.75, 1.75)
+        clean = [bits(value) for value in product_integral_sweep(lam, 0.0, times)]
+        values = []
+        for mark, value in enumerate(product_integral_sweep(lam, 0.0, times)):
+            try:
+                value[...] = mark  # before the next value is drawn
+            except ValueError:  # read-only
+                pass
+            values.append(value)
+        for mark, (value, expected) in enumerate(zip(values, clean, strict=True)):
+            assert bits(value) == (bits(np.full((1, 1), float(mark))) if value.flags.writeable else expected)
+
     def test_rejects_a_density_and_decreasing_times(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             list(product_integral_sweep(scalar_atoms((1.0, 0.5)), 0.0, [2.0, 1.0]))

@@ -2,6 +2,8 @@
 builds and the defect suites, which evaluate one term per Young cell,
 agree exactly with the per-path and per-cell references."""
 
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -9,21 +11,26 @@ from prodint import (
     EventHistory,
     Interval,
     PathSpace,
+    ScenarioConfig,
+    TransitionRule,
     exact_pathspace,
+    exact_pathspaces,
     illness_death_scenario,
+    load_scenario,
     plus_identity,
 )
 from prodint.checks import (
     count_mean_defect_checks,
     hazard_defect_checks,
     hazard_defect_table,
+    random_scenario,
     random_subinterval,
     transform_duality_checks,
 )
 import prodint
 from prodint import interval_functions
 
-from corpora import forced_exit_scenario, random_corpus, random_scenarios
+from corpora import forced_exit_scenario, kernel_scenarios, random_corpus, random_scenarios
 import reference_impl
 from reference_impl import Partition, bits, outcome, refinement_partitions
 
@@ -79,6 +86,49 @@ def test_paths_are_the_drawn_rows_in_order(matrix):
 @given(random_scenarios())
 def test_enumerated_paths_are_the_jump_walk_in_order(scenario):
     assert list(exact_pathspace(scenario).paths) == reference_impl.enumerate_paths(scenario)
+
+
+GENERATOR_FLAGS = (
+    {},
+    {"progressive": True},
+    {"forced_exit": True},
+    {"markov_only": True, "positive_occupation": True},
+)
+# the tests/data laws that build, and a law whose 300 states need uint16
+FIXED_LAWS = [
+    load_scenario(Path(__file__).parent / "data" / f"{name}.json")
+    for name in ("underflow", "rounding_slack", "tiny_occupation", "duration_dependent", "close_grid", "no_moves")
+] + [
+    ScenarioConfig(
+        300, 3.0, (1.0, 2.0), "markov", (0.5,) + (0.0,) * 298 + (0.5,),
+        (TransitionRule(1.0, 1, ((300, 0.25), (2, 0.25))), TransitionRule(2.0, 300, ((1, 0.5),))),
+    )
+]
+
+
+@st.composite
+def generator_laws(draw):
+    flags = draw(st.sampled_from(GENERATOR_FLAGS))
+    return random_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), **flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        random_scenarios() | kernel_scenarios() | generator_laws() | st.sampled_from(FIXED_LAWS),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_each_law_of_a_batch_is_the_law_enumerated_alone(batch):
+    for scenario, ps in zip(batch, exact_pathspaces(batch), strict=True):
+        # the walk keeps a path whose weight underflows to 0, which the path space drops
+        walk = [(path, weight) for path, weight in reference_impl.enumerate_paths(scenario) if weight > 0.0]
+        assert list(ps.paths) == [(path._replace(subject=i), weight) for i, (path, weight) in enumerate(walk)]
+        alone = exact_pathspace(scenario)
+        assert ps.states.dtype == alone.states.dtype == np.min_scalar_type(scenario.dim)
+        assert ps.states.shape == alone.states.shape and ps.states.tobytes() == alone.states.tobytes()
+        assert ps.weights.tobytes() == alone.weights.tobytes()
 
 
 def probe_intervals(rng, tau):

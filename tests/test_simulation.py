@@ -15,6 +15,7 @@ from prodint import (
     ScenarioConfig,
     TransitionRule,
     exact_pathspace,
+    exact_pathspaces,
     illness_death_scenario,
     load_censoring,
     load_scenario,
@@ -184,6 +185,38 @@ class TestExactPathspace:
         message = "^the path space of 5 or more paths over 4 ticks would take 100 bytes or more, above the budget of 99$"
         with pytest.raises(ConfigError, match=message):
             exact_pathspace(illness_death_scenario())
+
+    def test_a_batch_refuses_a_law_exactly_when_it_is_refused_alone(self, monkeypatch):
+        # idn's five paths over four ticks take 5 * (4 + 8 + 8) bytes in uint8
+        # states; in the 300-state law's uint16, or over the 10-tick law's
+        # ticks, they would take more than 100
+        idn = illness_death_scenario()
+        move = TransitionRule(1.0, 1, ((300, 0.5),))
+        wide = ScenarioConfig(300, 2.0, (1.0,), "markov", (1.0,) + (0.0,) * 299, (move,))
+        monkeypatch.setattr(simulation, "MAX_PATH_SPACE_BYTES", 100)
+        batch = exact_pathspaces([wide, idn, branching_scenario(0, 9), wide])
+        assert [ps.states.dtype for ps in batch] == [np.uint16, np.uint8, np.uint8, np.uint16]
+        assert batch[1].states.tobytes() == exact_pathspace(idn).states.tobytes()
+        monkeypatch.setattr(simulation, "MAX_PATH_SPACE_BYTES", 99)
+        with pytest.raises(ConfigError) as alone:
+            exact_pathspace(idn)
+        message = "^the path space of 5 or more paths over 4 ticks would take 100 bytes or more, above the budget of 99$"
+        assert re.match(message, str(alone.value))
+        with pytest.raises(ConfigError, match=message):
+            exact_pathspaces([wide, idn, branching_scenario(0, 9)])
+        assert exact_pathspaces([]) == []
+
+    def test_a_law_leaves_the_batch_walk_after_its_last_tick(self):
+        # 65,536 paths over 17 ticks beside one path over 3,001: kept in the
+        # walk for the long law's ticks, their states alone would take 197 MB
+        tracemalloc.start()
+        try:
+            short, long = exact_pathspaces([branching_scenario(16, 16), branching_scenario(0, 3000)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert short.states.shape == (2**16, 17) and long.states.shape == (1, 3001)
+        assert peak < 2**16 * 3001 // 10
 
     def test_path_space_over_budget_is_refused_before_it_is_allocated(self):
         # 2**19 paths over 3,001 ticks would be a 1.6 GB state matrix, which a
