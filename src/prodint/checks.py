@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +83,44 @@ _DYADIC_TIMES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 _ATOM_TIMES = tuple(k * 0.25 for k in range(1, 17))
 
 
+class _Draws(NamedTuple):
+    integers: Callable[[int, int], int]
+    random: Callable[[], float]
+
+
+@lru_cache(maxsize=1)
+def _draws(rng: np.random.Generator) -> _Draws:
+    """Scalar ``Generator.integers(lo, hi)`` and ``Generator.random()`` of ``rng``, read
+    straight from the bit generator's C functions, without the argument handling
+    of a ``Generator`` call.  ``integers`` is the bounded draw ``Generator.integers``
+    makes for a span up to 2**32, Lemire's method on 32-bit words: a span of 1
+    takes no word, and a word whose ``word * span`` has its low 32 bits below
+    ``(2**32 - span) % span`` is drawn again.  Both read the C state that numpy's
+    own methods read, PCG64's buffered half word included, so they interleave
+    exactly with ``multinomial``, ``permutation`` and array draws.  The pair holds
+    the state's address, not the generator: use it only while ``rng`` lives.  The
+    last generator's pair is kept, since every generator below asks for it on
+    each call."""
+    bits = rng.bit_generator.ctypes
+    state, next_uint32 = bits.state_address, bits.next_uint32
+
+    def integers(lo: int, hi: int) -> int:
+        span = hi - lo
+        if span == 1:
+            return lo
+        if span <= 0:
+            raise ValueError(f"low >= high: {lo} >= {hi}")
+        if span > 2**32:
+            raise ValueError(f"span {span} is above 2**32, where Generator.integers draws 64-bit words")
+        threshold = (2**32 - span) % span
+        scaled = next_uint32(state) * span
+        while scaled & 0xFFFFFFFF < threshold:
+            scaled = next_uint32(state) * span
+        return lo + (scaled >> 32)
+
+    return _Draws(integers, partial(bits.next_double, state))
+
+
 def _choose(rng: np.random.Generator, n: int, k: int) -> list[int]:
     """The ``k`` of ``range(n)`` that ``Generator.choice`` picks without replacement,
     in its order and leaving the generator in the same state, from scalar draws.
@@ -91,13 +130,13 @@ def _choose(rng: np.random.Generator, n: int, k: int) -> list[int]:
     nothing from the generator."""
     if not 0 <= k <= n:
         raise ValueError(f"cannot take {k} of {n} without replacement")
-    draw = rng.integers
+    integers = _draws(rng).integers
     picked = []
     for j in range(n - k, n):
-        value = int(draw(0, j, endpoint=True)) if j else 0
+        value = integers(0, j + 1)
         picked.append(j if value in picked else value)
     for i in range(k - 1, 0, -1):
-        swap = int(draw(0, i, endpoint=True))
+        swap = integers(0, i + 1)
         picked[i], picked[swap] = picked[swap], picked[i]
     return picked
 
@@ -111,7 +150,8 @@ def _sample(rng: np.random.Generator, items, size: int) -> list:
 def _sixteenths(rng: np.random.Generator, total_cap: int, count: int) -> list[float]:
     """``count`` nonnegative sixteenths whose total stays at or below the cap.
     ``count`` scalar ``integers`` draws draw what one of ``size=count`` does."""
-    raw = [int(rng.integers(0, total_cap + 1)) for _ in range(count)]
+    integers = _draws(rng).integers
+    raw = [integers(0, total_cap + 1) for _ in range(count)]
     if sum(raw) > total_cap:
         budget = total_cap
         out = [0] * count
@@ -138,51 +178,54 @@ def random_scenario(
     ``progressive`` restricts transitions to higher-numbered states.
 
     The draws are pinned to the algorithms of numpy's ``Generator``, which CI
-    pins to numpy 2.4.6: the verify digests fix every value drawn here.
+    pins to numpy 2.4.6: the verify digests fix every value drawn here.  The
+    scalar draws go through the bit generator's C functions (``_draws``), the
+    multinomial counts through ``Generator.multinomial``; both read one state.
     """
-    dim = int(rng.integers(2, 5))
-    n_times = int(rng.integers(1, 4))
+    integers, random = _draws(rng)
+    dim = integers(2, 5)
+    n_times = integers(1, 4)
     grid = tuple(sorted(_sample(rng, _DYADIC_TIMES, n_times)))
     tau = 4.0
 
     if positive_occupation:
-        counts = rng.multinomial(16 - dim, [1.0 / dim] * dim) + 1
+        counts = [c + 1 for c in rng.multinomial(16 - dim, [1.0 / dim] * dim).tolist()]
     else:
-        counts = rng.multinomial(16, [1.0 / dim] * dim)
+        counts = rng.multinomial(16, [1.0 / dim] * dim).tolist()
 
     kinds = ("markov",) if markov_only else ("markov", "entry_time_dependent", "duration_dependent")
-    kind = kinds[rng.integers(0, len(kinds))]
+    kind = kinds[integers(0, len(kinds))]
 
     if forced_exit and counts[0] == 0:
-        donor = int(np.argmax(counts))
+        donor = counts.index(max(counts))
         counts[donor] -= 1
         counts[0] += 1
-    initial = tuple(int(c) / 16.0 for c in counts)
+    initial = tuple(c / 16.0 for c in counts)
 
     rules = []
     for t in grid:
         for state in range(1, dim + 1):
-            if rng.random() < 0.35:
+            if random() < 0.35:
                 continue
             lowest = state + 1 if progressive else 1
             targets = [s for s in range(lowest, dim + 1) if s != state]
             if not targets:
                 continue
-            chosen = _sample(rng, targets, min(len(targets), int(rng.integers(1, 3))))
+            chosen = _sample(rng, targets, min(len(targets), integers(1, 3)))
             cap = 12 if positive_occupation else 16
             probs = _sixteenths(rng, cap, len(chosen))
             pairs = tuple((int(s), p) for s, p in zip(chosen, probs) if p > 0.0)
             if not pairs:
                 continue
             when = None
-            if kind == "entry_time_dependent" and rng.random() < 0.5:
+            if kind == "entry_time_dependent" and random() < 0.5:
                 candidates = [0.0] + [g for g in grid if g < t]
-                when = candidates[rng.integers(0, len(candidates))]
-            elif kind == "duration_dependent" and rng.random() < 0.5:
+                when = candidates[integers(0, len(candidates))]
+            elif kind == "duration_dependent" and random() < 0.5:
                 candidates = [t] + [t - g for g in grid if g < t]
-                when = candidates[rng.integers(0, len(candidates))]
+                when = candidates[integers(0, len(candidates))]
             rules.append(TransitionRule(float(t), state, pairs, when=when))
-            if when is not None and rng.random() < 0.5:
+            if when is not None and random() < 0.5:
                 # add a default row so the feature match actually selects
                 fallback = _sixteenths(rng, cap, len(chosen))
                 fallback_pairs = tuple((int(s), p) for s, p in zip(chosen, fallback) if p > 0.0)
@@ -211,24 +254,26 @@ def random_jump_function(
     rng: np.random.Generator, max_dim: int = 4, max_atoms: int = 6, max_norm: float = 0.9
 ) -> AdditiveIF:
     """Pure-jump additive function with bounded atom norms on dyadic times."""
-    dim = int(rng.integers(1, max_dim + 1))
-    n_atoms = int(rng.integers(1, max_atoms + 1))
+    integers, random = _draws(rng)
+    dim = integers(1, max_dim + 1)
+    n_atoms = integers(1, max_atoms + 1)
     times = sorted(_sample(rng, _ATOM_TIMES, n_atoms))
     jumps = []
     for _ in times:
         raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        target = max_norm * rng.uniform(0.1, 1.0)
+        target = max_norm * (0.1 + (1.0 - 0.1) * random())  # Generator.uniform(0.1, 1.0)
         jumps.append(raw * (target / matrix_norm(raw)))
     return AdditiveIF(dim, times, jumps)
 
 
 def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
     """Random dyadic subinterval of (0, tau], any of the four shapes."""
+    integers, random = _draws(rng)
     lo, hi = sorted(_choose(rng, int(tau * 4) + 1, 2))
     lo_t, hi_t = lo * 0.25, hi * 0.25
-    lo_closed = lo_t > 0.0 and bool(rng.integers(0, 2))
-    hi_closed = bool(rng.integers(0, 2))
-    if rng.random() < 0.1 and lo_t > 0.0:
+    lo_closed = lo_t > 0.0 and bool(integers(0, 2))
+    hi_closed = bool(integers(0, 2))
+    if random() < 0.1 and lo_t > 0.0:
         return Interval.point(lo_t)
     return Interval(lo_t, hi_t, lo_closed, hi_closed)
 
@@ -554,11 +599,12 @@ def uncensored_identity_checks(rng: np.random.Generator, count: int) -> list[Che
     """On fully observed samples the derived occupation curve must equal the
     raw observed proportions at every event time."""
     none = CensoringConfig("none")
+    integers = _draws(rng).integers
     records = []
     for i in range(count):
         scenario = random_scenario(rng)
-        n = int(rng.integers(1, 21))
-        seed = int(rng.integers(0, 2**31))
+        n = integers(1, 21)
+        seed = integers(0, 2**31)
         sample = simulate_sample(scenario, none, n, seed)
         grid = estimate(sample, dim=scenario.dim)
         worst = 0.0

@@ -3,7 +3,7 @@
 Exit codes: 0 all good, 1 a check failed, 2 usage or configuration error
 (or a transform whose refinement schedule did not settle), 3 I/O error.
 Every run is reproducible from the config digest and the seed printed in
-its report.
+its report, on the Python and numpy its environment stamp names.
 
 ``simulate`` and ``estimate`` run only the estimation pipeline
 (``estimators``, ``simulation`` and the calculus beneath them).  The check
@@ -63,6 +63,20 @@ def _digest(*documents) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _environment() -> dict:
+    """What the drawn values and floats of a run depend on: Python, numpy and the
+    platform.  ``platform.platform()`` would read the interpreter binary, and the
+    git revision would take a subprocess, so neither is stamped."""
+    import platform  # numpy has imported it already
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": sys.platform,
+        "machine": platform.machine(),
+    }
+
+
 def _write_report(path, *, command, config_digest, seed, suites=(), records, table=(), elapsed_s) -> None:
     """The JSON run report, its keys in this order; no path, no file."""
     if path:
@@ -70,6 +84,7 @@ def _write_report(path, *, command, config_digest, seed, suites=(), records, tab
             "command": command,
             "config_digest": config_digest,
             "seed": seed,
+            "environment": _environment(),
             "suites": suites,  # verify: name, records and wall_s per suite
             "records": records,  # name, lhs, rhs, tol, passed, detail, kind
             "table": table,

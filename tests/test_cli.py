@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from prodint import GeneralIF, checks, cli, estimators, multiplicative_transform, read_event_histories, simulation
 from prodint.checks import CheckRecord
-from prodint.cli import _summarize, _write_report, main
+from prodint.cli import _environment, _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json, write_json
 
 from corpora import float_sum_exit_scenario, wide_grid_scenario
@@ -421,7 +421,10 @@ class TestSummary:
         path = tmp_path / "report.json"
         _write_report(path, command="verify", config_digest="digest", seed=7, records=records, elapsed_s=0.5)
         report = json.loads(path.read_text())
-        assert list(report) == ["command", "config_digest", "seed", "suites", "records", "table", "elapsed_s"]
+        assert list(report) == [
+            "command", "config_digest", "seed", "environment", "suites", "records", "table", "elapsed_s"
+        ]
+        assert report["environment"]["numpy"] == np.__version__
         dumped = report["records"]
         assert [list(r) for r in dumped] == [["name", "lhs", "rhs", "tol", "passed", "detail", "kind"]] * 2
         assert [list(r.values()) for r in dumped] == [list(r) for r in records]
@@ -571,6 +574,7 @@ class TestJsonWriters:
             "command": "verify",
             "config_digest": "0123abcd",
             "seed": seed,
+            "environment": _environment(),
             "suites": suites,
             "records": [r._asdict() for r in records],
             "table": table,

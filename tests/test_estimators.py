@@ -23,6 +23,7 @@ from prodint import estimators
 from prodint.cli import main
 from prodint.estimators import write_occupation_csv
 
+from corpora import random_scenarios
 from reference_impl import empirical_counts, empirical_occupancy, event_sample, transition_at
 
 
@@ -310,6 +311,90 @@ def test_uncensored_identity_property(sample):
     for t in (0.0,) + grid.times:
         observed = [empirical_occupancy(sample, j, t) for j in (1, 2, 3)]
         assert np.abs(grid.occupation_at(t) - np.array(observed)).max() <= 1e-12
+
+
+# The estimator's invariances, over the generator's laws under each kind of
+# observation.  Duplicating every subject and doubling every time change no
+# float the estimator rounds, so they must leave its arrays bit for bit; a
+# relabelling reorders the matrix products, which may then round differently.
+CENSORINGS = {
+    "none": CensoringConfig("none"),
+    "conforming": CensoringConfig("state_filtering_conforming", q=0.7),
+    "violating": CensoringConfig("violating", q=0.7, delta=0.5),
+    "right": CensoringConfig("independent_right", after=((0.0, 0.1), (1.0, 0.1), (2.0, 0.1)), never=0.7),
+}
+RELABEL_GAP = 1e-12  # pinned before any run; idn at n = 3,000 gave 0.0
+
+
+@st.composite
+def observed_samples(draw):
+    scenario = draw(random_scenarios())
+    censoring = CENSORINGS[draw(st.sampled_from(sorted(CENSORINGS)))]
+    sample = simulate_sample(scenario, censoring, draw(st.integers(1, 60)), draw(st.integers(0, 2**31 - 1)))
+    return scenario.dim, sample
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def estimate_or_error(sample, dim):
+    try:
+        return estimate(sample, dim=dim)
+    except EstimationError:
+        return None
+
+
+def assert_refused_alike(grid, changed, dim):
+    """A sample the estimator refuses is refused after the change too."""
+    if grid is None:
+        with pytest.raises(EstimationError):
+            estimate(changed, dim=dim)
+    return grid is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(observed_samples())
+def test_every_subject_twice_gives_the_same_grid_bit_for_bit(drawn):
+    dim, sample = drawn
+    shift = int(sample.subjects.max() - sample.subjects.min()) + 1
+    twice = event_sample(list(sample) + [h._replace(subject=h.subject + shift) for h in sample])
+    grid = estimate_or_error(sample, dim)
+    if assert_refused_alike(grid, twice, dim):
+        doubled = estimate(twice, dim=dim)
+        assert (doubled.dim, doubled.n, doubled.times) == (grid.dim, 2 * grid.n, grid.times)
+        for field in ("hazard_steps", "transition", "p0", "occupation"):
+            assert same_bits(getattr(doubled, field), getattr(grid, field)), field
+
+
+@settings(max_examples=150, deadline=None)
+@given(observed_samples())
+def test_doubling_every_time_doubles_the_times_and_keeps_the_estimates_bit_for_bit(drawn):
+    dim, sample = drawn
+    later = EventSample(sample.subjects, sample.initial, sample.offsets, 2.0 * sample.times, sample.states)
+    grid = estimate_or_error(sample, dim)
+    if assert_refused_alike(grid, later, dim):
+        stretched = estimate(later, dim=dim)
+        assert stretched.times == tuple(2.0 * t for t in grid.times)
+        for field in ("hazard_steps", "transition", "p0", "occupation"):
+            assert same_bits(getattr(stretched, field), getattr(grid, field)), field
+
+
+@settings(max_examples=150, deadline=None)
+@given(observed_samples(), st.data())
+def test_swapping_two_state_labels_permutes_the_occupation(drawn, data):
+    dim, sample = drawn
+    a, b = data.draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True))
+    relabel = np.arange(dim + 1)
+    relabel[[a, b]] = b, a
+    swapped = EventSample(sample.subjects, relabel[sample.initial], sample.offsets, sample.times, relabel[sample.states])
+    grid = estimate_or_error(sample, dim)
+    if assert_refused_alike(grid, swapped, dim):
+        relabelled = estimate(swapped, dim=dim)
+        assert relabelled.times == grid.times
+        gap = np.abs(relabelled.occupation[:, relabel[1:] - 1] - grid.occupation)
+        assert gap.max(initial=0.0) <= RELABEL_GAP
 
 
 class TestCsvRoundTrip:

@@ -1,15 +1,17 @@
 """The randomized instance generators draw without ``Generator.choice``,
-which converts a Python sequence to an array on every call and costs more
-than the scalar ``integers`` draws it makes.  Each rewritten draw must
-equal the ``choice`` call it replaces, in the values drawn and in the
-generator state it leaves, because the verify digests pin every value the
-generators draw."""
+which converts a Python sequence to an array on every call, and take their
+scalar draws from the bit generator's C functions (``checks._draws``)
+instead of ``Generator.integers``, ``random`` and ``uniform``, whose
+argument handling costs more than the draw.  Each rewritten draw must
+equal the numpy call it replaces, in the values drawn and in the generator
+state it leaves, because the verify digests pin every value the generators
+draw."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prodint.checks import _choose, _sample, random_jump_function, random_subinterval
+from prodint.checks import _choose, _draws, _sample, random_jump_function, random_subinterval
 from prodint.intervals import Interval
 from prodint.interval_functions import matrix_norm
 
@@ -25,12 +27,19 @@ SEQUENCES = [
 ]
 
 
-def twin(seed):
-    return np.random.default_rng(seed), np.random.default_rng(seed)
+def twin(seed, bit_generator=np.random.PCG64):
+    return np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+
+
+def plain(state):
+    """A bit generator's state with its arrays (MT19937's key) as lists, so ``==`` compares it."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
 
 
 def same_state(a, b):
-    return a.bit_generator.state == b.bit_generator.state and a.random() == b.random()
+    return plain(a.bit_generator.state) == plain(b.bit_generator.state) and a.random() == b.random()
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,3 +128,64 @@ def test_jump_functions_are_drawn_as_before(seed):
     assert mu.dim == dim and list(mu.times) == [t for t, _ in atoms]
     assert all(np.array_equal(m, expected) for m, (_, expected) in zip(mu.jumps, atoms))
     assert same_state(before, now)
+
+
+# spans of 2**32 - k * span words that reject most often, the 64-bit path's edge, small spans
+SPANS = st.sampled_from([1, 2, 3, 5, 17, 3 * 10**9, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32)
+BIT_GENERATORS = st.sampled_from([np.random.PCG64, np.random.MT19937])
+OPERATIONS = st.sampled_from(["integers", "random", "uniform", "multinomial", "permutation", "uniforms"])
+
+
+def draw_both(op, by_numpy, by_c, data):
+    """One draw of ``op`` from each twin: numpy's method on the first, ``_draws`` on the
+    second for a scalar draw; array draws stay on numpy for both."""
+    integers, random = _draws(by_c)
+    if op == "integers":
+        lo = data.draw(st.integers(-(2**40), 2**40))
+        span = data.draw(SPANS)
+        return int(by_numpy.integers(lo, lo + span)), integers(lo, lo + span)
+    if op == "random":
+        return by_numpy.random(), random()
+    if op == "uniform":
+        a = data.draw(st.floats(-1e6, 1e6))
+        b = a + data.draw(st.floats(0.0, 1e6))
+        return by_numpy.uniform(a, b), a + (b - a) * random()
+    if op == "multinomial":
+        n, k = data.draw(st.integers(0, 20)), data.draw(st.integers(1, 5))
+        return [rng.multinomial(n, [1.0 / k] * k).tolist() for rng in (by_numpy, by_c)]
+    if op == "permutation":
+        n = data.draw(st.integers(1, 20))
+        return [rng.permutation(n).tolist() for rng in (by_numpy, by_c)]
+    return [rng.uniform(-1.0, 1.0, size=3).tolist() for rng in (by_numpy, by_c)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, BIT_GENERATORS, st.lists(OPERATIONS, min_size=1, max_size=12), st.data())
+def test_c_draws_are_numpys_scalar_draws_interleaved_with_array_draws(seed, bit_generator, ops, data):
+    by_numpy, by_c = twin(seed, bit_generator)
+    for op in ops:
+        expected, drawn = draw_both(op, by_numpy, by_c, data)
+        assert drawn == expected and type(drawn) is type(expected), op
+        # PCG64's buffered half word (has_uint32, uinteger) is part of the state
+        assert plain(by_numpy.bit_generator.state) == plain(by_c.bit_generator.state), op
+    assert same_state(by_numpy, by_c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(-5, 5), st.integers(-3, 0))
+def test_an_empty_span_is_refused_as_numpy_refuses_it(seed, lo, width):
+    by_numpy, by_c = twin(seed)
+    with pytest.raises(ValueError):
+        by_numpy.integers(lo, lo + width)
+    with pytest.raises(ValueError):
+        _draws(by_c).integers(lo, lo + width)
+    assert same_state(by_numpy, by_c)
+
+
+@pytest.mark.parametrize("span", [2**32 + 1, 2**33, 2**63])
+def test_a_span_above_2_to_the_32_is_refused_by_name(span):
+    # numpy draws such a span from 64-bit words, a path the C draws do not replay
+    untouched, rng = twin(11)
+    with pytest.raises(ValueError, match=f"span {span} "):
+        _draws(rng).integers(0, span)
+    assert same_state(untouched, rng)
