@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 
@@ -67,8 +68,6 @@ def _environment() -> dict:
     """What the drawn values and floats of a run depend on: Python, numpy and the
     platform.  ``platform.platform()`` would read the interpreter binary, and the
     git revision would take a subprocess, so neither is stamped."""
-    import platform  # numpy has imported it already
-
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -339,19 +339,16 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def estimate_or_error(sample, dim):
+def both_estimates(sample, changed, dim):
+    """The grids of a sample and of its changed copy, or None when the estimator
+    refuses the sample, after checking that it refuses the copy too."""
     try:
-        return estimate(sample, dim=dim)
+        grid = estimate(sample, dim=dim)
     except EstimationError:
-        return None
-
-
-def assert_refused_alike(grid, changed, dim):
-    """A sample the estimator refuses is refused after the change too."""
-    if grid is None:
         with pytest.raises(EstimationError):
             estimate(changed, dim=dim)
-    return grid is not None
+        return None
+    return grid, estimate(changed, dim=dim)
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,9 +357,9 @@ def test_every_subject_twice_gives_the_same_grid_bit_for_bit(drawn):
     dim, sample = drawn
     shift = int(sample.subjects.max() - sample.subjects.min()) + 1
     twice = event_sample(list(sample) + [h._replace(subject=h.subject + shift) for h in sample])
-    grid = estimate_or_error(sample, dim)
-    if assert_refused_alike(grid, twice, dim):
-        doubled = estimate(twice, dim=dim)
+    grids = both_estimates(sample, twice, dim)
+    if grids:
+        grid, doubled = grids
         assert (doubled.dim, doubled.n, doubled.times) == (grid.dim, 2 * grid.n, grid.times)
         for field in ("hazard_steps", "transition", "p0", "occupation"):
             assert same_bits(getattr(doubled, field), getattr(grid, field)), field
@@ -373,9 +370,9 @@ def test_every_subject_twice_gives_the_same_grid_bit_for_bit(drawn):
 def test_doubling_every_time_doubles_the_times_and_keeps_the_estimates_bit_for_bit(drawn):
     dim, sample = drawn
     later = EventSample(sample.subjects, sample.initial, sample.offsets, 2.0 * sample.times, sample.states)
-    grid = estimate_or_error(sample, dim)
-    if assert_refused_alike(grid, later, dim):
-        stretched = estimate(later, dim=dim)
+    grids = both_estimates(sample, later, dim)
+    if grids:
+        grid, stretched = grids
         assert stretched.times == tuple(2.0 * t for t in grid.times)
         for field in ("hazard_steps", "transition", "p0", "occupation"):
             assert same_bits(getattr(stretched, field), getattr(grid, field)), field
@@ -389,9 +386,9 @@ def test_swapping_two_state_labels_permutes_the_occupation(drawn, data):
     relabel = np.arange(dim + 1)
     relabel[[a, b]] = b, a
     swapped = EventSample(sample.subjects, relabel[sample.initial], sample.offsets, sample.times, relabel[sample.states])
-    grid = estimate_or_error(sample, dim)
-    if assert_refused_alike(grid, swapped, dim):
-        relabelled = estimate(swapped, dim=dim)
+    grids = both_estimates(sample, swapped, dim)
+    if grids:
+        grid, relabelled = grids
         assert relabelled.times == grid.times
         gap = np.abs(relabelled.occupation[:, relabel[1:] - 1] - grid.occupation)
         assert gap.max(initial=0.0) <= RELABEL_GAP
