@@ -250,18 +250,17 @@ def random_scenario(
     return ScenarioConfig(dim, tau, grid, kind, initial, tuple(rules))
 
 
-def random_jump_function(
-    rng: np.random.Generator, max_dim: int = 4, max_atoms: int = 6, max_norm: float = 0.9
-) -> AdditiveIF:
-    """Pure-jump additive function with bounded atom norms on dyadic times."""
+def random_jump_function(rng: np.random.Generator) -> AdditiveIF:
+    """Pure-jump additive function on dyadic times: dimension 1 to 4, 1 to 6
+    atoms, each atom's norm between 0.09 and 0.9."""
     integers, random = _draws(rng)
-    dim = integers(1, max_dim + 1)
-    n_atoms = integers(1, max_atoms + 1)
+    dim = integers(1, 5)
+    n_atoms = integers(1, 7)
     times = sorted(_sample(rng, _ATOM_TIMES, n_atoms))
     jumps = []
     for _ in times:
         raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        target = max_norm * (0.1 + (1.0 - 0.1) * random())  # Generator.uniform(0.1, 1.0)
+        target = 0.9 * (0.1 + (1.0 - 0.1) * random())  # 0.9 * Generator.uniform(0.1, 1.0)
         jumps.append(raw * (target / matrix_norm(raw)))
     return AdditiveIF(dim, times, jumps)
 
@@ -279,6 +278,8 @@ def random_subinterval(rng: np.random.Generator, tau: float = 4.0) -> Interval:
 
 
 # -- suites -------------------------------------------------------------------
+
+PROFILE_DEPTHS = 6  # the hazard profile's depth rows, each the Young value of depth 0
 
 
 def occupation_identity_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
@@ -302,18 +303,18 @@ def occupation_identity_checks(ps: PathSpace, label: str = "") -> list[CheckReco
     return records
 
 
-def hazard_defect_table(ps: PathSpace, depths: int = 6) -> list[tuple[str, float]]:
+def hazard_defect_table(ps: PathSpace) -> list[tuple[str, float]]:
     """Defect profile of (transition - identity) against the hazard on
     (0, tau]: the trivial partition, then the refinement schedule.  Both
     functions are step-like on ``ps.event_times``, so the engine evaluates
     each support range once."""
     window = Interval.open_closed(0.0, ps.tau)
-    return defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
+    return defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, PROFILE_DEPTHS)
 
 
-def hazard_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> list[CheckRecord]:
+def hazard_defect_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """Defect of (transition - identity) against the hazard along the schedule."""
-    values = [v for _, v in hazard_defect_table(ps, depths)]
+    values = [v for _, v in hazard_defect_table(ps)]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     return [
         CheckRecord(
@@ -359,16 +360,16 @@ def chapman_kolmogorov_checks(ps: PathSpace | None = None) -> list[CheckRecord]:
     ]
 
 
-def count_mean_defect_checks(ps: PathSpace, depths: int = 6, label: str = "") -> list[CheckRecord]:
+def count_mean_defect_checks(ps: PathSpace, label: str = "") -> list[CheckRecord]:
     """Refinement sums of |status mean - expected count| vanish per pair.
 
-    One defect on the deepest partition of the schedule gives every pair's
-    sum at once: each entry adds its cells in the same order as a per-pair
+    One defect on the Young partition gives every pair's sum at once: each
+    entry adds its cells in the same order as a per-pair
     ``strict_transform_defect`` would.  Both functions are step-like on
     ``ps.event_times``, so each support range is evaluated once.
     """
     window = Interval.open_closed(0.0, ps.tau)
-    defect = strict_transform_defect(ps.indicator_if(), ps.counting_mean(), window, depths, distance=np.abs)
+    defect = strict_transform_defect(ps.indicator_if(), ps.counting_mean(), window, distance=np.abs)
     records = []
     for j in range(1, ps.dim + 1):
         for k in range(1, ps.dim + 1):
@@ -415,7 +416,7 @@ def transform_duality_checks(
         eye = _identity(mu.dim)
         # step-like as mu is: a cell's product integral depends only on the atoms it holds
         deviation = GeneralIF(mu.dim, lambda a: product_integral(mu, a) - eye, mu.support, mu.step_like)
-        lhs = variation_norm(deviation, window, 4)
+        lhs = variation_norm(deviation, window)
         v = mu.variation(window)
         rhs = math.exp(v) * v
         records.append(

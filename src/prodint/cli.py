@@ -3,7 +3,10 @@
 Exit codes: 0 all good, 1 a check failed, 2 usage or configuration error
 (or a transform whose refinement schedule did not settle), 3 I/O error.
 Every run is reproducible from the config digest and the seed printed in
-its report, on the Python and numpy its environment stamp names.
+its report, on the Python and numpy its environment stamp names.  The
+digest covers every option that changes the records (the laws, ``--count``
+and ``--only``; the sample sizes and both gates of ``convergence``) and no
+output path.
 
 ``simulate`` and ``estimate`` run only the estimation pipeline
 (``estimators``, ``simulation`` and the calculus beneath them).  The check
@@ -124,11 +127,13 @@ def _summarize(records) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 1 <= args.n <= 2**32:  # one subject id below 2**32 each
+        raise ConfigError(f"--n must be a number of subjects from 1 to 2**32, got {args.n}")
     scenario = load_scenario(args.scenario)
     censoring = load_censoring(args.censoring) if args.censoring else CensoringConfig("none")
     try:
         sample = simulate_sample(scenario, censoring, args.n, args.seed)
-    except ConfigError as exc:  # the rule table, an observation switch or the sample size
+    except ConfigError as exc:  # the rule table or an observation switch
         raise ConfigError(f"{args.scenario}: {exc}") from None
     rows = write_event_histories(args.out, sample)
     print(f"wrote {len(sample)} subjects ({rows} rows, {len(sample.times)} jumps) to {args.out}")
@@ -212,7 +217,7 @@ def cmd_verify(args) -> int:
     _write_report(
         args.report,
         command="verify",
-        config_digest=_digest({k: v.to_json_dict() for k, v in scenarios.items()}, args.count)
+        config_digest=_digest({k: v.to_json_dict() for k, v in scenarios.items()}, args.count, args.only)
         if args.report else None,
         seed=args.seed,
         suites=suites,
@@ -268,6 +273,8 @@ def cmd_convergence(args) -> int:
             conforming.to_json_dict(),
             violating.to_json_dict() if violating else None,
             ns,
+            args.sup_tol,
+            args.bias_floor,
         ) if args.report else None,
         seed=args.seed,
         records=records,

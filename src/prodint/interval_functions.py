@@ -373,14 +373,12 @@ def defect_profile(f, target, a: Interval, depths: int = 6) -> list[tuple[str, f
 def variation_norm(f, a: Interval, depth: int = 6) -> float:
     """Variation norm of ``f`` on ``a``.
 
-    Exact for an ``AdditiveIF``, and the summed Young cell norms for
-    another step-like function.  Otherwise the supremum of the summed cell
-    norms over the refinement schedule up to ``depth``, which is a monotone
-    nondecreasing lower bound for the true variation.
+    The summed Young cell norms for a step-like function, which for an
+    ``AdditiveIF`` is its exact ``variation``, bit for bit.  Otherwise the
+    supremum of the summed cell norms over the refinement schedule up to
+    ``depth``, a monotone nondecreasing lower bound for the true variation.
     """
     _check_arguments(depth)
-    if isinstance(f, AdditiveIF):
-        return f.variation(a)
     values = _refinement_values(lambda cell: matrix_norm(f(cell)), f.step_like, f.support, a, depth, "variation norm")
     return max(0.0, *values)
 

@@ -118,13 +118,13 @@ class TransitionKernel(NamedTuple):
     columns past a row's targets hold state 0 (stay) and mass 0.
     ``moves_below`` is the last entry of a row's table (0 for row 0): a
     uniform below it picks one of the row's targets, and one at or above it
-    counts every entry of the table, which picks the stay column past them.
+    stays without a pick, so a pick never reads past column ``width``.
     """
 
     rows: np.ndarray  # (m + 1) x (d + 1) x (m + 1): row id per (tick column, state, entry column)
     cdf: np.ndarray  # row x width: the row's ``_cumulative`` table, padded with inf
-    targets: np.ndarray  # row x (width + 2): 0, then the row's targets, padded with 0
-    masses: np.ndarray  # row x (width + 2): the stay mass, then each target's step of ``cdf``
+    targets: np.ndarray  # row x (width + 1): 0, then the row's targets, padded with 0
+    masses: np.ndarray  # row x (width + 1): the stay mass, then each target's step of ``cdf``
     moves_below: np.ndarray  # row: the last entry of the row's ``_cumulative`` table, 0 if empty
 
 
@@ -528,8 +528,8 @@ def _compile_kernel(scenario: ScenarioConfig) -> TransitionKernel:
         ids.setdefault(rule.probs, len(ids))
     width = max(map(len, ids))
     cdf = np.full((len(ids), width), np.inf)
-    targets = np.zeros((len(ids), width + 2), np.min_scalar_type(scenario.dim))
-    masses = np.zeros((len(ids), width + 2))
+    targets = np.zeros((len(ids), width + 1), np.min_scalar_type(scenario.dim))
+    masses = np.zeros((len(ids), width + 1))
     moves_below = np.zeros(len(ids))
     masses[0, 0] = 1.0
     for probs, row in list(ids.items())[1:]:

@@ -1,9 +1,11 @@
 """Path-space corpora the tests draw from: the three packaged scenarios,
 batches of generator spaces, the generator's scenarios and scenarios of
 every rule-table layout as hypothesis strategies, the generator's decimal
-(non-dyadic) counterparts, a scenario whose exit row sums to 1 only up
-to float rounding, and long-grid scenarios for the memory budgets."""
+(non-dyadic) counterparts, valid laws with values at the edges of
+float64, a scenario whose exit row sums to 1 only up to float rounding,
+and long-grid scenarios for the memory budgets."""
 
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -163,3 +165,57 @@ def decimal_scenario(scenario: ScenarioConfig) -> ScenarioConfig:
         tuple(_hundredths(scenario.initial)),
         tuple(rules),
     )
+
+
+# the smallest subnormal, a mass whose square underflows to 0, one that 1 + p
+# rounds away, one just below 1, and the generator's sixteenths
+ADVERSARIAL_PROBABILITIES = (5e-324, 1e-200, 1e-17, 0.999999999999) + tuple(k / 16 for k in range(1, 17))
+
+
+@st.composite
+def adversarial_grids(draw):
+    """(grid, tau) of one to four times: whole multiples at unit, 1e-300 or
+    1e300 scale or of the smallest subnormal, or times one ulp apart."""
+    size = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["unit", "1e-300", "1e300", "subnormal", "ulp"]))
+    if kind == "ulp":
+        grid = [draw(st.sampled_from([0.5, 1.0, 3.0, 1e-300, 1e300]))]
+        while len(grid) < size:
+            grid.append(math.nextafter(grid[-1], math.inf))
+    else:
+        scale = {"unit": 1.0, "1e-300": 1e-300, "1e300": 1e300, "subnormal": 5e-324}[kind]
+        grid = [scale * k for k in sorted(draw(st.sets(st.integers(1, 8), min_size=size, max_size=size)))]
+    return tuple(grid), grid[-1] * draw(st.sampled_from([1.0, 2.0]))
+
+
+@st.composite
+def adversarial_laws(draw):
+    """Valid scenarios of every rule kind, with feature and default rows,
+    whose grids and probabilities sit at the edges of float64."""
+    dim = draw(st.integers(1, 4))
+    grid, tau = draw(adversarial_grids())
+    rule = draw(st.sampled_from(RULE_KINDS))
+    probability = st.sampled_from(ADVERSARIAL_PROBABILITIES)
+    rules = []
+    for i, t in enumerate(grid):
+        entries = [0.0, *grid[:i]]
+        features = {"markov": [], "entry_time_dependent": entries}.get(rule, [t - e for e in entries])
+        for state in range(1, dim + 1):
+            others = [s for s in range(1, dim + 1) if s != state]
+            if not others or draw(st.booleans()):
+                continue
+            whens = draw(st.lists(st.sampled_from(features), unique=True, max_size=2)) if features else []
+            if not whens or draw(st.booleans()):
+                whens = [None, *whens]
+            for when in whens:
+                targets = draw(st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True))
+                probs = []
+                for _ in targets:
+                    p = draw(probability)
+                    if sum(probs) + p <= 1.0:
+                        probs.append(p)
+                rules.append(TransitionRule(t, state, tuple(zip(targets, probs)), when=when))
+    rest = [draw(st.sampled_from((0.0,) + ADVERSARIAL_PROBABILITIES)) for _ in range(dim - 1)]
+    while sum(rest) > 1.0:
+        rest[rest.index(max(rest))] = 0.0
+    return ScenarioConfig(dim, tau, grid, rule, (1.0 - sum(rest), *rest), tuple(rules))

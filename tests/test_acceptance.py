@@ -79,7 +79,7 @@ def test_criterion_01_occupation_identity(corpus):
 def test_criterion_02_hazard_is_strict_transform_of_transition(corpus):
     golden, *_ = corpus
     started = time.perf_counter()
-    rows = hazard_defect_table(golden["illness-death"], depths=6)
+    rows = hazard_defect_table(golden["illness-death"])
     values = [v for _, v in rows]
     elapsed = time.perf_counter() - started
     assert values[0] > values[-1]
@@ -105,7 +105,7 @@ def test_criterion_04_count_mean_is_strict_transform(corpus):
     assert len(mixed) >= 100
     records = []
     for ps in spaces:
-        records.extend(count_mean_defect_checks(ps, depths=3))
+        records.extend(count_mean_defect_checks(ps))
     assert all_passed(records), [r for r in records if not r.passed][:3]
     report(
         "count-mean-defect",

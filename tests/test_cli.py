@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from prodint.checks import CheckRecord
 from prodint.cli import _environment, _summarize, _write_report, main
 from prodint.estimators import EstimateGrid, write_grid_json, write_json
 
-from corpora import float_sum_exit_scenario, wide_grid_scenario
+from corpora import adversarial_laws, float_sum_exit_scenario, wide_grid_scenario
 from reference_impl import empirical_occupancy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +59,23 @@ class TestSimulate:
             "--n", 0, "--seed", 7, "--out", tmp_path / "s.csv",
         )
         assert code == 2
-        assert "subject" in capsys.readouterr().err
+        # the sampler's refusal once blamed the scenario file, which is not at fault
+        assert capsys.readouterr().err == "error: --n must be a number of subjects from 1 to 2**32, got 0\n"
+
+    @pytest.mark.parametrize("n", [-1, 2**32 + 1])
+    def test_sample_size_out_of_range_is_named_by_the_flag(self, tmp_path, capsys, n):
+        code = run(
+            "simulate", "--scenario", f"{CORPUS}/idn.json",
+            "--n", n, "--seed", 7, "--out", tmp_path / "s.csv",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --n must be a number of subjects from 1 to 2**32, got {n}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_one_subject_is_the_smallest_sample(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("simulate", "--scenario", f"{CORPUS}/idn.json", "--n", 1, "--seed", 7, "--out", out) == 0
+        assert len(read_event_histories(out)) == 1
 
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = run(
@@ -714,6 +731,42 @@ class TestConvergence:
         )
 
 
+# -- the config digest --------------------------------------------------------------
+
+CONVERGENCE_RUN = (
+    "convergence", "--scenario", f"{CORPUS}/idn.json", "--censoring", f"{CORPUS}/conforming.json",
+    "--violating", f"{CORPUS}/violating.json", "--n", "100,400", "--seed", 7,
+)
+
+
+def report_digest(path, *argv):
+    run(*argv, "--report", path)
+    return json.loads(path.read_text())["config_digest"]
+
+
+@pytest.mark.parametrize(
+    "argv, one, other",
+    [
+        (("verify", "--count", 2), ("--only", "hazard-defect"), ("--only", "extinction-exit")),
+        (("verify", "--count", 2), (), ("--only", "hazard-defect")),
+        (CONVERGENCE_RUN, ("--sup-tol", 0.02), ("--sup-tol", 0.5)),
+        (CONVERGENCE_RUN, ("--bias-floor", 0.05), ("--bias-floor", 0.01)),
+    ],
+    ids=["verify-only", "verify-only-or-all", "convergence-sup-tol", "convergence-bias-floor"],
+)
+def test_digest_covers_each_option_that_changes_the_records(tmp_path, argv, one, other):
+    # the records differ, so a (digest, seed) pair that reproduces the run must too
+    first = report_digest(tmp_path / "a.json", *argv, *one)
+    assert first != report_digest(tmp_path / "b.json", *argv, *other)
+
+
+@pytest.mark.parametrize("argv", [("verify", "--count", 2), CONVERGENCE_RUN], ids=["verify", "convergence"])
+def test_digest_leaves_out_where_a_run_writes(tmp_path, argv):
+    # another --report path, and for convergence an --out table besides
+    outputs = ("--out", tmp_path / "table.csv") if argv[0] == "convergence" else ()
+    assert report_digest(tmp_path / "a.json", *argv) == report_digest(tmp_path / "b.json", *argv, *outputs)
+
+
 # -- no exception escapes main ----------------------------------------------------
 
 json_values = st.recursive(
@@ -830,6 +883,18 @@ def test_malformed_scenario_never_escapes_verify(tmp_path, capsys, scenario):
     code = main_exit_code("verify", "--scenario", path, "--count", 0)
     err = capsys.readouterr().err
     assert code in (0, 1) or "scenario.json" in err, err
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(adversarial_laws())
+def test_every_accepted_law_verifies(tmp_path, capsys, scenario):
+    # a law ScenarioConfig accepts must verify; only the two memory budgets may refuse it
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(scenario.to_json_dict()))
+    code = run("verify", "--scenario", path, "--count", 0)
+    err = capsys.readouterr().err
+    budgets = (simulation.MAX_PATH_SPACE_BYTES, simulation.MAX_RULE_TABLE_BYTES)
+    assert code == 0 or (code == 2 and any(f"above the budget of {b}\n" in err for b in budgets)), err
 
 
 @st.composite
@@ -1029,6 +1094,44 @@ class TestEscapesFound:
         path.write_text(json.dumps(document))
         assert self.simulate(tmp_path, f"{CORPUS}/idn.json", path) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"rule": "semi_markov"}, "unknown rule kind 'semi_markov'"),
+            ({"transitions": [{"time": 1.0, "from": 4, "probs": {"2": 0.5}}]}, "rule state 4 out of range"),
+            ({"transitions": [{"time": 1.0, "from": 1, "probs": {"1": 0.5}}]}, "rule target 1 invalid for state 1"),
+        ],
+        ids=["rule-kind", "rule-state", "rule-target"],
+    )
+    def test_refused_scenario_is_named_by_its_file(self, tmp_path, capsys, changes, message):
+        path = self.write_idn(tmp_path, **changes)
+        with pytest.raises(simulation.ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            simulation.load_scenario(path)
+        assert self.simulate(tmp_path, path) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"kind": "state_filtering_conforming", "q": 0.0}, "observation probability q must be in (0, 1]"),
+            ({"kind": "violating", "q": 1.5, "delta": 0.5}, "observation probability q must be in (0, 1]"),
+            ({"kind": "violating", "q": 0.7, "delta": 1.0}, "violation contrast delta must be in (0, 1)"),
+            (
+                {"kind": "independent_right", "after": {"1.0": 0.25}, "never": 0.5},
+                "censoring probabilities must sum to 1",
+            ),
+            ({"q": 0.7}, "malformed censoring document: KeyError('kind')"),
+        ],
+        ids=["q-zero", "q-above-one", "delta-one", "right-total", "malformed"],
+    )
+    def test_refused_censoring_is_named_by_its_file(self, tmp_path, capsys, document, message):
+        path = tmp_path / "censoring.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(simulation.ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            simulation.load_censoring(path)
+        assert self.simulate(tmp_path, f"{CORPUS}/idn.json", path) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "convergence"])
     def test_negative_seed_is_rejected_by_name(self, tmp_path, capsys, command):

@@ -62,6 +62,7 @@ class TestEventSample:
             (([0], [1], [0, 1], [0.0], [2]), "subject 0: jump times"),
             (([0], [1], [0, 1], [float("nan")], [2]), "subject 0: jump times"),
             (([3, 5], [1, 1], [0, 1, 2], [1.0, 1.0], [2, 1]), "subject 5: consecutive states"),
+            (([[0]], [1], [0, 0], [], []), "^sample columns must be one-dimensional$"),
         ],
     )
     def test_invalid_columns_are_rejected(self, columns, message):
@@ -123,6 +124,23 @@ class TestEmpiricalMeans:
         sample = simulate_sample(illness_death_scenario(), CensoringConfig("none"), 1000, 17)
         assert empirical_counts(sample, 1, 2, 3.0) == pytest.approx(0.75, abs=0.05)
         assert empirical_occupancy(sample, 2, 3.0) == pytest.approx(0.30, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nelson_aalen(sample_of()), "^empty sample$"),
+        # a transition whose row pushes p0 = (1, 0) to (2, -1) at t = 1
+        (
+            lambda: occupation_estimate(sample_of(subject(0, 1)), (1.0,), np.array([[[2.0, -1.0], [0.0, 1.0]]])),
+            "^occupation estimate out of range at 1.0$",
+        ),
+    ],
+    ids=["empty-sample", "occupation-out-of-range"],
+)
+def test_estimators_refuse_by_name(call, message):
+    with pytest.raises(EstimationError, match=message):
+        call()
 
 
 class TestNelsonAalen:

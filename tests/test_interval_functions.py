@@ -283,8 +283,6 @@ class TestClosedForm:
         for a in (OC(0.0, 4.0), random_subinterval(rng), random_subinterval(rng), PT(mu.times[0])):
             for f, target in pairs:
                 expected = reference_impl.young_readings(f, target, a, depth)
-                if isinstance(f, AdditiveIF):  # its variation norm is exact, not read on cells
-                    expected["variation_norm"] = outcome(mu.variation, a)
                 assert reference_impl.engine_readings(f, target, a, depth) == expected
 
 
@@ -292,6 +290,19 @@ class TestVariationNorm:
     def test_exact_for_additive(self):
         mu = scalar_atoms((1.0, 0.5), (2.0, 0.25))
         assert variation_norm(mu, OC(0, 3), depth=0) == 0.75
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 16), min_size=2, max_size=2, unique=True))
+    def test_additive_reads_its_exact_variation_bit_for_bit(self, seed, ends):
+        # no branch for AdditiveIF: its Young cell norms, gaps of 0.0 between
+        # them, add up in the order that ``variation`` adds its atoms' norms
+        mu = random_jump_function(np.random.default_rng(seed))
+        lo, hi = sorted(0.25 * k for k in ends)
+        windows = [Interval(lo, hi, lc, hc) for lc in (False, True) for hc in (False, True)]
+        windows += [Interval(0.0, 4.0, lc, hc) for lc in (False, True) for hc in (False, True)]
+        windows += [PT(t) for t in (lo, hi, 0.3, *mu.times)]
+        for a in windows:
+            assert bits(variation_norm(mu, a)) == bits(mu.variation(a)), a
 
     def test_monotone_in_depth(self, idn_space):
         f = p22_minus_one(idn_space)
@@ -693,6 +704,21 @@ class TestStepFunction:
             StepFunction((1.0,), (1.0, 2.0), (1.0, 2.0))
         with pytest.raises(ValueError):
             StepFunction((1.0,), (1.0,), (1.0,))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AdditiveIF(0), "^dimension must be at least 1$"),
+        (lambda: StepFunction((2.0, 1.0), (0.0, 0.0), (0.0, 0.0, 0.0)), "^breakpoints must be strictly increasing$"),
+        (lambda: StepFunction((1.0,), (math.inf,), (0.0, 0.0)), "^step function data must be finite$"),
+        (lambda: StepFunction((1.0,), (0.0,), (math.nan, 0.0)), "^step function data must be finite$"),
+    ],
+    ids=["additive-dimension", "step-breakpoints", "step-infinite-value", "step-nan-value"],
+)
+def test_constructors_refuse_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestKolmogorovIntegral:

@@ -366,7 +366,7 @@ class TestTransformAgreesWithProductIntegral:
 
         for ps in random_corpus(rng, 20):
             self.probe(ps, rng, draws=5)
-            assert all(r.passed for r in hazard_defect_checks(ps, depths=3))
+            assert all(r.passed for r in hazard_defect_checks(ps))
 
 
 class TestSerialization:

@@ -20,6 +20,7 @@ from prodint import (
     plus_identity,
 )
 from prodint.checks import (
+    PROFILE_DEPTHS,
     count_mean_defect_checks,
     hazard_defect_checks,
     hazard_defect_table,
@@ -181,10 +182,12 @@ def test_queries_match_per_path_scans(ps, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_spaces() | weighted_spaces(), st.integers(0, 3))
-def test_count_mean_defect_matches_per_pair_profiles(ps, depths):
-    fast = count_mean_defect_checks(ps, depths=depths, label="x")
-    assert fast == reference_impl.count_mean_defect_checks(ps, depths=depths, label="x")
+@given(random_spaces() | weighted_spaces())
+def test_count_mean_defect_matches_per_pair_profiles(ps):
+    # the suite takes no depth: its records are the per-pair profiles' at every depth
+    fast = count_mean_defect_checks(ps, label="x")
+    for depths in range(4):
+        assert fast == reference_impl.count_mean_defect_checks(ps, depths=depths, label="x")
 
 
 def per_cell_hazard_profile(ps, depths):
@@ -192,10 +195,20 @@ def per_cell_hazard_profile(ps, depths):
     return reference_impl.defect_profile(ps.transition_deviation_if(), ps.hazard_matrix(), window, depths)
 
 
+def assert_profile_holds_every_depth(ps, depths):
+    """The first k + 2 rows of the hazard profile (the coarse value, then
+    depths 0 to k) are the per-cell profile to depth k, for each k up to
+    ``depths``."""
+    table = hazard_defect_table(ps)
+    assert len(table) == PROFILE_DEPTHS + 2
+    for k in range(depths + 1):
+        assert table[: k + 2] == per_cell_hazard_profile(ps, k)
+
+
 @settings(max_examples=100, deadline=None)
-@given(random_spaces() | weighted_spaces(), st.integers(0, 3))
-def test_hazard_profile_matches_per_cell_profile(ps, depths):
-    assert hazard_defect_table(ps, depths) == per_cell_hazard_profile(ps, depths)
+@given(random_spaces() | weighted_spaces())
+def test_hazard_profile_matches_per_cell_profile(ps):
+    assert_profile_holds_every_depth(ps, 3)
 
 
 def test_count_mean_defect_at_default_depth():
@@ -223,11 +236,10 @@ def test_quiet_tick_gives_distinct_pairs_with_equal_terms():
     assert ps.columns(a) != ps.columns(b)
     f, hazard = ps.transition_deviation_if(), ps.hazard_matrix()
     assert np.array_equal(f(a) - hazard(a), f(b) - hazard(b))
-    for depths in range(7):
-        assert hazard_defect_table(ps, depths) == per_cell_hazard_profile(ps, depths)
-        assert count_mean_defect_checks(ps, depths) == reference_impl.count_mean_defect_checks(
-            ps, depths
-        )
+    assert_profile_holds_every_depth(ps, PROFILE_DEPTHS)
+    records = count_mean_defect_checks(ps)
+    for depths in range(PROFILE_DEPTHS + 1):
+        assert records == reference_impl.count_mean_defect_checks(ps, depths)
 
 
 def support_range(ps, a):
@@ -281,8 +293,9 @@ def test_defect_suites_build_one_schedule_per_space(monkeypatch):
         built.clear()
         hazard_defect_checks(ps)
         count_mean_defect_checks(ps)
-        # one step-like schedule per suite and space, to the default depth
-        assert built == [(True, 6), (True, 6)]
+        # one step-like schedule per suite and space: the hazard profile's
+        # to its depth rows, the count-mean defect's to depth 0
+        assert built == [(True, PROFILE_DEPTHS), (True, 0)]
     # the transforms and the product-variation bound of pure-jump measures
     records = transform_duality_checks(np.random.default_rng(5), count=20)
     assert records and all(record.passed for record in records)

@@ -315,7 +315,7 @@ def test_kernel_rows_match_rule_scan(scenario):
                 row = kernel.rows[column, state, entry]
                 pad = width - len(probs)
                 targets = kernel.targets[row].tolist()
-                assert targets == [0] + [to for to, _ in probs] + [0] * (pad + 1)
+                assert targets == [0] + [to for to, _ in probs] + [0] * pad
                 table = simulation._cumulative([p for _, p in probs]).tolist()
                 assert kernel.cdf[row].tolist() == table + [np.inf] * pad
                 moves, stay = reference_impl.branch_masses(probs)

@@ -65,28 +65,28 @@ def sampler_agreement_checks(rng, scenario, draws=10**5, tol=0.01):
 
 class TestScenarioValidation:
     def test_rejects_bad_probabilities(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^outgoing probabilities at t=1.0 from 1 exceed 1$"):
             ScenarioConfig(
                 2, 2.0, (1.0,), "markov", (1.0, 0.0),
                 (TransitionRule(1.0, 1, ((2, 1.5),)),),
             )
 
     def test_rejects_excessive_row_mass(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^outgoing probabilities at t=1.0 from 1 exceed 1$"):
             ScenarioConfig(
                 3, 2.0, (1.0,), "markov", (1.0, 0.0, 0.0),
                 (TransitionRule(1.0, 1, ((2, 0.7), (3, 0.7))),),
             )
 
     def test_rejects_feature_on_markov_rule(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^markov rules cannot carry a history feature$"):
             ScenarioConfig(
                 2, 2.0, (1.0,), "markov", (1.0, 0.0),
                 (TransitionRule(1.0, 1, ((2, 0.5),), when=0.0),),
             )
 
     def test_rejects_duplicate_rule(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^duplicate rule for \(1.0, 1, None\)$"):
             ScenarioConfig(
                 2, 2.0, (1.0,), "markov", (1.0, 0.0),
                 (
@@ -96,7 +96,7 @@ class TestScenarioValidation:
             )
 
     def test_rejects_off_grid_rule_time(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^rule time 1.5 is not a grid time$"):
             ScenarioConfig(
                 2, 2.0, (1.0,), "markov", (1.0, 0.0),
                 (TransitionRule(1.5, 1, ((2, 0.5),)),),
@@ -125,7 +125,7 @@ class TestScenarioValidation:
             ScenarioConfig(2, 2.0, (float("nan"),), "markov", (1.0, 0.0), ())
 
     def test_rejects_unnormalized_initial(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^initial distribution must be nonnegative and sum to 1$"):
             ScenarioConfig(2, 2.0, (1.0,), "markov", (0.5, 0.0), ())
 
 
@@ -508,7 +508,7 @@ class TestJsonConfigs:
         assert violating.delta == 0.5
 
     def test_malformed_documents_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^malformed scenario document: KeyError\('transitions'\)$"):
             ScenarioConfig.from_json_dict({"d": 2})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^unknown censoring kind 'nonsense'$"):
             CensoringConfig.from_json_dict({"kind": "nonsense"})
